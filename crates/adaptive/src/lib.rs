@@ -231,23 +231,6 @@ pub fn adaptive_stm(
         .build_adaptive(policy, concurrency)
 }
 
-/// Shorthand for [`AdaptiveStmBuilder::build_adaptive_tagged`] at the
-/// default geometry.
-pub fn adaptive_tagged_stm(
-    heap_words: usize,
-    initial_entries: usize,
-    policy: ResizePolicy,
-    concurrency: u32,
-) -> (
-    Stm<ResizableTable<ConcurrentTaggedTable>>,
-    AdaptiveController,
-) {
-    StmBuilder::new()
-        .heap_words(heap_words)
-        .table_entries(initial_entries)
-        .build_adaptive_tagged(policy, concurrency)
-}
-
 /// Convenience: a bare resizable tagless table (no STM), for direct use or
 /// simulation.
 pub fn resizable_tagless(cfg: TableConfig) -> ResizableTable<ConcurrentTaglessTable> {
@@ -265,7 +248,10 @@ mod tests {
         assert_eq!(stm.table().live_entries(), 256);
         assert_eq!(ctl.epochs(), 0);
 
-        let (stm, _ctl) = adaptive_tagged_stm(1024, 128, ResizePolicy::default(), 2);
+        let (stm, _ctl) = StmBuilder::new()
+            .heap_words(1024)
+            .table_entries(128)
+            .build_adaptive_tagged(ResizePolicy::default(), 2);
         assert_eq!(stm.table().live_entries(), 128);
 
         let t = resizable_tagless(TableConfig::new(64));

@@ -63,7 +63,7 @@ use crate::heap::{Heap, WORD_BYTES};
 use crate::lazy::LazyStm;
 use crate::readpath::ReadPathPolicy;
 use crate::stats::EngineStats;
-use crate::stm::{Aborted, RetryLimitExceeded, Stm, StmConfig, Txn};
+use crate::stm::{Aborted, ReadTxn, RetryLimitExceeded, Route, Stm, StmConfig, Txn};
 
 /// The read-only operation surface — everything a transaction body may do
 /// without writing.
@@ -144,8 +144,8 @@ pub trait TxnOps: ReadOps {
 /// data structures, benches) can run bodies on.
 ///
 /// Implemented by [`Stm`] over **every** [`ConcurrentTable`] (tagless,
-/// tagged, and wrapped tables like `tm-adaptive`'s resizable one) and by
-/// [`LazyStm`]. The associated transaction type implements [`TxnOps`], so
+/// tagged, and wrapped tables like `tm-adaptive`'s resizable one) and every
+/// [`Route`] (one table, or `tm-shard`'s several), and by [`LazyStm`]. The associated transaction type implements [`TxnOps`], so
 /// one body — written against the trait — runs on every engine.
 pub trait TmEngine: Sync {
     /// The in-flight transaction handed to bodies.
@@ -344,32 +344,32 @@ impl<E: TmEngine + Send> TmEngine for std::sync::Arc<E> {
     }
 }
 
-impl<T: ConcurrentTable, P: Probe> TmEngine for Stm<T, P> {
+impl<T: ConcurrentTable, P: Probe, R: Route> TmEngine for Stm<T, P, R> {
     type Txn<'e>
-        = Txn<'e, T, P>
+        = Txn<'e, T, P, R>
     where
         Self: 'e;
 
     type ReadTxn<'e>
-        = crate::ReadTxn<'e, T, P>
+        = ReadTxn<'e>
     where
         Self: 'e;
 
-    fn run_with<'s, R>(
+    fn run_with<'s, O>(
         &'s self,
         me: ThreadId,
         policy: RetryPolicy,
-        mut body: impl FnMut(&mut Txn<'s, T, P>) -> Result<R, Aborted>,
-    ) -> Result<R, RetryLimitExceeded> {
+        mut body: impl FnMut(&mut Txn<'s, T, P, R>) -> Result<O, Aborted>,
+    ) -> Result<O, RetryLimitExceeded> {
         self.run_with_budget(me, policy.budget(), &mut body)
     }
 
-    fn run_read_with<'s, R>(
+    fn run_read_with<'s, O>(
         &'s self,
         me: ThreadId,
         policy: RetryPolicy,
-        mut body: impl FnMut(&mut crate::ReadTxn<'s, T, P>) -> Result<R, Aborted>,
-    ) -> Result<R, RetryLimitExceeded> {
+        mut body: impl FnMut(&mut ReadTxn<'s>) -> Result<O, Aborted>,
+    ) -> Result<O, RetryLimitExceeded> {
         self.run_read_with_budget(me, policy.budget(), &mut body)
     }
 

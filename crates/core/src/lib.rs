@@ -44,6 +44,15 @@
 //! transactions (aborts roll allocations back). User code — including all
 //! of `tm-structs` — never touches a raw address.
 //!
+//! The two eager families are **one engine**, [`Stm`], which is also
+//! generic over a [`Route`] from cache blocks to ownership tables: the
+//! default [`OneTable`] route is resolved at compile time and is what the
+//! terminals above build; `tm-shard` supplies a multi-table route
+//! (`ShardMap`) and names the same engine routed by it `ShardedStm`. The
+//! acquire loop, write buffer, publish bracket, retry loop, read path and
+//! scratch pool exist once; only a multi-table route can reach the
+//! engine's cross-table commit mode.
+//!
 //! The eager engines add abort-and-retry with randomized exponential
 //! backoff (optionally bounded stalling, [`ContentionPolicy::Stall`]) and
 //! optional **strong isolation** ([`Stm::strong_read`]/[`Stm::strong_write`])
@@ -102,7 +111,10 @@ pub use readpath::{PublishGate, ReadPathPolicy};
 pub use region::Region;
 pub use scratch::{SmallKey, SmallMap, TxnScratch};
 pub use stats::{EngineStats, StmStats, StmStatsSnapshot};
-pub use stm::{tagged_stm, tagless_stm, Aborted, ReadTxn, RetryLimitExceeded, Stm, StmConfig, Txn};
+pub use stm::{
+    tagged_stm, tagless_stm, Aborted, AcquireOrder, OneTable, ReadTxn, RetryLimitExceeded, Route,
+    Stm, StmConfig, Txn, DEFAULT_COMMIT_SPINS,
+};
 pub use typed::{CapacityError, TRef, TxLayout, TxResult, TxWord};
 
 // Re-export the table types users need to build custom configurations.

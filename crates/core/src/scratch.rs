@@ -2,7 +2,9 @@
 //!
 //! Every transaction attempt needs the same small, hot metadata — the
 //! ownership log, the speculative write buffer, the written-block set (eager
-//! engine), the read validation set and commit lock buffers (lazy engine).
+//! engine), the read-value log and commit acquisition buffers (its
+//! cross-table mode), the read validation set and commit lock buffers (lazy
+//! engine).
 //! Allocating them fresh per attempt (the pre-optimization design: three
 //! SipHash `HashMap`s per attempt) puts the allocator and the hash function
 //! on the paper's *per-access* critical path, drowning exactly the
@@ -47,6 +49,23 @@ pub struct TxnScratch {
     pub(crate) wbuf: SmallMap<u64, u64>,
     /// Both engines: distinct written blocks (the model's observed `W`).
     pub(crate) write_blocks: SmallMap<u64, ()>,
+    /// Cross-table mode: distinct blocks read outside the write buffer.
+    pub(crate) read_blocks: SmallMap<u64, ()>,
+    /// Cross-table mode: read-value log `(addr, value)` for commit
+    /// validation and mid-body revalidation when the publication epoch
+    /// moves.
+    pub(crate) rlog: Vec<(u64, u64)>,
+    /// Cross-table mode: distinct touched blocks in first-touch order — the
+    /// commit acquisition plan's base order (what `AcquireOrder::Unordered`
+    /// exposes raw and `ShardOrdered` sorts).
+    pub(crate) touched: Vec<u64>,
+    /// Cross-table commit: footprint acquisition plan
+    /// `(table, grant key, write?, representative block)`.
+    pub(crate) acq: Vec<(u32, u64, bool, u64)>,
+    /// Cross-table commit: grants acquired so far `(table, grant key,
+    /// held)`, released on commit completion or acquisition/validation
+    /// failure.
+    pub(crate) cgrants: Vec<(u32, u64, Held)>,
     /// Lazy engine: entry → (version observed at first read, fingerprint of
     /// the block read there — for abort-cause attribution at validation).
     pub(crate) read_set: SmallMap<EntryIndex, (u64, u32)>,
@@ -64,6 +83,11 @@ impl TxnScratch {
         self.log.clear();
         self.wbuf.clear();
         self.write_blocks.clear();
+        self.read_blocks.clear();
+        self.rlog.clear();
+        self.touched.clear();
+        self.acq.clear();
+        self.cgrants.clear();
         self.read_set.clear();
         self.entry_buf.clear();
         self.locked_buf.clear();
@@ -75,6 +99,11 @@ impl TxnScratch {
         self.log.is_empty()
             && self.wbuf.is_empty()
             && self.write_blocks.is_empty()
+            && self.read_blocks.is_empty()
+            && self.rlog.is_empty()
+            && self.touched.is_empty()
+            && self.acq.is_empty()
+            && self.cgrants.is_empty()
             && self.read_set.is_empty()
             && self.entry_buf.is_empty()
             && self.locked_buf.is_empty()
@@ -162,6 +191,12 @@ mod tests {
         {
             let mut g = ScratchGuard::checkout();
             g.wbuf.insert(8, 1);
+            // The cross-table buffers ride in the same bundle.
+            g.read_blocks.insert(1, ());
+            g.rlog.push((0, 0));
+            g.touched.push(1);
+            g.acq.push((0, 0, false, 1));
+            g.cgrants.push((0, 0, Held::Read));
             assert_eq!(pooled_on_this_thread(), 0);
         }
         assert_eq!(pooled_on_this_thread(), 1);
@@ -189,10 +224,13 @@ mod tests {
         for k in 0..100u64 {
             g.log.insert(k, Held::Write);
         }
+        g.rlog.extend((0..100u64).map(|a| (a, a)));
         let cap = g.log.spill_capacity();
+        let rlog_cap = g.rlog.capacity();
         assert!(cap > 0);
         g.reset();
         assert!(g.is_clear());
         assert_eq!(g.log.spill_capacity(), cap);
+        assert_eq!(g.rlog.capacity(), rlog_cap);
     }
 }

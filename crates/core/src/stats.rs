@@ -294,6 +294,37 @@ impl StmStatsSnapshot {
     }
 }
 
+/// The one field-wise sum: stripes fold into a table's snapshot and tables
+/// fold into an engine's through it. The right-hand side is destructured
+/// without `..`, so a counter added to the struct fails to compile here
+/// instead of being silently dropped from an aggregate.
+impl std::ops::AddAssign for StmStatsSnapshot {
+    fn add_assign(&mut self, rhs: Self) {
+        let StmStatsSnapshot {
+            commits,
+            aborts,
+            stall_retries,
+            strong_reads,
+            strong_writes,
+            strong_stalls,
+            committed_write_blocks,
+            committed_grant_blocks,
+            read_only_commits,
+            read_validation_retries,
+        } = rhs;
+        self.commits += commits;
+        self.aborts += aborts;
+        self.stall_retries += stall_retries;
+        self.strong_reads += strong_reads;
+        self.strong_writes += strong_writes;
+        self.strong_stalls += strong_stalls;
+        self.committed_write_blocks += committed_write_blocks;
+        self.committed_grant_blocks += committed_grant_blocks;
+        self.read_only_commits += read_only_commits;
+        self.read_validation_retries += read_validation_retries;
+    }
+}
+
 impl StmStats {
     #[inline]
     fn stripe(&self, me: u32) -> &StatCells {
@@ -365,20 +396,23 @@ impl StmStats {
     /// Sum the stripes into a point-in-time copy (exact once threads
     /// quiesce; see the type docs for the aggregation contract).
     pub fn snapshot(&self) -> StmStatsSnapshot {
-        let mut s = StmStatsSnapshot::default();
+        let mut total = StmStatsSnapshot::default();
         for stripe in self.stripes.iter() {
-            s.commits += stripe.commits.load(Ordering::Relaxed);
-            s.aborts += stripe.aborts.load(Ordering::Relaxed);
-            s.stall_retries += stripe.stall_retries.load(Ordering::Relaxed);
-            s.strong_reads += stripe.strong_reads.load(Ordering::Relaxed);
-            s.strong_writes += stripe.strong_writes.load(Ordering::Relaxed);
-            s.strong_stalls += stripe.strong_stalls.load(Ordering::Relaxed);
-            s.committed_write_blocks += stripe.committed_write_blocks.load(Ordering::Relaxed);
-            s.committed_grant_blocks += stripe.committed_grant_blocks.load(Ordering::Relaxed);
-            s.read_only_commits += stripe.read_only_commits.load(Ordering::Relaxed);
-            s.read_validation_retries += stripe.read_validation_retries.load(Ordering::Relaxed);
+            let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+            total += StmStatsSnapshot {
+                commits: load(&stripe.commits),
+                aborts: load(&stripe.aborts),
+                stall_retries: load(&stripe.stall_retries),
+                strong_reads: load(&stripe.strong_reads),
+                strong_writes: load(&stripe.strong_writes),
+                strong_stalls: load(&stripe.strong_stalls),
+                committed_write_blocks: load(&stripe.committed_write_blocks),
+                committed_grant_blocks: load(&stripe.committed_grant_blocks),
+                read_only_commits: load(&stripe.read_only_commits),
+                read_validation_retries: load(&stripe.read_validation_retries),
+            };
         }
-        s
+        total
     }
 }
 
@@ -410,6 +444,47 @@ mod tests {
         assert_eq!(snap.read_validation_retries, 1);
         // Read-only traffic must not leak into the write-side ratios.
         assert_eq!(snap.abort_ratio(), 0.5);
+    }
+
+    #[test]
+    fn aggregate_carries_every_field() {
+        // Every field distinct, no `..Default::default()`: a counter added
+        // to the struct breaks this literal until the test covers it, and
+        // the exhaustive destructuring in `add_assign` breaks until the
+        // sum does.
+        let one = StmStatsSnapshot {
+            commits: 1,
+            aborts: 2,
+            stall_retries: 3,
+            strong_reads: 4,
+            strong_writes: 5,
+            strong_stalls: 6,
+            committed_write_blocks: 7,
+            committed_grant_blocks: 8,
+            read_only_commits: 9,
+            read_validation_retries: 10,
+        };
+        let mut total = one;
+        total += one;
+        total += one;
+        let expected = StmStatsSnapshot {
+            commits: 3,
+            aborts: 6,
+            stall_retries: 9,
+            strong_reads: 12,
+            strong_writes: 15,
+            strong_stalls: 18,
+            committed_write_blocks: 21,
+            committed_grant_blocks: 24,
+            read_only_commits: 27,
+            read_validation_retries: 30,
+        };
+        assert_eq!(total, expected);
+        assert_eq!(total.since(&one), {
+            let mut two = one;
+            two += one;
+            two
+        });
     }
 
     #[test]

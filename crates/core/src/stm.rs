@@ -12,11 +12,21 @@
 //! point: running the same workload over a [`ConcurrentTaglessTable`] and a
 //! [`ConcurrentTaggedTable`] exposes exactly the false-conflict cost the
 //! paper analyses, on real threads rather than in Monte-Carlo form.
+//!
+//! It is also generic over a [`Route`] from cache blocks to ownership
+//! tables. There is **one** engine — one acquire loop, one write buffer,
+//! one publish bracket, one retry loop, one read path — and two routes
+//! through it: [`OneTable`], resolved at compile time, is the plain
+//! [`Stm`]; a route that can reach several tables (`tm-shard`'s `ShardMap`)
+//! additionally pins each transaction to the table of its first-touched
+//! block and, when a second table is touched, restarts it in the
+//! cross-table mode of the `cross` submodule.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tm_ownership::concurrent::{ConcurrentTable, Held};
-use tm_ownership::{Access, AcquireOutcome, BlockMapper, ConflictClass, ThreadId};
+use tm_ownership::{Access, AcquireOutcome, BlockAddr, BlockMapper, ConflictClass, ThreadId};
 use tm_ownership::{ConcurrentTaggedTable, ConcurrentTaglessTable};
 use tm_telemetry::{AbortCause, NoopProbe, Probe};
 
@@ -26,6 +36,10 @@ use crate::heap::Heap;
 use crate::readpath::{PublishGate, ReadPathPolicy};
 use crate::scratch::ScratchGuard;
 use crate::stats::{StmStats, StmStatsSnapshot};
+
+mod cross;
+
+pub use cross::{AcquireOrder, DEFAULT_COMMIT_SPINS};
 
 /// Nanoseconds elapsed since an (optionally taken) probe timestamp; `0`
 /// when telemetry is off and no timestamp was taken.
@@ -77,11 +91,13 @@ impl std::fmt::Display for RetryLimitExceeded {
 
 impl std::error::Error for RetryLimitExceeded {}
 
-/// The transaction-body callback `run_with_budget` drives across attempts.
-type BodyFn<'b, 's, T, P, R> = &'b mut dyn FnMut(&mut Txn<'s, T, P>) -> Result<R, Aborted>;
+/// The transaction-body callback `run_with_budget` drives across attempts
+/// (a monomorphization firewall: the retry loop is compiled once per
+/// engine, not once per closure).
+type BodyFn<'b, 's, T, P, R, O> = &'b mut dyn FnMut(&mut Txn<'s, T, P, R>) -> Result<O, Aborted>;
 
 /// The read-only-body callback `run_read_with_budget` drives.
-type ReadBodyFn<'b, 's, T, P, R> = &'b mut dyn FnMut(&mut ReadTxn<'s, T, P>) -> Result<R, Aborted>;
+type ReadBodyFn<'b, 's, O> = &'b mut dyn FnMut(&mut ReadTxn<'s>) -> Result<O, Aborted>;
 
 /// STM-wide configuration.
 #[derive(Clone, Copy, Debug, Default)]
@@ -95,23 +111,90 @@ pub struct StmConfig {
     pub read_path: ReadPathPolicy,
 }
 
+/// Which ownership table a cache block's grants live in.
+///
+/// `MULTI` is the compile-time switch: with `false` every routing
+/// decision, the home-table pin and the whole cross-table mode
+/// monomorphize away, so the one-table engine pays nothing for the
+/// existence of the routed one.
+pub trait Route: Send + Sync + std::fmt::Debug {
+    /// Whether the route can reach more than one table.
+    const MULTI: bool;
+
+    /// Number of tables routed over (the engine holds exactly this many).
+    fn table_count(&self) -> usize;
+
+    /// The table owning `block`, in `0..table_count()`.
+    fn table_of(&self, block: BlockAddr) -> u32;
+}
+
+/// The trivial route: one table owns every block.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OneTable;
+
+impl Route for OneTable {
+    const MULTI: bool = false;
+
+    #[inline]
+    fn table_count(&self) -> usize {
+        1
+    }
+
+    #[inline]
+    fn table_of(&self, _block: BlockAddr) -> u32 {
+        0
+    }
+}
+
+/// One routed table's conflict-detection state: the ownership table and
+/// the commit-stream statistics of the traffic that touched it (each
+/// internally striped and padded).
+#[derive(Debug)]
+struct TableState<T> {
+    table: T,
+    stats: StmStats,
+}
+
 /// A software transactional memory over a shared [`Heap`], generic in the
-/// ownership-table organization `T` and the telemetry probe `P`.
+/// ownership-table organization `T`, the telemetry probe `P` and the
+/// block → table [`Route`] `R`.
 ///
 /// With the default [`NoopProbe`] every probe hook monomorphizes to
 /// nothing — no clock reads, no event bookkeeping — so the telemetry layer
 /// costs exactly zero unless a real probe (e.g.
 /// [`Recorder`](tm_telemetry::Recorder)) is attached via
-/// [`StmBuilder::probe`](crate::StmBuilder::probe).
+/// [`StmBuilder::probe`](crate::StmBuilder::probe). With the default
+/// [`OneTable`] route the same holds for routing.
+///
+/// However many tables the route reaches there is **one** heap and **one**
+/// publication gate, so the typed layer, `tm-structs` and the wait-free
+/// `run_read` path never see the route.
 #[derive(Debug)]
-pub struct Stm<T: ConcurrentTable, P: Probe = NoopProbe> {
+pub struct Stm<T: ConcurrentTable, P: Probe = NoopProbe, R: Route = OneTable> {
     heap: Heap,
-    table: T,
+    route: R,
+    /// Table 0 sits inline, so the one-table route reaches it without an
+    /// index or an indirection; tables `1..` follow in `rest` (empty
+    /// unless the route is multi-table).
+    first: TableState<T>,
+    rest: Box<[TableState<T>]>,
     config: StmConfig,
-    stats: StmStats,
     /// Seqlock-style gate between commit-time publication and the
     /// table-free read-only path (see [`crate::readpath`]).
     publish_gate: PublishGate,
+    order: AcquireOrder,
+    commit_spins: u32,
+    cross_commits: AtomicU64,
+    cross_aborts: AtomicU64,
+    /// Sum over cross-table commits of (span − 1): the per-table commit
+    /// counters record a cross-table commit once *per participating table*
+    /// (so each table's `mean_write_footprint` divides that table's blocks
+    /// by the commits that actually delivered them — the adaptive
+    /// controllers size from a self-consistent window), and [`stats`]
+    /// subtracts this to keep the engine-level aggregate exact.
+    ///
+    /// [`stats`]: Stm::stats
+    cross_extra_commits: AtomicU64,
     probe: P,
 }
 
@@ -136,24 +219,137 @@ pub fn tagged_stm(heap_words: usize, table_entries: usize) -> Stm<ConcurrentTagg
 }
 
 impl<T: ConcurrentTable> Stm<T> {
-    /// Build an STM from a heap size, a table, and a configuration, with
-    /// telemetry off (the zero-cost [`NoopProbe`]).
+    /// Build a one-table STM from a heap size, a table, and a
+    /// configuration, with telemetry off (the zero-cost [`NoopProbe`]).
     pub fn new(heap_words: usize, table: T, config: StmConfig) -> Self {
         Self::with_probe(heap_words, table, config, NoopProbe)
     }
 }
 
 impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
-    /// Build an STM with an attached telemetry probe.
+    /// Build a one-table STM with an attached telemetry probe.
     pub fn with_probe(heap_words: usize, table: T, config: StmConfig, probe: P) -> Self {
+        Self::routed(heap_words, vec![table], OneTable, config, probe)
+    }
+
+    /// The ownership table (for stats inspection).
+    pub fn table(&self) -> &T {
+        &self.first.table
+    }
+
+    /// Strong-isolation non-transactional read (paper §6): consult the
+    /// ownership table so the read cannot observe a transaction's
+    /// speculative state, spinning while a writer holds the block.
+    pub fn strong_read(&self, me: ThreadId, addr: u64) -> u64 {
+        let TableState { table, stats } = &self.first;
+        stats.on_strong(me, false);
+        // Invariant across spins — derive once, as Txn::acquire does.
+        let block = table.config().mapper().block_of(addr);
+        loop {
+            match table.acquire(me, block, Access::Read, Held::None) {
+                AcquireOutcome::Granted => {
+                    let v = self.heap.load(addr);
+                    table.release(me, table.grant_key(block), Held::Read);
+                    return v;
+                }
+                AcquireOutcome::AlreadyHeld => {
+                    // Only possible if the caller misuses a transaction's id;
+                    // read without a release obligation.
+                    return self.heap.load(addr);
+                }
+                AcquireOutcome::Conflict(_) => {
+                    stats.on_strong_stall(me);
+                    std::hint::spin_loop();
+                }
+            }
+        }
+    }
+
+    /// Strong-isolation non-transactional write (paper §6); spins while any
+    /// transaction holds the block.
+    pub fn strong_write(&self, me: ThreadId, addr: u64, value: u64) {
+        let TableState { table, stats } = &self.first;
+        stats.on_strong(me, true);
+        // Invariant across spins — derive once, as Txn::acquire does.
+        let block = table.config().mapper().block_of(addr);
+        loop {
+            match table.acquire(me, block, Access::Write, Held::None) {
+                AcquireOutcome::Granted => {
+                    self.heap.store(addr, value);
+                    table.release(me, table.grant_key(block), Held::Write);
+                    return;
+                }
+                AcquireOutcome::AlreadyHeld => {
+                    self.heap.store(addr, value);
+                    return;
+                }
+                AcquireOutcome::Conflict(_) => {
+                    stats.on_strong_stall(me);
+                    std::hint::spin_loop();
+                }
+            }
+        }
+    }
+}
+
+impl<T: ConcurrentTable, P: Probe, R: Route> Stm<T, P, R> {
+    /// Build an STM over `tables`, one per table `route` reaches, in route
+    /// order. Every table must share one block geometry.
+    pub fn routed(
+        heap_words: usize,
+        tables: Vec<T>,
+        route: R,
+        config: StmConfig,
+        probe: P,
+    ) -> Self {
+        assert_eq!(
+            tables.len(),
+            route.table_count(),
+            "the route's table count must match the tables supplied"
+        );
+        let mut states = tables.into_iter().map(|table| TableState {
+            table,
+            stats: StmStats::default(),
+        });
+        let first = states.next().expect("need at least one table");
+        let rest: Box<[_]> = states.collect();
+        let block_bytes = first.table.config().mapper().block_bytes();
+        for s in rest.iter() {
+            assert_eq!(
+                s.table.config().mapper().block_bytes(),
+                block_bytes,
+                "all tables must share one block geometry"
+            );
+        }
         Self {
             heap: Heap::new(heap_words),
-            table,
+            route,
+            first,
+            rest,
             config,
-            stats: StmStats::default(),
             publish_gate: PublishGate::default(),
+            order: AcquireOrder::default(),
+            commit_spins: DEFAULT_COMMIT_SPINS,
+            cross_commits: AtomicU64::new(0),
+            cross_aborts: AtomicU64::new(0),
+            cross_extra_commits: AtomicU64::new(0),
             probe,
         }
+    }
+
+    /// Table `shard`'s state. On the one-table route this is `first`,
+    /// statically.
+    #[inline]
+    fn state(&self, shard: u32) -> &TableState<T> {
+        if !R::MULTI || shard == 0 {
+            &self.first
+        } else {
+            &self.rest[shard as usize - 1]
+        }
+    }
+
+    fn states(&self) -> impl Iterator<Item = &TableState<T>> {
+        std::iter::once(&self.first).chain(self.rest.iter())
     }
 
     /// The attached telemetry probe.
@@ -167,33 +363,81 @@ impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
         &self.heap
     }
 
-    /// The ownership table (for stats inspection).
-    pub fn table(&self) -> &T {
-        &self.table
-    }
-
     /// The configuration.
     pub fn config(&self) -> &StmConfig {
         &self.config
     }
 
-    /// Commit/abort counters so far.
+    /// Number of ownership tables (1 on the one-table route).
+    pub fn shard_count(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    /// The block → table route.
+    pub fn shard_map(&self) -> &R {
+        &self.route
+    }
+
+    /// [`state`](Self::state) for a caller-supplied index.
+    fn checked_state(&self, shard: usize) -> &TableState<T> {
+        assert!(shard < self.shard_count(), "table index out of range");
+        self.state(shard as u32)
+    }
+
+    /// Table `shard` (per-table inspection, and the handle per-table
+    /// adaptive controllers resize through).
+    pub fn shard_table(&self, shard: usize) -> &T {
+        &self.checked_state(shard).table
+    }
+
+    /// Table `shard`'s statistics snapshot: the traffic that touched this
+    /// table. A cross-table commit appears in *every* participating
+    /// table's counters (commit and footprint alike, so per-table means
+    /// stay self-consistent); [`stats`](Self::stats) de-duplicates.
+    pub fn shard_stats(&self, shard: usize) -> StmStatsSnapshot {
+        self.checked_state(shard).stats.snapshot()
+    }
+
+    /// Every table's statistics snapshot, by table index (see
+    /// [`shard_stats`](Self::shard_stats) for cross-table attribution).
+    pub fn shard_snapshots(&self) -> Vec<StmStatsSnapshot> {
+        self.states().map(|s| s.stats.snapshot()).collect()
+    }
+
+    /// Whole-engine commit/abort counters so far: the sum over tables,
+    /// with cross-table commits de-duplicated (each counts once per
+    /// participating table in the per-table view, once here).
     pub fn stats(&self) -> StmStatsSnapshot {
-        self.stats.snapshot()
+        let mut total = StmStatsSnapshot::default();
+        for s in self.states() {
+            total += s.stats.snapshot();
+        }
+        if R::MULTI {
+            // Counters are read racily: a cross-table committer bumps its
+            // non-coordinator tables' commit counters before the extra
+            // counter, so clamp instead of underflowing on a mid-commit
+            // snapshot.
+            let extra = self.cross_extra_commits.load(Ordering::Relaxed);
+            total.commits = total.commits.saturating_sub(extra);
+        }
+        total
     }
 
     /// The retry loop behind
     /// [`TmEngine::run_with`](crate::TmEngine::run_with) — the trait is the
-    /// public way to run transactions on any engine.
-    pub(crate) fn run_with_budget<'s, R>(
+    /// public way to run transactions on any engine. On a multi-table
+    /// route an eager attempt that touches a second table restarts, once,
+    /// in cross-table mode.
+    pub(crate) fn run_with_budget<'s, O>(
         &'s self,
         me: ThreadId,
         max_attempts: u32,
-        body: BodyFn<'_, 's, T, P, R>,
-    ) -> Result<R, RetryLimitExceeded> {
+        body: BodyFn<'_, 's, T, P, R, O>,
+    ) -> Result<O, RetryLimitExceeded> {
         assert!(max_attempts >= 1, "need at least one attempt");
         let mut backoff = Backoff::new(me as u64);
         let mut attempts = 0u32;
+        let mut cross = false;
         // All clock reads are behind the compile-time probe switch: with
         // `NoopProbe` the timestamps are `None` and nothing below touches
         // the clock.
@@ -203,11 +447,18 @@ impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
         }
         loop {
             let attempt_start = P::ENABLED.then(Instant::now);
-            let mut txn = Txn::new(self, me);
-            match body(&mut txn) {
-                Ok(r) => {
-                    txn.commit();
-                    self.stats.on_commit(me);
+            let mut txn = Txn::new(self, me, cross);
+            let outcome = body(&mut txn).and_then(|r| txn.commit().map(|at| (r, at)));
+            match outcome {
+                Ok((r, (shard, span))) => {
+                    txn.finish();
+                    self.state(shard).stats.on_commit(me);
+                    if R::MULTI && span >= 2 {
+                        self.cross_commits.fetch_add(1, Ordering::Relaxed);
+                        if P::ENABLED {
+                            self.probe.on_cross_shard_commit(me, span);
+                        }
+                    }
                     if P::ENABLED {
                         self.probe.on_commit(
                             me,
@@ -219,9 +470,23 @@ impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
                     return Ok(r);
                 }
                 Err(Aborted) => {
+                    if R::MULTI && txn.escalate && !cross {
+                        // Mode switch, not contention: restart the body in
+                        // cross-table mode without burning an attempt or a
+                        // backoff (and without touching abort counters).
+                        cross = true;
+                        continue;
+                    }
                     let cause = txn.abort_cause.take().unwrap_or(AbortCause::ExplicitRetry);
-                    txn.rollback();
-                    self.stats.on_abort(me);
+                    let commit_phase_abort = txn.commit_phase_abort;
+                    txn.finish();
+                    txn.home_state().stats.on_abort(me);
+                    if R::MULTI && commit_phase_abort {
+                        self.cross_aborts.fetch_add(1, Ordering::Relaxed);
+                        if P::ENABLED {
+                            self.probe.on_cross_shard_abort(me);
+                        }
+                    }
                     if P::ENABLED {
                         self.probe.on_abort(me, cause, elapsed_ns(attempt_start));
                     }
@@ -244,14 +509,22 @@ impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
     /// heap with per-read gate validation, and retries through backoff on
     /// validation failure. No scratch is checked out, no ownership-table
     /// grant is ever acquired, and nothing allocates — readers impose zero
-    /// table footprint on writers.
-    pub(crate) fn run_read_with_budget<'s, R>(
+    /// table footprint on writers. The gate is engine-global, so routing
+    /// never enters the picture; the outcome counters land in table
+    /// `me % shard_count()`.
+    pub(crate) fn run_read_with_budget<'s, O>(
         &'s self,
         me: ThreadId,
         max_attempts: u32,
-        body: ReadBodyFn<'_, 's, T, P, R>,
-    ) -> Result<R, RetryLimitExceeded> {
+        body: ReadBodyFn<'_, 's, O>,
+    ) -> Result<O, RetryLimitExceeded> {
         assert!(max_attempts >= 1, "need at least one attempt");
+        let shard = if R::MULTI {
+            me % self.shard_count() as u32
+        } else {
+            0
+        };
+        let stats = &self.state(shard).stats;
         let mut backoff = Backoff::new(me as u64);
         let mut attempts = 0u32;
         let txn_start = P::ENABLED.then(Instant::now);
@@ -261,17 +534,11 @@ impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
             }
             // Wait out any in-flight publication; windows are a handful of
             // relaxed stores, so the spin budget almost always suffices.
-            let mut epoch = self.publish_gate.reader_epoch();
-            let mut spins = 0u32;
-            while epoch.is_none() && spins < self.config.read_path.max_spins {
-                spins += 1;
-                std::hint::spin_loop();
-                epoch = self.publish_gate.reader_epoch();
-            }
-            let outcome = match epoch {
+            let outcome = match self.quiescent_epoch() {
                 Some(epoch) => {
                     let mut txn = ReadTxn {
-                        stm: self,
+                        heap: &self.heap,
+                        gate: &self.publish_gate,
                         epoch,
                         reads: 0,
                     };
@@ -281,14 +548,14 @@ impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
             };
             match outcome {
                 Ok(r) => {
-                    self.stats.on_read_commit(me);
+                    stats.on_read_commit(me);
                     if P::ENABLED {
                         self.probe.on_read_commit(me, elapsed_ns(txn_start));
                     }
                     return Ok(r);
                 }
                 Err(Aborted) => {
-                    self.stats.on_read_validation_retry(me);
+                    stats.on_read_validation_retry(me);
                     if P::ENABLED {
                         self.probe.on_read_validation_retry(me);
                     }
@@ -302,64 +569,19 @@ impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
         }
     }
 
-    /// Strong-isolation non-transactional read (paper §6): consult the
-    /// ownership table so the read cannot observe a transaction's
-    /// speculative state, spinning while a writer holds the block.
-    pub fn strong_read(&self, me: ThreadId, addr: u64) -> u64 {
-        self.stats.on_strong(me, false);
-        // Invariant across spins — derive once, as Txn::acquire does.
-        let block = block_of(&self.table, addr);
-        loop {
-            match self.table.acquire(me, block, Access::Read, Held::None) {
-                AcquireOutcome::Granted => {
-                    let v = self.heap.load(addr);
-                    self.table
-                        .release(me, self.table.grant_key(block), Held::Read);
-                    return v;
-                }
-                AcquireOutcome::AlreadyHeld => {
-                    // Only possible if the caller misuses a transaction's id;
-                    // read without a release obligation.
-                    return self.heap.load(addr);
-                }
-                AcquireOutcome::Conflict(_) => {
-                    self.stats.on_strong_stall(me);
-                    std::hint::spin_loop();
-                }
-            }
+    /// Spin (up to [`ReadPathPolicy::max_spins`]) for a publication-gate
+    /// epoch with no publication in flight.
+    #[inline]
+    fn quiescent_epoch(&self) -> Option<u64> {
+        let mut epoch = self.publish_gate.reader_epoch();
+        let mut spins = 0u32;
+        while epoch.is_none() && spins < self.config.read_path.max_spins {
+            spins += 1;
+            std::hint::spin_loop();
+            epoch = self.publish_gate.reader_epoch();
         }
+        epoch
     }
-
-    /// Strong-isolation non-transactional write (paper §6); spins while any
-    /// transaction holds the block.
-    pub fn strong_write(&self, me: ThreadId, addr: u64, value: u64) {
-        self.stats.on_strong(me, true);
-        // Invariant across spins — derive once, as Txn::acquire does.
-        let block = block_of(&self.table, addr);
-        loop {
-            match self.table.acquire(me, block, Access::Write, Held::None) {
-                AcquireOutcome::Granted => {
-                    self.heap.store(addr, value);
-                    self.table
-                        .release(me, self.table.grant_key(block), Held::Write);
-                    return;
-                }
-                AcquireOutcome::AlreadyHeld => {
-                    self.heap.store(addr, value);
-                    return;
-                }
-                AcquireOutcome::Conflict(_) => {
-                    self.stats.on_strong_stall(me);
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-}
-
-#[inline]
-fn block_of<T: ConcurrentTable>(table: &T, addr: u64) -> u64 {
-    table.config().mapper().block_of(addr)
 }
 
 /// An in-flight transaction: the per-thread log (grant key → held level) and
@@ -371,13 +593,19 @@ fn block_of<T: ConcurrentTable>(table: &T, addr: u64) -> u64 {
 /// inline — so a steady-state attempt performs no heap allocation, no
 /// rehash, and no configuration re-derivation on any access.
 ///
+/// On a multi-table [`Route`] the attempt starts **eager**, its grants
+/// pinned to the table of the first-touched block; touching a second table
+/// abandons it and the retry loop restarts the body in the grant-free
+/// **cross-table** mode (the `cross` submodule).
+///
 /// [`TxnScratch`]: crate::scratch::TxnScratch
 #[derive(Debug)]
-pub struct Txn<'s, T: ConcurrentTable, P: Probe = NoopProbe> {
-    stm: &'s Stm<T, P>,
+pub struct Txn<'s, T: ConcurrentTable, P: Probe = NoopProbe, R: Route = OneTable> {
+    stm: &'s Stm<T, P, R>,
     id: ThreadId,
     /// Cached `table.config().mapper()` (a copy; deriving it per access
-    /// costs a config indirection on the hottest path).
+    /// costs a config indirection on the hottest path). Geometry is shared
+    /// across a route's tables.
     mapper: BlockMapper,
     /// Cached `config.contention.max_spins()`.
     max_spins: u32,
@@ -391,14 +619,31 @@ pub struct Txn<'s, T: ConcurrentTable, P: Probe = NoopProbe> {
     /// Cause of the abort that ended this attempt (telemetry only; set at
     /// the conflict site, consumed by the retry loop).
     abort_cause: Option<AbortCause>,
+    /// Multi-table routes: the table of the first-touched block. Eager
+    /// grants live there and the attempt's outcome is attributed there;
+    /// `None` (read as table 0) until something is touched, and always on
+    /// the one-table route.
+    home: Option<u32>,
+    /// Cross-table mode (sticky across this transaction's attempts via the
+    /// retry loop).
+    cross: bool,
+    /// Set when an eager attempt touched a second table: the retry loop
+    /// restarts the body in cross-table mode instead of counting an abort.
+    escalate: bool,
+    /// Set when a cross-table commit failed in acquisition/validation
+    /// (drives the `cross_shard_aborts` counter).
+    commit_phase_abort: bool,
+    /// Cross-table mode: the publication-gate epoch the read log is valid
+    /// at.
+    epoch: Option<u64>,
 }
 
-impl<'s, T: ConcurrentTable, P: Probe> Txn<'s, T, P> {
-    fn new(stm: &'s Stm<T, P>, id: ThreadId) -> Self {
+impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
+    fn new(stm: &'s Stm<T, P, R>, id: ThreadId, cross: bool) -> Self {
         Self {
             stm,
             id,
-            mapper: stm.table.config().mapper(),
+            mapper: stm.first.table.config().mapper(),
             max_spins: stm.config.contention.max_spins(),
             scratch: ScratchGuard::checkout(),
             stall_retries: 0,
@@ -406,6 +651,11 @@ impl<'s, T: ConcurrentTable, P: Probe> Txn<'s, T, P> {
             reads: 0,
             writes: 0,
             abort_cause: None,
+            home: None,
+            cross,
+            escalate: false,
+            commit_phase_abort: false,
+            epoch: None,
         }
     }
 
@@ -424,15 +674,41 @@ impl<'s, T: ConcurrentTable, P: Probe> Txn<'s, T, P> {
         self.scratch.wbuf.len()
     }
 
+    /// The state of the table eager grants live in.
+    #[inline]
+    fn home_state(&self) -> &'s TableState<T> {
+        self.stm.state(self.home.unwrap_or(0))
+    }
+
+    /// Multi-table routes: route `block` and decide how this access
+    /// proceeds — `Ok(false)` eagerly on the (now pinned) home table,
+    /// `Ok(true)` in cross-table mode, or an escalating abort when an
+    /// eager attempt reaches a second table.
+    #[inline]
+    fn route(&mut self, block: u64) -> Result<bool, Aborted> {
+        let shard = self.stm.route.table_of(block);
+        match self.home {
+            None => self.home = Some(shard),
+            Some(home) if home == shard || self.cross => {}
+            Some(_) => {
+                self.escalate = true;
+                return Err(Aborted);
+            }
+        }
+        Ok(self.cross)
+    }
+
     fn acquire(&mut self, block: u64, access: Access) -> Result<(), Aborted> {
-        // Everything invariant across the stall-retry spins — grant key,
-        // currently-held level, spin budget — is resolved once, before the
-        // loop; each re-attempt is just the table CAS/probe plus a pause.
-        let key = self.stm.table.grant_key(block);
+        // Everything invariant across the stall-retry spins — table, grant
+        // key, currently-held level, spin budget — is resolved once, before
+        // the loop; each re-attempt is just the table CAS/probe plus a
+        // pause.
+        let table = &self.home_state().table;
+        let key = table.grant_key(block);
         let held = self.scratch.log.get(key).unwrap_or(Held::None);
         let mut spins = 0u32;
         loop {
-            match self.stm.table.acquire(self.id, block, access, held) {
+            match table.acquire(self.id, block, access, held) {
                 AcquireOutcome::Granted => {
                     self.scratch.log.insert(key, held.after(access));
                     if P::ENABLED {
@@ -459,23 +735,15 @@ impl<'s, T: ConcurrentTable, P: Probe> Txn<'s, T, P> {
         }
     }
 
-    fn commit(mut self) {
-        // Footprint observation for adaptive sizing: distinct written
-        // blocks (the model's W, tracked incrementally in `write`) and
-        // total grants held ((1+α)·W).
-        self.stm.stats.on_commit_footprint(
-            self.id,
-            self.scratch.write_blocks.len() as u64,
-            self.scratch.log.len() as u64,
-        );
-
-        // Publish buffered writes, then release ownership. The table's
-        // Release/Acquire transitions order the (relaxed) heap stores before
-        // any subsequent reader's loads. The publish gate brackets the
-        // stores so the table-free read-only path can detect (and wait out)
-        // an in-flight publication; read-only transactions skip it
-        // entirely, so a writer only ever bumps its own gate shard —
-        // writers never stall on readers.
+    /// Publish the write buffer. The table's Release/Acquire transitions
+    /// order the (relaxed) heap stores before any subsequent reader's
+    /// loads. The publish gate brackets the stores so the table-free
+    /// read-only path can detect (and wait out) an in-flight publication —
+    /// and observes a whole write set or none of it, however many tables
+    /// it spans. Read-only transactions skip the bracket entirely, so a
+    /// writer only ever bumps its own gate shard — writers never stall on
+    /// readers.
+    fn publish(&self) {
         let stm = self.stm;
         if !self.scratch.wbuf.is_empty() {
             stm.publish_gate.publish_begin(self.id);
@@ -484,48 +752,64 @@ impl<'s, T: ConcurrentTable, P: Probe> Txn<'s, T, P> {
             }
             stm.publish_gate.publish_end(self.id);
         }
-        self.finish();
     }
 
-    fn rollback(mut self) {
-        // Speculative writes never reached the heap; just return grants.
-        // No clearing here: `ScratchGuard::checkout` is the single
-        // clearing authority, so the next attempt starts clean either way.
-        self.finish();
+    /// Commit this attempt; returns the table the commit is attributed to
+    /// and how many tables the footprint spanned. Infallible in eager
+    /// mode; in cross-table mode the ordered acquisition or validation can
+    /// abort. Grants are returned by [`finish`](Self::finish).
+    fn commit(&mut self) -> Result<(u32, u32), Aborted> {
+        if R::MULTI && self.cross {
+            return self.commit_cross();
+        }
+        // Footprint observation for adaptive sizing: distinct written
+        // blocks (the model's W, tracked incrementally in `write`) and
+        // total grants held ((1+α)·W).
+        self.home_state().stats.on_commit_footprint(
+            self.id,
+            self.scratch.write_blocks.len() as u64,
+            self.scratch.log.len() as u64,
+        );
+        self.publish();
+        Ok((self.home.unwrap_or(0), 1))
     }
 
-    /// Common attempt epilogue: return grants, flush the batched stall
-    /// counter, mark done (the scratch returns to the pool when the guard
-    /// drops).
+    /// Attempt epilogue (commit, abort and escalation alike): return the
+    /// eager grants and any commit-phase grants still held, flush the
+    /// batched stall counter. Speculative writes of an aborted attempt
+    /// never reached the heap, and nothing is cleared here:
+    /// `ScratchGuard::checkout` is the single clearing authority, so the
+    /// next attempt starts clean either way.
     fn finish(&mut self) {
-        self.release_grants();
-        self.stm
-            .stats
-            .add_stall_retries(self.id, self.stall_retries);
+        if self.finished {
+            return;
+        }
+        let TableState { table, stats } = self.home_state();
+        for (key, held) in self.scratch.log.iter() {
+            table.release(self.id, key, held);
+        }
+        if R::MULTI {
+            self.release_commit_grants();
+        }
+        stats.add_stall_retries(self.id, self.stall_retries);
         self.stall_retries = 0;
         self.finished = true;
-    }
-
-    fn release_grants(&mut self) {
-        // Runs exactly once per attempt (`finish` is guarded by the
-        // `finished` flag), so the log need not be cleared afterwards —
-        // checkout-time reset handles that.
-        let stm = self.stm;
-        for (key, held) in self.scratch.log.iter() {
-            stm.table.release(self.id, key, held);
-        }
     }
 }
 
 /// The eager transaction's read surface: reads acquire block ownership
 /// eagerly (write-buffer hits are served locally).
-impl<T: ConcurrentTable, P: Probe> ReadOps for Txn<'_, T, P> {
+impl<T: ConcurrentTable, P: Probe, R: Route> ReadOps for Txn<'_, T, P, R> {
     fn read(&mut self, addr: u64) -> Result<u64, Aborted> {
         self.reads += 1;
         if let Some(v) = self.scratch.wbuf.get(addr) {
             return Ok(v);
         }
-        self.acquire(self.mapper.block_of(addr), Access::Read)?;
+        let block = self.mapper.block_of(addr);
+        if R::MULTI && self.route(block)? {
+            return self.read_cross(addr, block);
+        }
+        self.acquire(block, Access::Read)?;
         Ok(self.stm.heap.load(addr))
     }
 
@@ -536,11 +820,15 @@ impl<T: ConcurrentTable, P: Probe> ReadOps for Txn<'_, T, P> {
 
 /// The eager transaction's write surface: writes acquire block ownership
 /// eagerly and stay buffered until commit.
-impl<T: ConcurrentTable, P: Probe> TxnOps for Txn<'_, T, P> {
+impl<T: ConcurrentTable, P: Probe, R: Route> TxnOps for Txn<'_, T, P, R> {
     fn write(&mut self, addr: u64, value: u64) -> Result<(), Aborted> {
         self.writes += 1;
         let block = self.mapper.block_of(addr);
-        self.acquire(block, Access::Write)?;
+        if R::MULTI && self.route(block)? {
+            self.touch_cross(block);
+        } else {
+            self.acquire(block, Access::Write)?;
+        }
         self.scratch.write_blocks.insert(block, ());
         self.scratch.wbuf.insert(addr, value);
         Ok(())
@@ -551,8 +839,18 @@ impl<T: ConcurrentTable, P: Probe> TxnOps for Txn<'_, T, P> {
     }
 }
 
-/// An in-flight **read-only** transaction on the eager engine: three words
-/// on the stack, no scratch checkout, no ownership-table access.
+impl<T: ConcurrentTable, P: Probe, R: Route> Drop for Txn<'_, T, P, R> {
+    fn drop(&mut self) {
+        // A panic inside the body (or an early return path we didn't see)
+        // must not leak ownership grants in any table (or the batched
+        // stall count).
+        self.finish();
+    }
+}
+
+/// An in-flight **read-only** transaction on the eager engine: four words
+/// on the stack, no scratch checkout, no ownership-table access — the same
+/// type whatever the engine's table organization, probe or route.
 ///
 /// Each read loads the heap word directly and then validates against the
 /// publication gate (see the `readpath` module docs): if no commit-time
@@ -561,37 +859,32 @@ impl<T: ConcurrentTable, P: Probe> TxnOps for Txn<'_, T, P> {
 /// quiescent heap snapshot — the same guarantee the write path's ownership
 /// grants provide, at none of the cost, and invisible to writers.
 #[derive(Debug)]
-pub struct ReadTxn<'s, T: ConcurrentTable, P: Probe = NoopProbe> {
-    stm: &'s Stm<T, P>,
+pub struct ReadTxn<'s> {
+    heap: &'s Heap,
+    gate: &'s PublishGate,
     /// The publication-gate epoch observed at begin.
     epoch: u64,
     reads: u64,
 }
 
-impl<T: ConcurrentTable, P: Probe> ReadOps for ReadTxn<'_, T, P> {
+// `ReadTxn` is not generic, so without the hints these would compile once,
+// here, and every read of a downstream body would be an out-of-line call.
+impl ReadOps for ReadTxn<'_> {
+    #[inline]
     fn read(&mut self, addr: u64) -> Result<u64, Aborted> {
-        let value = self.stm.heap.load(addr);
+        let value = self.heap.load(addr);
         // Load first, fence, then re-check the gate: if any publication
         // started since begin, the value may be torn — abort and retry.
-        if !self.stm.publish_gate.still_at(self.epoch) {
+        if !self.gate.still_at(self.epoch) {
             return Err(Aborted);
         }
         self.reads += 1;
         Ok(value)
     }
 
+    #[inline]
     fn read_count(&self) -> u64 {
         self.reads
-    }
-}
-
-impl<T: ConcurrentTable, P: Probe> Drop for Txn<'_, T, P> {
-    fn drop(&mut self) {
-        // A panic inside the body (or an early return path we didn't see)
-        // must not leak ownership grants (or the batched stall count).
-        if !self.finished {
-            self.finish();
-        }
     }
 }
 
@@ -708,7 +1001,7 @@ mod tests {
         // Simulate a panicking body: construct a Txn, acquire, drop it.
         let stm = tagged_stm(64, 256);
         {
-            let mut txn = Txn::new(&stm, 0);
+            let mut txn = Txn::new(&stm, 0, false);
             txn.write(0, 1).unwrap();
             // dropped here without commit/rollback
         }

@@ -16,14 +16,44 @@
 //!    build.
 //!
 //! Runs on all three engine families, so both `Txn` and `LazyTxn` go
-//! through the pool.
+//! through the pool — and on the eager engine under a two-table route,
+//! where the poisoned footprint escalates, so the cross-table buffers
+//! (read-value log, touch order, commit plan and grants) recycle too.
 
 use proptest::prelude::*;
 
-use tm_stm::{ConcurrentTable, ReadOps, StmBuilder, TmEngine, TxnOps};
+use tm_stm::{
+    ConcurrentTable, ConcurrentTaggedTable, NoopProbe, ReadOps, Route, Stm, StmBuilder, TmEngine,
+    TxnOps,
+};
 
 const HEAP_WORDS: usize = 1 << 12;
 const WORDS: u64 = 64;
+
+/// Splits the blocks under the test's `WORDS` down the middle (8 words to
+/// a 64-byte block), so any footprint touching both halves escalates.
+#[derive(Debug)]
+struct Halves;
+
+impl Route for Halves {
+    const MULTI: bool = true;
+
+    fn table_count(&self) -> usize {
+        2
+    }
+
+    fn table_of(&self, block: u64) -> u32 {
+        u32::from(block >= WORDS / 16)
+    }
+}
+
+fn two_tables() -> Stm<ConcurrentTaggedTable, NoopProbe, Halves> {
+    let b = StmBuilder::new().heap_words(HEAP_WORDS).table_entries(256);
+    let tables = (0..2)
+        .map(|_| ConcurrentTaggedTable::new(b.table_config()))
+        .collect();
+    Stm::routed(HEAP_WORDS, tables, Halves, b.stm_config(), NoopProbe)
+}
 
 /// One transaction: the words it writes (value = `base + i`), and whether
 /// its first attempt aborts after poisoning the scratch.
@@ -49,24 +79,29 @@ fn txn_strategy() -> impl Strategy<Value = TxnSpec> {
         })
 }
 
-/// Drive `txns`; when a spec poisons, the first attempt dirties every
-/// scratch structure (logs, write buffer, read set) and aborts, and the
-/// retry asserts it starts clean.
+/// Drive `txns`; when a spec poisons, the first attempt to get that far
+/// dirties every scratch structure (logs, write buffer, read set) and
+/// aborts, and the retry asserts it starts clean. (Under a multi-table
+/// route the poison's writes escalate first, so it is the cross-table
+/// restart that completes the poisoning.)
 fn drive<E: TmEngine>(engine: &E, txns: &[TxnSpec], poisoned: bool) -> (Vec<u64>, u64) {
     for spec in txns {
-        let mut attempt = 0u32;
+        let mut poison = poisoned && spec.poison_first_attempt;
         engine.run(0, |txn| {
-            attempt += 1;
-            if poisoned && spec.poison_first_attempt && attempt == 1 {
+            if poison {
                 // Dirty every structure, spilling past inline capacity:
-                // buffered garbage at every word, plus reads to grow the
-                // log / read set.
+                // buffered garbage at every word, plus reads (of it, and of
+                // untouched words beyond it) to grow the log / read set.
                 for w in 0..WORDS {
                     txn.write(w * 8, 0xDEAD_0000 + w)?;
                 }
                 for w in 0..WORDS {
                     assert_eq!(txn.read(w * 8)?, 0xDEAD_0000 + w, "own write lost");
                 }
+                for w in WORDS..WORDS + 16 {
+                    txn.read(w * 8)?;
+                }
+                poison = false;
                 return txn.retry();
             }
             if poisoned && spec.poison_first_attempt {
@@ -114,6 +149,7 @@ proptest! {
         check_engine(&b.build_tagged(), &b.build_tagged(), &txns);
         check_engine(&b.build_tagless(), &b.build_tagless(), &txns);
         check_engine(&b.build_lazy(), &b.build_lazy(), &txns);
+        check_engine(&two_tables(), &two_tables(), &txns);
     }
 
     /// Grant hygiene under recycling: after any poisoned run the ownership
@@ -135,14 +171,47 @@ proptest! {
         drive(&stm, &txns, true);
         let t = stm.table().stats_snapshot();
         prop_assert_eq!(t.grants, t.releases + t.upgrades, "grant ledger unbalanced");
+
+        // Stale recycled commit-phase grants would unbalance either table.
+        let stm = two_tables();
+        drive(&stm, &txns, true);
+        for i in 0..stm.shard_count() {
+            let t = stm.shard_table(i).stats_snapshot();
+            prop_assert_eq!(t.grants, t.releases + t.upgrades, "grant ledger unbalanced");
+        }
     }
 }
 
 /// Deterministic spot-checks of the attempt-boundary observables the
 /// property tests rely on, plus pool behaviour under nesting.
 mod deterministic {
-    use tm_stm::scratch::pooled_on_this_thread;
+    use tm_stm::scratch::{pooled_on_this_thread, ScratchGuard};
     use tm_stm::{ReadOps, StmBuilder, TmEngine, TxnOps};
+
+    #[test]
+    fn cross_table_retry_attempt_starts_clean() {
+        let stm = super::two_tables();
+        let mut aborted = false;
+        stm.run(0, |txn| {
+            assert_eq!(txn.grant_count(), 0, "log leaked across attempts");
+            assert_eq!(txn.pending_writes(), 0, "wbuf leaked across attempts");
+            for w in 0..super::WORDS {
+                txn.write(w * 8, w)?; // the second half escalates
+            }
+            txn.read(super::WORDS * 8)?; // logged by value in cross mode
+            if txn.is_cross_shard() && !aborted {
+                aborted = true;
+                return txn.retry();
+            }
+            Ok(())
+        });
+        assert!(aborted, "the footprint spans both tables");
+        assert_eq!(stm.cross_shard_commits(), 1);
+        assert_eq!(stm.heap().load(8), 1);
+        // The bundle went back to the pool with its read log, touch order
+        // and commit plan populated; checkout is the clearing authority.
+        assert!(ScratchGuard::checkout().is_clear());
+    }
 
     #[test]
     fn retry_attempt_starts_with_empty_log_and_wbuf() {

@@ -4,8 +4,8 @@ use tm_ownership::concurrent::ConcurrentTable;
 use tm_ownership::{ConcurrentTaggedTable, ConcurrentTaglessTable};
 use tm_stm::{Probe, StmBuilder};
 
-use crate::engine::ShardedStm;
 use crate::map::ShardMap;
+use crate::ShardedStm;
 
 /// Terminal methods extending [`StmBuilder`] with the sharded engine, so
 /// sharded builds read exactly like unsharded ones:
@@ -85,7 +85,7 @@ impl<P: Probe + Clone> ShardedStmBuilder for StmBuilder<P> {
             self.configured_heap_words(),
             block_bytes,
         );
-        ShardedStm::with_probe(
+        ShardedStm::routed(
             self.configured_heap_words(),
             tables,
             map,

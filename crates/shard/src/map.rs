@@ -1,15 +1,16 @@
 //! Block → shard routing.
 
 use tm_ownership::BlockAddr;
+use tm_stm::Route;
 
 /// Maps cache blocks to shards by contiguous block range.
 ///
 /// The heap's block space is cut into `S` contiguous, power-of-two-sized
 /// spans: `shard_of(block) = min(block >> span_shift, S - 1)`, where the
 /// span covers `ceil(blocks / S)` blocks rounded up to a power of two. A
-/// shift-and-clamp keeps the per-access routing cost to two ALU ops — the
-/// only overhead the single-shard fast path pays over the unsharded
-/// engine.
+/// shift-and-clamp keeps the per-access routing cost to two ALU ops — what
+/// a single-shard transaction pays, with the home-shard check, over the
+/// compile-time one-table route.
 ///
 /// Contiguous ranges (rather than interleaving) are deliberate: workloads
 /// control per-shard pressure through their address distribution, which is
@@ -82,6 +83,22 @@ impl ShardMap {
     #[inline]
     pub fn total_blocks(&self) -> u64 {
         self.total_blocks
+    }
+}
+
+/// The engine's multi-table route: one ownership table per shard, always
+/// routed at run time (also at `S = 1`, where every block maps to shard 0).
+impl Route for ShardMap {
+    const MULTI: bool = true;
+
+    #[inline]
+    fn table_count(&self) -> usize {
+        self.shards as usize
+    }
+
+    #[inline]
+    fn table_of(&self, block: BlockAddr) -> u32 {
+        self.shard_of(block)
     }
 }
 
