@@ -312,18 +312,24 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encode the shared envelope and return the buffer with the length prefix
-/// back-patched.
+/// Encode the shared envelope into a fresh buffer.
 fn encode_frame(id: u64, tag: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + 16);
-    put_u32(&mut out, 0); // patched below
-    out.push(PROTOCOL_VERSION);
-    put_u64(&mut out, id);
-    out.push(tag);
-    payload(&mut out);
-    let len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&len.to_le_bytes());
+    encode_frame_into(&mut out, id, tag, payload);
     out
+}
+
+/// Append one frame (shared envelope, then `payload`) to `out`, with the
+/// length prefix back-patched.
+fn encode_frame_into(out: &mut Vec<u8>, id: u64, tag: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    put_u32(out, 0); // patched below
+    out.push(PROTOCOL_VERSION);
+    put_u64(out, id);
+    out.push(tag);
+    payload(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Decode the shared envelope of a complete frame; returns `(id, tag,
@@ -444,6 +450,13 @@ impl RequestFrame {
     /// Serialize to a complete frame (length prefix included).
     pub fn encode(&self) -> Vec<u8> {
         encode_frame(self.id, self.request.tag(), |out| {
+            put_request_payload(out, &self.request)
+        })
+    }
+
+    /// Append the complete frame to `out` (a connection's outbound buffer).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_frame_into(out, self.id, self.request.tag(), |out| {
             put_request_payload(out, &self.request)
         })
     }
@@ -614,15 +627,31 @@ impl ErrorCode {
     }
 }
 
+/// Smallest spare room [`FrameBuf::read_from`] offers a read. Small, so an
+/// idle or one-request-at-a-time connection holds half a KiB, not a 16 KiB
+/// bounce buffer; a connection that streams grows out of it by doubling.
+const MIN_READ_BYTES: usize = 512;
+
+/// Spare room beyond which [`FrameBuf::read_from`] stops doubling: reads
+/// this large are already one syscall per thousands of frames.
+const MAX_READ_BYTES: usize = 64 * 1024;
+
 /// Incremental frame extraction from a byte stream (the TCP read path).
 ///
-/// Push raw socket bytes in with [`FrameBuf::extend`]; pop complete frames
-/// out with [`FrameBuf::next_frame`]. An oversized length prefix surfaces
-/// as [`DecodeError::FrameTooLarge`] *before* the bytes are buffered, so a
-/// hostile peer cannot balloon the buffer.
+/// Refill with [`FrameBuf::read_from`] (straight from the socket) or
+/// [`FrameBuf::extend`] (bytes already in hand); pop complete frames out
+/// with [`FrameBuf::next_frame`] until it returns `Ok(None)`. Popping only
+/// advances a cursor; consumed bytes are reclaimed once per refill. An
+/// oversized length prefix surfaces as [`DecodeError::FrameTooLarge`]
+/// *before* the frame's bytes are buffered, so a hostile peer cannot
+/// balloon the buffer: between refills it holds at most one partial frame.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
+    /// `buf[head..tail]` is received and not yet popped; `buf[tail..]` is
+    /// initialised spare room for the next read.
     buf: Vec<u8>,
+    head: usize,
+    tail: usize,
 }
 
 impl FrameBuf {
@@ -631,34 +660,68 @@ impl FrameBuf {
         Self::default()
     }
 
+    /// Move the unconsumed bytes to the front (nothing to move when every
+    /// frame of the last refill was popped, the common case).
+    fn compact(&mut self) {
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+    }
+
     /// Append raw bytes read from the peer.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.compact();
+        self.buf.truncate(self.tail);
         self.buf.extend_from_slice(bytes);
+        self.tail = self.buf.len();
+    }
+
+    /// Refill with one `read` from `src`, straight into the buffer's spare
+    /// room. Returns what `read` returned: `Ok(0)` is end of stream.
+    ///
+    /// The spare room starts at half a KiB and doubles whenever a read
+    /// filled it (more was probably waiting), so the buffer grows to what
+    /// the connection's bursts need and no further.
+    pub fn read_from(&mut self, src: &mut impl std::io::Read) -> std::io::Result<usize> {
+        // `tail` only moves on a refill, so this says the last one left no
+        // room (or that there has been none yet).
+        let filled = self.tail == self.buf.len();
+        self.compact();
+        if filled && self.buf.len() - self.tail < MAX_READ_BYTES {
+            let grown = (self.buf.len() * 2).max(MIN_READ_BYTES);
+            self.buf.resize(grown, 0);
+        }
+        let n = src.read(&mut self.buf[self.tail..])?;
+        self.tail += n;
+        Ok(n)
     }
 
     /// Pop the next complete frame, `Ok(None)` when more bytes are needed.
     /// After `Err(FrameTooLarge)` the stream is unrecoverable (framing is
     /// lost) and the connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, DecodeError> {
-        if self.buf.len() < 4 {
+        let pending = &self.buf[self.head..self.tail];
+        if pending.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4-byte slice")) as usize;
+        let len = u32::from_le_bytes(pending[..4].try_into().expect("4-byte slice")) as usize;
         if len > MAX_FRAME_BYTES {
             return Err(DecodeError::FrameTooLarge);
         }
         let total = 4 + len;
-        if self.buf.len() < total {
+        if pending.len() < total {
             return Ok(None);
         }
-        let frame = self.buf[..total].to_vec();
-        self.buf.drain(..total);
+        let frame = pending[..total].to_vec();
+        self.head += total;
         Ok(Some(frame))
     }
 
-    /// Buffered byte count (diagnostics).
+    /// Received bytes not yet popped as frames (diagnostics).
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.tail - self.head
     }
 }
 
@@ -912,6 +975,82 @@ mod tests {
         let mut fb = FrameBuf::new();
         fb.extend(&(u32::MAX).to_le_bytes());
         assert_eq!(fb.next_frame(), Err(DecodeError::FrameTooLarge));
+    }
+
+    #[test]
+    fn frame_buf_rejects_oversize_after_a_consumed_prefix() {
+        // The cursor, not the start of the buffer, is where the next
+        // length prefix is read.
+        let good = RequestFrame {
+            id: 1,
+            request: Request::Ping,
+        }
+        .encode();
+        let mut stream = good.clone();
+        stream.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
+        let mut fb = FrameBuf::new();
+        fb.extend(&stream);
+        assert_eq!(fb.next_frame(), Ok(Some(good)));
+        assert_eq!(fb.pending_bytes(), 4);
+        assert_eq!(fb.next_frame(), Err(DecodeError::FrameTooLarge));
+    }
+
+    #[test]
+    fn frame_buf_pops_a_long_run_from_one_refill() {
+        // 10 000 frames delivered at once: each pop advances the cursor
+        // (no per-frame shifting of the rest), and the tail that is left
+        // over survives the next refill's compaction.
+        let n = 10_000u64;
+        let frame = |id| {
+            RequestFrame {
+                id,
+                request: Request::Get { key: id },
+            }
+            .encode()
+        };
+        let mut stream: Vec<u8> = (0..n).flat_map(frame).collect();
+        let last = frame(n);
+        let (head, tail) = last.split_at(5);
+        stream.extend_from_slice(head);
+
+        let mut fb = FrameBuf::new();
+        fb.extend(&stream);
+        for id in 0..n {
+            assert_eq!(fb.next_frame().unwrap(), Some(frame(id)), "frame {id}");
+        }
+        assert_eq!(fb.next_frame(), Ok(None));
+        assert_eq!(fb.pending_bytes(), head.len());
+        fb.extend(tail);
+        assert_eq!(fb.next_frame(), Ok(Some(last)));
+        assert_eq!(fb.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn frame_buf_read_from_grows_to_the_burst_and_reports_eof() {
+        let frame = RequestFrame {
+            id: 3,
+            request: Request::Get { key: 4 },
+        }
+        .encode();
+        let burst = frame.repeat(500);
+        let mut fb = FrameBuf::new();
+        let mut src = &burst[..];
+        let (mut reads, mut frames) = (0, 0);
+        loop {
+            match fb.read_from(&mut src).unwrap() {
+                0 => break,
+                _ => reads += 1,
+            }
+            while let Some(popped) = fb.next_frame().unwrap() {
+                assert_eq!(popped, frame);
+                frames += 1;
+            }
+        }
+        assert_eq!(frames, 500);
+        assert_eq!(fb.pending_bytes(), 0);
+        // 11 000 bytes: spare room doubling from 512 takes them in five
+        // reads (512 + 1k + 2k + 4k + the rest), not twenty-two.
+        assert_eq!(reads, 5);
     }
 
     #[test]

@@ -9,10 +9,26 @@
 //!   format is exercised end to end, but no sockets are involved: CI,
 //!   tests, and the load generator run hermetically.
 //! * **tcp** — a `std::net` listener with one reader and one writer thread
-//!   per connection, reassembling the byte stream through
-//!   [`FrameBuf`]. Functional but deliberately minimal; the channel transport is the measurement surface.
+//!   per connection, and [`TcpConn`] on the client side. A socket call
+//!   costs microseconds where a frame costs tens of nanoseconds, so both
+//!   ends move as many frames per call as are ready:
+//!
+//!   * every **write** carries everything queued. The server's writer
+//!     blocks for one response, gathers whatever else the workers queued
+//!     while it was not running, and issues one `write_all`; [`TcpConn`]
+//!     collects `send`s in an outbound buffer and writes it when the caller
+//!     turns to receive (or calls [`TcpConn::flush`], or drops the
+//!     connection). One request in flight is still one write each way; a
+//!     pipelined window is one write each way too.
+//!   * every **read** goes straight into [`FrameBuf`]'s spare room and
+//!     yields every complete frame in it; the client re-arms its socket
+//!     timeout only when it changes.
+//!
+//!   Either side stops gathering at [`COALESCE_BYTES`], which bounds the
+//!   buffers; how far a client can pipeline before it must receive is
+//!   bounded by the kernel's socket buffers, as it is for any TCP peer.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -124,6 +140,12 @@ impl Drop for ChannelConn {
     }
 }
 
+/// Bytes gathered into one socket write before it is issued, on either end
+/// of a TCP connection. Bounds the gather buffers (to this plus one frame)
+/// without costing throughput: a write this large already amortises its
+/// syscall over thousands of frames.
+pub const COALESCE_BYTES: usize = 64 * 1024;
+
 /// A running TCP front-end for a server.
 pub struct TcpTransport {
     local_addr: SocketAddr,
@@ -219,6 +241,7 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
+    use std::io::ErrorKind::{ConnectionAborted, Interrupted};
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -227,10 +250,13 @@ fn accept_loop(
                     // Setup failed (clone/spawn); drop the connection.
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => return,
+            // About that one connection or call, not the listener: the
+            // next `accept` is as good as any.
+            Err(e) if matches!(e.kind(), Interrupted | ConnectionAborted) => {}
+            // Nothing pending (`WouldBlock`), or a shortage that may pass
+            // (`EMFILE`, `ENOMEM`): look again shortly. Only `stop` ends
+            // the acceptor.
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
@@ -244,6 +270,10 @@ fn spawn_connection(
     ingress: &Sender<ServerMsg>,
     conns: &Mutex<Vec<JoinHandle<()>>>,
 ) -> std::io::Result<()> {
+    // The listener is non-blocking and on some platforms (BSD, macOS) an
+    // accepted socket inherits that; the reader would take `WouldBlock`
+    // for a hang-up.
+    stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     let write_half = stream.try_clone()?;
     let (sink, sink_rx) = channel::<Vec<u8>>();
@@ -261,14 +291,34 @@ fn spawn_connection(
         .spawn(move || reader_loop(stream, session, ingress))?;
 
     let mut conns = conns.lock().expect("conns lock");
+    // Forget the threads of connections that have since closed, so a
+    // long-lived server holds handles for live connections only.
+    conns.retain(|h| !h.is_finished());
     conns.push(writer);
     conns.push(reader);
     Ok(())
 }
 
+/// Fill `out` with `first` and every frame already queued behind it on
+/// `rx`, in order, stopping once `out` holds [`COALESCE_BYTES`]. A sink
+/// that disconnects mid-gather just ends it: what was gathered stays in
+/// `out`, and the caller's next `recv` reports the disconnect.
+fn gather(first: &[u8], rx: &Receiver<Vec<u8>>, out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(first);
+    while out.len() < COALESCE_BYTES {
+        let Ok(frame) = rx.try_recv() else { break };
+        out.extend_from_slice(&frame);
+    }
+}
+
 fn writer_loop(mut stream: TcpStream, rx: Receiver<Vec<u8>>) {
-    while let Ok(frame) = rx.recv() {
-        if stream.write_all(&frame).is_err() {
+    // One socket write per wake-up: whatever the workers queued while this
+    // thread was not running leaves in the same `write_all`.
+    let mut out = Vec::new();
+    while let Ok(first) = rx.recv() {
+        gather(&first, &rx, &mut out);
+        if stream.write_all(&out).is_err() {
             return;
         }
     }
@@ -280,32 +330,26 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Vec<u8>>) {
 
 fn reader_loop(mut stream: TcpStream, session: SessionId, ingress: Sender<ServerMsg>) {
     let mut fb = FrameBuf::new();
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break, // EOF or error: hang up
-            Ok(n) => {
-                fb.extend(&buf[..n]);
-                loop {
-                    match fb.next_frame() {
-                        Ok(Some(frame)) => {
-                            if ingress
-                                .send(ServerMsg::Frame {
-                                    session,
-                                    bytes: frame,
-                                })
-                                .is_err()
-                            {
-                                return; // server gone
-                            }
-                        }
-                        Ok(None) => break,
-                        // Framing lost (oversized prefix): unrecoverable.
-                        Err(_) => {
-                            let _ = ingress.send(ServerMsg::Disconnect { session });
-                            return;
-                        }
+    // EOF or error: hang up.
+    while matches!(fb.read_from(&mut stream), Ok(n) if n > 0) {
+        loop {
+            match fb.next_frame() {
+                Ok(Some(frame)) => {
+                    if ingress
+                        .send(ServerMsg::Frame {
+                            session,
+                            bytes: frame,
+                        })
+                        .is_err()
+                    {
+                        return; // server gone
                     }
+                }
+                Ok(None) => break,
+                // Framing lost (oversized prefix): unrecoverable.
+                Err(_) => {
+                    let _ = ingress.send(ServerMsg::Disconnect { session });
+                    return;
                 }
             }
         }
@@ -314,10 +358,19 @@ fn reader_loop(mut stream: TcpStream, session: SessionId, ingress: Sender<Server
 }
 
 /// A client connection over TCP (the counterpart of [`ChannelConn`]).
+///
+/// Built for the same pipelined use: issue many [`TcpConn::send`]s, then
+/// drain responses. Requests collect in an outbound buffer and leave in
+/// one socket write when the caller turns to receive.
 pub struct TcpConn {
     stream: TcpStream,
     fb: FrameBuf,
     next_id: u64,
+    /// Encoded requests not yet written to the socket.
+    out: Vec<u8>,
+    /// The read timeout currently set on the socket, so `recv_timeout`
+    /// pays the `setsockopt` only when it changes.
+    armed: Option<Duration>,
 }
 
 impl TcpConn {
@@ -329,39 +382,59 @@ impl TcpConn {
             stream,
             fb: FrameBuf::new(),
             next_id: 1,
+            out: Vec::new(),
+            armed: None,
         })
     }
 
-    /// Encode and send one request; returns its correlation id.
+    /// Encode and queue one request; returns its correlation id.
+    ///
+    /// The bytes may not be on the wire when this returns. They are
+    /// written by the next [`TcpConn::recv_timeout`] that has to wait for
+    /// the socket, by [`TcpConn::flush`], when the connection is dropped
+    /// (best effort), or at once when [`COALESCE_BYTES`] are queued. A
+    /// caller that sends and then waits for the effect through some other
+    /// channel must `flush` first.
     pub fn send(&mut self, request: Request) -> std::io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
-        let bytes = RequestFrame { id, request }.encode();
-        self.stream.write_all(&bytes)?;
+        RequestFrame { id, request }.encode_into(&mut self.out);
+        if self.out.len() >= COALESCE_BYTES {
+            self.flush()?;
+        }
         Ok(id)
     }
 
-    /// Wait up to `timeout` for the next response frame.
+    /// Write every queued request to the socket now. On error the queued
+    /// bytes are discarded: part of them may have been written, so the
+    /// stream can no longer be trusted to frame.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        written
+    }
+
+    /// Wait up to `timeout` for the next response frame. `Ok(None)` means
+    /// the deadline passed or the server hung up.
     pub fn recv_timeout(&mut self, timeout: Duration) -> std::io::Result<Option<ResponseFrame>> {
+        if let Some(frame) = self.buffered_frame()? {
+            return Ok(Some(frame));
+        }
         let deadline = Instant::now() + timeout;
-        let mut buf = [0u8; 4096];
-        loop {
-            match self.fb.next_frame() {
-                Ok(Some(frame)) => {
-                    let decoded = ResponseFrame::decode(&frame).map_err(decode_to_io)?;
-                    return Ok(Some(decoded));
-                }
-                Ok(None) => {}
-                Err(e) => return Err(decode_to_io(e)),
+        // About to block on the socket: the server must have the requests
+        // whose answers this waits for.
+        self.flush()?;
+        // The first read may wait the whole `timeout`; one after a read
+        // that ended mid-frame, what is left of it.
+        let mut wait = timeout;
+        while !wait.is_zero() {
+            if self.armed != Some(wait) {
+                self.stream.set_read_timeout(Some(wait))?;
+                self.armed = Some(wait);
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(None);
-            }
-            self.stream.set_read_timeout(Some(remaining))?;
-            match self.stream.read(&mut buf) {
+            match self.fb.read_from(&mut self.stream) {
                 Ok(0) => return Ok(None), // server hung up
-                Ok(n) => self.fb.extend(&buf[..n]),
+                Ok(_) => {}
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -370,10 +443,96 @@ impl TcpConn {
                 }
                 Err(e) => return Err(e),
             }
+            if let Some(frame) = self.buffered_frame()? {
+                return Ok(Some(frame));
+            }
+            wait = deadline.saturating_duration_since(Instant::now());
         }
+        Ok(None)
+    }
+
+    /// The next response already read from the socket, if a whole one is.
+    fn buffered_frame(&mut self) -> std::io::Result<Option<ResponseFrame>> {
+        match self.fb.next_frame().map_err(decode_to_io)? {
+            Some(frame) => ResponseFrame::decode(&frame)
+                .map(Some)
+                .map_err(decode_to_io),
+            None => Ok(None),
+        }
+    }
+}
+
+impl Drop for TcpConn {
+    fn drop(&mut self) {
+        // Best effort: requests sent but never waited for still reach the
+        // server, as they did when `send` wrote them itself.
+        let _ = self.flush();
     }
 }
 
 fn decode_to_io(e: DecodeError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A frame-sized chunk whose every byte is `tag`, so order shows.
+    fn chunk(tag: u8, len: usize) -> Vec<u8> {
+        vec![tag; len]
+    }
+
+    #[test]
+    fn gather_takes_everything_queued_in_order() {
+        let (tx, rx) = channel();
+        for tag in 2..=5 {
+            tx.send(chunk(tag, 3)).unwrap();
+        }
+        let mut out = vec![0xEE; 7]; // stale bytes of the previous write
+        gather(&chunk(1, 3), &rx, &mut out);
+        assert_eq!(out, [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5]);
+        assert!(rx.try_recv().is_err(), "queue drained");
+
+        // Nothing queued: the write is the one frame (depth-1 traffic).
+        gather(&chunk(9, 2), &rx, &mut out);
+        assert_eq!(out, [9, 9]);
+    }
+
+    #[test]
+    fn gather_stops_at_the_coalescing_bound() {
+        let (tx, rx) = channel();
+        let frame = 1000;
+        let queued = 2 * COALESCE_BYTES / frame;
+        for i in 0..queued {
+            tx.send(chunk(i as u8, frame)).unwrap();
+        }
+        let mut out = Vec::new();
+        gather(&chunk(0xFF, frame), &rx, &mut out);
+        // Whole frames only, and the last one taken is the one that
+        // crossed the bound.
+        assert_eq!(out.len() % frame, 0);
+        assert!(out.len() >= COALESCE_BYTES);
+        assert!(out.len() < COALESCE_BYTES + frame);
+        // The rest is still queued, and the next gather starts with it.
+        let taken = out.len() / frame - 1;
+        let next = rx.try_recv().expect("frames left behind");
+        assert_eq!(next, chunk(taken as u8, frame));
+        gather(&next, &rx, &mut out);
+        assert_eq!(out.len(), (queued - taken) * frame);
+    }
+
+    #[test]
+    fn gather_keeps_what_it_has_when_the_sink_disconnects() {
+        let (tx, rx) = channel();
+        tx.send(chunk(2, 2)).unwrap();
+        tx.send(chunk(3, 2)).unwrap();
+        drop(tx); // the session is gone; its last responses are queued
+        let first = rx.recv().unwrap();
+        let mut out = Vec::new();
+        gather(&first, &rx, &mut out);
+        assert_eq!(out, [2, 2, 3, 3]);
+        // The writer's next blocking receive is what sees the disconnect.
+        assert!(rx.recv().is_err());
+    }
 }

@@ -111,7 +111,9 @@ proptest! {
     }
 
     /// A stream of frames chopped at arbitrary byte boundaries reassembles
-    /// into exactly the original frames, in order.
+    /// into exactly the original frames, in order, whichever way each piece
+    /// is fed in, and `pending_bytes` counts exactly the bytes fed and not
+    /// yet popped.
     #[test]
     fn stream_reassembly_is_exact(
         frames in vec((any::<u64>(), request_strategy()), 1..8),
@@ -127,14 +129,26 @@ proptest! {
         let mut fb = FrameBuf::new();
         let mut out = Vec::new();
         let mut pos = 0usize;
+        let mut popped = 0usize;
         let mut state = chop_seed | 1;
         while pos < stream.len() {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let step = 1 + (state >> 33) as usize % 11;
             let end = (pos + step).min(stream.len());
-            fb.extend(&stream[pos..end]);
-            pos = end;
+            if state & (1 << 20) == 0 {
+                fb.extend(&stream[pos..end]);
+                pos = end;
+            } else {
+                // A reader that has only this piece to give: a short read.
+                let mut piece = &stream[pos..end];
+                let n = fb.read_from(&mut piece).unwrap();
+                prop_assert!(n > 0 && piece.len() == end - pos - n);
+                pos += n;
+            }
+            prop_assert_eq!(fb.pending_bytes(), pos - popped);
             while let Some(frame) = fb.next_frame().unwrap() {
+                popped += frame.len();
+                prop_assert_eq!(fb.pending_bytes(), pos - popped);
                 out.push(frame);
             }
         }
