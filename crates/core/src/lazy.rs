@@ -435,15 +435,17 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
         for i in 0..scratch.entry_buf.len() {
             let (entry, fp) = scratch.entry_buf[i];
             let stamp = stm.table.sample(entry);
-            let ok = !stamp.locked && stm.table.try_lock_fp(entry, stamp.version, fp);
-            if !ok {
-                // Whoever beat us (a live locker or a completed bumper)
-                // left its block fingerprint in the word.
-                let cause = if P::ENABLED {
-                    classify_fp(stm.table.sample(entry).fp, fp)
-                } else {
-                    AbortCause::UnknownConflict
-                };
+            // Whoever beat us (a live locker or a completed bumper) left its
+            // block fingerprint in the word that refused us. Classify from
+            // that word, never a re-sample: a locker that has since aborted
+            // restores an older writer's fingerprint.
+            let refused = if stamp.locked {
+                Err(stamp)
+            } else {
+                stm.table.try_lock_fp(entry, stamp.version, fp)
+            };
+            if let Err(theirs) = refused {
+                let cause = classify_fp(theirs.fp, fp);
                 for &(e, v, pfp) in &scratch.locked_buf {
                     stm.table.unlock_restore_fp(e, v, pfp);
                 }
@@ -461,29 +463,23 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
             let mine = scratch.locked_buf.iter().find(|&&(e, _, _)| e == entry);
             // If we locked it ourselves, its pre-lock version must match
             // what we read; `validate` sees the locked state, so check the
-            // recorded pre-lock version directly in that case.
-            let ok = match mine {
-                Some(&(_, v, _)) => v == version,
-                None => stm.table.validate(entry, version, false),
+            // recorded pre-lock version directly in that case. Either way
+            // the failure carries the fingerprint of the word that was
+            // judged: for entries we locked ourselves the live word holds
+            // OUR fingerprint — the invalidator's is the one sampled just
+            // before locking, preserved in `locked_buf`.
+            let judged = match mine {
+                Some(&(_, v, _)) if v == version => Ok(()),
+                Some(&(_, _, pre_lock_fp)) => Err(pre_lock_fp),
+                None => stm.table.validate(entry, version, false).map_err(|s| s.fp),
             };
-            if !ok {
+            if let Err(their_fp) = judged {
                 // A provably-aliasing invalidator is a false conflict; a
                 // provably-same-block one a true conflict; otherwise the
-                // generic validation failure. For entries we locked
-                // ourselves the live word holds OUR fingerprint — the
-                // invalidator's is the one sampled just before locking,
-                // preserved in `locked_buf`.
-                let cause = if P::ENABLED {
-                    let their_fp = match mine {
-                        Some(&(_, _, pre_lock_fp)) => pre_lock_fp,
-                        None => stm.table.sample(entry).fp,
-                    };
-                    match classify_fp(their_fp, my_fp) {
-                        AbortCause::UnknownConflict => AbortCause::ValidationFailed,
-                        c => c,
-                    }
-                } else {
-                    AbortCause::ValidationFailed
+                // generic validation failure.
+                let cause = match classify_fp(their_fp, my_fp) {
+                    AbortCause::UnknownConflict => AbortCause::ValidationFailed,
+                    c => c,
                 };
                 for &(e, v, pfp) in &scratch.locked_buf {
                     stm.table.unlock_restore_fp(e, v, pfp);

@@ -24,10 +24,8 @@
 //! [`TmEngine`] traits, **every cell of the engine × scenario cross
 //! product runs**, structs-on-lazy included. Every
 //! run is seed-deterministic in fixed-budget mode, measures warmup +
-//! measured phases, verifies an isolation invariant, and serializes into a
-//! versioned [`HarnessReport`] (JSON) that [`compare`](compare::compare)
-//! can diff against a baseline with per-metric tolerances — the CI perf
-//! gate.
+//! measured phases, verifies an isolation invariant — the part CI gates
+//! on — and serializes into a versioned [`HarnessReport`] (JSON).
 //!
 //! # Example
 //!
@@ -49,7 +47,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-pub mod compare;
 pub mod driver;
 pub mod engine;
 pub mod json;
@@ -58,7 +55,6 @@ pub mod run;
 pub mod scenario;
 pub mod structs_load;
 
-pub use compare::{compare, CompareReport, Regression, Tolerance};
 pub use driver::{
     build_replay_streams, phase_loop, run_phase_threads, run_replay_phase, run_synthetic_phase,
     warmup_seed, Phase, PhaseResult, ThreadTally,

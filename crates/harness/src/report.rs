@@ -1,19 +1,22 @@
 //! The versioned, machine-readable harness report.
 //!
-//! A [`HarnessReport`] is what CI stores, diffs, and gates on. Schema rules
-//! (documented for consumers in `benches/README.md`):
+//! A [`HarnessReport`] is what CI uploads for every harness run. Schema
+//! rules (documented for consumers in `benches/README.md`):
 //!
 //! * `schema_version` is bumped on any **breaking** change (field removal,
-//!   rename, or semantic change). Readers refuse mismatched versions.
+//!   rename, or semantic change). Readers should refuse mismatched versions.
 //! * Adding new fields is non-breaking: readers ignore unknown fields and
 //!   treat missing optional fields as absent.
 //! * All counters fit in 53 bits, so JSON numbers round-trip exactly.
+//!
+//! This crate only *writes* reports; nothing in the tree reads one back
+//! (wall-clock A/B comparison lives in `benchmark/run.sh compare`).
 //!
 //! Serialization goes through the in-tree [`crate::json`] model because the
 //! workspace's `serde` is a no-op offline shim (`shims/serde`); swap these
 //! hand-written maps for real derives when registry access exists.
 
-use crate::json::{self, obj, s, unum, Json};
+use crate::json::{obj, s, unum, Json};
 
 /// Current report schema version.
 ///
@@ -150,9 +153,9 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// The identity a comparison matches runs by. Sharded cells append the
-    /// shard axis (`/sN`), so the same engine at different shard counts
-    /// gates against distinct baseline rows; unsharded cells keep the
+    /// The run's identity (it tags every `--trace-out` event line).
+    /// Sharded cells append the shard axis (`/sN`), so the same engine at
+    /// different shard counts stays distinct; unsharded cells keep the
     /// pre-v5 three-part key.
     pub fn key(&self) -> String {
         if self.shards > 1 {
@@ -226,79 +229,9 @@ impl RunResult {
             ),
         ])
     }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let str_field = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("run missing string field '{name}'"))
-        };
-        let u64_field = |name: &str| -> Result<u64, String> {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("run missing integer field '{name}'"))
-        };
-        let f64_field = |name: &str| -> Result<f64, String> {
-            v.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("run missing number field '{name}'"))
-        };
-        let opt_u64 = |name: &str| v.get(name).and_then(Json::as_u64);
-        let opt_f64 = |name: &str| match v.get(name) {
-            Some(Json::Null) | None => None,
-            other => other.and_then(Json::as_f64),
-        };
-        Ok(RunResult {
-            engine: str_field("engine")?,
-            scenario: str_field("scenario")?,
-            threads: u64_field("threads")? as u32,
-            shards: u64_field("shards")? as u32,
-            cross_shard_commits: opt_u64("cross_shard_commits"),
-            cross_shard_aborts: opt_u64("cross_shard_aborts"),
-            table_entries: u64_field("table_entries")?,
-            heap_words: u64_field("heap_words")?,
-            seed: u64_field("seed")?,
-            warmup: str_field("warmup")?,
-            measure: str_field("measure")?,
-            elapsed_s: f64_field("elapsed_s")?,
-            commits: u64_field("commits")?,
-            aborts: u64_field("aborts")?,
-            read_only_commits: u64_field("read_only_commits")?,
-            read_validation_retries: u64_field("read_validation_retries")?,
-            read_aborts: u64_field("read_aborts")?,
-            lock_aborts: u64_field("lock_aborts")?,
-            validation_aborts: u64_field("validation_aborts")?,
-            stall_retries: u64_field("stall_retries")?,
-            throughput_txn_s: f64_field("throughput_txn_s")?,
-            aborts_per_commit: f64_field("aborts_per_commit")?,
-            false_conflict_aborts: opt_u64("false_conflict_aborts"),
-            false_conflicts_per_commit: opt_f64("false_conflicts_per_commit"),
-            invariant_violations: u64_field("invariant_violations")?,
-            sim_false_conflicts_per_commit: opt_f64("sim_false_conflicts_per_commit"),
-            final_table_entries: opt_u64("final_table_entries"),
-            resizes: opt_u64("resizes"),
-            latency_p50_ns: opt_u64("latency_p50_ns"),
-            latency_p95_ns: opt_u64("latency_p95_ns"),
-            latency_p99_ns: opt_u64("latency_p99_ns"),
-            abort_causes: v
-                .get("abort_causes")
-                .and_then(Json::as_obj)
-                .map(|members| {
-                    members
-                        .iter()
-                        .filter_map(|(k, c)| c.as_u64().map(|c| (k.clone(), c)))
-                        .collect()
-                })
-                .unwrap_or_default(),
-            mean_write_footprint: f64_field("mean_write_footprint")?,
-            mean_alpha: f64_field("mean_alpha")?,
-            predicted_false_conflicts_per_commit: opt_f64("predicted_false_conflicts_per_commit"),
-        })
-    }
 }
 
-/// The versioned report CI stores and gates on.
+/// The versioned report CI stores.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HarnessReport {
     /// Schema version (see [`SCHEMA_VERSION`]).
@@ -338,11 +271,6 @@ impl HarnessReport {
         v
     }
 
-    /// Look a run up by its comparison key.
-    pub fn find(&self, key: &str) -> Option<&RunResult> {
-        self.runs.iter().find(|r| r.key() == key)
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json_string(&self) -> String {
         obj(vec![
@@ -356,161 +284,114 @@ impl HarnessReport {
         ])
         .to_pretty()
     }
-
-    /// Parse a report, enforcing the schema version.
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let v = json::parse(text)?;
-        let version = v
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("report missing 'schema_version'")?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "schema version mismatch: report is v{version}, this tool reads v{SCHEMA_VERSION}"
-            ));
-        }
-        let generator = v
-            .get("generator")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
-        let fast = v.get("fast").and_then(Json::as_bool).unwrap_or(false);
-        let runs = v
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or("report missing 'runs' array")?
-            .iter()
-            .map(RunResult::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(HarnessReport {
-            schema_version: version,
-            generator,
-            fast,
-            runs,
-        })
-    }
-}
-
-#[cfg(test)]
-pub(crate) fn sample_run(engine: &str, scenario: &str, throughput: f64) -> RunResult {
-    RunResult {
-        engine: engine.to_string(),
-        scenario: scenario.to_string(),
-        threads: 4,
-        shards: 1,
-        cross_shard_commits: None,
-        cross_shard_aborts: None,
-        table_entries: 4096,
-        heap_words: 1 << 16,
-        seed: 7,
-        warmup: "50 ms".into(),
-        measure: "250 ms".into(),
-        elapsed_s: 0.25,
-        commits: (throughput * 0.25) as u64,
-        aborts: 10,
-        read_only_commits: 0,
-        read_validation_retries: 0,
-        read_aborts: 0,
-        lock_aborts: 0,
-        validation_aborts: 0,
-        stall_retries: 0,
-        throughput_txn_s: throughput,
-        aborts_per_commit: 0.05,
-        false_conflict_aborts: Some(4),
-        false_conflicts_per_commit: Some(0.02),
-        invariant_violations: 0,
-        sim_false_conflicts_per_commit: Some(0.04),
-        final_table_entries: None,
-        resizes: None,
-        latency_p50_ns: Some(1_100),
-        latency_p95_ns: Some(5_300),
-        latency_p99_ns: Some(12_000),
-        abort_causes: vec![
-            ("true-conflict".to_string(), 6),
-            ("false-conflict".to_string(), 4),
-        ],
-        mean_write_footprint: 2.5,
-        mean_alpha: 3.0,
-        predicted_false_conflicts_per_commit: Some(0.018),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
+    use crate::run::{run_matrix, MatrixConfig};
+    use crate::{EngineKind, Phase, Scenario};
 
+    /// The writer's output, read back through the in-tree parser: the
+    /// documented shape (`benches/README.md`) is what a consumer gets.
     #[test]
-    fn json_round_trip() {
-        let report = HarnessReport::new(
-            true,
-            vec![
-                sample_run("eager-tagless", "uniform-mixed", 1000.0),
-                sample_run("lazy-tl2", "zipf", 2000.0),
-            ],
+    fn report_json_has_the_documented_shape() {
+        let config = MatrixConfig {
+            engines: vec![EngineKind::EagerTagged, EngineKind::Sharded],
+            scenarios: vec![Scenario::uniform_mixed()],
+            threads: 2,
+            shards: 4,
+            table_entries: 1024,
+            heap_words: 1 << 13,
+            seed: 3,
+            warmup: Phase::Txns(5),
+            measure: Phase::Txns(20),
+            fast: true,
+        };
+        let report = run_matrix(&config, |_, _, _| {});
+        assert_eq!(report.engines(), vec!["eager-tagged", "sharded"]);
+        assert_eq!(report.scenarios(), vec!["uniform-mixed"]);
+        assert_eq!(report.runs[0].key(), "eager-tagged/uniform-mixed/t2");
+        assert_eq!(report.runs[1].key(), "sharded/uniform-mixed/t2/s4");
+
+        let v = json::parse(&report.to_json_string()).expect("writer emits valid JSON");
+        assert_eq!(
+            v.get("schema_version").and_then(Json::as_u64),
+            Some(SCHEMA_VERSION)
         );
-        let text = report.to_json_string();
-        let back = HarnessReport::from_json_str(&text).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn sharded_run_round_trips_with_shard_axis_key() {
-        let mut run = sample_run("sharded", "cross-shard-mix", 1500.0);
-        run.shards = 4;
-        run.cross_shard_commits = Some(321);
-        run.cross_shard_aborts = Some(12);
-        assert_eq!(run.key(), "sharded/cross-shard-mix/t4/s4");
-        let report = HarnessReport::new(false, vec![run]);
-        let back = HarnessReport::from_json_str(&report.to_json_string()).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.runs[0].cross_shard_commits, Some(321));
-        // shards == 1 keeps the historical three-part key, so v4-era
-        // baseline keys for unsharded engines are unchanged under v5.
-        assert_eq!(sample_run("e", "s", 1.0).key(), "e/s/t4");
-    }
-
-    #[test]
-    fn schema_version_enforced() {
-        let mut report = HarnessReport::new(false, vec![]);
-        report.schema_version = SCHEMA_VERSION + 1;
-        let text = report.to_json_string();
-        let err = HarnessReport::from_json_str(&text).unwrap_err();
-        assert!(err.contains("schema version mismatch"), "{err}");
-    }
-
-    #[test]
-    fn unknown_fields_ignored_missing_required_rejected() {
-        let mut text = HarnessReport::new(false, vec![sample_run("e", "s", 10.0)]).to_json_string();
-        // Unknown top-level and per-run fields must be tolerated.
-        text = text.replacen(
-            "\"generator\"",
-            "\"future_field\": [1, 2], \"generator\"",
-            1,
+        assert_eq!(
+            v.get("generator").and_then(Json::as_str),
+            Some("tm-harness")
         );
-        text = text.replacen("\"engine\"", "\"novel\": true, \"engine\"", 1);
-        let back = HarnessReport::from_json_str(&text).unwrap();
-        assert_eq!(back.runs.len(), 1);
+        assert_eq!(v.get("fast").and_then(Json::as_bool), Some(true));
+        let runs = v.get("runs").and_then(Json::as_arr).expect("runs array");
+        assert_eq!(runs.len(), 2);
 
-        // A run without 'commits' is malformed.
-        let broken = HarnessReport::new(false, vec![sample_run("e", "s", 10.0)])
-            .to_json_string()
-            .replacen("\"commits\"", "\"commits_renamed\"", 1);
-        assert!(HarnessReport::from_json_str(&broken).is_err());
-    }
-
-    #[test]
-    fn coverage_helpers() {
-        let report = HarnessReport::new(
-            false,
-            vec![
-                sample_run("b", "y", 1.0),
-                sample_run("a", "x", 1.0),
-                sample_run("a", "y", 1.0),
-            ],
-        );
-        assert_eq!(report.engines(), vec!["a", "b"]);
-        assert_eq!(report.scenarios(), vec!["x", "y"]);
-        assert!(report.find("a/x/t4").is_some());
-        assert!(report.find("a/z/t4").is_none());
+        const STRINGS: [&str; 4] = ["engine", "scenario", "warmup", "measure"];
+        const NUMBERS: [&str; 19] = [
+            "threads",
+            "shards",
+            "table_entries",
+            "heap_words",
+            "seed",
+            "elapsed_s",
+            "commits",
+            "aborts",
+            "read_only_commits",
+            "read_validation_retries",
+            "read_aborts",
+            "lock_aborts",
+            "validation_aborts",
+            "stall_retries",
+            "throughput_txn_s",
+            "aborts_per_commit",
+            "invariant_violations",
+            "mean_write_footprint",
+            "mean_alpha",
+        ];
+        // Numeric where the cell has a value, `null` where it does not.
+        const OPTIONAL: [&str; 11] = [
+            "cross_shard_commits",
+            "cross_shard_aborts",
+            "false_conflict_aborts",
+            "false_conflicts_per_commit",
+            "sim_false_conflicts_per_commit",
+            "final_table_entries",
+            "resizes",
+            "latency_p50_ns",
+            "latency_p95_ns",
+            "latency_p99_ns",
+            "predicted_false_conflicts_per_commit",
+        ];
+        for (run, result) in runs.iter().zip(&report.runs) {
+            for name in STRINGS {
+                assert!(run.get(name).and_then(Json::as_str).is_some(), "{name}");
+            }
+            for name in NUMBERS {
+                assert!(run.get(name).and_then(Json::as_f64).is_some(), "{name}");
+            }
+            for name in OPTIONAL {
+                let field = run.get(name).unwrap_or_else(|| panic!("{name} missing"));
+                assert!(matches!(field, Json::Null | Json::Num(_)), "{name}");
+            }
+            assert!(run.get("abort_causes").and_then(Json::as_obj).is_some());
+            assert_eq!(
+                run.as_obj().expect("run is an object").len(),
+                STRINGS.len() + NUMBERS.len() + OPTIONAL.len() + 1,
+                "a field was added or removed: update this list and benches/README.md"
+            );
+            // Exact counters survive the f64 representation.
+            assert_eq!(
+                run.get("commits").and_then(Json::as_u64),
+                Some(result.commits)
+            );
+            assert_eq!(result.commits, 40);
+        }
+        assert!(runs[0].get("cross_shard_commits") == Some(&Json::Null));
+        assert!(runs[1]
+            .get("cross_shard_commits")
+            .and_then(Json::as_u64)
+            .is_some());
     }
 }

@@ -702,6 +702,6 @@ mod tests {
         });
         assert_eq!(seen, 4);
         assert_eq!(report.runs.len(), 4);
-        assert!(report.find("lazy-tl2/counter/t2").is_some());
+        assert!(report.runs.iter().any(|r| r.key() == "lazy-tl2/counter/t2"));
     }
 }

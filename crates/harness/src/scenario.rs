@@ -372,8 +372,7 @@ impl Scenario {
     }
 
     /// Uniform block *writes* only, with per-op yields — the workload of the
-    /// `repro --bin adaptive` ablation, exposed here so that binary and the
-    /// benches share one generator.
+    /// `repro --bin adaptive` ablation, which takes its generator from here.
     pub fn uniform_writes(writes_per_txn: u32) -> Self {
         Self::synthetic(
             &format!("uniform-writes-{writes_per_txn}"),
@@ -515,8 +514,8 @@ impl Scenario {
     }
 
     /// The synthetic parameters, when this is a synthetic scenario — the
-    /// accessor front-ends (repro binaries, benches) use to share one
-    /// workload generator.
+    /// accessor front-ends (repro binaries, the repo benchmark) use to
+    /// share one workload generator.
     pub fn synthetic_spec(&self) -> Option<SyntheticSpec> {
         match &self.kind {
             ScenarioKind::Synthetic(spec) => Some(*spec),
@@ -527,7 +526,7 @@ impl Scenario {
     /// Override the read-only fraction (percent, clamped to 100) of a
     /// synthetic scenario — the `--read-fraction` CLI axis. The name gains
     /// a `+roPCT` suffix so an overridden run never shares a report key
-    /// (and hence a baseline row) with the unmodified scenario. Returns
+    /// with the unmodified scenario. Returns
     /// `None` for non-synthetic scenarios, where the axis has no meaning.
     pub fn with_read_fraction(&self, pct: u32) -> Option<Scenario> {
         let ScenarioKind::Synthetic(mut spec) = self.kind.clone() else {

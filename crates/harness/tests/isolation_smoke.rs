@@ -97,8 +97,8 @@ fn disjoint_cause_attribution_matches_construction_on_every_engine() {
     // Since schema v3 `false_conflict_aborts` is not derived from the
     // scenario's shape — it is the count of aborts the abort sites
     // themselves tagged `false-conflict`. On data-disjoint workloads the
-    // attribution must agree with the construction exactly: every abort a
-    // false conflict, on every aliasing engine (eager tagless, lazy TL2,
+    // attribution must agree with the construction: no abort is ever a
+    // true conflict, on every aliasing engine (eager tagless, lazy TL2,
     // and the adaptive table mid-resize alike).
     let spec = |engine| RunSpec {
         threads: 4,
@@ -114,10 +114,36 @@ fn disjoint_cause_attribution_matches_construction_on_every_engine() {
         EngineKind::Adaptive,
     ] {
         let r = execute(&spec(engine));
+        let cause = |name: &str| {
+            r.abort_causes
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |&(_, c)| c)
+        };
         assert_eq!(
-            r.false_conflict_aborts,
+            cause("true-conflict"),
+            0,
+            "{engine}: nothing is shared, so no abort is a true conflict: {:?}",
+            r.abort_causes
+        );
+        // The eager classifier compares per-thread block hints, so it
+        // proves every abort false. The lazy engine classifies from the
+        // one fingerprint an entry word can hold: a peer whose own write
+        // set puts two blocks in one entry (8 writes over 256 entries: one
+        // transaction in ten) locks it with a saturated fingerprint, which
+        // proves nothing — those aborts, and only those, stay unclassified
+        // (`unknown-conflict` at the lock site, `validation-failed` at
+        // validation).
+        let unproven = if engine == EngineKind::Lazy {
+            cause("unknown-conflict") + cause("validation-failed")
+        } else {
+            0
+        };
+        assert_eq!(
+            r.false_conflict_aborts.map(|f| f + unproven),
             Some(r.aborts),
-            "{engine}: every disjoint abort must be cause-tagged false"
+            "{engine}: every disjoint abort must be cause-tagged false: {:?}",
+            r.abort_causes
         );
         let attributed: u64 = r.abort_causes.iter().map(|(_, c)| c).sum();
         assert_eq!(attributed, r.aborts, "{engine}: causes must sum to aborts");

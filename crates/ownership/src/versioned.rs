@@ -176,36 +176,44 @@ impl VersionedTable {
     /// [`VersionedTable::try_lock_fp`] with no fingerprint.
     #[inline]
     pub fn try_lock(&self, entry: EntryIndex, version: u64) -> bool {
-        self.try_lock_fp(entry, version, FP_NONE)
+        self.try_lock_fp(entry, version, FP_NONE).is_ok()
     }
 
     /// Attempt to write-lock `entry`, expecting it unlocked at `version`,
     /// installing `fp` (the fingerprint of the block being written) in the
     /// locked word so concurrent aborters can classify their conflicts
-    /// against this lock. Returns whether the lock was obtained.
+    /// against this lock.
+    ///
+    /// On failure returns the stamp that refused the lock — the word of the
+    /// locker or bumper that got there first. A caller attributing its abort
+    /// must classify against *this* stamp: by the time it could
+    /// [`sample`](VersionedTable::sample) again the winner may have aborted
+    /// and restored an older writer's fingerprint.
     #[inline]
-    pub fn try_lock_fp(&self, entry: EntryIndex, version: u64, fp: u32) -> bool {
+    pub fn try_lock_fp(&self, entry: EntryIndex, version: u64, fp: u32) -> Result<(), Stamp> {
         // Load-check-CAS rather than a blind CAS: the stored word carries the
         // previous writer's fingerprint, which the caller cannot know.
         let cell = &self.entries[entry];
         let cur = cell.load(Ordering::Acquire);
         let s = Stamp::from_word(cur);
-        let ok = !s.locked
-            && s.version == version
-            && cell
-                .compare_exchange(
-                    cur,
-                    pack(version, true, fp),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok();
-        if ok {
-            self.counters.locks.fetch_add(1, Ordering::Relaxed);
+        let outcome = if s.locked || s.version != version {
+            Err(s)
         } else {
-            self.counters.lock_conflicts.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
+            cell.compare_exchange(
+                cur,
+                pack(version, true, fp),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .map(drop)
+            .map_err(Stamp::from_word)
+        };
+        let counter = match outcome {
+            Ok(()) => &self.counters.locks,
+            Err(_) => &self.counters.lock_conflicts,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        outcome
     }
 
     /// Release a lock previously obtained with [`VersionedTable::try_lock`],
@@ -241,18 +249,26 @@ impl VersionedTable {
 
     /// Commit-time read validation: the entry must be unlocked and still at
     /// `expected_version`. `locked_by_me` lets a transaction pass entries it
-    /// locked itself (read-write overlap at the same entry).
+    /// locked itself (read-write overlap at the same entry). On failure
+    /// returns the stamp that was judged, for abort attribution (see
+    /// [`VersionedTable::try_lock_fp`] for why a re-sample will not do).
     #[inline]
-    pub fn validate(&self, entry: EntryIndex, expected_version: u64, locked_by_me: bool) -> bool {
+    pub fn validate(
+        &self,
+        entry: EntryIndex,
+        expected_version: u64,
+        locked_by_me: bool,
+    ) -> Result<(), Stamp> {
         self.counters.validations.fetch_add(1, Ordering::Relaxed);
         let s = Stamp::from_word(self.entries[entry].load(Ordering::Acquire));
-        let ok = s.version == expected_version && (!s.locked || locked_by_me);
-        if !ok {
+        if s.version == expected_version && (!s.locked || locked_by_me) {
+            Ok(())
+        } else {
             self.counters
                 .validation_failures
                 .fetch_add(1, Ordering::Relaxed);
+            Err(s)
         }
-        ok
     }
 
     /// Copy the statistics counters.
@@ -313,7 +329,7 @@ mod tests {
         let t = table(16);
         let e = 4;
         // Lock with block 9's fingerprint; a bump preserves it.
-        assert!(t.try_lock_fp(e, 0, fingerprint_of(9)));
+        assert!(t.try_lock_fp(e, 0, fingerprint_of(9)).is_ok());
         assert_eq!(t.sample(e).fp, fingerprint_of(9));
         t.unlock_bump(e, 1);
         let s = t.sample(e);
@@ -323,7 +339,7 @@ mod tests {
         assert!(!s.covers_other_block(9));
 
         // An aborting locker restores the previous writer's fingerprint.
-        assert!(t.try_lock_fp(e, 1, fingerprint_of(25)));
+        assert!(t.try_lock_fp(e, 1, fingerprint_of(25)).is_ok());
         assert_eq!(t.sample(e).fp, fingerprint_of(25));
         t.unlock_restore_fp(e, 1, s.fp);
         let s = t.sample(e);
@@ -346,6 +362,51 @@ mod tests {
     }
 
     #[test]
+    fn failed_lock_hands_back_the_stamp_that_refused_it() {
+        // The abort-attribution race, forged on one thread. T1 (writing
+        // block B1) committed here earlier, so the entry's resting
+        // fingerprint is T1's own block.
+        let t = table(16);
+        let (b1, b2) = (6, 22);
+        let e = t.entry_of(b1);
+        assert_eq!(e, t.entry_of(b2), "B2 aliases B1's entry");
+        assert!(t.try_lock_fp(e, 0, fingerprint_of(b1)).is_ok());
+        t.unlock_bump(e, 1);
+
+        // T1 samples for its next commit; T2 (writing B2) locks first.
+        let t1_sample = t.sample(e);
+        let t2_sample = t.sample(e);
+        assert!(t
+            .try_lock_fp(e, t2_sample.version, fingerprint_of(b2))
+            .is_ok());
+        let refused = t
+            .try_lock_fp(e, t1_sample.version, fingerprint_of(b1))
+            .expect_err("T2 holds the lock");
+        // T2 then aborts, restoring the pre-lock word — which names B1.
+        t.unlock_restore_fp(e, t2_sample.version, t2_sample.fp);
+
+        // The stamp T1 was handed names B2: an aliasing block, a false
+        // conflict. A fresh sample names T1's own block — a re-sampling
+        // caller would report a true conflict on data nobody shares.
+        assert!(refused.locked);
+        assert_eq!(refused.fp, fingerprint_of(b2));
+        assert!(refused.covers_other_block(b1));
+        assert_eq!(t.sample(e).fp, fingerprint_of(b1));
+        assert!(!t.sample(e).covers_other_block(b1));
+
+        // A completed bumper refuses the same way, and is named the same way.
+        assert!(t.try_lock_fp(e, 1, fingerprint_of(b2)).is_ok());
+        t.unlock_bump(e, 2);
+        let refused = t
+            .try_lock_fp(e, t1_sample.version, fingerprint_of(b1))
+            .expect_err("version moved");
+        assert_eq!(
+            (refused.version, refused.locked, refused.fp),
+            (2, false, fingerprint_of(b2))
+        );
+    }
+
+    #[test]
     fn lock_fails_on_stale_version() {
         let t = table(16);
         let e = 5;
@@ -362,14 +423,22 @@ mod tests {
     fn validation_semantics() {
         let t = table(16);
         let e = 2;
-        assert!(t.validate(e, 0, false));
-        assert!(!t.validate(e, 9, false));
-        assert!(t.try_lock(e, 0));
-        assert!(!t.validate(e, 0, false), "locked by another txn must fail");
-        assert!(t.validate(e, 0, true), "own lock passes");
+        assert!(t.validate(e, 0, false).is_ok());
+        assert!(t.validate(e, 9, false).is_err());
+        assert!(t.try_lock_fp(e, 0, fingerprint_of(7)).is_ok());
+        let judged = t
+            .validate(e, 0, false)
+            .expect_err("locked by another txn must fail");
+        assert_eq!(
+            (judged.locked, judged.fp),
+            (true, fingerprint_of(7)),
+            "the judged stamp names the locker"
+        );
+        assert!(t.validate(e, 0, true).is_ok(), "own lock passes");
         t.unlock_bump(e, 3);
-        assert!(!t.validate(e, 0, false), "version moved");
-        assert!(t.validate(e, 3, false));
+        let judged = t.validate(e, 0, false).expect_err("version moved");
+        assert_eq!((judged.version, judged.fp), (3, fingerprint_of(7)));
+        assert!(t.validate(e, 3, false).is_ok());
     }
 
     #[test]
@@ -383,7 +452,7 @@ mod tests {
         assert!(t.try_lock(e_b, 0));
         t.unlock_bump(e_b, 1);
         assert!(
-            !t.validate(e_a, read_stamp.version, false),
+            t.validate(e_a, read_stamp.version, false).is_err(),
             "reader of block 3 must be (falsely) invalidated by writer of block 19"
         );
     }
@@ -395,8 +464,8 @@ mod tests {
         t.try_lock(0, 0);
         t.sample(0); // locked sample
         t.try_lock(0, 0); // conflict
-        t.validate(0, 0, true);
-        t.validate(0, 5, false); // failure
+        let _ = t.validate(0, 0, true);
+        let _ = t.validate(0, 5, false); // failure
         let s = t.stats();
         assert_eq!(s.samples, 2);
         assert_eq!(s.sampled_locked, 1);

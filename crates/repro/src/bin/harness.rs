@@ -1,35 +1,25 @@
 //! The tm-harness CLI: run the scenario matrix on real threads and emit a
-//! machine-readable report, or diff two reports as a CI regression gate.
+//! machine-readable report.
 //!
 //! ```text
 //! harness [--fast] [--out results.json] [--trace-out events.jsonl]
 //!         [--engine NAME]... [--scenario NAME]... [--read-fraction PCT]
 //!         [--threads N] [--shards S] [--table-entries N] [--seed N]
 //!         [--warmup-ms N] [--measure-ms N]
-//! harness compare <baseline.json> <candidate.json> [--tolerance-pct P]
-//! harness compare --baseline <path> --candidate <path> [--tolerance-pct P]
 //! ```
 //!
 //! `--trace-out` streams every cell's flight-recorder events as JSONL, one
 //! event per line, each tagged with the run key (`engine/scenario/tN`).
 //!
-//! `compare` exits 0 when the candidate is within tolerance of the baseline
-//! on every gated metric, non-zero otherwise — this is what CI gates on.
+//! Exits non-zero when any cell reports an isolation-invariant violation —
+//! this is what CI gates on. Wall-clock numbers are compared A/B by
+//! `benchmark/run.sh compare`, not here.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tm_harness::{compare, EngineKind, HarnessReport, MatrixConfig, Phase, Scenario, Tolerance};
+use tm_harness::{EngineKind, MatrixConfig, Phase, Scenario};
 use tm_repro::{f3, Table};
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("compare") {
-        run_compare(&args[1..])
-    } else {
-        run_matrix_cli(&args)
-    }
-}
 
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
@@ -41,7 +31,6 @@ fn usage(err: &str) -> ! {
          \x20              [--read-fraction PCT] [--threads N] [--shards S]\n\
          \x20              [--table-entries N] [--seed N]\n\
          \x20              [--warmup-ms N] [--measure-ms N]\n\
-         \x20      harness compare <baseline> <candidate> [--tolerance-pct P]\n\
          --read-fraction runs PCT% of each synthetic scenario's transactions\n\
          as wait-free read-only transactions (run_read); the scenario gains a\n\
          '+roPCT' name suffix. Non-synthetic scenarios are left unchanged.\n\
@@ -65,7 +54,8 @@ fn parse_num<T: std::str::FromStr>(args: &mut std::slice::Iter<'_, String>, flag
         .unwrap_or_else(|| usage(&format!("{flag} needs a numeric argument")))
 }
 
-fn run_matrix_cli(args: &[String]) -> ExitCode {
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = MatrixConfig::standard();
     let mut engines: Vec<EngineKind> = Vec::new();
     let mut scenarios: Vec<Scenario> = Vec::new();
@@ -263,64 +253,4 @@ fn run_matrix_cli(args: &[String]) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
-}
-
-fn run_compare(args: &[String]) -> ExitCode {
-    let mut baseline: Option<PathBuf> = None;
-    let mut candidate: Option<PathBuf> = None;
-    let mut tolerance = Tolerance::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--baseline" => {
-                baseline = Some(PathBuf::from(
-                    it.next()
-                        .unwrap_or_else(|| usage("--baseline needs a path")),
-                ));
-            }
-            "--candidate" => {
-                candidate = Some(PathBuf::from(
-                    it.next()
-                        .unwrap_or_else(|| usage("--candidate needs a path")),
-                ));
-            }
-            "--tolerance-pct" => {
-                tolerance = Tolerance::pct(parse_num(&mut it, "--tolerance-pct"));
-            }
-            "--help" | "-h" => usage(""),
-            path if !path.starts_with('-') => {
-                // Positional form: first is the baseline, second the candidate.
-                if baseline.is_none() {
-                    baseline = Some(PathBuf::from(path));
-                } else if candidate.is_none() {
-                    candidate = Some(PathBuf::from(path));
-                } else {
-                    usage("too many positional arguments");
-                }
-            }
-            other => usage(&format!("unknown argument: {other}")),
-        }
-    }
-    let baseline = baseline.unwrap_or_else(|| usage("compare needs a baseline report"));
-    let candidate = candidate.unwrap_or_else(|| usage("compare needs a candidate report"));
-
-    let load = |path: &PathBuf| -> Result<HarnessReport, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        HarnessReport::from_json_str(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
-    };
-    let (base, cand) = match (load(&baseline), load(&candidate)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let verdict = compare(&base, &cand, &tolerance);
-    print!("{}", verdict.render());
-    if verdict.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }

@@ -354,7 +354,7 @@ fn multi_put_is_atomic_across_engine_shards() {
 
 #[test]
 fn acceptance_fleet_4k_sessions_conserves() {
-    // The acceptance criterion: ≥ 4096 concurrent simulated sessions over
+    // The acceptance bar: ≥ 4096 concurrent simulated sessions over
     // the channel transport, zero isolation-invariant violations.
     let universe: u64 = 1 << 16;
     let eng = engine(universe as usize);

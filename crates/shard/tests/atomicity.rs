@@ -14,13 +14,13 @@
 //!    [`AcquireOrder::Unordered`] mutant, driven with barrier-synchronized
 //!    opposing transfers, produces commit-phase acquisition failures
 //!    (circular waits burning the whole budget); the ordered protocol,
-//!    same workload, produces none.
+//!    same workload, never exhausts its acquisition budget.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use tm_shard::{AcquireOrder, ShardedStmBuilder};
-use tm_stm::{AbortCause, ReadOps, Recorder, RetryPolicy, StmBuilder, TmEngine, TxnOps};
+use tm_stm::{AbortCause, Probe, ReadOps, RetryPolicy, StmBuilder, TmEngine, TxnOps};
 
 const ACCOUNT_SEED: u64 = 100;
 
@@ -147,24 +147,56 @@ fn transfers_conserve_on_unsharded_engines() {
     conservation_stress(&lazy, &account_addrs(8, 1 << 12), 4, 300, 3);
 }
 
+/// Counts acquisition-budget exhaustions where the budget is burned. The
+/// engine reports a commit-phase abort (`on_cross_shard_abort`) and then,
+/// on the same thread, its cause: a *conflict* cause there is the ordered
+/// acquisition loop giving up on a grant (a failed read-log validation
+/// carries `ValidationFailed` instead). A fresh eager attempt that meets a
+/// peer mid-commit also aborts with a conflict cause, under either order —
+/// but before it escalates, never in the commit phase, so it is not counted.
+#[derive(Default)]
+struct BudgetProbe {
+    in_commit_phase: [AtomicBool; 2],
+    exhausted: AtomicU64,
+}
+
+impl Probe for BudgetProbe {
+    const ENABLED: bool = true;
+
+    fn on_cross_shard_abort(&self, thread: u32) {
+        self.in_commit_phase[thread as usize].store(true, Ordering::Relaxed);
+    }
+
+    fn on_abort(&self, thread: u32, cause: AbortCause, _attempt_ns: u64) {
+        let in_commit_phase = self.in_commit_phase[thread as usize].swap(false, Ordering::Relaxed);
+        let conflict = matches!(
+            cause,
+            AbortCause::TrueConflict | AbortCause::FalseConflict | AbortCause::UnknownConflict
+        );
+        if in_commit_phase && conflict {
+            self.exhausted.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// The deliberately wrong mutant vs the real protocol, on the worst-case
 /// workload: two threads running *opposing* transfers between the first
 /// and last shard. Each round the two transactions rendezvous on a
 /// barrier *inside the body* (first cross-mode attempt only), so their
 /// ordered-acquisition commit phases always overlap. Unordered
 /// acquisition then takes the two grants in opposite orders — a circular
-/// wait every round, burning the whole commit budget and surfacing as
-/// conflict-cause commit aborts. Ordered acquisition on the identical
-/// workload produces zero: the loser waits briefly, revalidates, and at
-/// worst retries on a `ValidationFailed`.
-fn opposing_transfer_conflict_aborts(order: AcquireOrder) -> (u64, u64) {
+/// wait every round, burning the whole commit budget. Ordered acquisition
+/// on the identical workload never does: the loser waits briefly,
+/// revalidates, and at worst retries on a `ValidationFailed`. Returns
+/// (budget exhaustions, all commit-phase aborts).
+fn opposing_transfer_budget_exhaustions(order: AcquireOrder) -> (u64, u64) {
     const ROUNDS: u32 = 50;
-    let recorder = Arc::new(Recorder::new());
+    let probe = Arc::new(BudgetProbe::default());
     let stm = StmBuilder::new()
         .heap_words(1 << 12)
         .table_entries(1 << 8)
         .shards(4)
-        .probe(Arc::clone(&recorder))
+        .probe(Arc::clone(&probe))
         .build_sharded_tagless()
         .with_acquire_order(order)
         .with_commit_spins(1 << 12);
@@ -173,13 +205,16 @@ fn opposing_transfer_conflict_aborts(order: AcquireOrder) -> (u64, u64) {
     stm.heap().store(a, 1_000_000);
     stm.heap().store(b, 1_000_000);
 
-    let barrier = Barrier::new(2);
+    // A spinning rendezvous, not `std::sync::Barrier`: a futex wake-up
+    // takes longer than a whole commit, so the last arriver at a blocking
+    // barrier would finish committing before its peer even ran.
+    let arrivals = AtomicU64::new(0);
     std::thread::scope(|s| {
         for (t, (from, to)) in [(a, b), (b, a)].into_iter().enumerate() {
-            let barrier = &barrier;
+            let arrivals = &arrivals;
             let stm = &stm;
             s.spawn(move || {
-                for _ in 0..ROUNDS {
+                for round in 1..=u64::from(ROUNDS) {
                     let mut synced = false;
                     stm.run(t as u32, |txn| {
                         let f = txn.read(from)?;
@@ -191,7 +226,16 @@ fn opposing_transfer_conflict_aborts(order: AcquireOrder) -> (u64, u64) {
                         // acquisition phases overlap.
                         if txn.is_cross_shard() && !synced {
                             synced = true;
-                            barrier.wait();
+                            arrivals.fetch_add(1, Ordering::AcqRel);
+                            let mut spins = 0u32;
+                            while arrivals.load(Ordering::Acquire) < 2 * round {
+                                spins += 1;
+                                if spins.is_multiple_of(64) {
+                                    std::thread::yield_now();
+                                } else {
+                                    std::hint::spin_loop();
+                                }
+                            }
                         }
                         Ok(())
                     });
@@ -205,33 +249,29 @@ fn opposing_transfer_conflict_aborts(order: AcquireOrder) -> (u64, u64) {
     assert_eq!(stm.heap().load(b), 1_000_000);
     assert_eq!(stm.cross_shard_commits(), u64::from(ROUNDS) * 2);
 
-    let snap = recorder.snapshot();
-    let conflict_aborts = snap.abort_causes[AbortCause::TrueConflict.index()]
-        + snap.abort_causes[AbortCause::FalseConflict.index()]
-        + snap.abort_causes[AbortCause::UnknownConflict.index()];
-    (conflict_aborts, stm.cross_shard_aborts())
+    (
+        probe.exhausted.load(Ordering::Relaxed),
+        stm.cross_shard_aborts(),
+    )
 }
 
 #[test]
 fn unordered_mutant_produces_commit_deadlocks_ordered_does_not() {
-    // In this workload every transaction escalates to cross-shard mode
-    // before taking any write grant, so *every* conflict-cause abort is a
-    // commit-phase acquisition failure — i.e. a broken lock-order wait.
-    let (ordered_conflicts, _) = opposing_transfer_conflict_aborts(AcquireOrder::ShardOrdered);
+    let (ordered_exhaustions, _) = opposing_transfer_budget_exhaustions(AcquireOrder::ShardOrdered);
     assert_eq!(
-        ordered_conflicts, 0,
+        ordered_exhaustions, 0,
         "ordered acquisition must never burn its commit budget on a cycle"
     );
 
-    let (mutant_conflicts, mutant_cross_aborts) =
-        opposing_transfer_conflict_aborts(AcquireOrder::Unordered);
+    let (mutant_exhaustions, mutant_cross_aborts) =
+        opposing_transfer_budget_exhaustions(AcquireOrder::Unordered);
     assert!(
-        mutant_conflicts > 0,
+        mutant_exhaustions > 0,
         "the unordered mutant should deadlock opposing committers into \
          budget-exhaustion aborts; if this ever passes the ordering is no \
          longer load-bearing"
     );
-    assert!(mutant_cross_aborts >= mutant_conflicts);
+    assert!(mutant_cross_aborts >= mutant_exhaustions);
 }
 
 /// A bounded retry budget turns the mutant's circular waits into a hard
