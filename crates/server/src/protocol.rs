@@ -355,6 +355,20 @@ fn decode_frame(bytes: &[u8]) -> Result<(u64, u8, &[u8]), DecodeError> {
     Ok((id, tag, &bytes[r.pos..]))
 }
 
+/// Bytes of the complete frame at the front of `bytes`, length prefix
+/// included; `Ok(None)` when `bytes` ends before the frame does. The prefix
+/// is checked against [`MAX_FRAME_BYTES`] before anything else is read.
+pub(crate) fn frame_len(bytes: &[u8]) -> Result<Option<usize>, DecodeError> {
+    let Some(prefix) = bytes.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(DecodeError::FrameTooLarge);
+    }
+    Ok((bytes.len() >= 4 + len).then_some(4 + len))
+}
+
 /// Best-effort correlation id of a frame whose payload may be garbage —
 /// what the server echoes in a `Malformed` error so the client can still
 /// match it. `None` when even the envelope is unreadable.
@@ -401,6 +415,22 @@ fn put_request_payload(out: &mut Vec<u8>, req: &Request) {
             out.push(op.tag());
             put_request_payload(out, op);
         }
+    }
+}
+
+/// Serialize one response's payload (everything after the tag byte).
+fn put_response_payload(out: &mut Vec<u8>, resp: &Response) {
+    match resp {
+        Response::Pong | Response::Written | Response::Busy | Response::Closed => {}
+        Response::Value(v) | Response::Added(v) => put_u64(out, *v),
+        Response::Values(vs) => {
+            put_u32(out, vs.len() as u32);
+            vs.iter().for_each(|v| put_u64(out, *v));
+        }
+        Response::MultiAdded { applied } | Response::MultiWritten { applied } => {
+            put_u32(out, *applied)
+        }
+        Response::Error(code) => out.push(code.code()),
     }
 }
 
@@ -550,18 +580,15 @@ impl Request {
 impl ResponseFrame {
     /// Serialize to a complete frame (length prefix included).
     pub fn encode(&self) -> Vec<u8> {
-        let resp = &self.response;
-        encode_frame(self.id, resp.tag(), |out| match resp {
-            Response::Pong | Response::Written | Response::Busy | Response::Closed => {}
-            Response::Value(v) | Response::Added(v) => put_u64(out, *v),
-            Response::Values(vs) => {
-                put_u32(out, vs.len() as u32);
-                vs.iter().for_each(|v| put_u64(out, *v));
-            }
-            Response::MultiAdded { applied } | Response::MultiWritten { applied } => {
-                put_u32(out, *applied)
-            }
-            Response::Error(code) => out.push(code.code()),
+        encode_frame(self.id, self.response.tag(), |out| {
+            put_response_payload(out, &self.response)
+        })
+    }
+
+    /// Append the complete frame to `out` (a session's outbox).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_frame_into(out, self.id, self.response.tag(), |out| {
+            put_response_payload(out, &self.response)
         })
     }
 
@@ -703,17 +730,9 @@ impl FrameBuf {
     /// lost) and the connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, DecodeError> {
         let pending = &self.buf[self.head..self.tail];
-        if pending.len() < 4 {
+        let Some(total) = frame_len(pending)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(pending[..4].try_into().expect("4-byte slice")) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(DecodeError::FrameTooLarge);
-        }
-        let total = 4 + len;
-        if pending.len() < total {
-            return Ok(None);
-        }
+        };
         let frame = pending[..total].to_vec();
         self.head += total;
         Ok(Some(frame))

@@ -1,19 +1,29 @@
-//! The service core: a router thread fanning frames out to shard threads
-//! that execute transactions on the shared engine.
+//! The service core: shard threads, each fed directly by the transports,
+//! executing transactions on the shared engine.
 //!
 //! # Threading model
 //!
 //! ```text
-//! transports ──ingress──▶ router ──┬──▶ shard 0 ──▶ engine (ThreadId 0)
-//!                                  ├──▶ shard 1 ──▶ engine (ThreadId 1)
-//!                                  └──▶ ...
+//! transport threads ──ingress──┬──▶ shard 0 ──▶ engine (ThreadId 0)
+//!  (session % shards)          ├──▶ shard 1 ──▶ engine (ThreadId 1)
+//!                              └──▶ ...
+//!
+//! shard i ──outbox, one message per session per wake-up──▶ session sinks
 //! ```
+//!
+//! There is one hop in each direction. A transport thread puts a message
+//! straight on the queue of its session's shard ([`Ingress`]); a shard
+//! takes everything queued without blocking, and only when its queue is
+//! empty hands each session the responses made since (one sink message of
+//! whole frames per session, see [`SessionRegistry::flush_out`]) and
+//! blocks until the next message or the batcher's deadline.
 //!
 //! Sessions are pinned to shards (`session % shards`), which buys three
 //! properties at once:
 //!
-//! * **per-session ordering** — one shard processes one session's frames
-//!   in arrival order, so pipelined requests are answered in order;
+//! * **per-session ordering** — one thread feeds a session and one shard
+//!   processes its frames in arrival order, so pipelined requests are
+//!   answered in order;
 //! * **lock-free coalescing** — each shard owns a private [`Batcher`], and
 //!   cross-session group commit happens because one shard serves many
 //!   sessions, not because shards share state;
@@ -32,10 +42,10 @@
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, SendError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tm_stm::{Aborted, ReadOps, TmEngine, TxnOps, WORD_BYTES};
 
@@ -45,9 +55,10 @@ use crate::fault::{CrashPoint, FaultState};
 use crate::protocol::{peek_id, ErrorCode, Request, RequestFrame, Response};
 use crate::session::{DedupVerdict, ServerMsg, SessionId, SessionRegistry, DEFAULT_DEDUP_WINDOW};
 
-/// How long an idle shard sleeps between wakeups when no flush deadline is
-/// pending.
-const IDLE_TICK: Duration = Duration::from_millis(2);
+/// Messages a shard handles in one drain before it hands responses over
+/// anyway. A queue that never empties (more producers than the shard can
+/// keep up with) would otherwise hold every answer back forever.
+const DELIVER_EVERY: u32 = 128;
 
 /// Write ops between admission-controller observations (shard 0 only).
 const OBSERVE_EVERY: u64 = 256;
@@ -203,12 +214,39 @@ impl ServerStats {
 /// handle shuts the server down (see [`ServerHandle::shutdown`] for the
 /// orderly spelling).
 pub struct ServerHandle {
-    ingress: Sender<ServerMsg>,
+    ingress: Ingress,
     next_session: Arc<AtomicU64>,
     stats: Arc<ServerStats>,
     admission: Arc<Admission>,
-    router: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
+}
+
+/// The ingress plane as a transport sees it: the shards' queues, with each
+/// session's messages going to shard `session % shards`. Every thread that
+/// feeds the server holds its own clone.
+#[derive(Clone)]
+pub(crate) struct Ingress {
+    shards: Vec<Sender<ServerMsg>>,
+}
+
+impl Ingress {
+    /// Queue `msg` on its session's shard; `Shutdown` goes to every shard.
+    /// Fails when that shard has exited (the server shut down).
+    pub(crate) fn send(&self, msg: ServerMsg) -> Result<(), SendError<ServerMsg>> {
+        let session = match &msg {
+            ServerMsg::Connect { session, .. }
+            | ServerMsg::Frame { session, .. }
+            | ServerMsg::Disconnect { session } => *session,
+            ServerMsg::Shutdown => {
+                for shard in &self.shards {
+                    // A failed send means that shard is already gone.
+                    let _ = shard.send(ServerMsg::Shutdown);
+                }
+                return Ok(());
+            }
+        };
+        self.shards[(session % self.shards.len() as u64) as usize].send(msg)
+    }
 }
 
 /// Start a server over `engine` with `config`. The engine is shared — the
@@ -226,7 +264,6 @@ where
 
     let stats = Arc::new(ServerStats::default());
     let admission = Arc::new(Admission::new(config.admission));
-    let (ingress, router_rx) = channel::<ServerMsg>();
 
     let mut shard_txs = Vec::with_capacity(config.shards as usize);
     let mut shard_handles = Vec::with_capacity(config.shards as usize);
@@ -245,25 +282,18 @@ where
         );
     }
 
-    let shards = config.shards as u64;
-    let router = std::thread::Builder::new()
-        .name("tm-server-router".into())
-        .spawn(move || router_loop(router_rx, shard_txs, shards))
-        .expect("spawn router thread");
-
     ServerHandle {
-        ingress,
+        ingress: Ingress { shards: shard_txs },
         next_session: Arc::new(AtomicU64::new(1)),
         stats,
         admission,
-        router: Some(router),
         shards: shard_handles,
     }
 }
 
 impl ServerHandle {
-    /// A clone of the ingress sender (what transports feed).
-    pub(crate) fn ingress(&self) -> Sender<ServerMsg> {
+    /// A clone of the ingress plane (what transports feed).
+    pub(crate) fn ingress(&self) -> Ingress {
         self.ingress.clone()
     }
 
@@ -306,11 +336,10 @@ impl ServerHandle {
     }
 
     fn shutdown_inner(&mut self) {
-        // A failed send means the router is already gone (idempotent).
+        // Each shard finds `Shutdown` behind everything it was sent before
+        // this call (channel FIFO), so the drain ordering is trivial.
+        // Idempotent: shards that already exited are skipped.
         let _ = self.ingress.send(ServerMsg::Shutdown);
-        if let Some(router) = self.router.take() {
-            let _ = router.join();
-        }
         for shard in self.shards.drain(..) {
             let _ = shard.join();
         }
@@ -320,32 +349,6 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown_inner();
-    }
-}
-
-/// Route each message to its session's shard; fan `Shutdown` out to every
-/// shard (after all previously forwarded frames — channel FIFO makes the
-/// drain ordering trivial) and exit.
-fn router_loop(rx: Receiver<ServerMsg>, shard_txs: Vec<Sender<ServerMsg>>, shards: u64) {
-    let shard_of = |session: SessionId| (session % shards) as usize;
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ServerMsg::Connect { session, sink } => {
-                let _ = shard_txs[shard_of(session)].send(ServerMsg::Connect { session, sink });
-            }
-            ServerMsg::Frame { session, bytes } => {
-                let _ = shard_txs[shard_of(session)].send(ServerMsg::Frame { session, bytes });
-            }
-            ServerMsg::Disconnect { session } => {
-                let _ = shard_txs[shard_of(session)].send(ServerMsg::Disconnect { session });
-            }
-            ServerMsg::Shutdown => {
-                for tx in &shard_txs {
-                    let _ = tx.send(ServerMsg::Shutdown);
-                }
-                return;
-            }
-        }
     }
 }
 
@@ -416,6 +419,9 @@ fn shard_thread<E: TmEngine>(
             Ok(()) => return, // orderly shutdown
             Err(_panic) => {
                 recover_shard(&engine, &config, &stats, &admission, &mut state);
+                // Poison frames and recovered acks leave now, not whenever
+                // the restarted loop next finds its queue empty.
+                state.registry.flush_out();
             }
         }
     }
@@ -423,6 +429,10 @@ fn shard_thread<E: TmEngine>(
 
 /// One shard: decode, serve reads inline, batch writes, flush on fill or
 /// deadline, observe abort ratio into the admission budget.
+///
+/// Each wake-up drains the queue without blocking, then hands every
+/// session its responses in one message, then blocks — so a client is
+/// woken when its answers are complete, not at the first of them.
 fn shard_loop<E: TmEngine>(
     shard_id: u32,
     rx: &Receiver<ServerMsg>,
@@ -434,14 +444,22 @@ fn shard_loop<E: TmEngine>(
 ) {
     let mut last_engine = engine.engine_stats();
     let mut writes_since_observe = 0u64;
+    let mut handled = 0u32;
 
     loop {
-        let timeout = state
-            .batcher
-            .deadline()
-            .map(|d| d.saturating_duration_since(Instant::now()))
-            .unwrap_or(IDLE_TICK);
-        match rx.recv_timeout(timeout) {
+        let next = match rx.try_recv() {
+            // About to block: every session gets its answers first.
+            Err(TryRecvError::Empty) => {
+                state.registry.flush_out();
+                handled = 0;
+                match state.batcher.deadline() {
+                    Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
+                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                }
+            }
+            ready => ready.map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match next {
             Ok(ServerMsg::Connect { session, sink }) => state.registry.connect(session, sink),
             Ok(ServerMsg::Disconnect { session }) => state.registry.disconnect(session),
             Ok(ServerMsg::Frame { session, bytes }) => {
@@ -457,20 +475,23 @@ fn shard_loop<E: TmEngine>(
                     &mut writes_since_observe,
                 );
             }
-            Ok(ServerMsg::Shutdown) => {
-                // Graceful drain: in-flight groups fully commit (their acks
-                // go out) and nothing new is accepted after this message.
+            Ok(ServerMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
+                // Graceful drain: in-flight groups fully commit, their acks
+                // reach the sinks before the registry (and the sinks with
+                // it) is dropped, and nothing new is accepted after this.
                 flush(shard_id, engine, config, stats, admission, state);
+                state.registry.flush_out();
                 return;
             }
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                flush(shard_id, engine, config, stats, admission, state);
-                return;
-            }
         }
         if state.batcher.should_flush(Instant::now()) {
             flush(shard_id, engine, config, stats, admission, state);
+        }
+        handled += 1;
+        if handled >= DELIVER_EVERY {
+            state.registry.flush_out();
+            handled = 0;
         }
         // Shard 0 periodically folds the windowed abort ratio into the
         // shared admission budget (one observer keeps windows disjoint).

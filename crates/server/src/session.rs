@@ -2,24 +2,33 @@
 //!
 //! A **session** is one client connection: a stable id, an outbound sink
 //! of encoded response frames, and an ordering guarantee. Sessions are
-//! sharded by `session_id % shards` and a shard processes its sessions'
-//! frames in arrival order, so each session sees its own requests answered
-//! in the order it sent them — pipelining (many requests in flight before
-//! reading responses) is safe without any client-side windowing protocol.
+//! sharded by `session_id % shards`; one transport thread feeds a session
+//! and its shard processes the frames in arrival order, so each session
+//! sees its own requests answered in the order it sent them — pipelining
+//! (many requests in flight before reading responses) is safe without any
+//! client-side windowing protocol.
 //!
 //! Transports (TCP, in-process channel) reduce to the same three-message
 //! lifecycle on the ingress plane: [`ServerMsg::Connect`] registers the
 //! sink, [`ServerMsg::Frame`] carries one complete encoded request frame,
 //! [`ServerMsg::Disconnect`] abandons the session (uncommitted batched
 //! writes still flush — they were acknowledged into the batcher).
-//! [`ServerMsg::Shutdown`] drains everything: the router forwards it to
-//! every shard *after* all previously accepted frames, so a shard that
-//! sees it has already answered everything ahead of it.
+//! [`ServerMsg::Shutdown`] drains everything: the server handle queues it
+//! on every shard *behind* whatever that shard had already been sent, so a
+//! shard that sees it has already answered everything ahead of it.
+//!
+//! Responses leave in the other direction through each session's
+//! **outbox**: [`SessionRegistry::respond`] appends the encoded frame, and
+//! [`SessionRegistry::flush_out`] hands every outbox with something in it
+//! to its sink as *one* message of whole frames. A shard calls it when it
+//! is about to block, so a client is woken once per shard wake-up rather
+//! than once per answer.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;
 
 use crate::protocol::{Response, ResponseFrame};
+use crate::transport::COALESCE_BYTES;
 
 /// Stable identifier of one client connection.
 pub type SessionId = u64;
@@ -140,14 +149,15 @@ impl DedupWindow {
     }
 }
 
-/// One message on the server's ingress plane (transport → router → shard).
+/// One message on the server's ingress plane (transport → shard).
 #[derive(Debug)]
 pub enum ServerMsg {
     /// A new session with its outbound frame sink.
     Connect {
         /// The new session's id (allocated by the transport).
         session: SessionId,
-        /// Where encoded [`ResponseFrame`]s for this session go.
+        /// Where this session's encoded [`ResponseFrame`]s go. Each
+        /// message is one or more whole frames, in order.
         sink: Sender<Vec<u8>>,
     },
     /// One complete encoded request frame from a session.
@@ -162,7 +172,7 @@ pub enum ServerMsg {
         /// The departed session.
         session: SessionId,
     },
-    /// Drain pending work and exit (router fans this out to every shard).
+    /// Drain pending work and exit (the handle sends one to every shard).
     Shutdown,
 }
 
@@ -171,6 +181,8 @@ pub enum ServerMsg {
 struct SessionState {
     sink: Sender<Vec<u8>>,
     dedup: DedupWindow,
+    /// Encoded responses not yet handed to `sink`: whole frames, in order.
+    outbox: Vec<u8>,
 }
 
 /// A shard's view of its live sessions. Single-threaded (each shard owns
@@ -179,6 +191,9 @@ struct SessionState {
 pub struct SessionRegistry {
     sessions: HashMap<SessionId, SessionState>,
     dedup_window: usize,
+    /// Sessions whose outbox went from empty to non-empty since the last
+    /// [`SessionRegistry::flush_out`], in that order.
+    dirty: Vec<SessionId>,
 }
 
 impl Default for SessionRegistry {
@@ -194,6 +209,7 @@ impl SessionRegistry {
         Self {
             sessions: HashMap::new(),
             dedup_window,
+            dirty: Vec::new(),
         }
     }
 
@@ -204,14 +220,17 @@ impl SessionRegistry {
             SessionState {
                 sink,
                 dedup: DedupWindow::new(self.dedup_window),
+                outbox: Vec::new(),
             },
         );
     }
 
-    /// Forget a session. Responses already queued on its sink are
-    /// unaffected; later sends are dropped. Its dedup window dies with it
-    /// (tokens are per-connection; a reconnect is a new session).
+    /// Forget a session. What its outbox holds goes to the sink first, so
+    /// every response made before this call is delivered; later ones are
+    /// dropped. Its dedup window dies with it (tokens are per-connection;
+    /// a reconnect is a new session).
     pub fn disconnect(&mut self, session: SessionId) {
+        self.deliver(session);
         self.sessions.remove(&session);
     }
 
@@ -264,17 +283,46 @@ impl SessionRegistry {
         }
     }
 
-    /// Encode and send one response to a session. A send to a departed
-    /// session (client hung up between request and response) is silently
-    /// dropped — the disconnect path owns cleanup.
+    /// Encode one response into a session's outbox. It reaches the sink at
+    /// the next [`flush_out`], or at once if the outbox has grown to
+    /// [`COALESCE_BYTES`]. A response to a departed session (client hung up
+    /// between request and response) is silently dropped — the disconnect
+    /// path owns cleanup.
+    ///
+    /// [`flush_out`]: SessionRegistry::flush_out
     pub fn respond(&mut self, session: SessionId, id: u64, response: Response) {
-        if let Some(state) = self.sessions.get(&session) {
-            let frame = ResponseFrame { id, response }.encode();
-            if state.sink.send(frame).is_err() {
-                // Receiver dropped without a Disconnect (abrupt client
-                // death); reclaim the slot now rather than on every send.
-                self.sessions.remove(&session);
-            }
+        let Some(state) = self.sessions.get_mut(&session) else {
+            return;
+        };
+        if state.outbox.is_empty() {
+            self.dirty.push(session);
+        }
+        ResponseFrame { id, response }.encode_into(&mut state.outbox);
+        if state.outbox.len() >= COALESCE_BYTES {
+            self.deliver(session);
+        }
+    }
+
+    /// Hand every non-empty outbox to its sink, one message per session.
+    pub fn flush_out(&mut self) {
+        for i in 0..self.dirty.len() {
+            self.deliver(self.dirty[i]);
+        }
+        self.dirty.clear();
+    }
+
+    /// Send a session's outbox, if it holds anything, as one sink message.
+    fn deliver(&mut self, session: SessionId) {
+        let Some(state) = self.sessions.get_mut(&session) else {
+            return;
+        };
+        if state.outbox.is_empty() {
+            return;
+        }
+        if state.sink.send(std::mem::take(&mut state.outbox)).is_err() {
+            // Receiver dropped without a Disconnect (abrupt client
+            // death); reclaim the slot now rather than on every send.
+            self.sessions.remove(&session);
         }
     }
 }
@@ -284,22 +332,71 @@ mod tests {
     use super::*;
     use std::sync::mpsc::channel;
 
+    /// Split one sink message into the frames it holds.
+    fn frames(message: &[u8]) -> Vec<ResponseFrame> {
+        let mut fb = crate::protocol::FrameBuf::new();
+        fb.extend(message);
+        let mut out = Vec::new();
+        while let Some(frame) = fb.next_frame().unwrap() {
+            out.push(ResponseFrame::decode(&frame).unwrap());
+        }
+        assert_eq!(fb.pending_bytes(), 0, "a sink message is whole frames");
+        out
+    }
+
     #[test]
     fn respond_routes_encoded_frames() {
         let mut reg = SessionRegistry::default();
-        let (tx, rx) = channel();
-        reg.connect(7, tx);
-        assert_eq!(reg.len(), 1);
+        let (tx_a, rx_a) = channel();
+        let (tx_b, rx_b) = channel();
+        reg.connect(7, tx_a);
+        reg.connect(8, tx_b);
+        assert_eq!(reg.len(), 2);
 
-        reg.respond(7, 99, Response::Value(5));
-        let frame = rx.recv().unwrap();
-        let decoded = ResponseFrame::decode(&frame).unwrap();
-        assert_eq!(decoded.id, 99);
-        assert_eq!(decoded.response, Response::Value(5));
-
+        for id in 1..=5 {
+            reg.respond(7, id, Response::Value(id * 10));
+        }
+        reg.respond(8, 99, Response::Pong);
         // Unknown session: dropped, not panicked.
-        reg.respond(8, 1, Response::Pong);
-        assert!(rx.try_recv().is_err());
+        reg.respond(9, 1, Response::Pong);
+        assert!(rx_a.try_recv().is_err(), "nothing leaves before flush_out");
+        assert!(rx_b.try_recv().is_err());
+
+        reg.flush_out();
+        let got = frames(&rx_a.try_recv().expect("one message"));
+        assert_eq!(got.len(), 5, "every response in the one message");
+        for (frame, id) in got.iter().zip(1..) {
+            assert_eq!((frame.id, &frame.response), (id, &Response::Value(id * 10)));
+        }
+        assert!(rx_a.try_recv().is_err(), "one message per flush_out");
+        let got = frames(&rx_b.try_recv().expect("one message"));
+        assert_eq!(got[0].id, 99);
+
+        // Nothing queued: flush_out sends nothing.
+        reg.flush_out();
+        assert!(rx_a.try_recv().is_err());
+        assert!(rx_b.try_recv().is_err());
+    }
+
+    #[test]
+    fn outbox_past_the_coalescing_bound_leaves_early() {
+        let mut reg = SessionRegistry::default();
+        let (tx, rx) = channel();
+        reg.connect(1, tx);
+        let values = vec![7u64; 1000]; // ~8 KB a frame
+        let mut sent = 0;
+        while rx.try_recv().is_err() {
+            reg.respond(1, sent, Response::Values(values.clone()));
+            sent += 1;
+            assert!(sent < 100, "the bound never triggered");
+        }
+        assert!(sent as usize * 8000 >= COALESCE_BYTES);
+        // The early message took everything; the next response starts a
+        // new one, in order.
+        reg.respond(1, sent, Response::Pong);
+        reg.flush_out();
+        let got = frames(&rx.try_recv().expect("the rest"));
+        assert_eq!((got.len(), got[0].id), (1, sent));
     }
 
     #[test]
@@ -309,16 +406,26 @@ mod tests {
         reg.connect(3, tx);
         drop(rx);
         reg.respond(3, 1, Response::Pong);
+        assert_eq!(reg.len(), 1, "respond only queues");
+        reg.flush_out();
         assert!(reg.is_empty(), "dead session reclaimed");
     }
 
     #[test]
-    fn disconnect_forgets_the_session() {
+    fn disconnect_delivers_the_outbox_and_forgets_the_session() {
         let mut reg = SessionRegistry::default();
-        let (tx, _rx) = channel();
+        let (tx, rx) = channel();
         reg.connect(1, tx);
+        reg.respond(1, 1, Response::Written);
+        reg.respond(1, 2, Response::Closed);
         reg.disconnect(1);
         assert!(reg.is_empty());
+        let got = frames(&rx.try_recv().expect("queued responses delivered"));
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[1].response, Response::Closed);
+        assert!(rx.recv().is_err(), "then the sink is dropped");
+        // The stale dirty entry is harmless.
+        reg.flush_out();
     }
 
     #[test]

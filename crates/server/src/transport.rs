@@ -14,8 +14,9 @@
 //!   ends move as many frames per call as are ready:
 //!
 //!   * every **write** carries everything queued. The server's writer
-//!     blocks for one response, gathers whatever else the workers queued
-//!     while it was not running, and issues one `write_all`; [`TcpConn`]
+//!     blocks for one sink message (the responses a worker made in one
+//!     wake-up), gathers whatever else the workers queued while it was
+//!     not running, and issues one `write_all`; [`TcpConn`]
 //!     collects `send`s in an outbound buffer and writes it when the caller
 //!     turns to receive (or calls [`TcpConn::flush`], or drops the
 //!     connection). One request in flight is still one write each way; a
@@ -31,13 +32,13 @@
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::protocol::{DecodeError, FrameBuf, Request, RequestFrame, ResponseFrame};
-use crate::server::ServerHandle;
+use crate::protocol::{frame_len, DecodeError, FrameBuf, Request, RequestFrame, ResponseFrame};
+use crate::server::{Ingress, ServerHandle};
 use crate::session::{ServerMsg, SessionId};
 
 impl ServerHandle {
@@ -54,6 +55,8 @@ impl ServerHandle {
             ingress,
             session,
             rx,
+            message: Vec::new(),
+            cursor: 0,
             next_id: 1,
         }
     }
@@ -65,9 +68,13 @@ impl ServerHandle {
 /// drain responses — the server answers a session's requests in order, and
 /// the returned correlation ids let the client match them up regardless.
 pub struct ChannelConn {
-    ingress: Sender<ServerMsg>,
+    ingress: Ingress,
     session: SessionId,
     rx: Receiver<Vec<u8>>,
+    /// The sink message being read — one or more whole frames — and where
+    /// in it the next frame starts.
+    message: Vec<u8>,
+    cursor: usize,
     next_id: u64,
 }
 
@@ -96,19 +103,32 @@ impl ChannelConn {
     }
 
     /// Non-blocking poll for the next response.
-    pub fn try_recv(&self) -> Option<ResponseFrame> {
-        self.rx
-            .try_recv()
-            .ok()
-            .map(|bytes| ResponseFrame::decode(&bytes).expect("server emits valid frames"))
+    pub fn try_recv(&mut self) -> Option<ResponseFrame> {
+        self.pop_frame(|rx| rx.try_recv().ok())
     }
 
     /// Wait up to `timeout` for the next response.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<ResponseFrame> {
-        self.rx
-            .recv_timeout(timeout)
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<ResponseFrame> {
+        self.pop_frame(|rx| rx.recv_timeout(timeout).ok())
+    }
+
+    /// Decode the next frame of the current sink message, taking the next
+    /// message from `refill` once this one is used up.
+    fn pop_frame(
+        &mut self,
+        refill: impl FnOnce(&Receiver<Vec<u8>>) -> Option<Vec<u8>>,
+    ) -> Option<ResponseFrame> {
+        if self.cursor == self.message.len() {
+            self.message = refill(&self.rx)?;
+            self.cursor = 0;
+        }
+        let rest = &self.message[self.cursor..];
+        let len = frame_len(rest)
             .ok()
-            .map(|bytes| ResponseFrame::decode(&bytes).expect("server emits valid frames"))
+            .flatten()
+            .expect("server emits whole frames");
+        self.cursor += len;
+        Some(ResponseFrame::decode(&rest[..len]).expect("server emits valid frames"))
     }
 
     /// Convenience round-trip: send `request`, wait up to `timeout` for
@@ -140,10 +160,12 @@ impl Drop for ChannelConn {
     }
 }
 
-/// Bytes gathered into one socket write before it is issued, on either end
-/// of a TCP connection. Bounds the gather buffers (to this plus one frame)
-/// without costing throughput: a write this large already amortises its
-/// syscall over thousands of frames.
+/// Bytes gathered before they are passed on: into one socket write on
+/// either end of a TCP connection, and into one sink message in a session's
+/// outbox. Bounds those buffers (a session's outbox to this plus one frame,
+/// the server's write buffer to this plus one sink message) without costing
+/// throughput: a write this large already amortises its syscall, or its
+/// wake-up, over thousands of frames.
 pub const COALESCE_BYTES: usize = 64 * 1024;
 
 /// A running TCP front-end for a server.
@@ -236,7 +258,7 @@ impl Drop for TcpTransport {
 
 fn accept_loop(
     listener: TcpListener,
-    ingress: Sender<ServerMsg>,
+    ingress: Ingress,
     sessions: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -267,7 +289,7 @@ fn accept_loop(
 fn spawn_connection(
     stream: TcpStream,
     session: SessionId,
-    ingress: &Sender<ServerMsg>,
+    ingress: &Ingress,
     conns: &Mutex<Vec<JoinHandle<()>>>,
 ) -> std::io::Result<()> {
     // The listener is non-blocking and on some platforms (BSD, macOS) an
@@ -299,16 +321,17 @@ fn spawn_connection(
     Ok(())
 }
 
-/// Fill `out` with `first` and every frame already queued behind it on
-/// `rx`, in order, stopping once `out` holds [`COALESCE_BYTES`]. A sink
-/// that disconnects mid-gather just ends it: what was gathered stays in
-/// `out`, and the caller's next `recv` reports the disconnect.
+/// Fill `out` with `first` and every sink message already queued behind it
+/// on `rx`, in order, stopping once `out` holds [`COALESCE_BYTES`]. Sink
+/// messages are whole frames, so `out` is too. A sink that disconnects
+/// mid-gather just ends it: what was gathered stays in `out`, and the
+/// caller's next `recv` reports the disconnect.
 fn gather(first: &[u8], rx: &Receiver<Vec<u8>>, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(first);
     while out.len() < COALESCE_BYTES {
-        let Ok(frame) = rx.try_recv() else { break };
-        out.extend_from_slice(&frame);
+        let Ok(message) = rx.try_recv() else { break };
+        out.extend_from_slice(&message);
     }
 }
 
@@ -328,7 +351,7 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Vec<u8>>) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-fn reader_loop(mut stream: TcpStream, session: SessionId, ingress: Sender<ServerMsg>) {
+fn reader_loop(mut stream: TcpStream, session: SessionId, ingress: Ingress) {
     let mut fb = FrameBuf::new();
     // EOF or error: hang up.
     while matches!(fb.read_from(&mut stream), Ok(n) if n > 0) {
@@ -477,6 +500,46 @@ fn decode_to_io(e: DecodeError) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn channel_conn_pops_a_sink_message_one_frame_at_a_time() {
+        use crate::protocol::Response;
+        use crate::server::{start, ServerConfig};
+
+        let engine = tm_stm::StmBuilder::new()
+            .heap_words(64)
+            .table_entries(64)
+            .build_tagless();
+        let server = start(Arc::new(engine), ServerConfig::new(64));
+        let mut conn = server.connect();
+        // Play the worker: this test owns the other end of the sink.
+        let (sink, rx) = channel();
+        conn.rx = rx;
+
+        let message = |ids: std::ops::Range<u64>| {
+            let mut out = Vec::new();
+            for id in ids {
+                let response = Response::Values(vec![id; id as usize]);
+                ResponseFrame { id, response }.encode_into(&mut out);
+            }
+            out
+        };
+        sink.send(message(0..3)).unwrap();
+        sink.send(message(3..6)).unwrap();
+        for id in 0..6 {
+            let frame = match id % 2 {
+                0 => conn.try_recv(),
+                _ => conn.recv_timeout(Duration::from_secs(5)),
+            }
+            .expect("six frames queued");
+            let values = vec![id; id as usize];
+            assert_eq!((frame.id, frame.response), (id, Response::Values(values)));
+        }
+        assert_eq!(conn.try_recv(), None, "both messages consumed");
+        assert_eq!(conn.recv_timeout(Duration::from_millis(1)), None);
+        drop(sink);
+        assert_eq!(conn.recv_timeout(Duration::from_secs(5)), None, "hang-up");
+    }
 
     /// A frame-sized chunk whose every byte is `tag`, so order shows.
     fn chunk(tag: u8, len: usize) -> Vec<u8> {

@@ -115,6 +115,120 @@ fn pipelined_requests_answered_in_order() {
     server.shutdown();
 }
 
+/// A batch policy only a fill, a read-your-writes flush, `Close` or
+/// shutdown can flush: the latency budget is far beyond any test.
+fn no_deadline_batching() -> BatchPolicy {
+    BatchPolicy {
+        latency_budget: Duration::from_secs(600),
+        ..BatchPolicy::grouped()
+    }
+}
+
+#[test]
+fn two_pipelining_sessions_keep_their_order_and_their_groups() {
+    let eng = engine(1024);
+    let mut cfg = ServerConfig::new(1024);
+    cfg.shards = 1;
+    cfg.batch = no_deadline_batching();
+    let server = start(Arc::clone(&eng), cfg);
+    let mut conns = [server.connect(), server.connect()];
+
+    // One thread feeds both sessions alternately, so the worker's queue
+    // order is fixed: a's Add, b's Add, a's Get, b's Get, ... Each Get of
+    // `a` flushes the group holding both sessions' Adds.
+    let mut ids: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+    for k in 0..32u64 {
+        for (c, conn) in conns.iter_mut().enumerate() {
+            let key = 2 * k + c as u64;
+            ids[c].push(conn.send(Request::Add { key, delta: 1 }));
+        }
+        for (c, conn) in conns.iter_mut().enumerate() {
+            let key = 2 * k + c as u64;
+            ids[c].push(conn.send(Request::Get { key }));
+        }
+    }
+    for (conn, ids) in conns.iter_mut().zip(&ids) {
+        assert_eq!(ids.len(), 64);
+        for (n, &expected) in ids.iter().enumerate() {
+            let frame = conn.recv_timeout(TIMEOUT).expect("response");
+            assert_eq!(frame.id, expected, "in-order answering");
+            let wanted = match n % 2 {
+                0 => Response::Added(1),
+                _ => Response::Value(1),
+            };
+            assert_eq!(frame.response, wanted);
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.ops_committed, stats.groups_committed), (64, 32));
+    assert_eq!(stats.coalescing_factor(), 2.0);
+    assert_eq!(eng.heap_sum(1024), 64);
+}
+
+#[test]
+fn lone_read_is_answered_without_waiting_for_a_timer() {
+    // Nothing batched, so the worker has no deadline and blocks in a plain
+    // receive: the answer must leave before it does. If delivery waited for
+    // the flush budget, no round trip could beat it.
+    let eng = engine(1024);
+    let cfg = ServerConfig::new(1024);
+    let budget = cfg.batch.latency_budget;
+    let server = start(Arc::clone(&eng), cfg);
+    let mut conn = server.connect();
+    let fastest = (0..100)
+        .map(|_| {
+            let sent = std::time::Instant::now();
+            let resp = conn.request(Request::Get { key: 3 }, TIMEOUT);
+            assert_eq!(resp.expect("answered").response, Response::Value(0));
+            sent.elapsed()
+        })
+        .min()
+        .expect("100 round trips");
+    assert!(fastest < budget, "fastest of 100: {fastest:?}");
+    server.shutdown();
+
+    // Another session's write parked in the batcher: the worker's next
+    // block is a ten-minute timed wait, and the read still comes back.
+    let mut cfg = ServerConfig::new(1024);
+    cfg.shards = 1;
+    cfg.batch = no_deadline_batching();
+    let server = start(Arc::clone(&eng), cfg);
+    let (mut writer, mut reader) = (server.connect(), server.connect());
+    writer.send(Request::Add { key: 1, delta: 1 });
+    let resp = reader.request(Request::Get { key: 2 }, TIMEOUT);
+    assert_eq!(resp.expect("answered").response, Response::Value(0));
+    assert_eq!(writer.try_recv(), None, "the write is still parked");
+    server.shutdown();
+}
+
+#[test]
+fn close_after_pipelined_writes_acks_them_all_then_closes() {
+    let eng = engine(1024);
+    let mut cfg = ServerConfig::new(1024);
+    cfg.batch = no_deadline_batching();
+    let server = start(Arc::clone(&eng), cfg);
+    let mut conn = server.connect();
+    for k in 0..10u64 {
+        conn.send(Request::Add { key: k, delta: 1 });
+    }
+    let close = conn.send(Request::Close);
+    // Only Close's flush can commit the writes, and their acks precede it.
+    for _ in 0..10 {
+        let frame = conn.recv_timeout(TIMEOUT).expect("write ack");
+        assert_eq!(frame.response, Response::Added(1));
+    }
+    let last = conn.recv_timeout(TIMEOUT).expect("Closed");
+    assert_eq!((last.id, last.response), (close, Response::Closed));
+    // EOF: the sink is gone, so this returns at once rather than timing out.
+    let waited = std::time::Instant::now();
+    assert_eq!(conn.recv_timeout(TIMEOUT), None);
+    assert!(waited.elapsed() < TIMEOUT, "hang-up, not a timeout");
+    // A frame after Close is discarded unread.
+    conn.send(Request::Add { key: 0, delta: 1 });
+    assert_eq!(server.shutdown().ops_committed, 10);
+    assert_eq!(eng.heap_sum(1024), 10);
+}
+
 #[test]
 fn malformed_frames_get_typed_errors() {
     let eng = engine(256);

@@ -6,6 +6,11 @@
 //! response is checked against a model, and at the end the heap must sum
 //! to the increments the clients saw acknowledged.
 //!
+//! A second test sends one connection a window several times longer than
+//! what a worker answers between two deliveries, so its responses cross
+//! many multi-frame sink messages and socket writes and must still arrive
+//! in order.
+//!
 //! Sandboxes without loopback can't bind: those runs skip.
 
 use std::collections::VecDeque;
@@ -13,12 +18,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tm_birthday::prelude::*;
-use tm_birthday::server::{serve_tcp, start, Request, Response, ServerConfig, TcpConn};
+use tm_birthday::server::{
+    serve_tcp, start, Request, Response, ServerConfig, ServerHandle, TcpConn, TcpTransport,
+};
 
 const KEYS: u64 = 1 << 10;
 const CONNS: u64 = 2;
 const WINDOWS: u64 = 3;
 const WINDOW: u64 = 32;
+const LONG_WINDOW: u64 = 600;
 const TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Request `i` of a connection's stream and, from `model` (updated in
@@ -51,8 +59,9 @@ fn exchange(conn: u64, i: u64, model: &mut [u64]) -> (Request, Response) {
     }
 }
 
-#[test]
-fn pipelined_windows_over_tcp_match_the_model() {
+/// The 4-table engine served over loopback with `conns` clients connected;
+/// `None` (after saying so) where loopback cannot be bound.
+fn serve(conns: u64) -> Option<(Arc<impl TmEngine>, ServerHandle, TcpTransport, Vec<TcpConn>)> {
     let engine = Arc::new(
         StmBuilder::new()
             .heap_words(KEYS as usize)
@@ -66,12 +75,20 @@ fn pipelined_windows_over_tcp_match_the_model() {
         Err(e) => {
             eprintln!("skipping TCP service smoke: bind failed: {e}");
             server.shutdown();
-            return;
+            return None;
         }
     };
-    let mut conns: Vec<TcpConn> = (0..CONNS)
+    let conns = (0..conns)
         .map(|_| TcpConn::connect(transport.local_addr()).expect("connect over loopback"))
         .collect();
+    Some((engine, server, transport, conns))
+}
+
+#[test]
+fn pipelined_windows_over_tcp_match_the_model() {
+    let Some((engine, server, transport, mut conns)) = serve(CONNS) else {
+        return;
+    };
 
     let mut model = vec![0u64; KEYS as usize];
     let mut expected: Vec<VecDeque<(u64, Response)>> = vec![VecDeque::new(); CONNS as usize];
@@ -107,4 +124,32 @@ fn pipelined_windows_over_tcp_match_the_model() {
     let acked: u64 = model.iter().sum();
     assert!(acked > 0);
     assert_eq!(engine.heap_sum(KEYS as usize), acked);
+}
+
+#[test]
+fn one_long_window_over_tcp_is_answered_in_order() {
+    let Some((engine, server, transport, mut conns)) = serve(1) else {
+        return;
+    };
+    let conn = &mut conns[0];
+
+    let mut model = vec![0u64; KEYS as usize];
+    let expected: Vec<(u64, Response)> = (0..LONG_WINDOW)
+        .map(|i| {
+            let (request, response) = exchange(0, i, &mut model);
+            (conn.send(request).expect("queue a request"), response)
+        })
+        .collect();
+    for (id, response) in expected {
+        let frame = conn
+            .recv_timeout(TIMEOUT)
+            .expect("socket read")
+            .expect("answered in time");
+        assert_eq!((frame.id, frame.response), (id, response));
+    }
+
+    drop(conns);
+    transport.stop();
+    server.shutdown();
+    assert_eq!(engine.heap_sum(KEYS as usize), model.iter().sum::<u64>());
 }
