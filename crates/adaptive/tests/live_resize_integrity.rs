@@ -24,6 +24,12 @@ fn counters_stay_exact_across_live_resizes() {
         let (stm, stop) = (&stm, &stop);
         for id in 0..threads {
             s.spawn(move |_| {
+                // The test is about increments that overlap swaps, so none
+                // starts before the resizer's first one: on one core the
+                // workers could otherwise finish before it is scheduled.
+                while stm.table().resize_stats().resizes == 0 {
+                    std::thread::yield_now();
+                }
                 for i in 0..increments {
                     stm.run(id, |txn| {
                         let v = txn.read(0)?;

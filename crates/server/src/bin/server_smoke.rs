@@ -1,4 +1,4 @@
-//! CI smoke for the service layer: three phases over the channel
+//! CI smoke for the service layer: four phases over the channel
 //! transport, each gated on hard invariants.
 //!
 //! * **Phase A — unbatched baseline**: a write-heavy fleet against
@@ -15,14 +15,20 @@
 //!   answers everything (zero unanswered — shed requests get `Busy`, not
 //!   silence), and conservation still holds (a shed write applied
 //!   nothing).
+//! * **Phase D — lone writes**: 1000 `Add`s, one at a time, on an idle
+//!   grouped server. Gate: the median round trip is under the policy's
+//!   `latency_budget` — a write with nothing behind it commits when the
+//!   worker's queue runs empty, not when a budget runs out. (Under the
+//!   timed flush every round trip *was* the budget.)
 //!
 //! Usage: `server_smoke [--drivers N] [--sessions N] [--requests N]`.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tm_harness::AccessPattern;
 use tm_server::loadgen::{run_loadgen, ArrivalProcess, LoadReport, LoadgenConfig};
+use tm_server::protocol::{Request, Response};
 use tm_server::server::{start, ServerConfig, ServerStatsSnapshot};
 use tm_server::{AdmissionPolicy, BatchPolicy};
 use tm_stm::{HashKind, StmBuilder, TmEngine};
@@ -85,19 +91,26 @@ fn fleet(args: &Args, arrivals: ArrivalProcess, write_fraction: f64) -> LoadgenC
     }
 }
 
+/// Round trips phase D times.
+const LONE_WRITES: u64 = 1000;
+
+fn engine() -> Arc<impl TmEngine + Send + 'static> {
+    Arc::new(
+        StmBuilder::new()
+            .heap_words(KEY_UNIVERSE as usize)
+            .table_entries(1 << 14)
+            .hash(HashKind::Multiplicative)
+            .build_tagless(),
+    )
+}
+
 /// One phase: fresh engine, fresh server, one fleet run.
 fn run_phase(
     name: &str,
     server_cfg: ServerConfig,
     fleet_cfg: &LoadgenConfig,
 ) -> (LoadReport, ServerStatsSnapshot, bool) {
-    let engine = Arc::new(
-        StmBuilder::new()
-            .heap_words(KEY_UNIVERSE as usize)
-            .table_entries(1 << 14)
-            .hash(HashKind::Multiplicative)
-            .build_tagless(),
-    );
+    let engine = engine();
     let server = start(Arc::clone(&engine), server_cfg);
     let report = run_loadgen(&server, fleet_cfg);
     let stats = server.stats();
@@ -116,6 +129,41 @@ fn run_phase(
     );
     println!();
     (report, stats, conserved)
+}
+
+/// Phase D: `LONE_WRITES` one-at-a-time `Add`s on an idle server; the
+/// median round trip, or what went wrong.
+fn lone_write_p50(server_cfg: ServerConfig) -> Result<Duration, String> {
+    let engine = engine();
+    let server = start(Arc::clone(&engine), server_cfg);
+    let mut conn = server.connect();
+    let mut round_trips = Vec::with_capacity(LONE_WRITES as usize);
+    for key in 0..LONE_WRITES {
+        let sent = Instant::now();
+        match conn.request(Request::Add { key, delta: 1 }, Duration::from_secs(5)) {
+            Some(frame) if frame.response == Response::Added(1) => round_trips.push(sent.elapsed()),
+            other => return Err(format!("Add {key} answered {other:?}")),
+        }
+    }
+    let stats = server.shutdown();
+    let heap_sum = engine.heap_sum(KEY_UNIVERSE as usize);
+    if heap_sum != LONE_WRITES {
+        return Err(format!(
+            "heap sum {heap_sum} after {LONE_WRITES} acked Adds"
+        ));
+    }
+    round_trips.sort_unstable();
+    let p50 = round_trips[round_trips.len() / 2];
+    println!("== phase D: lone writes ==");
+    println!(
+        "round trips {}  p50 {p50:?}  p99 {:?}  max {:?}  groups {}",
+        round_trips.len(),
+        round_trips[round_trips.len() * 99 / 100],
+        round_trips[round_trips.len() - 1],
+        stats.groups_committed,
+    );
+    println!();
+    Ok(p50)
 }
 
 fn main() {
@@ -202,6 +250,18 @@ fn main() {
             c_report.unanswered
         ),
     );
+
+    // Phase D: lone writes on an idle grouped server.
+    let mut cfg = ServerConfig::new(KEY_UNIVERSE);
+    cfg.batch = BatchPolicy::grouped();
+    let budget = cfg.batch.latency_budget;
+    match lone_write_p50(cfg) {
+        Ok(p50) => gate(
+            p50 < budget,
+            format!("phase D: lone-write p50 {p50:?} not under the {budget:?} latency budget"),
+        ),
+        Err(what) => gate(false, format!("phase D: {what}")),
+    }
 
     if failures.is_empty() {
         println!("server smoke: all gates passed");

@@ -12,11 +12,11 @@
 //! ```
 //!
 //! There is one hop in each direction. A transport thread puts a message
-//! straight on the queue of its session's shard ([`Ingress`]); a shard
+//! straight on the queue of its session's shard (`Ingress`); a shard
 //! takes everything queued without blocking, and only when its queue is
-//! empty hands each session the responses made since (one sink message of
-//! whole frames per session, see [`SessionRegistry::flush_out`]) and
-//! blocks until the next message or the batcher's deadline.
+//! empty commits the writes still batched, hands each session the
+//! responses made since (one sink message of whole frames per session, see
+//! [`SessionRegistry::flush_out`]) and blocks until the next message.
 //!
 //! Sessions are pinned to shards (`session % shards`), which buys three
 //! properties at once:
@@ -42,7 +42,7 @@
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, SendError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, SendError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -428,11 +428,11 @@ fn shard_thread<E: TmEngine>(
 }
 
 /// One shard: decode, serve reads inline, batch writes, flush on fill or
-/// deadline, observe abort ratio into the admission budget.
+/// on an empty queue, observe abort ratio into the admission budget.
 ///
-/// Each wake-up drains the queue without blocking, then hands every
-/// session its responses in one message, then blocks — so a client is
-/// woken when its answers are complete, not at the first of them.
+/// Each wake-up drains the queue without blocking, commits what is still
+/// batched, hands every session its responses in one message, then blocks:
+/// a client is woken when its answers are complete, no write waits a timer.
 fn shard_loop<E: TmEngine>(
     shard_id: u32,
     rx: &Receiver<ServerMsg>,
@@ -448,21 +448,19 @@ fn shard_loop<E: TmEngine>(
 
     loop {
         let next = match rx.try_recv() {
-            // About to block: every session gets its answers first.
+            // About to block: nothing more will join the pending groups.
             Err(TryRecvError::Empty) => {
+                flush(shard_id, engine, config, stats, admission, state);
                 state.registry.flush_out();
                 handled = 0;
-                match state.batcher.deadline() {
-                    Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
-                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                }
+                rx.recv().ok()
             }
-            ready => ready.map_err(|_| RecvTimeoutError::Disconnected),
+            ready => ready.ok(),
         };
         match next {
-            Ok(ServerMsg::Connect { session, sink }) => state.registry.connect(session, sink),
-            Ok(ServerMsg::Disconnect { session }) => state.registry.disconnect(session),
-            Ok(ServerMsg::Frame { session, bytes }) => {
+            Some(ServerMsg::Connect { session, sink }) => state.registry.connect(session, sink),
+            Some(ServerMsg::Disconnect { session }) => state.registry.disconnect(session),
+            Some(ServerMsg::Frame { session, bytes }) => {
                 handle_frame(
                     shard_id,
                     session,
@@ -475,7 +473,7 @@ fn shard_loop<E: TmEngine>(
                     &mut writes_since_observe,
                 );
             }
-            Ok(ServerMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
+            Some(ServerMsg::Shutdown) | None => {
                 // Graceful drain: in-flight groups fully commit, their acks
                 // reach the sinks before the registry (and the sinks with
                 // it) is dropped, and nothing new is accepted after this.
@@ -483,9 +481,9 @@ fn shard_loop<E: TmEngine>(
                 state.registry.flush_out();
                 return;
             }
-            Err(RecvTimeoutError::Timeout) => {}
         }
-        if state.batcher.should_flush(Instant::now()) {
+        // A group is full, or this drain has outlasted `latency_budget`.
+        if !state.batcher.is_empty() && state.batcher.should_flush(Instant::now()) {
             flush(shard_id, engine, config, stats, admission, state);
         }
         handled += 1;
@@ -903,10 +901,11 @@ fn deliver_current(admission: &Admission, state: &mut ShardState) {
     let Some(ifg) = state.current.take() else {
         return;
     };
+    let mut group = ifg.group;
     let responses = ifg
         .committed
         .expect("deliver_current needs a committed group");
-    for (pw, response) in ifg.group.ops.into_iter().zip(responses) {
+    for (pw, response) in group.ops.drain(..).zip(responses) {
         admission.release(pw.op.keys().len() as u64);
         if let Some(token) = pw.token {
             state
@@ -915,4 +914,5 @@ fn deliver_current(admission: &Admission, state: &mut ShardState) {
         }
         state.registry.respond(pw.session, pw.id, response);
     }
+    state.batcher.recycle(group);
 }

@@ -13,10 +13,17 @@
 //!    deliberately disabled must *detect* the resulting double-applies —
 //!    proving the invariants have teeth, not just that they pass.
 
+use std::sync::Arc;
+use std::time::Duration;
+
 use proptest::prelude::*;
 use tm_server::chaos::{run_chaos_case, ChaosCase};
 use tm_server::client::BackoffPolicy;
 use tm_server::fault::{CrashPoint, CrashSchedule, FaultPlan, FrameFaults};
+use tm_server::protocol::{ErrorCode, Request, Response};
+use tm_server::server::{start, ServerConfig};
+use tm_server::BatchPolicy;
+use tm_stm::{StmBuilder, TmEngine};
 
 /// Layer 1: each crash point, alone, with no frame noise — the crash must
 /// fire, the shard must recover, and every ledger must reconcile exactly
@@ -88,6 +95,76 @@ fn every_crash_point_fires_and_recovers() {
                 "committed group poisons nothing"
             );
         }
+    }
+}
+
+/// Layer 1a: a group leaves the batcher either because it filled (the
+/// per-message check) or because the worker's queue ran empty (the flush
+/// before it blocks). Both go through the same `pending_groups` / `current`
+/// bracket, so a crash on either side of the commit must leave the same
+/// answers, counters, heap and admission gauge whichever way the group
+/// left. One client, one write at a time: under `max_ops: 1` every push
+/// fills its group; under the grouped policy no group of one is full and
+/// only the empty queue commits it.
+#[test]
+fn crash_on_a_drain_triggered_flush_recovers_like_a_fill_triggered_one() {
+    for point in [CrashPoint::BeforeGroupCommit, CrashPoint::AfterGroupCommit] {
+        let fill = BatchPolicy {
+            max_ops: 1,
+            ..BatchPolicy::grouped()
+        };
+        let [filled, drained] = [fill, BatchPolicy::grouped()].map(|batch| {
+            let engine = Arc::new(
+                StmBuilder::new()
+                    .heap_words(64)
+                    .table_entries(256)
+                    .build_tagless(),
+            );
+            let mut cfg = ServerConfig::new(64);
+            cfg.shards = 1;
+            cfg.batch = batch;
+            cfg.audit_increments = true;
+            cfg.faults = Some(
+                FaultPlan {
+                    crashes: vec![CrashSchedule { point, at_hit: 3 }],
+                    ..FaultPlan::none(0x21)
+                }
+                .arm(),
+            );
+            let server = start(Arc::clone(&engine), cfg);
+            let admission = server.admission_handle();
+            let mut conn = server.connect();
+            let answers: Vec<Response> = (0..6u64)
+                .map(|n| {
+                    conn.request(
+                        Request::Add {
+                            key: n % 2,
+                            delta: 1,
+                        },
+                        Duration::from_secs(5),
+                    )
+                    .expect("answered across the restart")
+                    .response
+                })
+                .collect();
+            let stats = server.shutdown();
+            (answers, stats, engine.heap_sum(64), admission.inflight())
+        });
+        assert_eq!(filled, drained, "{}", point.name());
+
+        let (answers, stats, heap_sum, inflight) = drained;
+        assert_eq!((stats.shard_restarts, stats.audit_failures), (1, 0));
+        assert_eq!(inflight, 0, "{}: admission cost leaked", point.name());
+        let third = if point == CrashPoint::BeforeGroupCommit {
+            // The group vanished whole: poisoned, not applied.
+            assert_eq!((stats.poisoned_writes, heap_sum), (1, 5));
+            Response::Error(ErrorCode::ShardRestarted)
+        } else {
+            // The heap moved, so recovery still delivered the ack.
+            assert_eq!((stats.poisoned_writes, heap_sum), (0, 6));
+            Response::Added(2)
+        };
+        assert_eq!(answers[2], third, "{}", point.name());
     }
 }
 

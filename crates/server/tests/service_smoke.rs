@@ -115,27 +115,19 @@ fn pipelined_requests_answered_in_order() {
     server.shutdown();
 }
 
-/// A batch policy only a fill, a read-your-writes flush, `Close` or
-/// shutdown can flush: the latency budget is far beyond any test.
-fn no_deadline_batching() -> BatchPolicy {
-    BatchPolicy {
-        latency_budget: Duration::from_secs(600),
-        ..BatchPolicy::grouped()
-    }
-}
-
 #[test]
 fn two_pipelining_sessions_keep_their_order_and_their_groups() {
     let eng = engine(1024);
     let mut cfg = ServerConfig::new(1024);
     cfg.shards = 1;
-    cfg.batch = no_deadline_batching();
     let server = start(Arc::clone(&eng), cfg);
     let mut conns = [server.connect(), server.connect()];
 
     // One thread feeds both sessions alternately, so the worker's queue
-    // order is fixed: a's Add, b's Add, a's Get, b's Get, ... Each Get of
-    // `a` flushes the group holding both sessions' Adds.
+    // order is fixed: a's Add, b's Add, a's Get, b's Get, ... A Get
+    // commits its session's Add if nothing has yet; whether the other
+    // session's Add shares that transaction depends on how far the feeder
+    // is ahead of the worker.
     let mut ids: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
     for k in 0..32u64 {
         for (c, conn) in conns.iter_mut().enumerate() {
@@ -160,16 +152,22 @@ fn two_pipelining_sessions_keep_their_order_and_their_groups() {
         }
     }
     let stats = server.shutdown();
-    assert_eq!((stats.ops_committed, stats.groups_committed), (64, 32));
-    assert_eq!(stats.coalescing_factor(), 2.0);
+    assert_eq!(stats.ops_committed, 64);
+    // A session's Get stands between any two of its Adds, so no group
+    // holds two of them: 32 groups at least, one per Add at most.
+    assert!(
+        (32..=64).contains(&stats.groups_committed),
+        "{} groups",
+        stats.groups_committed
+    );
     assert_eq!(eng.heap_sum(1024), 64);
 }
 
 #[test]
 fn lone_read_is_answered_without_waiting_for_a_timer() {
-    // Nothing batched, so the worker has no deadline and blocks in a plain
-    // receive: the answer must leave before it does. If delivery waited for
-    // the flush budget, no round trip could beat it.
+    // The worker blocks in a plain receive: the answer must leave before it
+    // does. If delivery waited for the batcher's latency budget, no round
+    // trip could beat it.
     let eng = engine(1024);
     let cfg = ServerConfig::new(1024);
     let budget = cfg.batch.latency_budget;
@@ -186,36 +184,96 @@ fn lone_read_is_answered_without_waiting_for_a_timer() {
         .expect("100 round trips");
     assert!(fastest < budget, "fastest of 100: {fastest:?}");
     server.shutdown();
+}
 
-    // Another session's write parked in the batcher: the worker's next
-    // block is a ten-minute timed wait, and the read still comes back.
+/// A batch policy whose cap no test reaches and whose groups nothing in a
+/// test fills: only an empty queue, a read-your-writes flush, `Close` or
+/// shutdown commits under it.
+fn drain_only_batching() -> BatchPolicy {
+    BatchPolicy {
+        max_ops: 1024,
+        max_footprint: 4096,
+        latency_budget: Duration::from_secs(600),
+    }
+}
+
+#[test]
+fn lone_write_is_acked_without_a_read_a_close_or_a_shutdown() {
+    // Nothing follows the Add: no group fills, no read of its session
+    // forces it out, and the cap is ten minutes away. The worker's queue
+    // running empty is what commits it.
+    let eng = engine(1024);
     let mut cfg = ServerConfig::new(1024);
     cfg.shards = 1;
-    cfg.batch = no_deadline_batching();
+    cfg.batch = drain_only_batching();
     let server = start(Arc::clone(&eng), cfg);
     let (mut writer, mut reader) = (server.connect(), server.connect());
-    writer.send(Request::Add { key: 1, delta: 1 });
+    for n in 1..=3u64 {
+        let ack = writer.request(Request::Add { key: 1, delta: 1 }, TIMEOUT);
+        assert_eq!(ack.expect("acked").response, Response::Added(n));
+    }
+    // Another session's read does not depend on it either way.
+    let id = writer.send(Request::Add { key: 1, delta: 1 });
     let resp = reader.request(Request::Get { key: 2 }, TIMEOUT);
     assert_eq!(resp.expect("answered").response, Response::Value(0));
-    assert_eq!(writer.try_recv(), None, "the write is still parked");
-    server.shutdown();
+    let ack = writer.recv_timeout(TIMEOUT).expect("acked");
+    assert_eq!((ack.id, ack.response), (id, Response::Added(4)));
+    let stats = server.shutdown();
+    assert_eq!((stats.ops_committed, stats.groups_committed), (4, 4));
+}
+
+#[test]
+fn write_under_a_queue_that_never_empties_is_flushed_at_the_cap() {
+    // One thread queues a lone Add and then, from another session, a burst
+    // of reads that takes the worker many times the latency budget (and
+    // 150 deliveries of 128 messages) to get through, with a Get of the
+    // written key at its end. Queueing a Ping is cheaper than serving one,
+    // so the worker falls behind and never sees its queue empty: no group
+    // fills, no read is from the writer's session, and only the cap commits
+    // the Add. Where the worker does catch up, the empty queue commits it.
+    // Either way the Get, served inline when the worker reaches it, finds
+    // the Add applied; a write held until the queue drains would read 0.
+    const BURST: usize = 20_000;
+    let eng = engine(1024);
+    let mut cfg = ServerConfig::new(1024);
+    cfg.shards = 1;
+    let server = start(Arc::clone(&eng), cfg);
+    let (mut writer, mut reader) = (server.connect(), server.connect());
+
+    let add = writer.send(Request::Add { key: 7, delta: 1 });
+    for _ in 0..BURST {
+        reader.send(Request::Ping);
+    }
+    let get = reader.send(Request::Get { key: 7 });
+
+    for _ in 0..BURST {
+        let pong = reader.recv_timeout(TIMEOUT).expect("pong");
+        assert_eq!(pong.response, Response::Pong);
+    }
+    let read = reader.recv_timeout(TIMEOUT).expect("read answer");
+    assert_eq!((read.id, read.response), (get, Response::Value(1)));
+    let ack = writer.recv_timeout(TIMEOUT).expect("write ack");
+    assert_eq!((ack.id, ack.response), (add, Response::Added(1)));
+    let stats = server.shutdown();
+    assert_eq!((stats.ops_committed, stats.groups_committed), (1, 1));
 }
 
 #[test]
 fn close_after_pipelined_writes_acks_them_all_then_closes() {
     let eng = engine(1024);
     let mut cfg = ServerConfig::new(1024);
-    cfg.batch = no_deadline_batching();
+    cfg.batch = drain_only_batching();
     let server = start(Arc::clone(&eng), cfg);
     let mut conn = server.connect();
-    for k in 0..10u64 {
-        conn.send(Request::Add { key: k, delta: 1 });
-    }
+    let writes: Vec<u64> = (0..10u64)
+        .map(|k| conn.send(Request::Add { key: k, delta: 1 }))
+        .collect();
     let close = conn.send(Request::Close);
-    // Only Close's flush can commit the writes, and their acks precede it.
-    for _ in 0..10 {
+    // Whatever the worker had not committed when it reached Close, Close
+    // commits: every ack precedes it, in order.
+    for id in writes {
         let frame = conn.recv_timeout(TIMEOUT).expect("write ack");
-        assert_eq!(frame.response, Response::Added(1));
+        assert_eq!((frame.id, frame.response), (id, Response::Added(1)));
     }
     let last = conn.recv_timeout(TIMEOUT).expect("Closed");
     assert_eq!((last.id, last.response), (close, Response::Closed));
@@ -329,42 +387,52 @@ fn busy_shed_token_retries_as_new() {
     // permanently InFlight and silently swallow every retry.
     let eng = engine(1024);
     let mut cfg = ServerConfig::new(1024);
-    // One word of budget, and a latency budget only reads or shutdown can
-    // reach: the first admitted write parks in the batcher holding the
-    // whole budget, so the second write is shed with Busy.
     cfg.admission = AdmissionPolicy {
-        base_inflight: 1,
+        base_inflight: 2,
         min_inflight: 1,
-        slope: 0.0,
-    };
-    cfg.batch = BatchPolicy {
-        max_ops: 1024,
-        max_footprint: 4096,
-        latency_budget: Duration::from_secs(600),
+        slope: 1.0,
     };
     let server = start(Arc::clone(&eng), cfg);
     let mut conn = server.connect();
+    // A thrashing engine has contracted the budget to its one-word floor:
+    // a two-word write is shed however soon the write before it commits.
+    server.admission().observe(1e9);
+    assert_eq!(server.admission().budget(), 1);
 
+    let pair = || Request::MultiAdd {
+        keys: vec![1, 2],
+        delta: 1,
+    };
     let id1 = conn.send(Request::idempotent(1, Request::Add { key: 0, delta: 1 }));
-    let id2 = conn.send(Request::idempotent(2, Request::Add { key: 1, delta: 1 }));
-    let shed = conn.recv_timeout(TIMEOUT).expect("busy answer");
-    assert_eq!((shed.id, shed.response), (id2, Response::Busy));
+    let id2 = conn.send(Request::idempotent(2, pair()));
+    // `Busy` is answered inline and the ack when the write's group
+    // commits, so which arrives first depends on whether the worker's
+    // queue ran empty between the two frames.
+    let mut answers = [
+        conn.recv_timeout(TIMEOUT).expect("first answer"),
+        conn.recv_timeout(TIMEOUT).expect("second answer"),
+    ]
+    .map(|frame| (frame.id, frame.response));
+    answers.sort_by_key(|(id, _)| *id);
+    assert_eq!(
+        answers,
+        [(id1, Response::Added(1)), (id2, Response::Busy)],
+        "the one-word write fits, the two-word write is shed"
+    );
 
-    // A read flushes the parked write, releasing the budget.
-    let id3 = conn.send(Request::Get { key: 0 });
-    let first = conn.recv_timeout(TIMEOUT).expect("flushed write ack");
-    assert_eq!((first.id, first.response), (id1, Response::Added(1)));
-    let read = conn.recv_timeout(TIMEOUT).expect("read answer");
-    assert_eq!((read.id, read.response), (id3, Response::Value(1)));
-
-    // Retrying the shed token must classify it New — admitted and applied.
-    // Were it still InFlight, the retry would be swallowed unanswered.
-    let id4 = conn.send(Request::idempotent(2, Request::Add { key: 1, delta: 1 }));
-    let id5 = conn.send(Request::Get { key: 1 });
+    // The engine calms down and the budget recovers. Retrying the shed
+    // token must classify it New — admitted and applied. Were it still
+    // InFlight, the retry would be swallowed unanswered.
+    server.admission().observe(0.0);
+    let id3 = conn.send(Request::idempotent(2, pair()));
+    let id4 = conn.send(Request::Get { key: 1 });
     let retried = conn.recv_timeout(TIMEOUT).expect("retried write ack");
-    assert_eq!((retried.id, retried.response), (id4, Response::Added(1)));
-    let read2 = conn.recv_timeout(TIMEOUT).expect("read answer");
-    assert_eq!((read2.id, read2.response), (id5, Response::Value(1)));
+    assert_eq!(
+        (retried.id, retried.response),
+        (id3, Response::MultiAdded { applied: 2 })
+    );
+    let read = conn.recv_timeout(TIMEOUT).expect("read answer");
+    assert_eq!((read.id, read.response), (id4, Response::Value(1)));
 
     let stats = server.shutdown();
     assert_eq!(stats.busy, 1);
@@ -372,33 +440,29 @@ fn busy_shed_token_retries_as_new() {
         stats.duplicates, 0,
         "the retry of a shed token is a fresh write, not a duplicate"
     );
-    assert_eq!(eng.heap_sum(1024), 2, "each write applied exactly once");
+    assert_eq!(eng.heap_sum(1024), 3, "each write applied exactly once");
 }
 
 #[test]
 fn shutdown_flushes_pending_batches() {
     let eng = engine(1024);
     let mut cfg = ServerConfig::new(1024);
-    // A latency budget far beyond the test: only shutdown can flush.
-    cfg.batch = BatchPolicy {
-        max_ops: 1024,
-        max_footprint: 4096,
-        latency_budget: Duration::from_secs(600),
-    };
+    cfg.batch = drain_only_batching();
     let server = start(Arc::clone(&eng), cfg);
     let mut conn = server.connect();
-    for k in 0..10u64 {
-        conn.send(Request::Add { key: k, delta: 1 });
-    }
-    // Nothing can have committed yet (budget is 10 minutes)...
+    let writes: Vec<u64> = (0..10u64)
+        .map(|k| conn.send(Request::Add { key: k, delta: 1 }))
+        .collect();
+    // However many of the ten the worker has committed by now, shutdown
+    // commits the rest and answers them before the shards exit.
     server.shutdown();
-    // ...but shutdown drains the batcher before the shards exit.
-    let mut acked = 0;
-    while let Some(frame) = conn.try_recv() {
-        assert!(matches!(frame.response, Response::Added(1)), "{frame:?}");
-        acked += 1;
+    for id in writes {
+        let frame = conn
+            .try_recv()
+            .expect("graceful shutdown answers pending writes");
+        assert_eq!((frame.id, frame.response), (id, Response::Added(1)));
     }
-    assert_eq!(acked, 10, "graceful shutdown answers pending writes");
+    assert_eq!(conn.try_recv(), None);
     assert_eq!(eng.heap_sum(1024), 10);
 }
 

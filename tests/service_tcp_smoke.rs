@@ -11,6 +11,9 @@
 //! many multi-frame sink messages and socket writes and must still arrive
 //! in order.
 //!
+//! A third sends writes one at a time: nothing follows a write, so the
+//! worker's empty queue commits it and no round trip waits for a timer.
+//!
 //! Sandboxes without loopback can't bind: those runs skip.
 
 use std::collections::VecDeque;
@@ -152,4 +155,35 @@ fn one_long_window_over_tcp_is_answered_in_order() {
     transport.stop();
     server.shutdown();
     assert_eq!(engine.heap_sum(KEYS as usize), model.iter().sum::<u64>());
+}
+
+#[test]
+fn lone_writes_over_tcp_do_not_wait_for_the_latency_budget() {
+    let Some((engine, server, transport, mut conns)) = serve(1) else {
+        return;
+    };
+    let conn = &mut conns[0];
+    let budget = ServerConfig::new(KEYS).batch.latency_budget;
+
+    // A commit held for company would make every round trip at least the
+    // budget long; the fastest of a hundred is far below it.
+    let fastest = (1..=100u64)
+        .map(|n| {
+            let sent = std::time::Instant::now();
+            let id = conn.send(Request::Add { key: 5, delta: 1 }).expect("queue");
+            let frame = conn
+                .recv_timeout(TIMEOUT)
+                .expect("socket read")
+                .expect("answered in time");
+            assert_eq!((frame.id, frame.response), (id, Response::Added(n)));
+            sent.elapsed()
+        })
+        .min()
+        .expect("a hundred round trips");
+    assert!(fastest < budget / 5, "fastest of 100: {fastest:?}");
+
+    drop(conns);
+    transport.stop();
+    server.shutdown();
+    assert_eq!(engine.heap_sum(KEYS as usize), 100);
 }
