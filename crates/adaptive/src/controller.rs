@@ -13,7 +13,7 @@
 
 use tm_model::lockstep;
 use tm_ownership::concurrent::ConcurrentTable;
-use tm_stm::{Probe, Stm, StmStatsSnapshot};
+use tm_stm::{EngineStats, Probe, Stm};
 
 use crate::policy::{Decision, Observation, ResizePolicy};
 use crate::resizable::{ResizableTable, ResizeError, ResizeReport};
@@ -60,7 +60,7 @@ pub enum ControlReport {
 pub struct AdaptiveController {
     policy: ResizePolicy,
     concurrency: u32,
-    last: StmStatsSnapshot,
+    last: EngineStats,
     epochs: u64,
 }
 
@@ -71,7 +71,7 @@ impl AdaptiveController {
         Self {
             policy,
             concurrency,
-            last: StmStatsSnapshot::default(),
+            last: EngineStats::default(),
             epochs: 0,
         }
     }
@@ -104,13 +104,13 @@ impl AdaptiveController {
     /// Close one control epoch against an explicit table and counter
     /// snapshot — the engine-agnostic core [`tick`](Self::tick) delegates
     /// to. Sharded engines (`tm-shard`) tick one controller per shard,
-    /// feeding each that shard's `ResizableTable` and
-    /// `StmStatsSnapshot`, so every shard's geometry tracks its own
+    /// feeding each that shard's `ResizableTable` and `EngineStats`
+    /// window, so every shard's geometry tracks its own
     /// workload slice independently.
     pub fn tick_with<T: ConcurrentTable, P: Probe>(
         &mut self,
         table: &ResizableTable<T>,
-        snap: StmStatsSnapshot,
+        snap: EngineStats,
         probe: &P,
     ) -> ControlReport {
         self.epochs += 1;
@@ -171,14 +171,14 @@ impl AdaptiveController {
 mod tests {
     use super::*;
     use tm_ownership::{ConcurrentTaglessTable, HashKind, TableConfig};
-    use tm_stm::{StmConfig, TmEngine, TxnOps};
+    use tm_stm::{StmBuilder, TmEngine, TxnOps};
 
     fn adaptive(entries: usize) -> Stm<ResizableTable<ConcurrentTaglessTable>> {
         let table = ResizableTable::with_factory(
             TableConfig::new(entries).with_hash(HashKind::Multiplicative),
             ConcurrentTaglessTable::new,
         );
-        Stm::new(1 << 16, table, StmConfig::default())
+        StmBuilder::new().build_with_table(table)
     }
 
     fn churn(stm: &Stm<ResizableTable<ConcurrentTaglessTable>>, txns: u64, writes: u64) {

@@ -7,6 +7,19 @@
 //! a bounded number of times on the contended entry before giving up and
 //! aborting (unbounded stalling could deadlock two transactions stalling on
 //! each other).
+//!
+//! It is also where the reaction to an *abort* lives: [`drive`] is the one
+//! attempt loop in the crate. Every engine's update path and read-only
+//! path run under it; an engine contributes only the closure that makes a
+//! single attempt.
+
+use std::time::Instant;
+
+use tm_ownership::ThreadId;
+use tm_telemetry::{AbortCause, Probe};
+
+use crate::stats::StmStats;
+use crate::stm::{Aborted, RetryLimitExceeded};
 
 /// Policy choices for reacting to a conflict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -33,14 +46,15 @@ impl ContentionPolicy {
     }
 }
 
-/// How a whole transaction reacts to repeated aborts: the retry budget an
-/// engine spends before [`run_with`](crate::TmEngine::run_with) gives up
-/// with [`RetryLimitExceeded`](crate::RetryLimitExceeded).
+/// How a whole transaction reacts to repeated aborts: the retry budget
+/// one [`run_with`](crate::TmEngine::run_with) /
+/// [`run_read_with`](crate::TmEngine::run_read_with) call spends before it
+/// gives up with [`RetryLimitExceeded`](crate::RetryLimitExceeded).
 ///
 /// Orthogonal to [`ContentionPolicy`], which governs a *single* conflicting
 /// acquire inside one attempt; the retry policy governs the attempt loop
-/// around the whole body. Every engine honours it identically — it is part
-/// of the [`TmEngine`](crate::TmEngine) contract.
+/// around the whole body. It is a property of the call, never of the
+/// engine, and every engine honours it identically — the loop is shared.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RetryPolicy {
     /// Retry (with randomized exponential backoff) until the body commits.
@@ -113,6 +127,130 @@ impl Backoff {
     /// Reset after a successful commit.
     pub fn reset(&mut self) {
         self.attempt = 0;
+    }
+}
+
+/// Which of an engine's two paths a transaction runs on. The loop is the
+/// same; the counters and probe hooks an outcome lands in differ, so the
+/// write-side ratios never see read-only traffic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Path {
+    /// Read-write: `commits`/`aborts`, `on_txn_begin` once, then
+    /// `on_abort`* and `on_commit`.
+    Update,
+    /// Read-only: `read_only_commits`/`read_validation_retries`,
+    /// `on_read_begin` per attempt, then `on_read_validation_retry` or
+    /// `on_read_commit`.
+    ReadOnly,
+}
+
+/// What one attempt came to, and the counter block it is charged to (an
+/// engine routed over several tables attributes each attempt to one).
+pub(crate) enum Attempt<'s, O> {
+    /// The body ran and its effects are published.
+    Committed(O, &'s StmStats),
+    /// The attempt was abandoned. On the read-only path the cause is not
+    /// reported: a read-only attempt fails one way, validation.
+    Aborted(AbortCause, &'s StmStats),
+    /// Not an outcome. The attempt changed how the transaction must run
+    /// (an eager attempt reached a second table and continues in
+    /// cross-table mode): run it again at once, counting nothing.
+    Restart,
+}
+
+impl<'s, O> Attempt<'s, O> {
+    /// A read-only attempt's outcome: the body's own result is all there
+    /// is, since nothing is committed.
+    pub(crate) fn read_only(outcome: Result<O, Aborted>, stats: &'s StmStats) -> Self {
+        match outcome {
+            Ok(value) => Attempt::Committed(value, stats),
+            Err(Aborted) => Attempt::Aborted(AbortCause::ValidationFailed, stats),
+        }
+    }
+}
+
+/// Nanoseconds since an (optionally taken) probe timestamp; `0` when
+/// telemetry is off and no timestamp was taken.
+#[inline]
+fn elapsed_ns(start: Option<Instant>) -> u64 {
+    start.map_or(0, |t| t.elapsed().as_nanos() as u64)
+}
+
+/// Run `attempt` until it commits or `policy`'s budget is spent, backing
+/// off between attempts — the transaction driver of every engine, on both
+/// paths.
+///
+/// Owns everything about a transaction that is not one attempt: the
+/// attempt budget, the [`Backoff`], the outcome counters and the probe
+/// bracket around them. Counter and probe are bumped side by side here and
+/// nowhere else, so a [`Recorder`](tm_telemetry::Recorder)'s counts agree
+/// with [`EngineStats`](crate::EngineStats) by construction. All clock
+/// reads sit behind the compile-time probe switch: with `NoopProbe` the
+/// timestamps are `None` and nothing here touches the clock.
+///
+/// Generic over `attempt` and inlined, so a transaction pays no indirect
+/// call: loop, attempt and body compile into one function per call site.
+#[inline]
+pub(crate) fn drive<'s, P: Probe, O>(
+    probe: &P,
+    me: ThreadId,
+    policy: RetryPolicy,
+    path: Path,
+    mut attempt: impl FnMut() -> Attempt<'s, O>,
+) -> Result<O, RetryLimitExceeded> {
+    let budget = policy.budget();
+    let update = path == Path::Update;
+    let mut backoff = Backoff::new(me as u64);
+    let mut attempts = 0u32;
+    let txn_start = P::ENABLED.then(Instant::now);
+    if P::ENABLED && update {
+        probe.on_txn_begin(me);
+    }
+    loop {
+        let attempt_start = (P::ENABLED && update).then(Instant::now);
+        if P::ENABLED && !update {
+            probe.on_read_begin(me);
+        }
+        match attempt() {
+            Attempt::Committed(value, stats) => {
+                if update {
+                    stats.on_commit(me);
+                    if P::ENABLED {
+                        probe.on_commit(
+                            me,
+                            elapsed_ns(attempt_start),
+                            elapsed_ns(txn_start),
+                            u64::from(attempts) + 1,
+                        );
+                    }
+                } else {
+                    stats.on_read_commit(me);
+                    if P::ENABLED {
+                        probe.on_read_commit(me, elapsed_ns(txn_start));
+                    }
+                }
+                return Ok(value);
+            }
+            Attempt::Aborted(cause, stats) => {
+                if update {
+                    stats.on_abort(me);
+                    if P::ENABLED {
+                        probe.on_abort(me, cause, elapsed_ns(attempt_start));
+                    }
+                } else {
+                    stats.on_read_validation_retry(me);
+                    if P::ENABLED {
+                        probe.on_read_validation_retry(me);
+                    }
+                }
+            }
+            Attempt::Restart => continue,
+        }
+        attempts += 1;
+        if attempts >= budget {
+            return Err(RetryLimitExceeded { attempts });
+        }
+        backoff.wait();
     }
 }
 

@@ -17,15 +17,17 @@
 //!   abort. `tm-structs` structures are generic over these traits, so they
 //!   compose into any engine's transactions.
 //! * [`TmEngine`] is what a driver sees: `run`/`try_run`/`run_with` under a
-//!   pluggable [`RetryPolicy`], the wait-free read-only path
+//!   per-call [`RetryPolicy`], the wait-free read-only path
 //!   ([`run_read`](TmEngine::run_read)), the shared [`Heap`], and a unified
 //!   [`EngineStats`] snapshot with `since()`/`abort_ratio()` that makes
-//!   cross-engine numbers commensurable.
-//! * [`StmBuilder`] replaces the ad-hoc constructor zoo: one fluent entry
-//!   point covering table geometry, contention policy, retry policy,
-//!   read-path policy, and telemetry probe, with a typed terminal per
-//!   engine (`build_tagless`, `build_tagged`, `build_lazy`, and
-//!   `build_with_table` for wrapped tables such as `tm-adaptive`'s
+//!   cross-engine numbers commensurable. An engine implements the two
+//!   `*_with` methods by handing the crate's one retry driver
+//!   (`contention.rs`) a closure that makes a single attempt; everything
+//!   else on the trait is provided.
+//! * [`StmBuilder`] is the constructor: one fluent entry point covering
+//!   table geometry, contention policy and telemetry probe, with a typed
+//!   terminal per engine (`build_tagless`, `build_tagged`, `build_lazy`,
+//!   and `build_with_table` for wrapped tables such as `tm-adaptive`'s
 //!   resizable one).
 //!
 //! # The same closure on every engine
@@ -61,9 +63,8 @@ use tm_telemetry::{NoopProbe, Probe};
 use crate::contention::{ContentionPolicy, RetryPolicy};
 use crate::heap::{Heap, WORD_BYTES};
 use crate::lazy::LazyStm;
-use crate::readpath::ReadPathPolicy;
 use crate::stats::EngineStats;
-use crate::stm::{Aborted, ReadTxn, RetryLimitExceeded, Route, Stm, StmConfig, Txn};
+use crate::stm::{Aborted, OneTable, RetryLimitExceeded, Stm};
 
 /// The read-only operation surface — everything a transaction body may do
 /// without writing.
@@ -102,7 +103,7 @@ pub trait ReadOps {
 /// The full read-write operation surface a transaction body is written
 /// against: [`ReadOps`] plus the write side.
 ///
-/// Implemented by the eager [`Txn`] and the lazy
+/// Implemented by the eager [`Txn`](crate::Txn) and the lazy
 /// [`LazyTxn`](crate::LazyTxn); code generic over `TxnOps` (or taking
 /// `&mut dyn TxnOps` — the required methods and `update_with`/`update_add`
 /// are object-safe; the generic conveniences `update`/`retry` need a sized
@@ -145,8 +146,12 @@ pub trait TxnOps: ReadOps {
 ///
 /// Implemented by [`Stm`] over **every** [`ConcurrentTable`] (tagless,
 /// tagged, and wrapped tables like `tm-adaptive`'s resizable one) and every
-/// [`Route`] (one table, or `tm-shard`'s several), and by [`LazyStm`]. The associated transaction type implements [`TxnOps`], so
+/// [`Route`](crate::Route) (one table, or `tm-shard`'s several), and by
+/// [`LazyStm`]. The associated transaction type implements [`TxnOps`], so
 /// one body — written against the trait — runs on every engine.
+///
+/// The retry budget belongs to a *call* (`run` never gives up, `try_run`
+/// and the `*_with` forms take theirs as an argument), never to an engine.
 pub trait TmEngine: Sync {
     /// The in-flight transaction handed to bodies.
     type Txn<'e>: TxnOps
@@ -195,10 +200,6 @@ pub trait TmEngine: Sync {
     ) -> Result<R, RetryLimitExceeded>
     where
         Self: Sized;
-
-    /// The retry policy this engine was configured with (what
-    /// [`run_configured`](TmEngine::run_configured) applies).
-    fn retry_policy(&self) -> RetryPolicy;
 
     /// Unified counter snapshot (see [`EngineStats`]).
     fn engine_stats(&self) -> EngineStats;
@@ -251,19 +252,6 @@ pub trait TmEngine: Sync {
         }
     }
 
-    /// Run a read-only `body` under the engine's configured
-    /// [`retry_policy`](TmEngine::retry_policy).
-    fn run_read_configured<'s, R>(
-        &'s self,
-        me: ThreadId,
-        body: impl FnMut(&mut Self::ReadTxn<'s>) -> Result<R, Aborted>,
-    ) -> Result<R, RetryLimitExceeded>
-    where
-        Self: Sized,
-    {
-        self.run_read_with(me, self.retry_policy(), body)
-    }
-
     /// Like [`run`](TmEngine::run) but giving up after `max_attempts`
     /// aborts.
     fn try_run<'s, R>(
@@ -276,19 +264,6 @@ pub trait TmEngine: Sync {
         Self: Sized,
     {
         self.run_with(me, RetryPolicy::Bounded { max_attempts }, body)
-    }
-
-    /// Run `body` under the engine's configured
-    /// [`retry_policy`](TmEngine::retry_policy).
-    fn run_configured<'s, R>(
-        &'s self,
-        me: ThreadId,
-        body: impl FnMut(&mut Self::Txn<'s>) -> Result<R, Aborted>,
-    ) -> Result<R, RetryLimitExceeded>
-    where
-        Self: Sized,
-    {
-        self.run_with(me, self.retry_policy(), body)
     }
 
     /// Sum of the first `words` heap words (the harness's isolation
@@ -331,10 +306,6 @@ impl<E: TmEngine + Send> TmEngine for std::sync::Arc<E> {
         (**self).run_read_with(me, policy, body)
     }
 
-    fn retry_policy(&self) -> RetryPolicy {
-        (**self).retry_policy()
-    }
-
     fn engine_stats(&self) -> EngineStats {
         (**self).engine_stats()
     }
@@ -344,100 +315,17 @@ impl<E: TmEngine + Send> TmEngine for std::sync::Arc<E> {
     }
 }
 
-impl<T: ConcurrentTable, P: Probe, R: Route> TmEngine for Stm<T, P, R> {
-    type Txn<'e>
-        = Txn<'e, T, P, R>
-    where
-        Self: 'e;
-
-    type ReadTxn<'e>
-        = ReadTxn<'e>
-    where
-        Self: 'e;
-
-    fn run_with<'s, O>(
-        &'s self,
-        me: ThreadId,
-        policy: RetryPolicy,
-        mut body: impl FnMut(&mut Txn<'s, T, P, R>) -> Result<O, Aborted>,
-    ) -> Result<O, RetryLimitExceeded> {
-        self.run_with_budget(me, policy.budget(), &mut body)
-    }
-
-    fn run_read_with<'s, O>(
-        &'s self,
-        me: ThreadId,
-        policy: RetryPolicy,
-        mut body: impl FnMut(&mut ReadTxn<'s>) -> Result<O, Aborted>,
-    ) -> Result<O, RetryLimitExceeded> {
-        self.run_read_with_budget(me, policy.budget(), &mut body)
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.config().retry
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        self.stats().into()
-    }
-
-    fn heap(&self) -> &Heap {
-        Stm::heap_ref(self)
-    }
-}
-
-impl<P: Probe> TmEngine for LazyStm<P> {
-    type Txn<'e>
-        = crate::LazyTxn<'e, P>
-    where
-        Self: 'e;
-
-    type ReadTxn<'e>
-        = crate::LazyReadTxn<'e, P>
-    where
-        Self: 'e;
-
-    fn run_with<'s, R>(
-        &'s self,
-        me: ThreadId,
-        policy: RetryPolicy,
-        mut body: impl FnMut(&mut crate::LazyTxn<'s, P>) -> Result<R, Aborted>,
-    ) -> Result<R, RetryLimitExceeded> {
-        self.run_with_budget(me, policy.budget(), &mut body)
-    }
-
-    fn run_read_with<'s, R>(
-        &'s self,
-        me: ThreadId,
-        policy: RetryPolicy,
-        mut body: impl FnMut(&mut crate::LazyReadTxn<'s, P>) -> Result<R, Aborted>,
-    ) -> Result<R, RetryLimitExceeded> {
-        self.run_read_with_budget(me, policy.budget(), &mut body)
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        LazyStm::configured_retry(self)
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        self.stats()
-    }
-
-    fn heap(&self) -> &Heap {
-        LazyStm::heap_ref(self)
-    }
-}
-
-/// Fluent constructor for every engine in the crate — the single entry
-/// point replacing the historical `tagless_stm`/`tagged_stm`/`LazyStm::new`
-/// zoo (those remain as one-line shorthands over this builder).
+/// Fluent constructor for every engine in the crate. Outside it, `tm-stm`
+/// has two public engine constructors, and they are what the terminals
+/// call: [`Stm::routed`] (every eager terminal, here and in `tm-shard` /
+/// `tm-adaptive`) and [`LazyStm::with_config_probed`] (`build_lazy`).
 ///
 /// Axes: heap size × table geometry (entries, block bytes, hash kind,
-/// conflict classification) × [`ContentionPolicy`] × [`RetryPolicy`] ×
-/// [`ReadPathPolicy`] × telemetry probe. The engine kind is the typed
-/// terminal method, so each engine keeps its concrete type (no boxing on
-/// the hot path). The builder is `Clone` and terminals take `&self`, so
-/// one geometry can mint several engines for side-by-side comparison.
+/// conflict classification) × [`ContentionPolicy`] × telemetry probe. The
+/// engine kind is the typed terminal method, so each engine keeps its
+/// concrete type (no boxing on the hot path). The builder is `Clone` and
+/// terminals take `&self`, so one geometry can mint several engines for
+/// side-by-side comparison.
 ///
 /// The probe is a *type axis*: [`probe`](StmBuilder::probe) converts a
 /// `StmBuilder` into a `StmBuilder<Q>`, and every terminal then mints
@@ -445,13 +333,12 @@ impl<P: Probe> TmEngine for LazyStm<P> {
 /// plain/`_probed` pair per engine.
 ///
 /// ```
-/// use tm_stm::{ContentionPolicy, RetryPolicy, StmBuilder, TmEngine, TxnOps};
+/// use tm_stm::{ContentionPolicy, StmBuilder, TmEngine, TxnOps};
 ///
 /// let builder = StmBuilder::new()
 ///     .heap_words(1 << 10)
 ///     .table_entries(512)
-///     .contention(ContentionPolicy::Stall { max_spins: 64 })
-///     .retry(RetryPolicy::Bounded { max_attempts: 8 });
+///     .contention(ContentionPolicy::Stall { max_spins: 64 });
 ///
 /// let stm = builder.build_tagged();
 /// stm.run(0, |txn| txn.write(0, 7));
@@ -483,8 +370,6 @@ pub struct StmBuilder<P: Probe = NoopProbe> {
     hash: Option<HashKind>,
     classify_conflicts: Option<bool>,
     contention: ContentionPolicy,
-    retry: RetryPolicy,
-    read_path: ReadPathPolicy,
     probe: P,
 }
 
@@ -497,7 +382,7 @@ impl Default for StmBuilder {
 impl StmBuilder {
     /// A builder with the workspace's defaults: a 64k-word heap, a
     /// 4096-entry table of default geometry, suicide contention handling,
-    /// unbounded retry, the default read-path spin budget, and no probe.
+    /// and no probe.
     pub fn new() -> Self {
         Self {
             heap_words: 1 << 16,
@@ -507,8 +392,6 @@ impl StmBuilder {
             hash: None,
             classify_conflicts: None,
             contention: ContentionPolicy::default(),
-            retry: RetryPolicy::default(),
-            read_path: ReadPathPolicy::default(),
             probe: NoopProbe,
         }
     }
@@ -568,21 +451,6 @@ impl<P: Probe> StmBuilder<P> {
         self
     }
 
-    /// Default whole-transaction retry budget (see
-    /// [`TmEngine::run_configured`]).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Tuning for the read-only path (see [`ReadPathPolicy`]): how long a
-    /// `run_read` attempt spins on an in-flight publication (eager) or a
-    /// commit-locked entry (lazy) before aborting into backoff.
-    pub fn read_path(mut self, policy: ReadPathPolicy) -> Self {
-        self.read_path = policy;
-        self
-    }
-
     /// Attach a telemetry probe (e.g. [`tm_telemetry::Recorder`]), changing
     /// the builder's probe *type*: every terminal afterwards mints engines
     /// that carry `Q` statically, so an un-probed build keeps zero
@@ -597,15 +465,13 @@ impl<P: Probe> StmBuilder<P> {
             hash: self.hash,
             classify_conflicts: self.classify_conflicts,
             contention: self.contention,
-            retry: self.retry,
-            read_path: self.read_path,
             probe,
         }
     }
 
-    /// The table geometry this builder currently describes.
-    pub fn table_config(&self) -> TableConfig {
-        let mut cfg = TableConfig::new(self.table_entries);
+    /// An `entries`-entry table with this builder's geometry knobs.
+    fn geometry(&self, entries: usize) -> TableConfig {
+        let mut cfg = TableConfig::new(entries);
         if let Some(bytes) = self.block_bytes {
             cfg = cfg.with_block_bytes(bytes);
         }
@@ -618,13 +484,15 @@ impl<P: Probe> StmBuilder<P> {
         cfg
     }
 
-    /// The engine configuration this builder currently describes.
-    pub fn stm_config(&self) -> StmConfig {
-        StmConfig {
-            contention: self.contention,
-            retry: self.retry,
-            read_path: self.read_path,
-        }
+    /// The table geometry this builder currently describes.
+    pub fn table_config(&self) -> TableConfig {
+        self.geometry(self.table_entries)
+    }
+
+    /// The configured contention policy (for extension builders that
+    /// construct their own engine through [`Stm::routed`]).
+    pub fn configured_contention(&self) -> ContentionPolicy {
+        self.contention
     }
 
     /// The configured heap size (for extension builders that construct
@@ -651,17 +519,7 @@ impl<P: Probe> StmBuilder<P> {
             .div_ceil(self.shards)
             .max(1)
             .next_power_of_two();
-        let mut cfg = TableConfig::new(per_shard);
-        if let Some(bytes) = self.block_bytes {
-            cfg = cfg.with_block_bytes(bytes);
-        }
-        if let Some(hash) = self.hash {
-            cfg = cfg.with_hash(hash);
-        }
-        if let Some(on) = self.classify_conflicts {
-            cfg = cfg.with_conflict_classification(on);
-        }
-        cfg
+        self.geometry(per_shard)
     }
 }
 
@@ -685,8 +543,6 @@ impl<P: Probe + Clone> StmBuilder<P> {
     /// A lazy TL2-style STM over the versioned tagless table.
     pub fn build_lazy(&self) -> LazyStm<P> {
         LazyStm::with_config_probed(self.heap_words, self.table_config(), self.probe.clone())
-            .with_retry(self.retry)
-            .with_read_path(self.read_path)
     }
 
     /// An eager STM over a caller-supplied table — the extension point for
@@ -694,10 +550,11 @@ impl<P: Probe + Clone> StmBuilder<P> {
     /// instrumented tables). The table should be built from
     /// [`table_config`](StmBuilder::table_config) so geometry knobs apply.
     pub fn build_with_table<T: ConcurrentTable>(&self, table: T) -> Stm<T, P> {
-        Stm::with_probe(
+        Stm::routed(
             self.heap_words,
-            table,
-            self.stm_config(),
+            vec![table],
+            OneTable,
+            self.contention,
             self.probe.clone(),
         )
     }
@@ -819,23 +676,23 @@ mod tests {
     }
 
     #[test]
-    fn configured_retry_policy_is_honoured() {
-        let b = StmBuilder::new()
-            .heap_words(64)
-            .table_entries(64)
-            .retry(RetryPolicy::Bounded { max_attempts: 2 });
+    fn update_retry_budget_is_honoured() {
+        let b = StmBuilder::new().heap_words(64).table_entries(64);
+        let bounded = RetryPolicy::Bounded { max_attempts: 2 };
         let stm = b.build_tagged();
-        assert_eq!(stm.retry_policy(), RetryPolicy::Bounded { max_attempts: 2 });
-        let r: Result<(), _> = stm.run_configured(0, |txn| txn.retry());
+        let r: Result<(), _> = stm.run_with(0, bounded, |txn| txn.retry());
         assert_eq!(r, Err(RetryLimitExceeded { attempts: 2 }));
+        assert_eq!(stm.engine_stats().aborts, 2);
 
         let lazy = b.build_lazy();
-        assert_eq!(
-            lazy.retry_policy(),
-            RetryPolicy::Bounded { max_attempts: 2 }
-        );
-        let r: Result<(), _> = lazy.run_configured(0, |_| Err(Aborted));
+        let r: Result<(), _> = lazy.run_with(0, bounded, |_| Err(Aborted));
         assert_eq!(r, Err(RetryLimitExceeded { attempts: 2 }));
+        assert_eq!(lazy.engine_stats().aborts, 2);
+
+        // A zero budget is clamped to one attempt, not a panic or a spin.
+        let zero = RetryPolicy::Bounded { max_attempts: 0 };
+        let r: Result<(), _> = stm.run_with(0, zero, |txn| txn.retry());
+        assert_eq!(r, Err(RetryLimitExceeded { attempts: 1 }));
     }
 
     #[test]

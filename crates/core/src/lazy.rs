@@ -22,19 +22,18 @@
 //! [`LazyStm::stats`] separates out.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use tm_ownership::versioned::{VersionedStats, VersionedTable};
 use tm_ownership::{fingerprint_of, BlockMapper, TableConfig, ThreadId, FP_NONE, FP_SATURATED};
 use tm_telemetry::{AbortCause, NoopProbe, Probe};
 
-use crate::contention::{Backoff, RetryPolicy};
-use crate::engine::{ReadOps, TxnOps};
+use crate::contention::{drive, Attempt, Path, RetryPolicy};
+use crate::engine::{ReadOps, TmEngine, TxnOps};
 use crate::heap::Heap;
-use crate::readpath::ReadPathPolicy;
+use crate::readpath::READ_SPINS;
 use crate::scratch::ScratchGuard;
-use crate::stats::{EngineStats, Striped};
-use crate::stm::{elapsed_ns, Aborted, RetryLimitExceeded};
+use crate::stats::{EngineStats, LazyAbort, StmStats};
+use crate::stm::{Aborted, RetryLimitExceeded};
 
 /// Classify a conflict by comparing the fingerprint found in the entry word
 /// (the last/current writer's block) against the fingerprint of the block
@@ -51,63 +50,29 @@ fn classify_fp(theirs: u32, mine: u32) -> AbortCause {
     }
 }
 
-/// One stripe of the lazy engine's counters, striped through the shared
-/// [`Striped`] mechanism (see [`crate::StmStats`] for the aggregation
-/// contract; threads pick stripes by id, snapshots sum them, quiesced
-/// totals are exact).
-#[derive(Debug, Default)]
-struct LazyCells {
-    commits: AtomicU64,
-    read_aborts: AtomicU64,
-    lock_aborts: AtomicU64,
-    validation_aborts: AtomicU64,
-    committed_write_blocks: AtomicU64,
-    committed_grant_blocks: AtomicU64,
-    read_only_commits: AtomicU64,
-    read_validation_retries: AtomicU64,
-}
-
-type Counters = Striped<LazyCells>;
-
 /// A TL2-style software transactional memory (see the [module docs](self)).
 ///
-/// Implements [`TmEngine`](crate::TmEngine), which is how transactions are
-/// run; build one with [`StmBuilder::build_lazy`](crate::StmBuilder::build_lazy)
-/// (or the [`LazyStm::new`] shorthand).
+/// Implements [`TmEngine`], which is how transactions are run; build one
+/// with [`StmBuilder::build_lazy`](crate::StmBuilder::build_lazy).
 #[derive(Debug)]
 pub struct LazyStm<P: Probe = NoopProbe> {
     heap: Heap,
     table: VersionedTable,
     clock: AtomicU64,
-    counters: Counters,
-    retry: RetryPolicy,
-    read_path: ReadPathPolicy,
+    stats: StmStats,
     probe: P,
 }
 
-impl LazyStm {
-    /// An STM over a `heap_words`-word heap and an `N`-entry versioned
-    /// tagless table (telemetry off).
-    pub fn new(heap_words: usize, table_entries: usize) -> Self {
-        Self::with_config(heap_words, TableConfig::new(table_entries))
-    }
-
-    /// Full-configuration constructor (telemetry off).
-    pub fn with_config(heap_words: usize, cfg: TableConfig) -> Self {
-        Self::with_config_probed(heap_words, cfg, NoopProbe)
-    }
-}
-
 impl<P: Probe> LazyStm<P> {
-    /// Full-configuration constructor with an attached telemetry probe.
+    /// An STM over a `heap_words`-word heap and a versioned tagless table
+    /// of geometry `cfg`, reporting to `probe`. This is what
+    /// [`StmBuilder::build_lazy`](crate::StmBuilder::build_lazy) calls.
     pub fn with_config_probed(heap_words: usize, cfg: TableConfig, probe: P) -> Self {
         Self {
             heap: Heap::new(heap_words),
             table: VersionedTable::new(cfg),
             clock: AtomicU64::new(1),
-            counters: Counters::default(),
-            retry: RetryPolicy::default(),
-            read_path: ReadPathPolicy::default(),
+            stats: StmStats::default(),
             probe,
         }
     }
@@ -115,32 +80,6 @@ impl<P: Probe> LazyStm<P> {
     /// The attached telemetry probe.
     pub fn probe(&self) -> &P {
         &self.probe
-    }
-
-    /// Set the default retry policy (what
-    /// [`TmEngine::run_configured`](crate::TmEngine::run_configured)
-    /// applies).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Set the read-only-path tuning (see [`ReadPathPolicy`]): how long a
-    /// `run_read` read spins on a commit-locked entry before aborting.
-    pub fn with_read_path(mut self, read_path: ReadPathPolicy) -> Self {
-        self.read_path = read_path;
-        self
-    }
-
-    /// The shared heap (the public accessor is
-    /// [`TmEngine::heap`](crate::TmEngine::heap)).
-    pub(crate) fn heap_ref(&self) -> &Heap {
-        &self.heap
-    }
-
-    /// The configured retry policy.
-    pub(crate) fn configured_retry(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// The versioned table (for stats inspection).
@@ -152,154 +91,82 @@ impl<P: Probe> LazyStm<P> {
     /// `aborts` is the total, with the lazy protocol's read/lock/validation
     /// breakdown in the dedicated fields.
     pub fn stats(&self) -> EngineStats {
-        let mut commits = 0u64;
-        let mut read_aborts = 0u64;
-        let mut lock_aborts = 0u64;
-        let mut validation_aborts = 0u64;
-        let mut committed_write_blocks = 0u64;
-        let mut committed_grant_blocks = 0u64;
-        let mut read_only_commits = 0u64;
-        let mut read_validation_retries = 0u64;
-        for stripe in self.counters.iter() {
-            commits += stripe.commits.load(Ordering::Relaxed);
-            read_aborts += stripe.read_aborts.load(Ordering::Relaxed);
-            lock_aborts += stripe.lock_aborts.load(Ordering::Relaxed);
-            validation_aborts += stripe.validation_aborts.load(Ordering::Relaxed);
-            committed_write_blocks += stripe.committed_write_blocks.load(Ordering::Relaxed);
-            committed_grant_blocks += stripe.committed_grant_blocks.load(Ordering::Relaxed);
-            read_only_commits += stripe.read_only_commits.load(Ordering::Relaxed);
-            read_validation_retries += stripe.read_validation_retries.load(Ordering::Relaxed);
-        }
-        EngineStats {
-            commits,
-            aborts: read_aborts + lock_aborts + validation_aborts,
-            read_aborts,
-            lock_aborts,
-            validation_aborts,
-            stall_retries: 0,
-            committed_write_blocks,
-            committed_grant_blocks,
-            read_only_commits,
-            read_validation_retries,
-        }
+        self.stats.snapshot()
     }
 
     /// Table-level statistics (samples, locks, validations).
     pub fn table_stats(&self) -> VersionedStats {
         self.table.stats()
     }
+}
 
-    /// The retry loop behind
-    /// [`TmEngine::run_with`](crate::TmEngine::run_with).
-    pub(crate) fn run_with_budget<'s, R>(
+/// The lazy engine's two attempts. The loop around them — budget, backoff,
+/// outcome counters, probe bracket — is `contention::drive`.
+impl<P: Probe> TmEngine for LazyStm<P> {
+    type Txn<'e>
+        = LazyTxn<'e, P>
+    where
+        Self: 'e;
+
+    type ReadTxn<'e>
+        = LazyReadTxn<'e, P>
+    where
+        Self: 'e;
+
+    /// One attempt is `begin → body → commit`.
+    fn run_with<'s, R>(
         &'s self,
         me: ThreadId,
-        max_attempts: u32,
-        body: &mut dyn FnMut(&mut LazyTxn<'s, P>) -> Result<R, Aborted>,
+        policy: RetryPolicy,
+        mut body: impl FnMut(&mut LazyTxn<'s, P>) -> Result<R, Aborted>,
     ) -> Result<R, RetryLimitExceeded> {
-        assert!(max_attempts >= 1, "need at least one attempt");
-        let mut backoff = Backoff::new(me as u64);
-        let mut attempts = 0u32;
-        // Clock reads are gated on the compile-time probe switch: with
-        // `NoopProbe` the timestamps are `None` and never taken.
-        let txn_start = P::ENABLED.then(Instant::now);
-        if P::ENABLED {
-            self.probe.on_txn_begin(me);
-        }
-        loop {
-            let attempt_start = P::ENABLED.then(Instant::now);
+        drive(&self.probe, me, policy, Path::Update, || {
             let mut txn = LazyTxn::begin(self, me);
-            let cause = match body(&mut txn) {
+            let (site, cause) = match body(&mut txn) {
                 Ok(r) => match txn.commit() {
-                    Ok(()) => {
-                        let stripe = self.counters.stripe(me);
-                        stripe.commits.fetch_add(1, Ordering::Relaxed);
-                        if P::ENABLED {
-                            self.probe.on_commit(
-                                me,
-                                elapsed_ns(attempt_start),
-                                elapsed_ns(txn_start),
-                                u64::from(attempts) + 1,
-                            );
-                        }
-                        return Ok(r);
-                    }
+                    Ok(()) => return Attempt::Committed(r, &self.stats),
                     // The commit site attributed the cause itself.
-                    Err(cause) => cause,
+                    Err(attributed) => attributed,
                 },
-                Err(Aborted) => {
-                    let stripe = self.counters.stripe(me);
-                    stripe.read_aborts.fetch_add(1, Ordering::Relaxed);
-                    txn.abort_cause.take().unwrap_or(AbortCause::ExplicitRetry)
-                }
+                Err(Aborted) => (
+                    LazyAbort::Read,
+                    txn.abort_cause.take().unwrap_or(AbortCause::ExplicitRetry),
+                ),
             };
-            if P::ENABLED {
-                self.probe.on_abort(me, cause, elapsed_ns(attempt_start));
-            }
-            attempts += 1;
-            if attempts >= max_attempts {
-                return Err(RetryLimitExceeded { attempts });
-            }
-            backoff.wait();
-        }
+            self.stats.on_lazy_abort(me, site);
+            Attempt::Aborted(cause, &self.stats)
+        })
     }
 
-    /// The retry loop behind
-    /// [`TmEngine::run_read_with`](crate::TmEngine::run_read_with): the TL2
-    /// read-only fast path.
-    ///
-    /// Each attempt samples the global clock into a fresh `rv` and serves
-    /// every read by version sampling alone — no read set, no scratch
-    /// checkout, no commit-time locking, nothing a writer ever waits on. A
-    /// read whose entry is locked or newer than `rv` aborts the attempt
-    /// (after a bounded spin on a transient lock) and retries here with a
-    /// fresh snapshot.
-    pub(crate) fn run_read_with_budget<'s, R>(
+    /// The TL2 read-only fast path. Each attempt samples the global clock
+    /// into a fresh `rv` and serves every read by version sampling alone —
+    /// no read set, no scratch checkout, no commit-time locking, nothing a
+    /// writer ever waits on. A read whose entry is locked or newer than
+    /// `rv` aborts the attempt (after a bounded spin on a transient lock)
+    /// and the next one starts from a fresh snapshot.
+    fn run_read_with<'s, R>(
         &'s self,
         me: ThreadId,
-        max_attempts: u32,
-        body: &mut dyn FnMut(&mut LazyReadTxn<'s, P>) -> Result<R, Aborted>,
+        policy: RetryPolicy,
+        mut body: impl FnMut(&mut LazyReadTxn<'s, P>) -> Result<R, Aborted>,
     ) -> Result<R, RetryLimitExceeded> {
-        assert!(max_attempts >= 1, "need at least one attempt");
-        let mut backoff = Backoff::new(me as u64);
-        let mut attempts = 0u32;
-        let txn_start = P::ENABLED.then(Instant::now);
-        loop {
-            if P::ENABLED {
-                self.probe.on_read_begin(me);
-            }
+        drive(&self.probe, me, policy, Path::ReadOnly, || {
             let mut txn = LazyReadTxn {
                 stm: self,
                 rv: self.clock.load(Ordering::Acquire),
                 mapper: self.table.config().mapper(),
-                max_spins: self.read_path.max_spins,
                 reads: 0,
             };
-            match body(&mut txn) {
-                Ok(r) => {
-                    let stripe = self.counters.stripe(me);
-                    stripe.read_only_commits.fetch_add(1, Ordering::Relaxed);
-                    if P::ENABLED {
-                        self.probe.on_read_commit(me, elapsed_ns(txn_start));
-                    }
-                    return Ok(r);
-                }
-                Err(Aborted) => {
-                    let stripe = self.counters.stripe(me);
-                    stripe
-                        .read_validation_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    if P::ENABLED {
-                        self.probe.on_read_validation_retry(me);
-                    }
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        return Err(RetryLimitExceeded { attempts });
-                    }
-                    backoff.wait();
-                }
-            }
-        }
+            Attempt::read_only(body(&mut txn), &self.stats)
+        })
+    }
+
+    fn engine_stats(&self) -> EngineStats {
+        self.stats()
+    }
+
+    fn heap(&self) -> &Heap {
+        &self.heap
     }
 }
 
@@ -390,18 +257,17 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
         Ok(value)
     }
 
-    /// On failure, returns the attributed abort cause (the counters are
-    /// updated here; the retry loop forwards the cause to the probe).
-    fn commit(mut self) -> Result<(), AbortCause> {
+    /// On failure, returns the site that refused the commit and the
+    /// attributed abort cause (the caller counts the one and hands the
+    /// other to the driver).
+    fn commit(mut self) -> Result<(), (LazyAbort, AbortCause)> {
         let stm = self.stm;
         let scratch = &mut *self.scratch;
         if scratch.wbuf.is_empty() {
             // Read-only transactions commit without locking: every read was
             // consistent at `rv`.
-            let stripe = stm.counters.stripe(self.id);
-            stripe
-                .committed_grant_blocks
-                .fetch_add(scratch.read_set.len() as u64, Ordering::Relaxed);
+            stm.stats
+                .on_commit_footprint(self.id, 0, scratch.read_set.len() as u64);
             return Ok(());
         }
 
@@ -449,9 +315,7 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
                 for &(e, v, pfp) in &scratch.locked_buf {
                     stm.table.unlock_restore_fp(e, v, pfp);
                 }
-                let stripe = stm.counters.stripe(self.id);
-                stripe.lock_aborts.fetch_add(1, Ordering::Relaxed);
-                return Err(cause);
+                return Err((LazyAbort::Lock, cause));
             }
             scratch.locked_buf.push((entry, stamp.version, stamp.fp));
         }
@@ -484,9 +348,7 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
                 for &(e, v, pfp) in &scratch.locked_buf {
                     stm.table.unlock_restore_fp(e, v, pfp);
                 }
-                let stripe = stm.counters.stripe(self.id);
-                stripe.validation_aborts.fetch_add(1, Ordering::Relaxed);
-                return Err(cause);
+                return Err((LazyAbort::Validation, cause));
             }
         }
 
@@ -501,13 +363,10 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
         // Footprint observation (the model's W and (1+α)·W) for the
         // adaptive controller and the harness's per-cell means.
         let write_blocks = scratch.write_blocks.len() as u64;
-        let stripe = stm.counters.stripe(self.id);
-        stripe
-            .committed_write_blocks
-            .fetch_add(write_blocks, Ordering::Relaxed);
-        stripe.committed_grant_blocks.fetch_add(
+        stm.stats.on_commit_footprint(
+            self.id,
+            write_blocks,
             write_blocks + scratch.read_set.len() as u64,
-            Ordering::Relaxed,
         );
         Ok(())
     }
@@ -545,8 +404,8 @@ impl<P: Probe> TxnOps for LazyTxn<'_, P> {
 }
 
 /// An in-flight **read-only** TL2 transaction: the classic invisible-reader
-/// fast path. Five words on the stack — snapshot clock, cached mapper, spin
-/// budget — and *no read set*: because nothing is ever locked at commit,
+/// fast path. A few words on the stack — snapshot clock, cached mapper —
+/// and *no read set*: because nothing is ever locked at commit,
 /// proving each read individually consistent at `rv` proves the whole
 /// transaction serializes at `rv`.
 #[derive(Debug)]
@@ -555,8 +414,6 @@ pub struct LazyReadTxn<'s, P: Probe = NoopProbe> {
     /// Global-clock sample this transaction serializes at.
     rv: u64,
     mapper: BlockMapper,
-    /// Per-read spin budget while an entry is commit-locked.
-    max_spins: u32,
     reads: u64,
 }
 
@@ -570,7 +427,7 @@ impl<P: Probe> ReadOps for LazyReadTxn<'_, P> {
             if pre.locked {
                 // Commit-time locks are held for a bounded publication
                 // window — spin briefly before giving the attempt up.
-                if spins >= self.max_spins {
+                if spins >= READ_SPINS {
                     return Err(Aborted);
                 }
                 spins += 1;
@@ -586,7 +443,7 @@ impl<P: Probe> ReadOps for LazyReadTxn<'_, P> {
             // be torn.
             let post = self.stm.table.sample(entry);
             if post.locked || post.version != pre.version {
-                if spins >= self.max_spins {
+                if spins >= READ_SPINS {
                     return Err(Aborted);
                 }
                 spins += 1;
@@ -606,11 +463,18 @@ impl<P: Probe> ReadOps for LazyReadTxn<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::TmEngine;
+    use crate::StmBuilder;
+
+    fn lazy_stm(heap_words: usize, table_entries: usize) -> LazyStm {
+        StmBuilder::new()
+            .heap_words(heap_words)
+            .table_entries(table_entries)
+            .build_lazy()
+    }
 
     #[test]
     fn read_write_commit() {
-        let stm = LazyStm::new(64, 256);
+        let stm = lazy_stm(64, 256);
         stm.heap().store(0, 5);
         let r = stm.run(0, |txn| {
             let v = txn.read(0)?;
@@ -624,7 +488,7 @@ mod tests {
 
     #[test]
     fn reads_own_writes() {
-        let stm = LazyStm::new(64, 256);
+        let stm = lazy_stm(64, 256);
         stm.run(0, |txn| {
             txn.write(0, 42)?;
             assert_eq!(txn.read(0)?, 42);
@@ -636,7 +500,7 @@ mod tests {
 
     #[test]
     fn read_only_transactions_do_not_lock() {
-        let stm = LazyStm::new(64, 256);
+        let stm = lazy_stm(64, 256);
         stm.run(0, |txn| txn.read(0));
         let ts = stm.table_stats();
         assert_eq!(ts.locks, 0);
@@ -645,7 +509,7 @@ mod tests {
 
     #[test]
     fn version_clock_advances_per_writing_commit() {
-        let stm = LazyStm::new(64, 256);
+        let stm = lazy_stm(64, 256);
         for i in 0..5u64 {
             stm.run(0, |txn| txn.write(0, i));
         }
@@ -656,7 +520,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter_is_exact() {
-        let stm = std::sync::Arc::new(LazyStm::new(64, 1024));
+        let stm = std::sync::Arc::new(lazy_stm(64, 1024));
         let threads = 4u32;
         let increments = 500u64;
         crossbeam::scope(|s| {
@@ -676,7 +540,7 @@ mod tests {
 
     #[test]
     fn conservation_under_contention() {
-        let stm = std::sync::Arc::new(LazyStm::new(1024, 512));
+        let stm = std::sync::Arc::new(lazy_stm(1024, 512));
         let cells = 32u64;
         for i in 0..cells {
             stm.heap().store(i * 8, 100);
@@ -715,7 +579,11 @@ mod tests {
         // 2-entry table, mask hash: blocks 0 and 2 share entry 0. A reader
         // of block 0 must be invalidated by a commit to block 2 even though
         // the data is disjoint — the false conflict, lazy edition.
-        let stm = LazyStm::with_config(256, TableConfig::new(2).with_hash(HashKind::Mask));
+        let stm = StmBuilder::new()
+            .heap_words(256)
+            .table_entries(2)
+            .hash(HashKind::Mask)
+            .build_lazy();
         let mut attempt = 0;
         let r = stm.try_run(0, 2, |txn| {
             attempt += 1;
@@ -738,7 +606,7 @@ mod tests {
 
     #[test]
     fn read_path_serializes_at_snapshot() {
-        let stm = LazyStm::new(64, 256);
+        let stm = lazy_stm(64, 256);
         stm.heap().store(0, 7);
         stm.heap().store(8, 35);
         let before = stm.table_stats();
@@ -761,7 +629,7 @@ mod tests {
     fn read_path_snapshot_is_never_torn() {
         // The writer keeps the pair equal transactionally; read-only
         // snapshots must never observe a half-published commit.
-        let stm = std::sync::Arc::new(LazyStm::new(64, 1024));
+        let stm = std::sync::Arc::new(lazy_stm(64, 1024));
         let rounds = 2000u64;
         crossbeam::scope(|s| {
             let w = &stm;
@@ -791,7 +659,7 @@ mod tests {
 
     #[test]
     fn try_run_budget() {
-        let stm = LazyStm::new(64, 256);
+        let stm = lazy_stm(64, 256);
         let r: Result<(), _> = stm.try_run(0, 2, |_txn| Err(Aborted));
         assert_eq!(r, Err(RetryLimitExceeded { attempts: 2 }));
         assert_eq!(stm.stats().read_aborts, 2);
@@ -799,7 +667,7 @@ mod tests {
 
     #[test]
     fn stats_windowing_and_ratio() {
-        let stm = LazyStm::new(64, 256);
+        let stm = lazy_stm(64, 256);
         stm.run(0, |txn| txn.write(0, 1));
         let mid = stm.stats();
         let _: Result<(), _> = stm.try_run(0, 3, |_txn| Err(Aborted));
@@ -817,7 +685,7 @@ mod tests {
         // Classic snapshot-isolation anomaly: two transactions each read
         // both cells and write one. Serializability requires one to abort
         // and retry; the final state must satisfy x + y >= 1 decrement only.
-        let stm = std::sync::Arc::new(LazyStm::new(64, 1024));
+        let stm = std::sync::Arc::new(lazy_stm(64, 1024));
         stm.heap().store(0, 1);
         stm.heap().store(64, 1); // different blocks
         crossbeam::scope(|s| {

@@ -13,10 +13,10 @@
 //!   subset, and the bound on [`TmEngine::run_read`] bodies — so read-only
 //!   transactions cannot write *by construction*.
 //! * [`TmEngine`] — what runs bodies: `run`/`try_run`/`run_with` under a
-//!   pluggable [`RetryPolicy`], the wait-free read-only path (`run_read`,
-//!   tuned by [`ReadPathPolicy`]), the shared [`Heap`], and a unified
-//!   [`EngineStats`] snapshot (`since()`, `abort_ratio()`) that makes
-//!   cross-engine measurements commensurable.
+//!   per-call [`RetryPolicy`], the wait-free read-only path (`run_read`),
+//!   the shared [`Heap`], and a unified [`EngineStats`] snapshot
+//!   (`since()`, `abort_ratio()`) that makes cross-engine measurements
+//!   commensurable.
 //!
 //! Three engine families implement them:
 //!
@@ -49,9 +49,18 @@
 //! default [`OneTable`] route is resolved at compile time and is what the
 //! terminals above build; `tm-shard` supplies a multi-table route
 //! (`ShardMap`) and names the same engine routed by it `ShardedStm`. The
-//! acquire loop, write buffer, publish bracket, retry loop, read path and
-//! scratch pool exist once; only a multi-table route can reach the
-//! engine's cross-table commit mode.
+//! acquire loop, write buffer, publish bracket, read path and scratch pool
+//! exist once; only a multi-table route can reach the engine's cross-table
+//! commit mode.
+//!
+//! What the eager and lazy families share is everything *around* an
+//! attempt. There is one retry driver (`contention.rs`: attempt budget,
+//! [`Backoff`], outcome counters, probe bracket — for update and read-only
+//! transactions alike), to which an engine contributes only the closure
+//! that makes a single attempt; one striped counter block ([`StmStats`])
+//! and one snapshot of it ([`EngineStats`]), whether the reader is a
+//! harness, a per-table adaptive controller or a test; and one read-path
+//! spin budget, a constant.
 //!
 //! The eager engines add abort-and-retry with randomized exponential
 //! backoff (optionally bounded stalling, [`ContentionPolicy::Stall`]) and
@@ -107,13 +116,13 @@ pub use contention::{Backoff, ContentionPolicy, RetryPolicy};
 pub use engine::{ReadOps, StmBuilder, TmEngine, TxnOps};
 pub use heap::{Heap, WORD_BYTES};
 pub use lazy::{LazyReadTxn, LazyStm, LazyTxn};
-pub use readpath::{PublishGate, ReadPathPolicy};
+pub use readpath::PublishGate;
 pub use region::Region;
 pub use scratch::{SmallKey, SmallMap, TxnScratch};
-pub use stats::{EngineStats, StmStats, StmStatsSnapshot};
+pub use stats::{EngineStats, StmStats};
 pub use stm::{
-    tagged_stm, tagless_stm, Aborted, AcquireOrder, OneTable, ReadTxn, RetryLimitExceeded, Route,
-    Stm, StmConfig, Txn, DEFAULT_COMMIT_SPINS,
+    Aborted, AcquireOrder, OneTable, ReadTxn, RetryLimitExceeded, Route, Stm, Txn,
+    DEFAULT_COMMIT_SPINS,
 };
 pub use typed::{CapacityError, TRef, TxLayout, TxResult, TxWord};
 

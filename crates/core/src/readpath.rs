@@ -46,33 +46,15 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::stats::Padded;
 
-/// Tuning for the read-only path, set via `StmBuilder::read_path`.
-///
-/// Eager engines spin at `run_read` begin while a writer is mid-publication;
-/// the lazy engine spins per read while a commit-time lock is held. Once
-/// the budget is spent the attempt aborts and re-enters through the
-/// engine's normal retry/backoff policy, so a stalled writer cannot wedge a
-/// reader in a silent spin.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReadPathPolicy {
-    /// Spins before an attempt gives up and retries through backoff.
-    pub max_spins: u32,
-}
-
-impl Default for ReadPathPolicy {
-    fn default() -> Self {
-        // Publication windows are a handful of relaxed stores, so a small
-        // budget rides out almost every race without burning a backoff.
-        ReadPathPolicy { max_spins: 64 }
-    }
-}
-
-impl ReadPathPolicy {
-    /// A policy that spins `max_spins` times before backing off.
-    pub fn spins(max_spins: u32) -> Self {
-        ReadPathPolicy { max_spins }
-    }
-}
+/// Spins a read-only attempt spends waiting before it gives up and
+/// retries through backoff. Eager engines spin at `run_read` begin while a
+/// writer is mid-publication; the lazy engine spins per read while a
+/// commit-time lock is held. Publication windows are a handful of relaxed
+/// stores, so a small budget rides out almost every race without burning a
+/// backoff — and because it is a budget, a stalled writer cannot wedge a
+/// reader in a silent spin: the attempt aborts and re-enters through the
+/// caller's retry policy.
+pub(crate) const READ_SPINS: u32 = 64;
 
 /// Shards in the gate. Power of two (index by mask), matching the stats
 /// stripe count so one thread id picks the same slot in both.
@@ -162,12 +144,6 @@ impl PublishGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_policy_has_spin_budget() {
-        assert!(ReadPathPolicy::default().max_spins > 0);
-        assert_eq!(ReadPathPolicy::spins(7).max_spins, 7);
-    }
 
     #[test]
     fn gate_tracks_publications() {

@@ -2,15 +2,18 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Engine-independent counter snapshot — the one statistics surface every
-/// [`TmEngine`](crate::TmEngine) exposes, so measurement code never has to
-/// know which protocol produced the numbers.
+/// Engine-independent counter snapshot: a point-in-time copy of one
+/// [`StmStats`] block (or the sum of several) and the one statistics
+/// surface every [`TmEngine`](crate::TmEngine), every routed table and the
+/// adaptive controller read, so measurement code never has to know which
+/// protocol produced the numbers.
 ///
 /// Fields an engine does not track stay zero (the eager engine has no
-/// lazy-style abort breakdown; the lazy engine never stalls an acquire).
-/// `aborts` is always the total across all abort kinds, so
-/// [`abort_ratio`](EngineStats::abort_ratio) is commensurable across
-/// engines — the property the paper's cross-organization comparisons need.
+/// lazy-style abort breakdown; the lazy engine never stalls an acquire and
+/// has no strong-isolation accesses). `aborts` is always the total across
+/// all abort kinds, so [`abort_ratio`](EngineStats::abort_ratio) is
+/// commensurable across engines — the property the paper's
+/// cross-organization comparisons need.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Committed transactions.
@@ -26,14 +29,24 @@ pub struct EngineStats {
     pub validation_aborts: u64,
     /// Eager engine: acquire re-attempts under the stall policy.
     pub stall_retries: u64,
+    /// Eager engine: non-transactional reads under strong isolation.
+    pub strong_reads: u64,
+    /// Eager engine: non-transactional writes under strong isolation.
+    pub strong_writes: u64,
+    /// Eager engine: times a strong-isolation access waited for a
+    /// transaction.
+    pub strong_stalls: u64,
     /// Sum over committed transactions of distinct cache blocks *written*
     /// (the observed counterpart of the model's `W`).
     pub committed_write_blocks: u64,
     /// Sum over committed transactions of distinct footprint units held at
-    /// commit — `(1+α)·W` in the model. For the eager engines this counts
-    /// ownership grants (see [`StmStatsSnapshot::committed_grant_blocks`]
-    /// for the entry-keyed caveat); for the lazy engine, write-set blocks
-    /// plus read-set entries.
+    /// commit — `(1+α)·W` in the model. The lazy engine counts write-set
+    /// blocks plus read-set entries. The eager engines count ownership
+    /// grants, which is exact for **block-keyed** tables (tagged,
+    /// resizable); a plain tagless table keys grants by *entry index*, so
+    /// aliasing blocks coalesce and this undercounts the block footprint.
+    /// The adaptive controller only consumes it through block-keyed
+    /// `ResizableTable`s.
     pub committed_grant_blocks: u64,
     /// Read-only transactions committed through the snapshot read path
     /// (`run_read`). Deliberately **not** folded into `commits`: read-only
@@ -66,9 +79,10 @@ impl EngineStats {
         }
     }
 
-    /// Mean fresh-read units per written block (observed `α`), derived from
-    /// the footprint counters the same way as
-    /// [`StmStatsSnapshot::mean_alpha`].
+    /// Mean fresh-read units per written block (observed `α`), derived
+    /// from the grant and write footprints — biased low under an
+    /// entry-keyed tagless table (see
+    /// [`committed_grant_blocks`](EngineStats::committed_grant_blocks)).
     pub fn mean_alpha(&self) -> f64 {
         if self.committed_write_blocks == 0 {
             0.0
@@ -93,188 +107,6 @@ impl EngineStats {
                 .validation_aborts
                 .saturating_sub(earlier.validation_aborts),
             stall_retries: self.stall_retries.saturating_sub(earlier.stall_retries),
-            committed_write_blocks: self
-                .committed_write_blocks
-                .saturating_sub(earlier.committed_write_blocks),
-            committed_grant_blocks: self
-                .committed_grant_blocks
-                .saturating_sub(earlier.committed_grant_blocks),
-            read_only_commits: self
-                .read_only_commits
-                .saturating_sub(earlier.read_only_commits),
-            read_validation_retries: self
-                .read_validation_retries
-                .saturating_sub(earlier.read_validation_retries),
-        }
-    }
-}
-
-impl From<StmStatsSnapshot> for EngineStats {
-    fn from(s: StmStatsSnapshot) -> Self {
-        EngineStats {
-            commits: s.commits,
-            aborts: s.aborts,
-            stall_retries: s.stall_retries,
-            committed_write_blocks: s.committed_write_blocks,
-            committed_grant_blocks: s.committed_grant_blocks,
-            read_only_commits: s.read_only_commits,
-            read_validation_retries: s.read_validation_retries,
-            ..EngineStats::default()
-        }
-    }
-}
-
-/// Stripes per counter block. Thread `t` writes stripe `t % STAT_STRIPES`,
-/// so with ≤ 16 measurement threads no two threads share a counter cache
-/// line. Power of two (index by mask).
-pub(crate) const STAT_STRIPES: usize = 16;
-
-/// Pick the stripe for a thread id.
-#[inline]
-fn stripe_of(me: u32) -> usize {
-    me as usize & (STAT_STRIPES - 1)
-}
-
-/// One stripe cell, padded to two cache lines so neighbouring stripes
-/// never false-share.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub(crate) struct Padded<T>(pub(crate) T);
-
-/// The one striped-counter mechanism both engines share: an array of
-/// [`STAT_STRIPES`] cache-line-padded cells, selected by thread id.
-/// Aggregation contract: every event lands in exactly one stripe and
-/// readers sum all stripes, so totals are monotone while threads run and
-/// exact at quiescence.
-#[derive(Debug)]
-pub(crate) struct Striped<T> {
-    stripes: Box<[Padded<T>]>,
-}
-
-impl<T: Default> Default for Striped<T> {
-    fn default() -> Self {
-        Self {
-            stripes: (0..STAT_STRIPES).map(|_| Padded::default()).collect(),
-        }
-    }
-}
-
-impl<T> Striped<T> {
-    /// The cell thread `me` writes.
-    #[inline]
-    pub(crate) fn stripe(&self, me: u32) -> &T {
-        &self.stripes[stripe_of(me)].0
-    }
-
-    /// Visit every cell (for snapshot summation).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        self.stripes.iter().map(|p| &p.0)
-    }
-}
-
-/// One stripe of the eager engine's counters.
-#[derive(Debug, Default)]
-struct StatCells {
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    stall_retries: AtomicU64,
-    strong_reads: AtomicU64,
-    strong_writes: AtomicU64,
-    strong_stalls: AtomicU64,
-    committed_write_blocks: AtomicU64,
-    committed_grant_blocks: AtomicU64,
-    read_only_commits: AtomicU64,
-    read_validation_retries: AtomicU64,
-}
-
-/// Atomic counters shared by all transactions of one [`crate::Stm`].
-///
-/// Internally **striped**: each thread increments its own cache-line-padded
-/// stripe (chosen by thread id), so the hot path never contends on a shared
-/// counter line — the pre-optimization design put every thread's
-/// `fetch_add` on one adjacent block of `AtomicU64`s, a contention
-/// amplifier precisely where the paper measures contention.
-/// [`StmStats::snapshot`] sums the stripes; each event lands in exactly one
-/// stripe, so quiesced totals are exact (bit-identical to an unsharded
-/// implementation) and in-flight totals are monotone per stripe.
-#[derive(Debug, Default)]
-pub struct StmStats {
-    stripes: Striped<StatCells>,
-}
-
-/// A point-in-time copy of [`StmStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StmStatsSnapshot {
-    /// Transactions committed.
-    pub commits: u64,
-    /// Transaction aborts (each is followed by a retry or by giving up).
-    pub aborts: u64,
-    /// Individual acquire re-attempts performed under the stall policy.
-    pub stall_retries: u64,
-    /// Non-transactional reads performed under strong isolation.
-    pub strong_reads: u64,
-    /// Non-transactional writes performed under strong isolation.
-    pub strong_writes: u64,
-    /// Times a strong-isolation access had to wait for a transaction.
-    pub strong_stalls: u64,
-    /// Sum over committed transactions of distinct cache blocks *written*
-    /// (the observed counterpart of the model's `W`).
-    pub committed_write_blocks: u64,
-    /// Sum over committed transactions of distinct ownership grants held
-    /// at commit — `(1+α)·W` in the model for **block-keyed** tables
-    /// (tagged, resizable). For a plain tagless table grants are keyed by
-    /// *entry index*, so aliasing blocks coalesce and this undercounts the
-    /// block footprint; the adaptive controller only consumes it through
-    /// block-keyed `ResizableTable`s, where it is exact.
-    pub committed_grant_blocks: u64,
-    /// Read-only transactions committed via the snapshot read path. Kept
-    /// out of `commits` so write-side ratios stay exact.
-    pub read_only_commits: u64,
-    /// Read-path attempts that failed snapshot validation and retried.
-    pub read_validation_retries: u64,
-}
-
-impl StmStatsSnapshot {
-    /// Aborts per commit — the cost the paper's false conflicts impose.
-    pub fn abort_ratio(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.aborts as f64 / self.commits as f64
-        }
-    }
-
-    /// Mean distinct written blocks per committed transaction (observed `W`).
-    pub fn mean_write_footprint(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.committed_write_blocks as f64 / self.commits as f64
-        }
-    }
-
-    /// Mean fresh-read blocks per written block (observed `α`), derived
-    /// from the grant and write footprints. Exact for block-keyed tables;
-    /// biased low under an entry-keyed tagless table (see
-    /// [`StmStatsSnapshot::committed_grant_blocks`]).
-    pub fn mean_alpha(&self) -> f64 {
-        if self.committed_write_blocks == 0 {
-            0.0
-        } else {
-            let reads = self
-                .committed_grant_blocks
-                .saturating_sub(self.committed_write_blocks);
-            reads as f64 / self.committed_write_blocks as f64
-        }
-    }
-
-    /// The window of activity between `earlier` and `self` (all counters
-    /// are monotone, so a field-wise saturating difference).
-    pub fn since(&self, earlier: &StmStatsSnapshot) -> StmStatsSnapshot {
-        StmStatsSnapshot {
-            commits: self.commits.saturating_sub(earlier.commits),
-            aborts: self.aborts.saturating_sub(earlier.aborts),
-            stall_retries: self.stall_retries.saturating_sub(earlier.stall_retries),
             strong_reads: self.strong_reads.saturating_sub(earlier.strong_reads),
             strong_writes: self.strong_writes.saturating_sub(earlier.strong_writes),
             strong_stalls: self.strong_stalls.saturating_sub(earlier.strong_stalls),
@@ -298,11 +130,14 @@ impl StmStatsSnapshot {
 /// fold into an engine's through it. The right-hand side is destructured
 /// without `..`, so a counter added to the struct fails to compile here
 /// instead of being silently dropped from an aggregate.
-impl std::ops::AddAssign for StmStatsSnapshot {
+impl std::ops::AddAssign for EngineStats {
     fn add_assign(&mut self, rhs: Self) {
-        let StmStatsSnapshot {
+        let EngineStats {
             commits,
             aborts,
+            read_aborts,
+            lock_aborts,
+            validation_aborts,
             stall_retries,
             strong_reads,
             strong_writes,
@@ -314,6 +149,9 @@ impl std::ops::AddAssign for StmStatsSnapshot {
         } = rhs;
         self.commits += commits;
         self.aborts += aborts;
+        self.read_aborts += read_aborts;
+        self.lock_aborts += lock_aborts;
+        self.validation_aborts += validation_aborts;
         self.stall_retries += stall_retries;
         self.strong_reads += strong_reads;
         self.strong_writes += strong_writes;
@@ -325,10 +163,80 @@ impl std::ops::AddAssign for StmStatsSnapshot {
     }
 }
 
+/// Stripes per counter block. Thread `t` writes stripe `t % STAT_STRIPES`,
+/// so with ≤ 16 measurement threads no two threads share a counter cache
+/// line. Power of two (index by mask).
+const STAT_STRIPES: usize = 16;
+
+/// One stripe cell, padded to two cache lines so neighbouring stripes
+/// never false-share.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct Padded<T>(pub(crate) T);
+
+/// One stripe of the counters: the atomic twin of [`EngineStats`]. Laid
+/// out (`repr(C)`) so that what a committing transaction bumps on either
+/// path sits in the stripe's first cache line; the abort breakdown and the
+/// strong-isolation counters take the second.
+#[derive(Debug, Default)]
+#[repr(C)]
+struct StatCells {
+    commits: AtomicU64,
+    committed_write_blocks: AtomicU64,
+    committed_grant_blocks: AtomicU64,
+    read_only_commits: AtomicU64,
+    aborts: AtomicU64,
+    stall_retries: AtomicU64,
+    read_validation_retries: AtomicU64,
+    read_aborts: AtomicU64,
+    lock_aborts: AtomicU64,
+    validation_aborts: AtomicU64,
+    strong_reads: AtomicU64,
+    strong_writes: AtomicU64,
+    strong_stalls: AtomicU64,
+}
+
+/// Which of the lazy protocol's three sites ended an attempt (the eager
+/// engine's aborts have no such breakdown).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LazyAbort {
+    /// In the body: an entry was locked or newer than the snapshot.
+    Read,
+    /// At commit: a write-set entry could not be locked.
+    Lock,
+    /// At commit: the read set no longer validated.
+    Validation,
+}
+
+/// The atomic counters behind every engine's [`EngineStats`]: one block per
+/// routed table of a [`crate::Stm`], one for a whole [`crate::LazyStm`].
+///
+/// Internally **striped**: each thread increments its own cache-line-padded
+/// stripe (chosen by thread id), so the hot path never contends on a shared
+/// counter line — the pre-optimization design put every thread's
+/// `fetch_add` on one adjacent block of `AtomicU64`s, a contention
+/// amplifier precisely where the paper measures contention.
+/// [`StmStats::snapshot`] sums the stripes; each event lands in exactly one
+/// stripe, so quiesced totals are exact (bit-identical to an unsharded
+/// implementation) and in-flight totals are monotone per stripe.
+#[derive(Debug)]
+pub struct StmStats {
+    stripes: Box<[Padded<StatCells>]>,
+}
+
+impl Default for StmStats {
+    fn default() -> Self {
+        Self {
+            stripes: (0..STAT_STRIPES).map(|_| Padded::default()).collect(),
+        }
+    }
+}
+
 impl StmStats {
+    /// The cell thread `me` writes.
     #[inline]
     fn stripe(&self, me: u32) -> &StatCells {
-        self.stripes.stripe(me)
+        &self.stripes[me as usize & (STAT_STRIPES - 1)].0
     }
 
     /// Count one committed transaction for thread `me`.
@@ -336,9 +244,21 @@ impl StmStats {
         self.stripe(me).commits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one aborted attempt for thread `me`.
+    /// Count one aborted attempt (of any kind) for thread `me`.
     pub fn on_abort(&self, me: u32) {
         self.stripe(me).aborts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record which lazy-protocol site an aborted attempt ended at — the
+    /// breakdown of, not an addition to, [`on_abort`](Self::on_abort).
+    pub(crate) fn on_lazy_abort(&self, me: u32, site: LazyAbort) {
+        let stripe = self.stripe(me);
+        let cell = match site {
+            LazyAbort::Read => &stripe.read_aborts,
+            LazyAbort::Lock => &stripe.lock_aborts,
+            LazyAbort::Validation => &stripe.validation_aborts,
+        };
+        cell.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Fold a whole attempt's stall-retry count in at once. The per-spin
@@ -382,7 +302,8 @@ impl StmStats {
     }
 
     /// Fold one committed transaction's footprint in: distinct written
-    /// blocks (the model's `W`) and total grants held (`(1+α)·W`).
+    /// blocks (the model's `W`) and total footprint units held
+    /// (`(1+α)·W`).
     pub fn on_commit_footprint(&self, me: u32, write_blocks: u64, grant_blocks: u64) {
         let stripe = self.stripe(me);
         stripe
@@ -395,13 +316,16 @@ impl StmStats {
 
     /// Sum the stripes into a point-in-time copy (exact once threads
     /// quiesce; see the type docs for the aggregation contract).
-    pub fn snapshot(&self) -> StmStatsSnapshot {
-        let mut total = StmStatsSnapshot::default();
-        for stripe in self.stripes.iter() {
+    pub fn snapshot(&self) -> EngineStats {
+        let mut total = EngineStats::default();
+        for Padded(stripe) in self.stripes.iter() {
             let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
-            total += StmStatsSnapshot {
+            total += EngineStats {
                 commits: load(&stripe.commits),
                 aborts: load(&stripe.aborts),
+                read_aborts: load(&stripe.read_aborts),
+                lock_aborts: load(&stripe.lock_aborts),
+                validation_aborts: load(&stripe.validation_aborts),
                 stall_retries: load(&stripe.stall_retries),
                 strong_reads: load(&stripe.strong_reads),
                 strong_writes: load(&stripe.strong_writes),
@@ -426,6 +350,7 @@ mod tests {
         s.on_commit(0);
         s.on_commit(1);
         s.on_abort(2);
+        s.on_lazy_abort(2, LazyAbort::Validation);
         s.add_stall_retries(3, 1);
         s.on_strong(4, true);
         s.on_strong(5, false);
@@ -436,6 +361,8 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.commits, 2);
         assert_eq!(snap.aborts, 1);
+        assert_eq!(snap.validation_aborts, 1);
+        assert_eq!(snap.read_aborts + snap.lock_aborts, 0);
         assert_eq!(snap.stall_retries, 1);
         assert_eq!(snap.strong_writes, 1);
         assert_eq!(snap.strong_reads, 1);
@@ -444,6 +371,7 @@ mod tests {
         assert_eq!(snap.read_validation_retries, 1);
         // Read-only traffic must not leak into the write-side ratios.
         assert_eq!(snap.abort_ratio(), 0.5);
+        assert_eq!(EngineStats::default().abort_ratio(), 0.0);
     }
 
     #[test]
@@ -452,74 +380,46 @@ mod tests {
         // to the struct breaks this literal until the test covers it, and
         // the exhaustive destructuring in `add_assign` breaks until the
         // sum does.
-        let one = StmStatsSnapshot {
+        let one = EngineStats {
             commits: 1,
             aborts: 2,
-            stall_retries: 3,
-            strong_reads: 4,
-            strong_writes: 5,
-            strong_stalls: 6,
-            committed_write_blocks: 7,
-            committed_grant_blocks: 8,
-            read_only_commits: 9,
-            read_validation_retries: 10,
+            read_aborts: 3,
+            lock_aborts: 4,
+            validation_aborts: 5,
+            stall_retries: 6,
+            strong_reads: 7,
+            strong_writes: 8,
+            strong_stalls: 9,
+            committed_write_blocks: 10,
+            committed_grant_blocks: 11,
+            read_only_commits: 12,
+            read_validation_retries: 13,
         };
         let mut total = one;
         total += one;
         total += one;
-        let expected = StmStatsSnapshot {
+        let expected = EngineStats {
             commits: 3,
             aborts: 6,
-            stall_retries: 9,
-            strong_reads: 12,
-            strong_writes: 15,
-            strong_stalls: 18,
-            committed_write_blocks: 21,
-            committed_grant_blocks: 24,
-            read_only_commits: 27,
-            read_validation_retries: 30,
+            read_aborts: 9,
+            lock_aborts: 12,
+            validation_aborts: 15,
+            stall_retries: 18,
+            strong_reads: 21,
+            strong_writes: 24,
+            strong_stalls: 27,
+            committed_write_blocks: 30,
+            committed_grant_blocks: 33,
+            read_only_commits: 36,
+            read_validation_retries: 39,
         };
         assert_eq!(total, expected);
+        // The window between two snapshots is the field-wise difference.
         assert_eq!(total.since(&one), {
             let mut two = one;
             two += one;
             two
         });
-    }
-
-    #[test]
-    fn abort_ratio_without_commits() {
-        assert_eq!(StmStatsSnapshot::default().abort_ratio(), 0.0);
-        assert_eq!(EngineStats::default().abort_ratio(), 0.0);
-    }
-
-    #[test]
-    fn engine_stats_window_and_conversion() {
-        let a = EngineStats {
-            commits: 10,
-            aborts: 4,
-            ..Default::default()
-        };
-        let b = EngineStats {
-            commits: 25,
-            aborts: 5,
-            ..Default::default()
-        };
-        let w = b.since(&a);
-        assert_eq!(w.commits, 15);
-        assert_eq!(w.aborts, 1);
-
-        let snap = StmStatsSnapshot {
-            commits: 7,
-            aborts: 3,
-            stall_retries: 2,
-            ..Default::default()
-        };
-        let e = EngineStats::from(snap);
-        assert_eq!(e.commits, 7);
-        assert_eq!(e.aborts, 3);
-        assert_eq!(e.stall_retries, 2);
-        assert_eq!(e.read_aborts, 0);
     }
 
     #[test]

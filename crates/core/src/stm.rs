@@ -9,44 +9,38 @@
 //! conflict means no deadlock is possible.
 //!
 //! The engine is generic over [`ConcurrentTable`], which is the entire
-//! point: running the same workload over a [`ConcurrentTaglessTable`] and a
-//! [`ConcurrentTaggedTable`] exposes exactly the false-conflict cost the
-//! paper analyses, on real threads rather than in Monte-Carlo form.
+//! point: running the same workload over a
+//! [`ConcurrentTaglessTable`](tm_ownership::ConcurrentTaglessTable) and a
+//! [`ConcurrentTaggedTable`](tm_ownership::ConcurrentTaggedTable) exposes
+//! exactly the false-conflict cost the paper analyses, on real threads
+//! rather than in Monte-Carlo form.
 //!
 //! It is also generic over a [`Route`] from cache blocks to ownership
 //! tables. There is **one** engine — one acquire loop, one write buffer,
-//! one publish bracket, one retry loop, one read path — and two routes
-//! through it: [`OneTable`], resolved at compile time, is the plain
-//! [`Stm`]; a route that can reach several tables (`tm-shard`'s `ShardMap`)
-//! additionally pins each transaction to the table of its first-touched
-//! block and, when a second table is touched, restarts it in the
-//! cross-table mode of the `cross` submodule.
+//! one publish bracket, one read path, and a retry loop it does not even
+//! own (the crate-wide driver in `contention.rs`; this module supplies the
+//! single attempt) — and two routes through it: [`OneTable`], resolved at
+//! compile time, is the plain [`Stm`]; a route that can reach several
+//! tables (`tm-shard`'s `ShardMap`) additionally pins each transaction to
+//! the table of its first-touched block and, when a second table is
+//! touched, restarts it in the cross-table mode of the `cross` submodule.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use tm_ownership::concurrent::{ConcurrentTable, Held};
 use tm_ownership::{Access, AcquireOutcome, BlockAddr, BlockMapper, ConflictClass, ThreadId};
-use tm_ownership::{ConcurrentTaggedTable, ConcurrentTaglessTable};
 use tm_telemetry::{AbortCause, NoopProbe, Probe};
 
-use crate::contention::{Backoff, ContentionPolicy, RetryPolicy};
-use crate::engine::{ReadOps, TxnOps};
+use crate::contention::{drive, Attempt, ContentionPolicy, Path, RetryPolicy};
+use crate::engine::{ReadOps, TmEngine, TxnOps};
 use crate::heap::Heap;
-use crate::readpath::{PublishGate, ReadPathPolicy};
+use crate::readpath::{PublishGate, READ_SPINS};
 use crate::scratch::ScratchGuard;
-use crate::stats::{StmStats, StmStatsSnapshot};
+use crate::stats::{EngineStats, StmStats};
 
 mod cross;
 
 pub use cross::{AcquireOrder, DEFAULT_COMMIT_SPINS};
-
-/// Nanoseconds elapsed since an (optionally taken) probe timestamp; `0`
-/// when telemetry is off and no timestamp was taken.
-#[inline]
-pub(crate) fn elapsed_ns(start: Option<Instant>) -> u64 {
-    start.map_or(0, |t| t.elapsed().as_nanos() as u64)
-}
 
 /// Map a table-attributed [`ConflictClass`] to the telemetry taxonomy.
 #[inline]
@@ -75,8 +69,8 @@ impl std::fmt::Display for Aborted {
 
 impl std::error::Error for Aborted {}
 
-/// The retry budget of [`TmEngine::try_run`](crate::TmEngine::try_run)
-/// (or of a bounded [`RetryPolicy`]) was exhausted.
+/// The retry budget of [`TmEngine::try_run`] (or of a bounded
+/// [`RetryPolicy`]) was exhausted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryLimitExceeded {
     /// Attempts made (equals the configured budget).
@@ -90,26 +84,6 @@ impl std::fmt::Display for RetryLimitExceeded {
 }
 
 impl std::error::Error for RetryLimitExceeded {}
-
-/// The transaction-body callback `run_with_budget` drives across attempts
-/// (a monomorphization firewall: the retry loop is compiled once per
-/// engine, not once per closure).
-type BodyFn<'b, 's, T, P, R, O> = &'b mut dyn FnMut(&mut Txn<'s, T, P, R>) -> Result<O, Aborted>;
-
-/// The read-only-body callback `run_read_with_budget` drives.
-type ReadBodyFn<'b, 's, O> = &'b mut dyn FnMut(&mut ReadTxn<'s>) -> Result<O, Aborted>;
-
-/// STM-wide configuration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StmConfig {
-    /// Conflict reaction (see [`ContentionPolicy`]).
-    pub contention: ContentionPolicy,
-    /// Default whole-transaction retry budget (see
-    /// [`TmEngine::run_configured`](crate::TmEngine::run_configured)).
-    pub retry: RetryPolicy,
-    /// Read-only-path tuning (see [`ReadPathPolicy`]).
-    pub read_path: ReadPathPolicy,
-}
 
 /// Which ownership table a cache block's grants live in.
 ///
@@ -178,7 +152,7 @@ pub struct Stm<T: ConcurrentTable, P: Probe = NoopProbe, R: Route = OneTable> {
     /// unless the route is multi-table).
     first: TableState<T>,
     rest: Box<[TableState<T>]>,
-    config: StmConfig,
+    contention: ContentionPolicy,
     /// Seqlock-style gate between commit-time publication and the
     /// table-free read-only path (see [`crate::readpath`]).
     publish_gate: PublishGate,
@@ -198,40 +172,7 @@ pub struct Stm<T: ConcurrentTable, P: Probe = NoopProbe, R: Route = OneTable> {
     probe: P,
 }
 
-/// Shorthand for [`StmBuilder`](crate::StmBuilder)`::new().heap_words(..)
-/// .table_entries(..).build_tagless()`: an STM backed by a **tagless**
-/// table (paper Figure 1).
-pub fn tagless_stm(heap_words: usize, table_entries: usize) -> Stm<ConcurrentTaglessTable> {
-    crate::StmBuilder::new()
-        .heap_words(heap_words)
-        .table_entries(table_entries)
-        .build_tagless()
-}
-
-/// Shorthand for [`StmBuilder`](crate::StmBuilder)`::new().heap_words(..)
-/// .table_entries(..).build_tagged()`: an STM backed by a **tagged**
-/// chained table (paper Figure 7).
-pub fn tagged_stm(heap_words: usize, table_entries: usize) -> Stm<ConcurrentTaggedTable> {
-    crate::StmBuilder::new()
-        .heap_words(heap_words)
-        .table_entries(table_entries)
-        .build_tagged()
-}
-
-impl<T: ConcurrentTable> Stm<T> {
-    /// Build a one-table STM from a heap size, a table, and a
-    /// configuration, with telemetry off (the zero-cost [`NoopProbe`]).
-    pub fn new(heap_words: usize, table: T, config: StmConfig) -> Self {
-        Self::with_probe(heap_words, table, config, NoopProbe)
-    }
-}
-
 impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
-    /// Build a one-table STM with an attached telemetry probe.
-    pub fn with_probe(heap_words: usize, table: T, config: StmConfig, probe: P) -> Self {
-        Self::routed(heap_words, vec![table], OneTable, config, probe)
-    }
-
     /// The ownership table (for stats inspection).
     pub fn table(&self) -> &T {
         &self.first.table
@@ -294,12 +235,13 @@ impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
 
 impl<T: ConcurrentTable, P: Probe, R: Route> Stm<T, P, R> {
     /// Build an STM over `tables`, one per table `route` reaches, in route
-    /// order. Every table must share one block geometry.
+    /// order. Every table must share one block geometry. This is what
+    /// every eager [`StmBuilder`](crate::StmBuilder) terminal calls.
     pub fn routed(
         heap_words: usize,
         tables: Vec<T>,
         route: R,
-        config: StmConfig,
+        contention: ContentionPolicy,
         probe: P,
     ) -> Self {
         assert_eq!(
@@ -326,7 +268,7 @@ impl<T: ConcurrentTable, P: Probe, R: Route> Stm<T, P, R> {
             route,
             first,
             rest,
-            config,
+            contention,
             publish_gate: PublishGate::default(),
             order: AcquireOrder::default(),
             commit_spins: DEFAULT_COMMIT_SPINS,
@@ -357,17 +299,6 @@ impl<T: ConcurrentTable, P: Probe, R: Route> Stm<T, P, R> {
         &self.probe
     }
 
-    /// The shared heap (the public accessor is
-    /// [`TmEngine::heap`](crate::TmEngine::heap)).
-    pub(crate) fn heap_ref(&self) -> &Heap {
-        &self.heap
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &StmConfig {
-        &self.config
-    }
-
     /// Number of ownership tables (1 on the one-table route).
     pub fn shard_count(&self) -> usize {
         1 + self.rest.len()
@@ -394,21 +325,21 @@ impl<T: ConcurrentTable, P: Probe, R: Route> Stm<T, P, R> {
     /// table. A cross-table commit appears in *every* participating
     /// table's counters (commit and footprint alike, so per-table means
     /// stay self-consistent); [`stats`](Self::stats) de-duplicates.
-    pub fn shard_stats(&self, shard: usize) -> StmStatsSnapshot {
+    pub fn shard_stats(&self, shard: usize) -> EngineStats {
         self.checked_state(shard).stats.snapshot()
     }
 
     /// Every table's statistics snapshot, by table index (see
     /// [`shard_stats`](Self::shard_stats) for cross-table attribution).
-    pub fn shard_snapshots(&self) -> Vec<StmStatsSnapshot> {
+    pub fn shard_snapshots(&self) -> Vec<EngineStats> {
         self.states().map(|s| s.stats.snapshot()).collect()
     }
 
     /// Whole-engine commit/abort counters so far: the sum over tables,
     /// with cross-table commits de-duplicated (each counts once per
     /// participating table in the per-table view, once here).
-    pub fn stats(&self) -> StmStatsSnapshot {
-        let mut total = StmStatsSnapshot::default();
+    pub fn stats(&self) -> EngineStats {
+        let mut total = EngineStats::default();
         for s in self.states() {
             total += s.stats.snapshot();
         }
@@ -423,164 +354,120 @@ impl<T: ConcurrentTable, P: Probe, R: Route> Stm<T, P, R> {
         total
     }
 
-    /// The retry loop behind
-    /// [`TmEngine::run_with`](crate::TmEngine::run_with) — the trait is the
-    /// public way to run transactions on any engine. On a multi-table
-    /// route an eager attempt that touches a second table restarts, once,
-    /// in cross-table mode.
-    pub(crate) fn run_with_budget<'s, O>(
+    /// Spin (up to [`READ_SPINS`]) for a publication-gate epoch with no
+    /// publication in flight.
+    #[inline]
+    fn quiescent_epoch(&self) -> Option<u64> {
+        let mut epoch = self.publish_gate.reader_epoch();
+        let mut spins = 0u32;
+        while epoch.is_none() && spins < READ_SPINS {
+            spins += 1;
+            std::hint::spin_loop();
+            epoch = self.publish_gate.reader_epoch();
+        }
+        epoch
+    }
+}
+
+/// The eager engine's two attempts. The loop around them — budget,
+/// backoff, outcome counters, probe bracket — is `contention::drive`.
+impl<T: ConcurrentTable, P: Probe, R: Route> TmEngine for Stm<T, P, R> {
+    type Txn<'e>
+        = Txn<'e, T, P, R>
+    where
+        Self: 'e;
+
+    type ReadTxn<'e>
+        = ReadTxn<'e>
+    where
+        Self: 'e;
+
+    /// One attempt is `Txn::new → body → commit → finish`. On a
+    /// multi-table route an eager attempt that touches a second table
+    /// restarts, once, in cross-table mode.
+    fn run_with<'s, O>(
         &'s self,
         me: ThreadId,
-        max_attempts: u32,
-        body: BodyFn<'_, 's, T, P, R, O>,
+        policy: RetryPolicy,
+        mut body: impl FnMut(&mut Txn<'s, T, P, R>) -> Result<O, Aborted>,
     ) -> Result<O, RetryLimitExceeded> {
-        assert!(max_attempts >= 1, "need at least one attempt");
-        let mut backoff = Backoff::new(me as u64);
-        let mut attempts = 0u32;
+        // Sticky across this transaction's attempts.
         let mut cross = false;
-        // All clock reads are behind the compile-time probe switch: with
-        // `NoopProbe` the timestamps are `None` and nothing below touches
-        // the clock.
-        let txn_start = P::ENABLED.then(Instant::now);
-        if P::ENABLED {
-            self.probe.on_txn_begin(me);
-        }
-        loop {
-            let attempt_start = P::ENABLED.then(Instant::now);
+        drive(&self.probe, me, policy, Path::Update, || {
             let mut txn = Txn::new(self, me, cross);
-            let outcome = body(&mut txn).and_then(|r| txn.commit().map(|at| (r, at)));
-            match outcome {
+            match body(&mut txn).and_then(|r| txn.commit().map(|at| (r, at))) {
                 Ok((r, (shard, span))) => {
                     txn.finish();
-                    self.state(shard).stats.on_commit(me);
                     if R::MULTI && span >= 2 {
                         self.cross_commits.fetch_add(1, Ordering::Relaxed);
                         if P::ENABLED {
                             self.probe.on_cross_shard_commit(me, span);
                         }
                     }
-                    if P::ENABLED {
-                        self.probe.on_commit(
-                            me,
-                            elapsed_ns(attempt_start),
-                            elapsed_ns(txn_start),
-                            u64::from(attempts) + 1,
-                        );
-                    }
-                    return Ok(r);
+                    Attempt::Committed(r, &self.state(shard).stats)
                 }
                 Err(Aborted) => {
                     if R::MULTI && txn.escalate && !cross {
-                        // Mode switch, not contention: restart the body in
-                        // cross-table mode without burning an attempt or a
-                        // backoff (and without touching abort counters).
+                        // Mode switch, not contention: no attempt burnt,
+                        // no backoff, no abort counted.
                         cross = true;
-                        continue;
+                        return Attempt::Restart;
                     }
                     let cause = txn.abort_cause.take().unwrap_or(AbortCause::ExplicitRetry);
-                    let commit_phase_abort = txn.commit_phase_abort;
                     txn.finish();
-                    txn.home_state().stats.on_abort(me);
-                    if R::MULTI && commit_phase_abort {
+                    if R::MULTI && txn.commit_phase_abort {
                         self.cross_aborts.fetch_add(1, Ordering::Relaxed);
                         if P::ENABLED {
                             self.probe.on_cross_shard_abort(me);
                         }
                     }
-                    if P::ENABLED {
-                        self.probe.on_abort(me, cause, elapsed_ns(attempt_start));
-                    }
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        return Err(RetryLimitExceeded { attempts });
-                    }
-                    backoff.wait();
+                    Attempt::Aborted(cause, &txn.home_state().stats)
                 }
             }
-        }
+        })
     }
 
-    /// The retry loop behind
-    /// [`TmEngine::run_read_with`](crate::TmEngine::run_read_with): the
-    /// wait-free read-only path.
-    ///
-    /// An attempt spins (up to [`ReadPathPolicy::max_spins`]) for a
-    /// quiescent publication-gate epoch, runs the body against the bare
-    /// heap with per-read gate validation, and retries through backoff on
-    /// validation failure. No scratch is checked out, no ownership-table
-    /// grant is ever acquired, and nothing allocates — readers impose zero
-    /// table footprint on writers. The gate is engine-global, so routing
-    /// never enters the picture; the outcome counters land in table
-    /// `me % shard_count()`.
-    pub(crate) fn run_read_with_budget<'s, O>(
+    /// The wait-free read-only path. An attempt spins (up to
+    /// `READ_SPINS`) for a quiescent publication-gate epoch, then runs
+    /// the body against the bare heap with per-read gate validation. No
+    /// scratch is checked out, no ownership-table grant is ever acquired,
+    /// and nothing allocates — readers impose zero table footprint on
+    /// writers. The gate is engine-global, so routing never enters the
+    /// picture; the outcome counters land in table `me % shard_count()`.
+    fn run_read_with<'s, O>(
         &'s self,
         me: ThreadId,
-        max_attempts: u32,
-        body: ReadBodyFn<'_, 's, O>,
+        policy: RetryPolicy,
+        mut body: impl FnMut(&mut ReadTxn<'s>) -> Result<O, Aborted>,
     ) -> Result<O, RetryLimitExceeded> {
-        assert!(max_attempts >= 1, "need at least one attempt");
         let shard = if R::MULTI {
             me % self.shard_count() as u32
         } else {
             0
         };
         let stats = &self.state(shard).stats;
-        let mut backoff = Backoff::new(me as u64);
-        let mut attempts = 0u32;
-        let txn_start = P::ENABLED.then(Instant::now);
-        loop {
-            if P::ENABLED {
-                self.probe.on_read_begin(me);
-            }
+        drive(&self.probe, me, policy, Path::ReadOnly, || {
             // Wait out any in-flight publication; windows are a handful of
             // relaxed stores, so the spin budget almost always suffices.
             let outcome = match self.quiescent_epoch() {
-                Some(epoch) => {
-                    let mut txn = ReadTxn {
-                        heap: &self.heap,
-                        gate: &self.publish_gate,
-                        epoch,
-                        reads: 0,
-                    };
-                    body(&mut txn)
-                }
+                Some(epoch) => body(&mut ReadTxn {
+                    heap: &self.heap,
+                    gate: &self.publish_gate,
+                    epoch,
+                    reads: 0,
+                }),
                 None => Err(Aborted),
             };
-            match outcome {
-                Ok(r) => {
-                    stats.on_read_commit(me);
-                    if P::ENABLED {
-                        self.probe.on_read_commit(me, elapsed_ns(txn_start));
-                    }
-                    return Ok(r);
-                }
-                Err(Aborted) => {
-                    stats.on_read_validation_retry(me);
-                    if P::ENABLED {
-                        self.probe.on_read_validation_retry(me);
-                    }
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        return Err(RetryLimitExceeded { attempts });
-                    }
-                    backoff.wait();
-                }
-            }
-        }
+            Attempt::read_only(outcome, stats)
+        })
     }
 
-    /// Spin (up to [`ReadPathPolicy::max_spins`]) for a publication-gate
-    /// epoch with no publication in flight.
-    #[inline]
-    fn quiescent_epoch(&self) -> Option<u64> {
-        let mut epoch = self.publish_gate.reader_epoch();
-        let mut spins = 0u32;
-        while epoch.is_none() && spins < self.config.read_path.max_spins {
-            spins += 1;
-            std::hint::spin_loop();
-            epoch = self.publish_gate.reader_epoch();
-        }
-        epoch
+    fn engine_stats(&self) -> EngineStats {
+        self.stats()
+    }
+
+    fn heap(&self) -> &Heap {
+        &self.heap
     }
 }
 
@@ -644,7 +531,7 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
             stm,
             id,
             mapper: stm.first.table.config().mapper(),
-            max_spins: stm.config.contention.max_spins(),
+            max_spins: stm.contention.max_spins(),
             scratch: ScratchGuard::checkout(),
             stall_retries: 0,
             finished: false,
@@ -891,8 +778,22 @@ impl ReadOps for ReadTxn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::TmEngine;
-    use tm_ownership::TableConfig;
+    use crate::StmBuilder;
+    use tm_ownership::{ConcurrentTaggedTable, ConcurrentTaglessTable, TableConfig};
+
+    fn sized(heap_words: usize, table_entries: usize) -> StmBuilder {
+        StmBuilder::new()
+            .heap_words(heap_words)
+            .table_entries(table_entries)
+    }
+
+    fn tagless_stm(heap_words: usize, table_entries: usize) -> Stm<ConcurrentTaglessTable> {
+        sized(heap_words, table_entries).build_tagless()
+    }
+
+    fn tagged_stm(heap_words: usize, table_entries: usize) -> Stm<ConcurrentTaggedTable> {
+        sized(heap_words, table_entries).build_tagged()
+    }
 
     #[test]
     fn read_write_commit() {
@@ -1058,7 +959,7 @@ mod tests {
         use tm_ownership::HashKind;
 
         fn scenario<T: ConcurrentTable>(table: T) -> (bool, u64, u64) {
-            let stm = Stm::new(256, table, StmConfig::default());
+            let stm = sized(256, 2).build_with_table(table);
             let holding = AtomicBool::new(false);
             let proceed = AtomicBool::new(false);
             let mut peer_failed = false;
@@ -1103,16 +1004,11 @@ mod tests {
 
     #[test]
     fn stall_policy_reduces_aborts_on_short_conflicts() {
-        let config = StmConfig {
-            contention: ContentionPolicy::Stall { max_spins: 200 },
-            retry: RetryPolicy::Unbounded,
-            read_path: ReadPathPolicy::default(),
-        };
-        let stm = std::sync::Arc::new(Stm::new(
-            64,
-            ConcurrentTaggedTable::new(TableConfig::new(256)),
-            config,
-        ));
+        let stm = std::sync::Arc::new(
+            sized(64, 256)
+                .contention(ContentionPolicy::Stall { max_spins: 200 })
+                .build_tagged(),
+        );
         crossbeam::scope(|s| {
             for id in 0..4u32 {
                 let stm = &stm;

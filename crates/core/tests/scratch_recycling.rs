@@ -52,7 +52,13 @@ fn two_tables() -> Stm<ConcurrentTaggedTable, NoopProbe, Halves> {
     let tables = (0..2)
         .map(|_| ConcurrentTaggedTable::new(b.table_config()))
         .collect();
-    Stm::routed(HEAP_WORDS, tables, Halves, b.stm_config(), NoopProbe)
+    Stm::routed(
+        HEAP_WORDS,
+        tables,
+        Halves,
+        b.configured_contention(),
+        NoopProbe,
+    )
 }
 
 /// One transaction: the words it writes (value = `base + i`), and whether

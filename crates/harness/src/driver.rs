@@ -379,7 +379,10 @@ mod tests {
 
     #[test]
     fn fixed_budget_phase_runs_exact_txn_count() {
-        let stm = tm_stm::tagged_stm(1 << 12, 1024);
+        let stm = tm_stm::StmBuilder::new()
+            .heap_words(1 << 12)
+            .table_entries(1024)
+            .build_tagged();
         let r = run_synthetic_phase(&stm, &spec(), 1 << 12, 2, Phase::Txns(50), 7);
         assert_eq!(r.counters.commits, 100);
         assert_eq!(r.tallies.iter().map(|t| t.committed_txns).sum::<u64>(), 100);
@@ -387,7 +390,10 @@ mod tests {
 
     #[test]
     fn heap_checksum_matches_committed_writes() {
-        let stm = tm_stm::tagless_stm(1 << 12, 4096);
+        let stm = tm_stm::StmBuilder::new()
+            .heap_words(1 << 12)
+            .table_entries(4096)
+            .build_tagless();
         let r = run_synthetic_phase(&stm, &spec(), 1 << 12, 4, Phase::Txns(25), 11);
         let expected: u64 = r.tallies.iter().map(|t| t.committed_write_ops).sum();
         assert_eq!(crate::engine::TmEngine::heap_sum(&stm, 1 << 12), expected);
@@ -396,7 +402,10 @@ mod tests {
 
     #[test]
     fn duration_phase_terminates_and_commits() {
-        let stm = tm_stm::tagged_stm(1 << 12, 1024);
+        let stm = tm_stm::StmBuilder::new()
+            .heap_words(1 << 12)
+            .table_entries(1024)
+            .build_tagged();
         let r = run_synthetic_phase(&stm, &spec(), 1 << 12, 2, Phase::DurationMs(30), 3);
         assert!(r.counters.commits > 0);
         assert!(r.elapsed >= Duration::from_millis(30));
@@ -404,7 +413,10 @@ mod tests {
 
     #[test]
     fn read_fraction_splits_commit_counters() {
-        let stm = tm_stm::tagged_stm(1 << 12, 1024);
+        let stm = tm_stm::StmBuilder::new()
+            .heap_words(1 << 12)
+            .table_entries(1024)
+            .build_tagged();
         let mut s = spec();
         s.read_fraction = 100;
         let r = run_synthetic_phase(&stm, &s, 1 << 12, 2, Phase::Txns(50), 7);
@@ -423,7 +435,10 @@ mod tests {
 
     #[test]
     fn forced_abort_storm_reaches_ratio_and_conserves() {
-        let stm = tm_stm::tagged_stm(1 << 12, 4096);
+        let stm = tm_stm::StmBuilder::new()
+            .heap_words(1 << 12)
+            .table_entries(4096)
+            .build_tagged();
         let spec = crate::scenario::Scenario::abort_storm()
             .synthetic_spec()
             .expect("abort-storm is synthetic");
@@ -447,7 +462,10 @@ mod tests {
         // there are none — and readers acquire no ownership, so mixing half
         // the transactions onto the read path must leave writer aborts at
         // exactly zero.
-        let stm = tm_stm::tagged_stm(1 << 14, 4096);
+        let stm = tm_stm::StmBuilder::new()
+            .heap_words(1 << 14)
+            .table_entries(4096)
+            .build_tagged();
         let s = SyntheticSpec {
             writes_per_txn: 4,
             reads_per_txn: 4,
@@ -472,7 +490,10 @@ mod tests {
         // very words the writers are incrementing. The read path never
         // stalls a writer and never takes a grant, so writer aborts stay
         // zero on the tagged table even under full overlap.
-        let stm = tm_stm::tagged_stm(1 << 12, 2048);
+        let stm = tm_stm::StmBuilder::new()
+            .heap_words(1 << 12)
+            .table_entries(2048)
+            .build_tagged();
         let stop = AtomicBool::new(false);
         crossbeam::scope(|s| {
             let (stm, stop) = (&stm, &stop);
@@ -542,7 +563,10 @@ mod tests {
         };
         let heap_words = 1 << 14;
         let streams = build_replay_streams(&spec, 9, heap_words);
-        let stm = tm_stm::tagged_stm(heap_words, 4096);
+        let stm = tm_stm::StmBuilder::new()
+            .heap_words(heap_words)
+            .table_entries(4096)
+            .build_tagged();
         let r = run_replay_phase(&stm, &streams, 8, 4, Phase::Txns(40));
         assert_eq!(r.counters.commits, 160);
         let expected: u64 = r.tallies.iter().map(|t| t.committed_write_ops).sum();

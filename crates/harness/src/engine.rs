@@ -137,7 +137,10 @@ mod tests {
 
     #[test]
     fn core_trait_reexports_drive_engines() {
-        let stm = tm_stm::tagged_stm(64, 256);
+        let stm = tm_stm::StmBuilder::new()
+            .heap_words(64)
+            .table_entries(256)
+            .build_tagged();
         TmEngine::run(&stm, 0, |txn| {
             txn.update_add(0, 5)?;
             txn.update_add(8, 2)?;
@@ -146,7 +149,10 @@ mod tests {
         assert_eq!(stm.engine_stats().commits, 1);
         assert_eq!(stm.heap_sum(8), 7);
 
-        let lazy = tm_stm::LazyStm::new(64, 256);
+        let lazy = tm_stm::StmBuilder::new()
+            .heap_words(64)
+            .table_entries(256)
+            .build_lazy();
         TmEngine::run(&lazy, 0, |txn| {
             txn.update_add(0, 3)?;
             Ok(())

@@ -117,23 +117,11 @@ pub fn execute_traced(spec: &RunSpec) -> (RunResult, TelemetrySnapshot) {
         EngineKind::ShardedAdaptive => {
             let (stm, mut controllers) =
                 builder.build_sharded_adaptive(ResizePolicy::default(), spec.threads);
-            let stop = AtomicBool::new(false);
-            let mut outcome = None;
-            crossbeam::scope(|s| {
-                let (stop_ref, stm_ref) = (&stop, &stm);
-                // One operator loop ticking every shard's controller: each
-                // shard's table tracks its own workload slice online.
-                s.spawn(move |_| {
-                    while !stop_ref.load(Ordering::Acquire) {
-                        let _ = tick_shards(stm_ref, &mut controllers);
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                });
-                outcome = Some(drive(&stm, spec, &recorder));
-                stop.store(true, Ordering::Release);
-            })
-            .expect("sharded adaptive controller scope");
-            let mut outcome = outcome.expect("scope body ran");
+            // One operator loop ticking every shard's controller: each
+            // shard's table tracks its own workload slice online.
+            let mut outcome = drive_ticked(&stm, spec, &recorder, || {
+                let _ = tick_shards(&stm, &mut controllers);
+            });
             attach_shard_rows(&stm, &mut outcome);
             extra = AdaptiveExtra {
                 final_table_entries: Some(
@@ -152,22 +140,9 @@ pub fn execute_traced(spec: &RunSpec) -> (RunResult, TelemetrySnapshot) {
         EngineKind::Adaptive => {
             let (stm, mut controller) =
                 builder.build_adaptive(ResizePolicy::default(), spec.threads);
-            let stop = AtomicBool::new(false);
-            let mut outcome = None;
-            crossbeam::scope(|s| {
-                let (stop_ref, stm_ref) = (&stop, &stm);
-                // A live operator loop, as in production: observe the
-                // commit stream, consult the sizing model, resize online.
-                s.spawn(move |_| {
-                    while !stop_ref.load(Ordering::Acquire) {
-                        let _ = controller.tick(stm_ref);
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                });
-                outcome = Some(drive(&stm, spec, &recorder));
-                stop.store(true, Ordering::Release);
-            })
-            .expect("adaptive controller scope");
+            let outcome = drive_ticked(&stm, spec, &recorder, || {
+                let _ = controller.tick(&stm);
+            });
             let stats = stm.table().resize_stats();
             // Report the *live* geometry (the table may have resized away
             // from the construction-time config mid-run).
@@ -176,7 +151,7 @@ pub fn execute_traced(spec: &RunSpec) -> (RunResult, TelemetrySnapshot) {
                 final_table_entries: Some(live.num_entries() as u64),
                 resizes: Some(stats.resizes),
             };
-            outcome.expect("scope body ran")
+            outcome
         }
     };
     let result = finish(spec, &outcome, extra);
@@ -210,6 +185,32 @@ fn attach_shard_rows<T: ConcurrentTable, P: Probe>(
             table_entries: stm.shard_table(i).num_entries() as u64,
         })
         .collect();
+}
+
+/// [`drive`] beside a live operator loop, as in production: a second thread
+/// calls `tick` (observe the commit stream, consult the sizing model,
+/// resize online) every 5 ms until the run ends.
+fn drive_ticked<E: TmEngine>(
+    engine: &E,
+    spec: &RunSpec,
+    recorder: &Recorder,
+    mut tick: impl FnMut() + Send,
+) -> DriveOutcome {
+    let stop = AtomicBool::new(false);
+    let mut outcome = None;
+    crossbeam::scope(|s| {
+        let stop = &stop;
+        s.spawn(move |_| {
+            while !stop.load(Ordering::Acquire) {
+                tick();
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        outcome = Some(drive(engine, spec, recorder));
+        stop.store(true, Ordering::Release);
+    })
+    .expect("controller scope");
+    outcome.expect("scope body ran")
 }
 
 /// Drive any scenario family on any engine. The recorder's window is reset

@@ -389,12 +389,15 @@ fn verify_container<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_stm::tagged_stm;
+    use tm_stm::StmBuilder;
 
     const HEAP: usize = 1 << 16;
 
     fn check(kind: StructsKind) -> StructsRun {
-        let stm = tagged_stm(HEAP, 4096);
+        let stm = StmBuilder::new()
+            .heap_words(HEAP)
+            .table_entries(4096)
+            .build_tagged();
         run_structs(
             &stm,
             kind,

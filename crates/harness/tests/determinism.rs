@@ -51,7 +51,10 @@ fn different_seeds_change_the_workload() {
     let heap_words = 1 << 14;
     let spec = Scenario::uniform_mixed().synthetic_spec().unwrap();
     let image = |seed: u64| -> Vec<u64> {
-        let stm = tm_stm::tagged_stm(heap_words, 1024);
+        let stm = tm_stm::StmBuilder::new()
+            .heap_words(heap_words)
+            .table_entries(1024)
+            .build_tagged();
         run_synthetic_phase(&stm, &spec, heap_words, 1, Phase::Txns(100), seed);
         (0..heap_words as u64)
             .map(|w| stm.heap().load(w * 8))

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use tm_adaptive::{AdaptiveController, ResizePolicy};
 use tm_harness::{run_synthetic_phase, Phase, Scenario, SyntheticSpec, TmEngine};
 use tm_repro::{f3, Options, Table};
-use tm_stm::tagless_stm;
+use tm_stm::StmBuilder;
 
 const THREADS: u32 = 4;
 const START_ENTRIES: usize = 1024;
@@ -58,7 +58,10 @@ fn main() {
     let footprints: &[u32] = &[2, 4, 8, 12, 16, 24, 32];
 
     // --- Static baseline ---------------------------------------------------
-    let static_stm = tagless_stm(HEAP_WORDS, START_ENTRIES);
+    let static_stm = StmBuilder::new()
+        .heap_words(HEAP_WORDS)
+        .table_entries(START_ENTRIES)
+        .build_tagless();
 
     // --- Adaptive system with a live controller thread ---------------------
     let (adaptive_stm, controller) =

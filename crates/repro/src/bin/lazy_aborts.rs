@@ -9,15 +9,19 @@
 //! creates false conflicts.
 
 use tm_repro::{f3, Options, Table};
-use tm_stm::lazy::LazyStm;
-use tm_stm::{ReadOps, TmEngine, TxnOps};
+use tm_stm::{ReadOps, StmBuilder, TmEngine, TxnOps};
 
 const THREADS: u32 = 4;
 const WRITES_PER_TXN: u64 = 8;
 const READS_PER_WRITE: u64 = 2;
 
 fn run_point(table_entries: usize, txns_per_thread: u64) -> (u64, u64) {
-    let stm = std::sync::Arc::new(LazyStm::new(1 << 16, table_entries));
+    let stm = std::sync::Arc::new(
+        StmBuilder::new()
+            .heap_words(1 << 16)
+            .table_entries(table_entries)
+            .build_lazy(),
+    );
     crossbeam::scope(|s| {
         for id in 0..THREADS {
             let stm = &stm;

@@ -13,6 +13,7 @@
 //!
 //! Usage: `chaos_smoke [--out report.json]`.
 
+use tm_harness::json::{obj, s, unum, Json};
 use tm_server::chaos::{run_chaos_case, ChaosCase, ChaosOutcome};
 use tm_server::client::BackoffPolicy;
 use tm_server::fault::{CrashPoint, CrashSchedule, FaultPlan, FrameFaults};
@@ -43,51 +44,30 @@ fn pinned_crash_case(point: CrashPoint, seed: u64) -> ChaosCase {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn outcome_json(label: &str, out: &ChaosOutcome) -> String {
-    let violations = out
-        .violations
-        .iter()
-        .map(|v| format!("\"{}\"", json_escape(v)))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        concat!(
-            "{{\"label\":\"{}\",\"seed\":{},\"heap_sum\":{},\"acked_delta\":{},",
-            "\"unknown_max_delta\":{},\"crashes_fired\":{},\"shard_restarts\":{},",
-            "\"poisoned_writes\":{},\"duplicates\":{},\"sessions_closed\":{},",
-            "\"busy\":{},\"malformed\":{},\"attempts\":{},\"acked_writes\":{},",
-            "\"unknown\":{},\"fifo_seen\":{},\"violations\":[{}]}}"
+/// One `case_results` row of the report.
+fn case_result(label: &str, out: &ChaosOutcome) -> Json {
+    obj(vec![
+        ("label", s(label)),
+        ("seed", unum(out.seed)),
+        ("heap_sum", unum(out.heap_sum)),
+        ("acked_delta", unum(out.acked_delta)),
+        ("unknown_max_delta", unum(out.unknown_max_delta)),
+        ("crashes_fired", unum(out.crashes_fired)),
+        ("shard_restarts", unum(out.server.shard_restarts)),
+        ("poisoned_writes", unum(out.server.poisoned_writes)),
+        ("duplicates", unum(out.server.duplicates)),
+        ("sessions_closed", unum(out.server.sessions_closed)),
+        ("busy", unum(out.server.busy)),
+        ("malformed", unum(out.server.malformed)),
+        ("attempts", unum(out.retry.attempts)),
+        ("acked_writes", unum(out.retry.acked_writes)),
+        ("unknown", unum(out.retry.unknown)),
+        ("fifo_seen", unum(out.fifo_seen)),
+        (
+            "violations",
+            Json::Arr(out.violations.iter().map(s).collect()),
         ),
-        json_escape(label),
-        out.seed,
-        out.heap_sum,
-        out.acked_delta,
-        out.unknown_max_delta,
-        out.crashes_fired,
-        out.server.shard_restarts,
-        out.server.poisoned_writes,
-        out.server.duplicates,
-        out.server.sessions_closed,
-        out.server.busy,
-        out.server.malformed,
-        out.retry.attempts,
-        out.retry.acked_writes,
-        out.retry.unknown,
-        out.fifo_seen,
-        violations,
-    )
+    ])
 }
 
 fn main() {
@@ -133,40 +113,35 @@ fn main() {
     }
 
     let elapsed = started.elapsed();
-    let cases_json = results
-        .iter()
-        .map(|(label, out)| outcome_json(label, out))
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let fired_json = CrashPoint::ALL
-        .into_iter()
-        .map(|p| format!("\"{}\":{}", p.name(), fired_by_point[p.index()]))
-        .collect::<Vec<_>>()
-        .join(",");
-    let report = format!(
-        concat!(
-            "{{\n  \"case_results\": [\n    {}\n  ],\n",
-            "  \"cases\": {},\n  \"elapsed_ms\": {},\n",
-            "  \"crashes_fired_by_point\": {{{}}},\n",
-            "  \"failures\": [{}],\n  \"ok\": {}\n}}\n"
+    let report = obj(vec![
+        (
+            "case_results",
+            Json::Arr(
+                results
+                    .iter()
+                    .map(|(label, out)| case_result(label, out))
+                    .collect(),
+            ),
         ),
-        cases_json,
-        results.len(),
-        elapsed.as_millis(),
-        fired_json,
-        failures
-            .iter()
-            .map(|f| format!("\"{}\"", json_escape(f)))
-            .collect::<Vec<_>>()
-            .join(","),
-        failures.is_empty(),
-    );
+        ("cases", unum(results.len() as u64)),
+        ("elapsed_ms", unum(elapsed.as_millis() as u64)),
+        (
+            "crashes_fired_by_point",
+            obj(CrashPoint::ALL
+                .into_iter()
+                .map(|p| (p.name(), unum(fired_by_point[p.index()])))
+                .collect()),
+        ),
+        ("failures", Json::Arr(failures.iter().map(s).collect())),
+        ("ok", Json::Bool(failures.is_empty())),
+    ])
+    .to_pretty();
 
     if let Some(path) = &out_path {
         std::fs::write(path, &report).expect("write chaos report");
         println!("chaos report written to {path}");
     } else {
-        println!("{report}");
+        print!("{report}");
     }
 
     println!(

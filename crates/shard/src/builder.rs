@@ -89,7 +89,7 @@ impl<P: Probe + Clone> ShardedStmBuilder for StmBuilder<P> {
             self.configured_heap_words(),
             tables,
             map,
-            self.stm_config(),
+            self.configured_contention(),
             self.configured_probe(),
         )
     }

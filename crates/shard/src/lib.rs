@@ -5,7 +5,7 @@
 //! [`Route`](tm_stm::Route) from cache blocks to ownership tables. This
 //! crate supplies the multi-table route — [`ShardMap`], contiguous block
 //! spans — and names the engine routed by it: [`ShardedStm`]. The acquire
-//! loop, write buffer, publish bracket, retry loop, read path, scratch
+//! loop, write buffer, publish bracket, retry driver, read path, scratch
 //! pool and `TmEngine` impl are `tm-stm`'s, shared with the plain
 //! one-table `Stm`; what a multi-table route adds is the home-table pin
 //! and the cross-shard mode described below.

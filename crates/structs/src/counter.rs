@@ -48,11 +48,14 @@ impl TCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_stm::{tagged_stm, LazyStm};
+    use tm_stm::StmBuilder;
 
     #[test]
     fn add_and_get() {
-        let stm = tagged_stm(1024, 256);
+        let stm = StmBuilder::new()
+            .heap_words(1024)
+            .table_entries(256)
+            .build_tagged();
         let mut r = Region::new(0, 8192);
         let c = TCounter::create(&mut r);
         assert_eq!(c.get(&stm, 0), 0);
@@ -64,7 +67,10 @@ mod tests {
     #[test]
     fn add_and_get_on_lazy_engine() {
         // The same structure, unchanged, on the TL2-style engine.
-        let stm = LazyStm::new(1024, 256);
+        let stm = StmBuilder::new()
+            .heap_words(1024)
+            .table_entries(256)
+            .build_lazy();
         let mut r = Region::new(0, 8192);
         let c = TCounter::create(&mut r);
         assert_eq!(c.add_now(&stm, 0, 5), 5);
@@ -85,7 +91,12 @@ mod tests {
 
     #[test]
     fn concurrent_increments_exact() {
-        let stm = std::sync::Arc::new(tagged_stm(1024, 256));
+        let stm = std::sync::Arc::new(
+            StmBuilder::new()
+                .heap_words(1024)
+                .table_entries(256)
+                .build_tagged(),
+        );
         let mut r = Region::new(0, 8192);
         let c = TCounter::create(&mut r);
         crossbeam::scope(|s| {
@@ -104,7 +115,12 @@ mod tests {
 
     #[test]
     fn concurrent_increments_exact_on_lazy() {
-        let stm = std::sync::Arc::new(LazyStm::new(1024, 1024));
+        let stm = std::sync::Arc::new(
+            StmBuilder::new()
+                .heap_words(1024)
+                .table_entries(1024)
+                .build_lazy(),
+        );
         let mut r = Region::new(0, 8192);
         let c = TCounter::create(&mut r);
         crossbeam::scope(|s| {

@@ -240,10 +240,13 @@ impl<T: TxWord + Ord + Copy> TList<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_stm::{tagged_stm, LazyStm};
+    use tm_stm::StmBuilder;
 
     fn setup(cap: u64) -> (tm_stm::Stm<tm_stm::ConcurrentTaggedTable>, TList) {
-        let stm = tagged_stm(1 << 14, 1024);
+        let stm = StmBuilder::new()
+            .heap_words(1 << 14)
+            .table_entries(1024)
+            .build_tagged();
         let mut r = Region::new(0, 1 << 16);
         let l = TList::create(&mut r, cap);
         (stm, l)
@@ -308,7 +311,10 @@ mod tests {
 
     #[test]
     fn works_on_the_lazy_engine() {
-        let stm = LazyStm::new(1 << 14, 1024);
+        let stm = StmBuilder::new()
+            .heap_words(1 << 14)
+            .table_entries(1024)
+            .build_lazy();
         let mut r = Region::new(0, 1 << 16);
         let l: TList = TList::create(&mut r, 8);
         assert_eq!(l.insert_now(&stm, 0, 2), Ok(true));
@@ -331,7 +337,12 @@ mod tests {
 
     #[test]
     fn concurrent_insert_remove_conserves_nodes() {
-        let stm = std::sync::Arc::new(tagged_stm(1 << 14, 4096));
+        let stm = std::sync::Arc::new(
+            StmBuilder::new()
+                .heap_words(1 << 14)
+                .table_entries(4096)
+                .build_tagged(),
+        );
         let mut r = Region::new(0, 1 << 16);
         let l: TList = TList::create(&mut r, 64);
         crossbeam::scope(|s| {

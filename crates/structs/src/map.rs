@@ -253,10 +253,13 @@ impl<V: TxLayout> TMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_stm::tagged_stm;
+    use tm_stm::StmBuilder;
 
     fn setup(cap: u64) -> (tm_stm::Stm<tm_stm::ConcurrentTaggedTable>, TMap) {
-        let stm = tagged_stm(1 << 15, 4096);
+        let stm = StmBuilder::new()
+            .heap_words(1 << 15)
+            .table_entries(4096)
+            .build_tagged();
         let mut r = Region::new(0, 1 << 17);
         let m = TMap::create(&mut r, cap);
         (stm, m)
@@ -311,7 +314,10 @@ mod tests {
 
     #[test]
     fn typed_values_round_trip() {
-        let stm = tagged_stm(1 << 15, 4096);
+        let stm = StmBuilder::new()
+            .heap_words(1 << 15)
+            .table_entries(4096)
+            .build_tagged();
         let mut r = Region::new(0, 1 << 17);
         let m: TMap<(u64, bool)> = TMap::create(&mut r, 16);
         assert_eq!(m.insert_now(&stm, 0, 3, (30, true)), Ok(None));
@@ -329,7 +335,12 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_key_ranges() {
-        let stm = std::sync::Arc::new(tagged_stm(1 << 15, 4096));
+        let stm = std::sync::Arc::new(
+            StmBuilder::new()
+                .heap_words(1 << 15)
+                .table_entries(4096)
+                .build_tagged(),
+        );
         let mut r = Region::new(0, 1 << 17);
         let m: TMap = TMap::create(&mut r, 1024);
         crossbeam::scope(|s| {

@@ -127,10 +127,13 @@ impl<T: TxLayout> TQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_stm::tagged_stm;
+    use tm_stm::StmBuilder;
 
     fn setup(cap: u64) -> (tm_stm::Stm<tm_stm::ConcurrentTaggedTable>, TQueue) {
-        let stm = tagged_stm(1 << 14, 1024);
+        let stm = StmBuilder::new()
+            .heap_words(1 << 14)
+            .table_entries(1024)
+            .build_tagged();
         let mut r = Region::new(0, 1 << 16);
         let q = TQueue::create(&mut r, cap);
         (stm, q)
@@ -180,7 +183,10 @@ mod tests {
     #[test]
     fn multi_word_elements_round_trip() {
         // A queue of (id, flag) records: 2-word slots, read back intact.
-        let stm = tagged_stm(1 << 14, 1024);
+        let stm = StmBuilder::new()
+            .heap_words(1 << 14)
+            .table_entries(1024)
+            .build_tagged();
         let mut r = Region::new(0, 1 << 16);
         let q: TQueue<(u64, bool)> = TQueue::create(&mut r, 4);
         assert!(q.enqueue_now(&stm, 0, (7, true)).is_ok());
@@ -191,7 +197,12 @@ mod tests {
 
     #[test]
     fn producer_consumer_delivers_everything_in_order_per_producer() {
-        let stm = std::sync::Arc::new(tagged_stm(1 << 14, 4096));
+        let stm = std::sync::Arc::new(
+            StmBuilder::new()
+                .heap_words(1 << 14)
+                .table_entries(4096)
+                .build_tagged(),
+        );
         let mut r = Region::new(0, 1 << 16);
         let q: TQueue = TQueue::create(&mut r, 1024);
         let n = 400u64;

@@ -115,10 +115,13 @@ impl<T: TxLayout> TStack<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_stm::tagged_stm;
+    use tm_stm::StmBuilder;
 
     fn setup() -> (tm_stm::Stm<tm_stm::ConcurrentTaggedTable>, TStack) {
-        let stm = tagged_stm(4096, 1024);
+        let stm = StmBuilder::new()
+            .heap_words(4096)
+            .table_entries(1024)
+            .build_tagged();
         let mut r = Region::new(0, 1 << 15);
         let s = TStack::create(&mut r, 16);
         (stm, s)
@@ -159,7 +162,10 @@ mod tests {
 
     #[test]
     fn typed_records_push_pop() {
-        let stm = tagged_stm(4096, 1024);
+        let stm = StmBuilder::new()
+            .heap_words(4096)
+            .table_entries(1024)
+            .build_tagged();
         let mut r = Region::new(0, 1 << 15);
         let s: TStack<(u64, i64)> = TStack::create(&mut r, 4);
         assert!(s.push_now(&stm, 0, (1, -1)).is_ok());
@@ -170,7 +176,12 @@ mod tests {
 
     #[test]
     fn concurrent_push_pop_conserves_elements() {
-        let stm = std::sync::Arc::new(tagged_stm(1 << 14, 4096));
+        let stm = std::sync::Arc::new(
+            StmBuilder::new()
+                .heap_words(1 << 14)
+                .table_entries(4096)
+                .build_tagged(),
+        );
         let mut r = Region::new(0, 1 << 16);
         let s: TStack = TStack::create(&mut r, 4096);
         // Pre-fill with 1000 tokens of value 1.

@@ -112,9 +112,9 @@ pub mod prelude {
     pub use tm_adaptive::{AdaptiveController, AdaptiveStmBuilder, ResizePolicy};
     pub use tm_shard::{ShardMap, ShardedStm, ShardedStmBuilder};
     pub use tm_stm::{
-        Aborted, CapacityError, ContentionPolicy, EngineStats, LazyStm, ReadOps, ReadPathPolicy,
-        Region, RetryLimitExceeded, RetryPolicy, Stm, StmBuilder, TRef, TmEngine, TxAlloc,
-        TxLayout, TxResult, TxWord, TxnOps,
+        Aborted, CapacityError, ContentionPolicy, EngineStats, LazyStm, ReadOps, Region,
+        RetryLimitExceeded, RetryPolicy, Stm, StmBuilder, TRef, TmEngine, TxAlloc, TxLayout,
+        TxResult, TxWord, TxnOps,
     };
     pub use tm_structs::{TCounter, TList, TMap, TQueue, TStack};
 }

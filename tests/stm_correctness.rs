@@ -4,10 +4,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tm_birthday::ownership::TableConfig;
 use tm_birthday::stm::{
-    tagged_stm, tagless_stm, ConcurrentTable, ContentionPolicy, ReadOps, ReadPathPolicy,
-    RetryPolicy, Stm, StmConfig, TmEngine, TxnOps,
+    ConcurrentTable, ContentionPolicy, ReadOps, Stm, StmBuilder, TmEngine, TxnOps,
 };
 
 const THREADS: u32 = 4;
@@ -48,43 +46,55 @@ fn conservation<T: ConcurrentTable>(stm: &Stm<T>, cells: u64, iters: u64) {
 
 #[test]
 fn conservation_tagged() {
-    conservation(&tagged_stm(4096, 1024), 128, 1_500);
+    conservation(
+        &StmBuilder::new()
+            .heap_words(4096)
+            .table_entries(1024)
+            .build_tagged(),
+        128,
+        1_500,
+    );
 }
 
 #[test]
 fn conservation_tagless() {
-    conservation(&tagless_stm(4096, 1024), 128, 1_500);
+    conservation(
+        &StmBuilder::new()
+            .heap_words(4096)
+            .table_entries(1024)
+            .build_tagless(),
+        128,
+        1_500,
+    );
 }
 
 #[test]
 fn conservation_tagless_tiny_table() {
     // Heavy false-conflict pressure: a 16-entry table. Correctness must be
     // unaffected; only throughput suffers.
-    let stm = Stm::new(
-        4096,
-        tm_birthday::ownership::ConcurrentTaglessTable::new(TableConfig::new(16)),
-        StmConfig::default(),
-    );
+    let stm = StmBuilder::new()
+        .heap_words(4096)
+        .table_entries(16)
+        .build_tagless();
     conservation(&stm, 64, 400);
 }
 
 #[test]
 fn conservation_under_stall_policy() {
-    let stm = Stm::new(
-        4096,
-        tm_birthday::ownership::ConcurrentTaggedTable::new(TableConfig::new(512)),
-        StmConfig {
-            contention: ContentionPolicy::Stall { max_spins: 64 },
-            retry: RetryPolicy::Unbounded,
-            read_path: ReadPathPolicy::default(),
-        },
-    );
+    let stm = StmBuilder::new()
+        .heap_words(4096)
+        .table_entries(512)
+        .contention(ContentionPolicy::Stall { max_spins: 64 })
+        .build_tagged();
     conservation(&stm, 128, 1_000);
 }
 
 #[test]
 fn panicking_transaction_releases_grants() {
-    let stm = tagged_stm(256, 256);
+    let stm = StmBuilder::new()
+        .heap_words(256)
+        .table_entries(256)
+        .build_tagged();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         stm.run(0, |txn| {
             txn.write(0, 1)?;
@@ -106,7 +116,12 @@ fn read_snapshot_is_consistent_pairwise() {
     // Writers keep (word0, word1) equal inside one transaction; readers
     // must never observe them unequal. Words 0 and 64 live in different
     // blocks so the pair needs genuine two-grant atomicity.
-    let stm = std::sync::Arc::new(tagged_stm(256, 1024));
+    let stm = std::sync::Arc::new(
+        StmBuilder::new()
+            .heap_words(256)
+            .table_entries(1024)
+            .build_tagged(),
+    );
     let violations = AtomicU64::new(0);
     crossbeam::scope(|s| {
         let (stm, violations) = (&stm, &violations);
@@ -143,7 +158,12 @@ fn strong_isolation_excludes_writers() {
     // strong read of the pair is performed under one acquire by reading
     // both words before release — emulated here by a tiny transaction on
     // the reader side for the pair, and raw strong reads for single words).
-    let stm = std::sync::Arc::new(tagless_stm(256, 512));
+    let stm = std::sync::Arc::new(
+        StmBuilder::new()
+            .heap_words(256)
+            .table_entries(512)
+            .build_tagless(),
+    );
     crossbeam::scope(|s| {
         let stm1 = &stm;
         s.spawn(move |_| {
@@ -178,7 +198,12 @@ fn try_run_budget_respected_under_persistent_conflict() {
     // Thread 0 camps on a block inside a long transaction; thread 1's
     // budgeted attempts must all fail, then succeed after release.
     use std::sync::atomic::AtomicBool;
-    let stm = std::sync::Arc::new(tagged_stm(256, 256));
+    let stm = std::sync::Arc::new(
+        StmBuilder::new()
+            .heap_words(256)
+            .table_entries(256)
+            .build_tagged(),
+    );
     let holding = AtomicBool::new(false);
     let done = AtomicBool::new(false);
     crossbeam::scope(|s| {
@@ -205,4 +230,66 @@ fn try_run_budget_respected_under_persistent_conflict() {
     // After the camper commits, the block is writable again.
     assert!(stm.try_run(1, 5, |txn| txn.write(0, 7)).is_ok());
     assert_eq!(stm.heap().load(0), 7);
+}
+
+/// Tier-1 smoke of `crates/core/tests/probe_equivalence.rs`: one driver
+/// bumps counter and probe side by side, so on every engine family and
+/// both eager routes a `Recorder`'s counts equal the `EngineStats` fields.
+#[test]
+fn recorder_counts_equal_engine_stats_on_all_four_engines() {
+    use std::sync::Arc;
+    use tm_birthday::shard::ShardedStmBuilder;
+    use tm_birthday::stm::{AbortCause, Recorder};
+
+    fn check<E: TmEngine>(build: impl FnOnce(&StmBuilder<Arc<Recorder>>) -> E) {
+        let recorder = Arc::new(Recorder::new());
+        let stm = build(
+            &StmBuilder::new()
+                .heap_words(1024)
+                .table_entries(256)
+                .shards(4)
+                .probe(Arc::clone(&recorder)),
+        );
+        let mut first = true;
+        stm.run(0, |txn| {
+            if std::mem::take(&mut first) {
+                return txn.retry();
+            }
+            txn.write(0, 1)?;
+            txn.write(6144, 2) // another table on the four-table route
+        });
+        let exhausted: Result<(), _> = stm.try_run(0, 2, |txn| txn.retry());
+        assert!(exhausted.is_err());
+        let mut first = true;
+        let sum = stm.run_read(1, |txn| {
+            if std::mem::take(&mut first) {
+                return txn.retry();
+            }
+            Ok(txn.read(0)? + txn.read(6144)?)
+        });
+        assert_eq!(sum, 3);
+
+        let (snap, stats) = (recorder.snapshot(), stm.engine_stats());
+        let recorded = (
+            snap.txn.count(),
+            snap.cause(AbortCause::ExplicitRetry),
+            snap.total_aborts(),
+            snap.read_txn.count(),
+            snap.read_validation_retries,
+        );
+        let counted = (
+            stats.commits,
+            stats.aborts,
+            stats.aborts,
+            stats.read_only_commits,
+            stats.read_validation_retries,
+        );
+        assert_eq!(recorded, counted);
+        assert_eq!(counted, (1, 3, 3, 1, 1));
+    }
+
+    check(|b| b.build_tagless());
+    check(|b| b.build_tagged());
+    check(|b| b.build_sharded_tagless());
+    check(|b| b.build_lazy());
 }

@@ -9,9 +9,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use tm_birthday::stm::lazy::LazyStm;
-use tm_birthday::stm::{
-    tagged_stm, tagless_stm, Aborted, ConcurrentTable, ReadOps, Stm, TmEngine, TxnOps,
-};
+use tm_birthday::stm::{Aborted, ConcurrentTable, ReadOps, Stm, StmBuilder, TmEngine, TxnOps};
 
 /// One step of a transaction script.
 #[derive(Clone, Copy, Debug)]
@@ -123,7 +121,7 @@ proptest! {
 
     #[test]
     fn eager_tagged_matches_reference(script in arb_script()) {
-        let stm = tagged_stm(64, 256);
+        let stm = StmBuilder::new().heap_words(64).table_entries(256).build_tagged();
         let reads = run_eager(&stm, &script);
         let (committed, ref_reads) = run_reference(&script);
         prop_assert_eq!(reads, ref_reads);
@@ -134,7 +132,7 @@ proptest! {
     fn eager_tagless_matches_reference(script in arb_script()) {
         // Tiny table: heavy aliasing, but a single thread never conflicts
         // with itself — semantics must be identical.
-        let stm = tagless_stm(64, 4);
+        let stm = StmBuilder::new().heap_words(64).table_entries(4).build_tagless();
         let reads = run_eager(&stm, &script);
         let (committed, ref_reads) = run_reference(&script);
         prop_assert_eq!(reads, ref_reads);
@@ -143,7 +141,7 @@ proptest! {
 
     #[test]
     fn lazy_matches_reference(script in arb_script()) {
-        let stm = LazyStm::new(64, 4);
+        let stm = StmBuilder::new().heap_words(64).table_entries(4).build_lazy();
         let reads = run_lazy(&stm, &script);
         let (committed, ref_reads) = run_reference(&script);
         prop_assert_eq!(reads, ref_reads);
@@ -154,8 +152,8 @@ proptest! {
     /// sum must be exact on every engine.
     #[test]
     fn concurrent_sum_exact(counts in proptest::collection::vec(1u64..60, 2..5)) {
-        let eager = std::sync::Arc::new(tagged_stm(64, 64));
-        let lazy = std::sync::Arc::new(LazyStm::new(64, 64));
+        let eager = std::sync::Arc::new(StmBuilder::new().heap_words(64).table_entries(64).build_tagged());
+        let lazy = std::sync::Arc::new(StmBuilder::new().heap_words(64).table_entries(64).build_lazy());
         crossbeam::scope(|s| {
             for (id, &n) in counts.iter().enumerate() {
                 let (eager, lazy) = (&eager, &lazy);
