@@ -346,6 +346,9 @@ fn drive(
                     s.event_remaining = size;
                 }
             }
+            // The response is drained a whole pass over the sessions from
+            // now: the request must not wait that long to leave.
+            s.conn.flush();
         }
         if all_sent {
             break;
@@ -447,6 +450,7 @@ fn resend_due_retries(s: &mut SessionSim, cfg: &LoadgenConfig, report: &mut Load
         report.retries += 1;
         any = true;
     }
+    s.conn.flush();
     any
 }
 

@@ -369,6 +369,21 @@ pub(crate) fn frame_len(bytes: &[u8]) -> Result<Option<usize>, DecodeError> {
     Ok((bytes.len() >= 4 + len).then_some(4 + len))
 }
 
+/// How many frames `bytes` holds, if it is exactly a run of one or more
+/// whole frames with nothing left over — what a worker requires of an
+/// inbound message before it walks it frame by frame.
+pub(crate) fn count_frames(mut bytes: &[u8]) -> Option<usize> {
+    let mut frames = 0;
+    while let Ok(Some(len)) = frame_len(bytes) {
+        frames += 1;
+        bytes = &bytes[len..];
+        if bytes.is_empty() {
+            return Some(frames);
+        }
+    }
+    None
+}
+
 /// Best-effort correlation id of a frame whose payload may be garbage —
 /// what the server echoes in a `Malformed` error so the client can still
 /// match it. `None` when even the envelope is unreadable.
@@ -667,8 +682,10 @@ const MAX_READ_BYTES: usize = 64 * 1024;
 ///
 /// Refill with [`FrameBuf::read_from`] (straight from the socket) or
 /// [`FrameBuf::extend`] (bytes already in hand); pop complete frames out
-/// with [`FrameBuf::next_frame`] until it returns `Ok(None)`. Popping only
-/// advances a cursor; consumed bytes are reclaimed once per refill. An
+/// one at a time with [`FrameBuf::pop_frame`] until it returns `Ok(None)`,
+/// or all at once with [`FrameBuf::pop_frames`]. Popping only advances a
+/// cursor and lends the bytes out in place; consumed bytes are reclaimed
+/// once per refill. An
 /// oversized length prefix surfaces as [`DecodeError::FrameTooLarge`]
 /// *before* the frame's bytes are buffered, so a hostile peer cannot
 /// balloon the buffer: between refills it holds at most one partial frame.
@@ -725,17 +742,42 @@ impl FrameBuf {
         Ok(n)
     }
 
-    /// Pop the next complete frame, `Ok(None)` when more bytes are needed.
-    /// After `Err(FrameTooLarge)` the stream is unrecoverable (framing is
-    /// lost) and the connection should be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, DecodeError> {
+    /// Pop the next complete frame, borrowed from the buffer (valid until
+    /// the next refill); `Ok(None)` when more bytes are needed. After
+    /// `Err(FrameTooLarge)` the stream is unrecoverable (framing is lost)
+    /// and the connection should be dropped.
+    pub fn pop_frame(&mut self) -> Result<Option<&[u8]>, DecodeError> {
         let pending = &self.buf[self.head..self.tail];
         let Some(total) = frame_len(pending)? else {
             return Ok(None);
         };
-        let frame = pending[..total].to_vec();
         self.head += total;
-        Ok(Some(frame))
+        Ok(Some(&pending[..total]))
+    }
+
+    /// [`FrameBuf::pop_frame`], copied out.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, DecodeError> {
+        Ok(self.pop_frame()?.map(<[u8]>::to_vec))
+    }
+
+    /// Pop every complete frame buffered, as one borrowed run of whole
+    /// frames; empty when the first frame is still incomplete. A run cut
+    /// short by an oversized length prefix is returned first, so the frames
+    /// ahead of a lost framing are still served: the error is the next
+    /// call's.
+    pub fn pop_frames(&mut self) -> Result<&[u8], DecodeError> {
+        let start = self.head;
+        let ended = loop {
+            match self.pop_frame() {
+                Ok(Some(_)) => {}
+                Ok(None) => break Ok(()),
+                Err(lost) => break Err(lost),
+            }
+        };
+        match ended {
+            Err(lost) if self.head == start => Err(lost),
+            _ => Ok(&self.buf[start..self.head]),
+        }
     }
 
     /// Received bytes not yet popped as frames (diagnostics).

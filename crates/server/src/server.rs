@@ -11,12 +11,15 @@
 //! shard i ──outbox, one message per session per wake-up──▶ session sinks
 //! ```
 //!
-//! There is one hop in each direction. A transport thread puts a message
-//! straight on the queue of its session's shard (`Ingress`); a shard
-//! takes everything queued without blocking, and only when its queue is
-//! empty commits the writes still batched, hands each session the
-//! responses made since (one sink message of whole frames per session, see
-//! [`SessionRegistry::flush_out`]) and blocks until the next message.
+//! There is one hop in each direction, and what crosses it either way is a
+//! message of whole frames. A transport thread puts the request frames a
+//! session had ready, as one [`ServerMsg::Frames`], straight on the queue
+//! of its session's shard (`Ingress`); a shard takes everything queued
+//! without blocking, walks each message frame by frame in place, and only
+//! when its queue is empty commits the writes still batched, hands each
+//! session the responses made since (one sink message of whole frames per
+//! session, see [`SessionRegistry::flush_out`]) and blocks until the next
+//! message.
 //!
 //! Sessions are pinned to shards (`session % shards`), which buys three
 //! properties at once:
@@ -47,17 +50,21 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use tm_stm::{Aborted, ReadOps, TmEngine, TxnOps, WORD_BYTES};
+use tm_stm::{Aborted, EngineStats, ReadOps, TmEngine, TxnOps, WORD_BYTES};
 
 use crate::backpressure::{Admission, AdmissionPolicy};
 use crate::batch::{BatchPolicy, Batcher, Group, PendingWrite, WriteOp};
 use crate::fault::{CrashPoint, FaultState};
-use crate::protocol::{peek_id, ErrorCode, Request, RequestFrame, Response};
+use crate::protocol::{
+    count_frames, frame_len, peek_id, ErrorCode, Request, RequestFrame, Response,
+};
 use crate::session::{DedupVerdict, ServerMsg, SessionId, SessionRegistry, DEFAULT_DEDUP_WINDOW};
 
-/// Messages a shard handles in one drain before it hands responses over
-/// anyway. A queue that never empties (more producers than the shard can
-/// keep up with) would otherwise hold every answer back forever.
+/// Frames (and connects and disconnects) a shard handles in one drain
+/// before it hands responses over anyway. A queue that never empties (more
+/// producers than the shard can keep up with) would otherwise hold every
+/// answer back forever. Frames, not messages: one message can hold
+/// thousands.
 const DELIVER_EVERY: u32 = 128;
 
 /// Write ops between admission-controller observations (shard 0 only).
@@ -226,7 +233,7 @@ pub struct ServerHandle {
 /// feeds the server holds its own clone.
 #[derive(Clone)]
 pub(crate) struct Ingress {
-    shards: Vec<Sender<ServerMsg>>,
+    pub(crate) shards: Vec<Sender<ServerMsg>>,
 }
 
 impl Ingress {
@@ -235,7 +242,7 @@ impl Ingress {
     pub(crate) fn send(&self, msg: ServerMsg) -> Result<(), SendError<ServerMsg>> {
         let session = match &msg {
             ServerMsg::Connect { session, .. }
-            | ServerMsg::Frame { session, .. }
+            | ServerMsg::Frames { session, .. }
             | ServerMsg::Disconnect { session } => *session,
             ServerMsg::Shutdown => {
                 for shard in &self.shards {
@@ -388,6 +395,60 @@ struct ShardState {
     current: Option<InFlightGroup>,
 }
 
+/// The inbound message a shard is walking. It lives in the supervisor's
+/// frame beside [`ShardState`], so a contained panic costs the one frame
+/// it struck and not the frames behind it in the same message: the
+/// restarted loop resumes at `next`.
+#[derive(Default)]
+struct Inbound {
+    session: SessionId,
+    bytes: Vec<u8>,
+    /// Where the first frame not yet handled starts.
+    next: usize,
+    /// Frames not yet handled. A message that is not exactly a run of whole
+    /// frames counts as one: all of it, undecodable.
+    left: usize,
+}
+
+impl Inbound {
+    fn new(session: SessionId, bytes: Vec<u8>) -> Self {
+        let left = count_frames(&bytes).unwrap_or(1);
+        Self {
+            session,
+            bytes,
+            next: 0,
+            left,
+        }
+    }
+
+    /// The next frame, borrowed in place. It is taken off *before* it is
+    /// handled, so a panic while handling it makes it vanish, not repeat.
+    fn pop(&mut self) -> Option<&[u8]> {
+        self.left = self.left.checked_sub(1)?;
+        let rest = &self.bytes[self.next..];
+        let len = match self.left {
+            0 => rest.len(),
+            _ => frame_len(rest)
+                .ok()
+                .flatten()
+                .expect("whole frames, counted on arrival"),
+        };
+        self.next += len;
+        Some(&rest[..len])
+    }
+}
+
+/// What one run of the shard loop counts from unit to unit (a unit is a
+/// frame, a connect or a disconnect).
+struct Pace {
+    /// Engine counters at the last admission observation.
+    last_engine: EngineStats,
+    /// Write ops admitted since then.
+    writes_since_observe: u64,
+    /// Units handled since responses were last handed over.
+    handled: u32,
+}
+
 /// Shard supervisor: run the shard loop under `catch_unwind`; on a panic,
 /// repair the shard's state (poison lost writes, release stranded
 /// admission cost, audit the engine) and restart the loop. The engine
@@ -409,10 +470,18 @@ fn shard_thread<E: TmEngine>(
         pending_groups: VecDeque::new(),
         current: None,
     };
+    let mut inbound = Inbound::default();
     loop {
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             shard_loop(
-                shard_id, &rx, &engine, &config, &stats, &admission, &mut state,
+                shard_id,
+                &rx,
+                &engine,
+                &config,
+                &stats,
+                &admission,
+                &mut state,
+                &mut inbound,
             )
         }));
         match result {
@@ -433,6 +502,7 @@ fn shard_thread<E: TmEngine>(
 /// Each wake-up drains the queue without blocking, commits what is still
 /// batched, hands every session its responses in one message, then blocks:
 /// a client is woken when its answers are complete, no write waits a timer.
+#[allow(clippy::too_many_arguments)] // shard-local state threaded explicitly
 fn shard_loop<E: TmEngine>(
     shard_id: u32,
     rx: &Receiver<ServerMsg>,
@@ -441,10 +511,19 @@ fn shard_loop<E: TmEngine>(
     stats: &ServerStats,
     admission: &Admission,
     state: &mut ShardState,
+    inbound: &mut Inbound,
 ) {
-    let mut last_engine = engine.engine_stats();
-    let mut writes_since_observe = 0u64;
-    let mut handled = 0u32;
+    let mut pace = Pace {
+        last_engine: engine.engine_stats(),
+        writes_since_observe: 0,
+        handled: 0,
+    };
+    // A restart: the frames behind the one the panic struck come first.
+    if inbound.left > 0 {
+        walk(
+            shard_id, engine, config, stats, admission, state, inbound, &mut pace,
+        );
+    }
 
     loop {
         let next = match rx.try_recv() {
@@ -452,26 +531,28 @@ fn shard_loop<E: TmEngine>(
             Err(TryRecvError::Empty) => {
                 flush(shard_id, engine, config, stats, admission, state);
                 state.registry.flush_out();
-                handled = 0;
+                pace.handled = 0;
                 rx.recv().ok()
             }
             ready => ready.ok(),
         };
         match next {
             Some(ServerMsg::Connect { session, sink }) => state.registry.connect(session, sink),
-            Some(ServerMsg::Disconnect { session }) => state.registry.disconnect(session),
-            Some(ServerMsg::Frame { session, bytes }) => {
-                handle_frame(
-                    shard_id,
-                    session,
-                    &bytes,
-                    engine,
-                    config,
-                    stats,
-                    admission,
-                    state,
-                    &mut writes_since_observe,
+            Some(ServerMsg::Disconnect { session }) => {
+                // As for `Close`: the session's accepted writes commit and
+                // are acknowledged before it is forgotten. A peer whose
+                // stream the reader gave up on is still there to read.
+                if state.batcher.has_session(session) {
+                    flush(shard_id, engine, config, stats, admission, state);
+                }
+                state.registry.disconnect(session);
+            }
+            Some(ServerMsg::Frames { session, bytes }) => {
+                *inbound = Inbound::new(session, bytes);
+                walk(
+                    shard_id, engine, config, stats, admission, state, inbound, &mut pace,
                 );
+                continue;
             }
             Some(ServerMsg::Shutdown) | None => {
                 // Graceful drain: in-flight groups fully commit, their acks
@@ -482,23 +563,73 @@ fn shard_loop<E: TmEngine>(
                 return;
             }
         }
-        // A group is full, or this drain has outlasted `latency_budget`.
-        if !state.batcher.is_empty() && state.batcher.should_flush(Instant::now()) {
-            flush(shard_id, engine, config, stats, admission, state);
-        }
-        handled += 1;
-        if handled >= DELIVER_EVERY {
-            state.registry.flush_out();
-            handled = 0;
-        }
-        // Shard 0 periodically folds the windowed abort ratio into the
-        // shared admission budget (one observer keeps windows disjoint).
-        if shard_id == 0 && writes_since_observe >= OBSERVE_EVERY {
-            let now_stats = engine.engine_stats();
-            admission.observe(now_stats.since(&last_engine).abort_ratio());
-            last_engine = now_stats;
-            writes_since_observe = 0;
-        }
+        after_unit(shard_id, engine, config, stats, admission, state, &mut pace);
+    }
+}
+
+/// Handle what is left of `inbound`, one frame at a time, each with every
+/// per-frame guarantee (the closed-session guard and the ingress crash
+/// point in [`handle_frame`], then [`after_unit`]); then hand the emptied
+/// buffer to its session.
+#[allow(clippy::too_many_arguments)] // shard-local state threaded explicitly
+fn walk<E: TmEngine>(
+    shard_id: u32,
+    engine: &Arc<E>,
+    config: &ServerConfig,
+    stats: &ServerStats,
+    admission: &Admission,
+    state: &mut ShardState,
+    inbound: &mut Inbound,
+    pace: &mut Pace,
+) {
+    let session = inbound.session;
+    while let Some(frame) = inbound.pop() {
+        handle_frame(
+            shard_id,
+            session,
+            frame,
+            engine,
+            config,
+            stats,
+            admission,
+            state,
+            &mut pace.writes_since_observe,
+        );
+        after_unit(shard_id, engine, config, stats, admission, state, pace);
+    }
+    state
+        .registry
+        .recycle(session, std::mem::take(&mut inbound.bytes));
+}
+
+/// What follows every unit: commit at the cap, hand responses over every
+/// [`DELIVER_EVERY`] units, fold the abort ratio into the admission budget
+/// every [`OBSERVE_EVERY`] writes.
+fn after_unit<E: TmEngine>(
+    shard_id: u32,
+    engine: &Arc<E>,
+    config: &ServerConfig,
+    stats: &ServerStats,
+    admission: &Admission,
+    state: &mut ShardState,
+    pace: &mut Pace,
+) {
+    // A group is full, or this drain has outlasted `latency_budget`.
+    if !state.batcher.is_empty() && state.batcher.should_flush(Instant::now()) {
+        flush(shard_id, engine, config, stats, admission, state);
+    }
+    pace.handled += 1;
+    if pace.handled >= DELIVER_EVERY {
+        state.registry.flush_out();
+        pace.handled = 0;
+    }
+    // Shard 0 periodically folds the windowed abort ratio into the
+    // shared admission budget (one observer keeps windows disjoint).
+    if shard_id == 0 && pace.writes_since_observe >= OBSERVE_EVERY {
+        let now_stats = engine.engine_stats();
+        admission.observe(now_stats.since(&pace.last_engine).abort_ratio());
+        pace.last_engine = now_stats;
+        pace.writes_since_observe = 0;
     }
 }
 
@@ -873,8 +1004,12 @@ fn run_current_group<E: TmEngine>(
     for pw in &group.ops {
         match &pw.op {
             WriteOp::Put { .. } => puts += 1,
-            WriteOp::Add { delta: d, .. } => delta += *d,
-            WriteOp::MultiAdd { keys, delta: d } => delta += *d * keys.len() as u64,
+            // Wrapping, as the heap words and `heap_sum` are: a delta is the
+            // client's to choose.
+            WriteOp::Add { delta: d, .. } => delta = delta.wrapping_add(*d),
+            WriteOp::MultiAdd { keys, delta: d } => {
+                delta = delta.wrapping_add(d.wrapping_mul(keys.len() as u64))
+            }
             // Overwrites break increment accounting key-by-key.
             WriteOp::MultiPut { keys, .. } => puts += keys.len() as u64,
         }

@@ -8,11 +8,15 @@
 //! (many requests in flight before reading responses) is safe without any
 //! client-side windowing protocol.
 //!
+//! Both directions carry **messages of whole frames**: one `Vec<u8>` holding
+//! one or more complete encoded frames, in order, never a part of one.
+//!
 //! Transports (TCP, in-process channel) reduce to the same three-message
 //! lifecycle on the ingress plane: [`ServerMsg::Connect`] registers the
-//! sink, [`ServerMsg::Frame`] carries one complete encoded request frame,
-//! [`ServerMsg::Disconnect`] abandons the session (uncommitted batched
-//! writes still flush — they were acknowledged into the batcher).
+//! sink, [`ServerMsg::Frames`] carries the request frames a session had
+//! ready (a window a client queued, everything one socket read brought),
+//! [`ServerMsg::Disconnect`] abandons the session (the writes it still has
+//! batched commit first, and their acks are the last thing its sink gets).
 //! [`ServerMsg::Shutdown`] drains everything: the server handle queues it
 //! on every shard *behind* whatever that shard had already been sent, so a
 //! shard that sees it has already answered everything ahead of it.
@@ -23,6 +27,11 @@
 //! to its sink as *one* message of whole frames. A shard calls it when it
 //! is about to block, so a client is woken once per shard wake-up rather
 //! than once per answer.
+//!
+//! The buffers go round instead of being allocated: an inbound message the
+//! shard has finished with is given back through
+//! [`SessionRegistry::recycle`] and becomes that session's next outbox the
+//! moment the current one leaves for the sink.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;
@@ -160,11 +169,13 @@ pub enum ServerMsg {
         /// message is one or more whole frames, in order.
         sink: Sender<Vec<u8>>,
     },
-    /// One complete encoded request frame from a session.
-    Frame {
+    /// One or more complete encoded request frames from a session, in
+    /// order. A message that is anything else (a cut or garbled frame) is
+    /// treated whole as one undecodable frame.
+    Frames {
         /// Originating session.
         session: SessionId,
-        /// The frame, length prefix included.
+        /// The frames, length prefixes included, back to back.
         bytes: Vec<u8>,
     },
     /// The session's connection is gone; forget it.
@@ -183,6 +194,8 @@ struct SessionState {
     dedup: DedupWindow,
     /// Encoded responses not yet handed to `sink`: whole frames, in order.
     outbox: Vec<u8>,
+    /// An emptied inbound message: the outbox after this one.
+    spare: Vec<u8>,
 }
 
 /// A shard's view of its live sessions. Single-threaded (each shard owns
@@ -221,6 +234,7 @@ impl SessionRegistry {
                 sink,
                 dedup: DedupWindow::new(self.dedup_window),
                 outbox: Vec::new(),
+                spare: Vec::new(),
             },
         );
     }
@@ -303,6 +317,18 @@ impl SessionRegistry {
         }
     }
 
+    /// Take back the buffer of an inbound message of `session` whose frames
+    /// have all been handled: emptied, it is the session's next outbox. The
+    /// responses to the *next* message are then encoded into room that is
+    /// already there, where an outbox starting from nothing would grow by
+    /// doubling once per wake-up. A departed session's buffer is dropped.
+    pub fn recycle(&mut self, session: SessionId, mut buffer: Vec<u8>) {
+        if let Some(state) = self.sessions.get_mut(&session) {
+            buffer.clear();
+            state.spare = buffer;
+        }
+    }
+
     /// Hand every non-empty outbox to its sink, one message per session.
     pub fn flush_out(&mut self) {
         for i in 0..self.dirty.len() {
@@ -319,7 +345,12 @@ impl SessionRegistry {
         if state.outbox.is_empty() {
             return;
         }
-        if state.sink.send(std::mem::take(&mut state.outbox)).is_err() {
+        let next = std::mem::take(&mut state.spare);
+        if state
+            .sink
+            .send(std::mem::replace(&mut state.outbox, next))
+            .is_err()
+        {
             // Receiver dropped without a Disconnect (abrupt client
             // death); reclaim the slot now rather than on every send.
             self.sessions.remove(&session);
@@ -397,6 +428,31 @@ mod tests {
         reg.flush_out();
         let got = frames(&rx.try_recv().expect("the rest"));
         assert_eq!((got.len(), got[0].id), (1, sent));
+    }
+
+    #[test]
+    fn a_recycled_buffer_is_the_next_outbox() {
+        let mut reg = SessionRegistry::default();
+        let (tx, rx) = channel();
+        reg.connect(1, tx);
+        // The buffer is kept while this round's responses wait...
+        reg.respond(1, 1, Response::Pong);
+        let mut inbound = Vec::with_capacity(4096);
+        inbound.extend_from_slice(b"request frames, all handled");
+        let buffer = inbound.as_ptr();
+        reg.recycle(1, inbound);
+        reg.flush_out();
+        assert_eq!(frames(&rx.try_recv().expect("the Pong")).len(), 1);
+        // ...whose responses are encoded into it, behind nothing stale.
+        reg.respond(1, 2, Response::Value(9));
+        reg.flush_out();
+        let message = rx.try_recv().expect("the Value");
+        assert_eq!(message.as_ptr(), buffer, "the same allocation");
+        let got = frames(&message);
+        assert_eq!((got.len(), got[0].id), (1, 2));
+
+        // A departed session's buffer is dropped, not kept.
+        reg.recycle(99, Vec::with_capacity(64));
     }
 
     #[test]

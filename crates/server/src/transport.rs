@@ -1,33 +1,48 @@
 //! Transports: how encoded frames reach the ingress plane.
 //!
-//! Two implementations share one contract (deliver complete encoded
-//! request frames as [`ServerMsg::Frame`], carry encoded response frames
-//! back):
+//! Two implementations share one contract: deliver request frames as
+//! [`ServerMsg::Frames`] — messages of whole frames, as many as were ready
+//! — and carry the session's sink messages, whole response frames too,
+//! back:
 //!
 //! * **channel** — an in-process transport over `mpsc` channels. Frames
 //!   are *fully encoded and decoded* on both directions, so the wire
 //!   format is exercised end to end, but no sockets are involved: CI,
 //!   tests, and the load generator run hermetically.
 //! * **tcp** — a `std::net` listener with one reader and one writer thread
-//!   per connection, and [`TcpConn`] on the client side. A socket call
-//!   costs microseconds where a frame costs tens of nanoseconds, so both
-//!   ends move as many frames per call as are ready:
+//!   per connection, and [`TcpConn`] on the client side.
 //!
-//!   * every **write** carries everything queued. The server's writer
-//!     blocks for one sink message (the responses a worker made in one
-//!     wake-up), gathers whatever else the workers queued while it was
-//!     not running, and issues one `write_all`; [`TcpConn`]
-//!     collects `send`s in an outbound buffer and writes it when the caller
-//!     turns to receive (or calls [`TcpConn::flush`], or drops the
-//!     connection). One request in flight is still one write each way; a
-//!     pipelined window is one write each way too.
-//!   * every **read** goes straight into [`FrameBuf`]'s spare room and
-//!     yields every complete frame in it; the client re-arms its socket
-//!     timeout only when it changes.
+//! A hand-over — a socket call, or a channel send and the wake-up behind
+//! it — costs a microsecond where a frame costs tens of nanoseconds, so
+//! every stage moves as many frames per hand-over as are ready:
 //!
-//!   Either side stops gathering at [`COALESCE_BYTES`], which bounds the
-//!   buffers; how far a client can pipeline before it must receive is
-//!   bounded by the kernel's socket buffers, as it is for any TCP peer.
+//! * **one send rule for both connection types.** [`ChannelConn::send`] and
+//!   [`TcpConn::send`] encode into a retained outbound buffer. It leaves —
+//!   as one ingress message, as one socket write — when the caller turns
+//!   to receive and has to wait, on `flush()`, when the connection is
+//!   dropped, or at once when it holds [`COALESCE_BYTES`]. One request in
+//!   flight is still one hand-over each way; a pipelined window is one
+//!   each way too. A caller that sends and then waits for the effect
+//!   through some other channel must `flush` first.
+//! * the server's socket **reader** reads straight into [`FrameBuf`]'s
+//!   spare room and forwards everything up to the last whole frame as one
+//!   message; its **writer** blocks for one sink message (the responses a
+//!   worker made in one wake-up), gathers whatever else the workers queued
+//!   while it was not running, and issues one `write_all`.
+//! * both clients decode responses **in place** — [`ChannelConn`] from the
+//!   sink message, [`TcpConn`] from its [`FrameBuf`] — and the TCP client
+//!   re-arms its socket timeout only when it changes.
+//! * the buffers **go round**. A [`ChannelConn`]'s used-up sink message is
+//!   its next outbound buffer, and a worker's used-up inbound message is
+//!   that session's next outbox
+//!   ([`SessionRegistry::recycle`](crate::session::SessionRegistry::recycle)),
+//!   so a steady window of reads over the channel transport allocates
+//!   nothing on either side.
+//!
+//! Every stage stops gathering at [`COALESCE_BYTES`], which bounds the
+//! buffers; how far a TCP client can pipeline before it must receive is
+//! bounded by the kernel's socket buffers, as it is for any TCP peer. The
+//! queues between the stages are not bounded: see DESIGN.md "Transport".
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -55,6 +70,7 @@ impl ServerHandle {
             ingress,
             session,
             rx,
+            out: Vec::new(),
             message: Vec::new(),
             cursor: 0,
             next_id: 1,
@@ -67,10 +83,14 @@ impl ServerHandle {
 /// Pipelining is the intended use: issue many [`ChannelConn::send`]s, then
 /// drain responses — the server answers a session's requests in order, and
 /// the returned correlation ids let the client match them up regardless.
+/// Requests collect in an outbound buffer and reach the server as one
+/// message when the caller turns to receive.
 pub struct ChannelConn {
     ingress: Ingress,
     session: SessionId,
     rx: Receiver<Vec<u8>>,
+    /// Encoded requests not yet handed to the server.
+    out: Vec<u8>,
     /// The sink message being read — one or more whole frames — and where
     /// in it the next frame starts.
     message: Vec<u8>,
@@ -84,19 +104,51 @@ impl ChannelConn {
         self.session
     }
 
-    /// Encode and send one request; returns its correlation id.
+    /// Encode and queue one request; returns its correlation id.
+    ///
+    /// The server may not have the request when this returns. It is handed
+    /// over by the next [`ChannelConn::try_recv`] or
+    /// [`ChannelConn::recv_timeout`] that finds no response already
+    /// delivered, by [`ChannelConn::flush`], when the connection is
+    /// disconnected or dropped, or at once when [`COALESCE_BYTES`] are
+    /// queued. A caller that sends and then waits for the effect through
+    /// some other channel must `flush` first.
     pub fn send(&mut self, request: Request) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let bytes = RequestFrame { id, request }.encode();
-        self.send_raw(bytes);
+        if self.out.capacity() == 0 && self.cursor == self.message.len() {
+            // The sink message just read through is the next outbound
+            // buffer: in a steady exchange neither side allocates.
+            self.out = std::mem::take(&mut self.message);
+            self.out.clear();
+            self.cursor = 0;
+        }
+        RequestFrame { id, request }.encode_into(&mut self.out);
+        if self.out.len() >= COALESCE_BYTES {
+            self.flush();
+        }
         id
     }
 
-    /// Send pre-encoded frame bytes (tests use this to deliver malformed
-    /// frames). Dropped silently if the server is gone.
-    pub fn send_raw(&self, bytes: Vec<u8>) {
-        let _ = self.ingress.send(ServerMsg::Frame {
+    /// Hand every queued request to the server now, as one message.
+    /// Dropped silently if the server is gone.
+    pub fn flush(&mut self) {
+        if !self.out.is_empty() {
+            let bytes = std::mem::take(&mut self.out);
+            self.send_message(bytes);
+        }
+    }
+
+    /// Send pre-encoded bytes as a message of their own, behind anything
+    /// [`ChannelConn::send`] had queued (tests and fault injection use this
+    /// to deliver malformed frames). Dropped silently if the server is gone.
+    pub fn send_raw(&mut self, bytes: Vec<u8>) {
+        self.flush();
+        self.send_message(bytes);
+    }
+
+    fn send_message(&self, bytes: Vec<u8>) {
+        let _ = self.ingress.send(ServerMsg::Frames {
             session: self.session,
             bytes,
         });
@@ -112,13 +164,16 @@ impl ChannelConn {
         self.pop_frame(|rx| rx.recv_timeout(timeout).ok())
     }
 
-    /// Decode the next frame of the current sink message, taking the next
-    /// message from `refill` once this one is used up.
+    /// Decode the next frame of the current sink message in place. Once
+    /// that message is used up, the server must have the requests whose
+    /// answers this waits for: flush, then take the next message from
+    /// `refill`.
     fn pop_frame(
         &mut self,
         refill: impl FnOnce(&Receiver<Vec<u8>>) -> Option<Vec<u8>>,
     ) -> Option<ResponseFrame> {
         if self.cursor == self.message.len() {
+            self.flush();
             self.message = refill(&self.rx)?;
             self.cursor = 0;
         }
@@ -141,11 +196,13 @@ impl ChannelConn {
         Some(resp)
     }
 
-    /// Tell the server this session hung up, without dropping the
-    /// connection object. Fault injection uses this to model an abrupt
-    /// peer disconnect mid-conversation; any responses already queued can
-    /// still be drained from the local receiver.
-    pub fn disconnect(&self) {
+    /// Tell the server this session hung up (behind everything sent so
+    /// far), without dropping the connection object. Fault injection uses
+    /// this to model an abrupt peer disconnect mid-conversation; any
+    /// responses already queued can still be drained from the local
+    /// receiver.
+    pub fn disconnect(&mut self) {
+        self.flush();
         let _ = self.ingress.send(ServerMsg::Disconnect {
             session: self.session,
         });
@@ -154,9 +211,8 @@ impl ChannelConn {
 
 impl Drop for ChannelConn {
     fn drop(&mut self) {
-        let _ = self.ingress.send(ServerMsg::Disconnect {
-            session: self.session,
-        });
+        // Requests sent but never waited for still reach the server.
+        self.disconnect();
     }
 }
 
@@ -354,26 +410,20 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Vec<u8>>) {
 fn reader_loop(mut stream: TcpStream, session: SessionId, ingress: Ingress) {
     let mut fb = FrameBuf::new();
     // EOF or error: hang up.
-    while matches!(fb.read_from(&mut stream), Ok(n) if n > 0) {
+    'read: while matches!(fb.read_from(&mut stream), Ok(n) if n > 0) {
+        // One message per read: everything up to the last whole frame.
         loop {
-            match fb.next_frame() {
-                Ok(Some(frame)) => {
-                    if ingress
-                        .send(ServerMsg::Frame {
-                            session,
-                            bytes: frame,
-                        })
-                        .is_err()
-                    {
+            match fb.pop_frames() {
+                Ok([]) => break,
+                Ok(frames) => {
+                    let bytes = frames.to_vec();
+                    if ingress.send(ServerMsg::Frames { session, bytes }).is_err() {
                         return; // server gone
                     }
                 }
-                Ok(None) => break,
-                // Framing lost (oversized prefix): unrecoverable.
-                Err(_) => {
-                    let _ = ingress.send(ServerMsg::Disconnect { session });
-                    return;
-                }
+                // Framing lost (oversized prefix): unrecoverable. The
+                // frames ahead of it went out in the round before.
+                Err(_) => break 'read,
             }
         }
     }
@@ -474,12 +524,11 @@ impl TcpConn {
         Ok(None)
     }
 
-    /// The next response already read from the socket, if a whole one is.
+    /// The next response already read from the socket, if a whole one is,
+    /// decoded in place.
     fn buffered_frame(&mut self) -> std::io::Result<Option<ResponseFrame>> {
-        match self.fb.next_frame().map_err(decode_to_io)? {
-            Some(frame) => ResponseFrame::decode(&frame)
-                .map(Some)
-                .map_err(decode_to_io),
+        match self.fb.pop_frame().map_err(decode_to_io)? {
+            Some(frame) => ResponseFrame::decode(frame).map(Some).map_err(decode_to_io),
             None => Ok(None),
         }
     }
@@ -501,16 +550,172 @@ fn decode_to_io(e: DecodeError) -> std::io::Error {
 mod tests {
     use super::*;
 
-    #[test]
-    fn channel_conn_pops_a_sink_message_one_frame_at_a_time() {
-        use crate::protocol::Response;
-        use crate::server::{start, ServerConfig};
+    use crate::protocol::{count_frames, Response};
+    use crate::server::{start, ServerConfig};
 
+    /// A one-worker server over a 64-word engine.
+    fn tiny_server() -> ServerHandle {
         let engine = tm_stm::StmBuilder::new()
             .heap_words(64)
             .table_entries(64)
             .build_tagless();
-        let server = start(Arc::new(engine), ServerConfig::new(64));
+        let mut config = ServerConfig::new(64);
+        config.shards = 1;
+        start(Arc::new(engine), config)
+    }
+
+    /// A connection whose ingress this test reads: what `conn` hands over
+    /// arrives on the returned receiver instead of at a worker.
+    fn intercepted(server: &ServerHandle) -> (ChannelConn, Receiver<ServerMsg>) {
+        let mut conn = server.connect();
+        let (tx, rx) = channel();
+        conn.ingress = Ingress { shards: vec![tx] };
+        (conn, rx)
+    }
+
+    /// The bytes of the next message, which must be a `Frames`.
+    fn next_frames(rx: &Receiver<ServerMsg>) -> Vec<u8> {
+        match rx.try_recv() {
+            Ok(ServerMsg::Frames { bytes, .. }) => bytes,
+            other => panic!("expected a Frames message, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn send_alone_delivers_nothing_and_every_handover_delivers() {
+        let server = tiny_server();
+        let mut probe = server.connect();
+        // One worker serves both sessions in queue order, so once the
+        // probe's round trip is answered everything handed over before it
+        // has been counted. Returns the requests served beyond the probes.
+        let mut probes = 0;
+        let mut served = |server: &ServerHandle| {
+            probes += 1;
+            let pong = probe.request(Request::Ping, Duration::from_secs(5));
+            assert_eq!(pong.expect("probe answered").response, Response::Pong);
+            server.stats().requests - probes
+        };
+
+        let mut conn = server.connect();
+        conn.send(Request::Ping);
+        assert_eq!(served(&server), 0, "send only queues");
+        conn.flush();
+        assert_eq!(served(&server), 1, "flush hands over");
+        conn.flush();
+        assert_eq!(served(&server), 1, "nothing queued, nothing sent");
+
+        conn.send(Request::Ping);
+        assert!(conn.try_recv().is_some(), "the first Pong");
+        assert_eq!(
+            served(&server),
+            2,
+            "try_recv with nothing buffered hands over"
+        );
+
+        // Two requests in one message are answered in one message.
+        let timeout = Duration::from_secs(5);
+        conn.send(Request::Ping);
+        conn.send(Request::Ping);
+        assert!(conn.recv_timeout(timeout).is_some(), "the second Pong");
+        assert_eq!(served(&server), 4, "so does recv_timeout");
+        assert!(conn.recv_timeout(timeout).is_some(), "the third Pong");
+        conn.send(Request::Ping);
+        assert!(conn.try_recv().is_some(), "the fourth, already delivered");
+        assert_eq!(served(&server), 4, "a buffered response is not a wait");
+        assert!(conn.recv_timeout(timeout).is_some(), "the fifth Pong");
+        assert_eq!(served(&server), 5);
+
+        conn.send(Request::Ping);
+        conn.disconnect();
+        assert_eq!(served(&server), 6, "disconnect hands over first");
+
+        let mut dropped = server.connect();
+        dropped.send(Request::Ping);
+        drop(dropped);
+        assert_eq!(served(&server), 7, "so does drop");
+    }
+
+    #[test]
+    fn a_window_of_sends_is_one_message_of_whole_frames() {
+        let server = tiny_server();
+        let (mut conn, rx) = intercepted(&server);
+        let mut expected = Vec::new();
+        for key in 0..32 {
+            let id = conn.send(Request::Get { key });
+            expected.extend(
+                RequestFrame {
+                    id,
+                    request: Request::Get { key },
+                }
+                .encode(),
+            );
+        }
+        assert!(rx.try_recv().is_err(), "send only queues");
+        conn.flush();
+        assert_eq!(next_frames(&rx), expected);
+        assert!(rx.try_recv().is_err(), "one message");
+    }
+
+    #[test]
+    fn coalesce_bytes_forces_a_message_out_early() {
+        let server = tiny_server();
+        let (mut conn, rx) = intercepted(&server);
+        let keys = vec![7u64; 1000]; // ~8 KB a frame
+        let mut sent = 0;
+        while rx.try_recv().is_err() {
+            conn.send(Request::MultiGet { keys: keys.clone() });
+            sent += 1;
+            assert!(sent < 100, "the bound never triggered");
+        }
+        assert!(sent * 8000 >= COALESCE_BYTES);
+        // The early message took everything queued: the next send starts a
+        // new one.
+        let id = conn.send(Request::Ping);
+        conn.flush();
+        let request = Request::Ping;
+        assert_eq!(next_frames(&rx), RequestFrame { id, request }.encode());
+    }
+
+    #[test]
+    fn send_raw_is_its_own_message_behind_queued_sends() {
+        let server = tiny_server();
+        let (mut conn, rx) = intercepted(&server);
+        let id = conn.send(Request::Ping);
+        conn.send_raw(vec![1, 2, 3]);
+        let request = Request::Ping;
+        assert_eq!(next_frames(&rx), RequestFrame { id, request }.encode());
+        assert_eq!(next_frames(&rx), [1, 2, 3]);
+        // And the same with nothing queued: no empty message ahead of it.
+        conn.send_raw(vec![4]);
+        assert_eq!(next_frames(&rx), [4]);
+    }
+
+    #[test]
+    fn a_used_up_sink_message_is_the_next_outbound_buffer() {
+        let server = tiny_server();
+        let (mut conn, rx) = intercepted(&server);
+        let (sink, sink_rx) = channel();
+        conn.rx = sink_rx;
+
+        let mut message = Vec::with_capacity(4096);
+        ResponseFrame {
+            id: 1,
+            response: Response::Pong,
+        }
+        .encode_into(&mut message);
+        let buffer = message.as_ptr();
+        sink.send(message).unwrap();
+        assert!(conn.try_recv().is_some());
+        conn.send(Request::Ping);
+        conn.flush();
+        let handed_over = next_frames(&rx);
+        assert_eq!(handed_over.as_ptr(), buffer, "the same allocation");
+        assert_eq!(count_frames(&handed_over), Some(1), "holding only the Ping");
+    }
+
+    #[test]
+    fn channel_conn_pops_a_sink_message_one_frame_at_a_time() {
+        let server = tiny_server();
         let mut conn = server.connect();
         // Play the worker: this test owns the other end of the sink.
         let (sink, rx) = channel();

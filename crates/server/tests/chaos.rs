@@ -168,6 +168,63 @@ fn crash_on_a_drain_triggered_flush_recovers_like_a_fill_triggered_one() {
     }
 }
 
+/// Layer 1a': a crash costs the frame it strikes, not the message that
+/// frame arrived in. The frames queued behind it in the same message are
+/// served by the restarted loop, in order, as they were when every frame
+/// was a queue message of its own.
+#[test]
+fn crash_inside_a_message_costs_one_frame_and_the_rest_is_served() {
+    let serve = |point, at_hit, requests: &[Request]| {
+        let engine = Arc::new(
+            StmBuilder::new()
+                .heap_words(64)
+                .table_entries(256)
+                .build_tagless(),
+        );
+        let mut cfg = ServerConfig::new(64);
+        cfg.shards = 1;
+        cfg.audit_increments = true;
+        cfg.faults = Some(
+            FaultPlan {
+                crashes: vec![CrashSchedule { point, at_hit }],
+                ..FaultPlan::none(0x24)
+            }
+            .arm(),
+        );
+        let server = start(Arc::clone(&engine), cfg);
+        let mut conn = server.connect();
+        // Queued, then handed over by the first receive: one message.
+        for request in requests {
+            conn.send(request.clone());
+        }
+        let answers: Vec<(u64, Response)> =
+            std::iter::from_fn(|| conn.recv_timeout(Duration::from_millis(300)))
+                .map(|frame| (frame.id, frame.response))
+                .collect();
+        let stats = server.shutdown();
+        assert_eq!((stats.shard_restarts, stats.audit_failures), (1, 0));
+        (answers, engine.heap_sum(64))
+    };
+
+    // The third frame vanishes at ingress: never applied, never answered.
+    let reads: Vec<Request> = (0..5).map(|key| Request::Get { key }).collect();
+    let (answers, _) = serve(CrashPoint::FrameIngress, 3, &reads);
+    let ids: Vec<u64> = answers.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, [1, 2, 4, 5]);
+
+    // A write struck on its way into the batcher is poisoned in its place
+    // in the pipeline; the read behind it still runs.
+    let add = Request::Add { key: 1, delta: 1 };
+    let get = Request::Get { key: 1 };
+    let (answers, heap_sum) = serve(CrashPoint::BatchEnqueue, 1, &[get.clone(), add, get]);
+    let wanted = [
+        (1, Response::Value(0)),
+        (2, Response::Error(ErrorCode::ShardRestarted)),
+        (3, Response::Value(0)),
+    ];
+    assert_eq!((answers.as_slice(), heap_sum), (&wanted[..], 0));
+}
+
 /// Layer 1b: a retried write whose response was dropped must apply exactly
 /// once — the dedup window replays the recorded ack instead of re-running
 /// the write. Deterministic: every response is dropped until the client's

@@ -1,10 +1,17 @@
 //! Protocol totality properties: every frame round-trips bit-exactly, and
 //! every corrupted input — truncated, garbage-prefixed, or pure noise —
-//! maps to a typed [`DecodeError`], never a panic.
+//! maps to a typed [`DecodeError`], never a panic; a byte stream comes back
+//! out of [`FrameBuf`] as runs of whole frames however it was chopped, and
+//! a worker handed arbitrary bytes as a message answers each whole frame at
+//! most once.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tm_server::protocol::{ErrorCode, FrameBuf, Request, RequestFrame, Response, ResponseFrame};
+use tm_server::server::{start, ServerConfig};
 
 /// Plain write requests — the only ops allowed inside an idempotency
 /// envelope.
@@ -46,6 +53,28 @@ fn response_strategy() -> impl Strategy<Value = Response> {
         Just(Response::Error(ErrorCode::ShuttingDown)),
         Just(Response::Error(ErrorCode::Expired)),
         Just(Response::Error(ErrorCode::ShardRestarted)),
+    ]
+}
+
+/// The frames `bytes` holds if it is exactly a run of one or more whole
+/// frames (the length prefixes, walked independently of the crate's own
+/// walk), `None` otherwise.
+fn whole_frames(mut bytes: &[u8]) -> Option<usize> {
+    let mut frames = 0;
+    while let Some(prefix) = bytes.first_chunk::<4>() {
+        let end = 4 + u32::from_le_bytes(*prefix) as usize;
+        bytes = bytes.get(end..)?;
+        frames += 1;
+    }
+    (frames > 0 && bytes.is_empty()).then_some(frames)
+}
+
+/// A piece of an inbound message: a well-formed frame, or noise.
+fn piece_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        3 => (0u64..1 << 32, request_strategy())
+            .prop_map(|(id, request)| RequestFrame { id, request }.encode()),
+        1 => vec(any::<u8>(), 0..24),
     ]
 }
 
@@ -154,5 +183,67 @@ proptest! {
         }
         prop_assert_eq!(out, encoded);
         prop_assert_eq!(fb.pending_bytes(), 0);
+    }
+
+    /// However a stream of frames is chopped into reads, popping runs of
+    /// whole frames after each read gives the stream back: the runs
+    /// concatenate to the original bytes and each ends on a frame boundary.
+    #[test]
+    fn whole_frame_runs_concatenate_to_the_stream(
+        frames in vec((any::<u64>(), request_strategy()), 1..12),
+        chop_seed in any::<u64>(),
+    ) {
+        let stream: Vec<u8> = frames
+            .iter()
+            .flat_map(|(id, request)| RequestFrame { id: *id, request: request.clone() }.encode())
+            .collect();
+        let mut fb = FrameBuf::new();
+        let mut out = Vec::new();
+        let mut pos = 0usize;
+        let mut state = chop_seed | 1;
+        while pos < stream.len() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let step = 1 + (state >> 33) as usize % 97;
+            let end = (pos + step).min(stream.len());
+            fb.extend(&stream[pos..end]);
+            pos = end;
+            let run = fb.pop_frames().unwrap();
+            prop_assert!(run.is_empty() || whole_frames(run).is_some(), "a cut frame in {run:?}");
+            out.extend_from_slice(run);
+            prop_assert_eq!(fb.pending_bytes(), pos - out.len());
+            prop_assert!(fb.pop_frames().unwrap().is_empty(), "one pop takes every whole frame");
+        }
+        prop_assert_eq!(out, stream);
+    }
+
+    /// Whatever bytes reach a worker as one message, it does not panic, and
+    /// it answers at most once per whole frame the message holds — once at
+    /// most for a message that is not a run of whole frames.
+    #[test]
+    fn arbitrary_message_is_answered_at_most_once_per_whole_frame(
+        pieces in vec(piece_strategy(), 0..8),
+    ) {
+        const SENTINEL: u64 = u64::MAX - 1;
+        let engine = tm_stm::StmBuilder::new().heap_words(64).table_entries(256).build_tagless();
+        let mut config = ServerConfig::new(64);
+        config.shards = 1;
+        let server = start(Arc::new(engine), config);
+        let mut conn = server.connect();
+
+        let message: Vec<u8> = pieces.concat();
+        let frames = whole_frames(&message).unwrap_or(1);
+        conn.send_raw(message);
+        conn.send_raw(RequestFrame { id: SENTINEL, request: Request::Ping }.encode());
+        // The sentinel's answer, or the hang-up of a session the message
+        // closed, ends the wait; neither is a timeout.
+        let mut answers = 0;
+        while let Some(frame) = conn.recv_timeout(Duration::from_secs(5)) {
+            if frame.id == SENTINEL {
+                break;
+            }
+            answers += 1;
+        }
+        prop_assert!(answers <= frames, "{answers} answers to {frames} frames");
+        prop_assert_eq!(server.shutdown().shard_restarts, 0);
     }
 }

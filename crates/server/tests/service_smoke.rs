@@ -133,10 +133,12 @@ fn two_pipelining_sessions_keep_their_order_and_their_groups() {
         for (c, conn) in conns.iter_mut().enumerate() {
             let key = 2 * k + c as u64;
             ids[c].push(conn.send(Request::Add { key, delta: 1 }));
+            conn.flush();
         }
         for (c, conn) in conns.iter_mut().enumerate() {
             let key = 2 * k + c as u64;
             ids[c].push(conn.send(Request::Get { key }));
+            conn.flush();
         }
     }
     for (conn, ids) in conns.iter_mut().zip(&ids) {
@@ -214,6 +216,7 @@ fn lone_write_is_acked_without_a_read_a_close_or_a_shutdown() {
     }
     // Another session's read does not depend on it either way.
     let id = writer.send(Request::Add { key: 1, delta: 1 });
+    writer.flush();
     let resp = reader.request(Request::Get { key: 2 }, TIMEOUT);
     assert_eq!(resp.expect("answered").response, Response::Value(0));
     let ack = writer.recv_timeout(TIMEOUT).expect("acked");
@@ -241,6 +244,7 @@ fn write_under_a_queue_that_never_empties_is_flushed_at_the_cap() {
     let (mut writer, mut reader) = (server.connect(), server.connect());
 
     let add = writer.send(Request::Add { key: 7, delta: 1 });
+    writer.flush();
     for _ in 0..BURST {
         reader.send(Request::Ping);
     }
@@ -283,6 +287,7 @@ fn close_after_pipelined_writes_acks_them_all_then_closes() {
     assert!(waited.elapsed() < TIMEOUT, "hang-up, not a timeout");
     // A frame after Close is discarded unread.
     conn.send(Request::Add { key: 0, delta: 1 });
+    conn.flush();
     assert_eq!(server.shutdown().ops_committed, 10);
     assert_eq!(eng.heap_sum(1024), 10);
 }
@@ -335,6 +340,138 @@ fn malformed_frames_get_typed_errors() {
         Response::Pong
     );
     server.shutdown();
+}
+
+/// `requests` encoded back to back under ids 1, 2, ...: one inbound message.
+fn message_of(requests: &[Request]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for (request, id) in requests.iter().cloned().zip(1..) {
+        bytes.extend(tm_server::RequestFrame { id, request }.encode());
+    }
+    bytes
+}
+
+#[test]
+fn malformed_frame_inside_a_message_costs_only_itself() {
+    let eng = engine(256);
+    let server = start(Arc::clone(&eng), ServerConfig::new(256));
+    let mut conn = server.connect();
+    let get = Request::Get { key: 3 };
+    let mut message = message_of(&[get.clone(), Request::Ping, get]);
+    // The second frame's tag byte: its envelope (and so its id) stays
+    // readable, and the message stays a run of whole frames.
+    let second = message_of(&[Request::Get { key: 3 }]).len();
+    message[second + 13] = 250;
+    conn.send_raw(message);
+    let answers: Vec<_> = (0..3)
+        .map(|_| conn.recv_timeout(TIMEOUT).expect("answered"))
+        .map(|frame| (frame.id, frame.response))
+        .collect();
+    let wanted = [
+        (1, Response::Value(0)),
+        (2, Response::Error(ErrorCode::Malformed)),
+        (3, Response::Value(0)),
+    ];
+    assert_eq!(answers, wanted);
+    let stats = server.shutdown();
+    assert_eq!((stats.requests, stats.malformed), (2, 1));
+    assert_eq!(stats.sessions_closed, 0);
+}
+
+#[test]
+fn close_inside_a_message_discards_the_frames_behind_it() {
+    let eng = engine(256);
+    let server = start(Arc::clone(&eng), ServerConfig::new(256));
+    let mut conn = server.connect();
+    conn.send_raw(message_of(&[
+        Request::Add { key: 1, delta: 5 },
+        Request::Close,
+        Request::Add { key: 1, delta: 7 },
+        Request::Get { key: 1 },
+    ]));
+    let added = conn
+        .recv_timeout(TIMEOUT)
+        .expect("the write ahead of Close");
+    assert_eq!((added.id, added.response), (1, Response::Added(5)));
+    let closed = conn.recv_timeout(TIMEOUT).expect("Closed");
+    assert_eq!((closed.id, closed.response), (2, Response::Closed));
+    assert_eq!(conn.recv_timeout(TIMEOUT), None, "hang-up, nothing more");
+    let stats = server.shutdown();
+    assert_eq!(stats.requests, 2, "the frames behind Close go unread");
+    assert_eq!(eng.heap_sum(256), 5);
+}
+
+#[test]
+fn a_message_that_is_not_whole_frames_is_one_undecodable_frame() {
+    let eng = engine(256);
+    let server = start(Arc::clone(&eng), ServerConfig::new(256));
+    let mut conn = server.connect();
+    // Two good frames and a cut third: nothing in it is served. The first
+    // frame's envelope is where the whole message's id is looked for.
+    let mut message = message_of(&[
+        Request::Add { key: 1, delta: 5 },
+        Request::Add { key: 2, delta: 5 },
+        Request::Add { key: 3, delta: 5 },
+    ]);
+    message.truncate(message.len() - 1);
+    conn.send_raw(message);
+    let only = conn.recv_timeout(TIMEOUT).expect("one answer");
+    assert_eq!(
+        (only.id, only.response),
+        (1, Response::Error(ErrorCode::Malformed))
+    );
+    assert_eq!(
+        conn.request(Request::Ping, TIMEOUT).unwrap().response,
+        Response::Pong,
+        "and the session goes on"
+    );
+    let stats = server.shutdown();
+    assert_eq!((stats.requests, stats.malformed), (1, 1));
+    assert_eq!(eng.heap_sum(256), 0);
+}
+
+#[test]
+fn six_hundred_frames_in_one_message_are_answered_in_order_with_read_your_writes() {
+    const KEYS: u64 = 16;
+    let eng = engine(1024);
+    let mut cfg = ServerConfig::new(1024);
+    cfg.admission = AdmissionPolicy::unlimited();
+    let server = start(Arc::clone(&eng), cfg);
+    let mut conn = server.connect();
+
+    // What each request must be answered with, from a model of the store.
+    let mut model = [0u64; KEYS as usize];
+    let mut wanted = Vec::new();
+    for i in 0..600u64 {
+        let key = (i * 7) % KEYS;
+        let (request, response) = match i % 3 {
+            0 => {
+                model[key as usize] += 1;
+                let added = Response::Added(model[key as usize]);
+                (Request::Add { key, delta: 1 }, added)
+            }
+            1 => {
+                let keys = vec![key, (key + 1) % KEYS];
+                keys.iter().for_each(|&k| model[k as usize] += 2);
+                let added = Response::MultiAdded { applied: 2 };
+                (Request::MultiAdd { keys, delta: 2 }, added)
+            }
+            // A key the two writes before it touched.
+            _ => {
+                let key = (key + KEYS - 7) % KEYS;
+                (Request::Get { key }, Response::Value(model[key as usize]))
+            }
+        };
+        wanted.push((conn.send(request), response));
+    }
+    // ~20 KB: under the coalescing bound, so this is one message.
+    for expected in wanted {
+        let frame = conn.recv_timeout(TIMEOUT).expect("answered");
+        assert_eq!((frame.id, frame.response), expected);
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.requests, stats.ops_committed), (600, 400));
+    assert_eq!(eng.heap_sum(1024), model.iter().sum::<u64>());
 }
 
 #[test]
@@ -453,6 +590,7 @@ fn shutdown_flushes_pending_batches() {
     let writes: Vec<u64> = (0..10u64)
         .map(|k| conn.send(Request::Add { key: k, delta: 1 }))
         .collect();
+    conn.flush();
     // However many of the ten the worker has committed by now, shutdown
     // commits the rest and answers them before the shards exit.
     server.shutdown();

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tm_server::protocol::{Request, Response};
+use tm_server::protocol::{FrameBuf, Request, RequestFrame, Response, ResponseFrame};
 use tm_server::server::{start, ServerConfig, ServerHandle};
 use tm_server::transport::{serve_tcp, TcpConn, TcpTransport, COALESCE_BYTES};
 use tm_stm::{ConcurrentTaglessTable, HashKind, Stm, StmBuilder, TmEngine};
@@ -123,6 +123,37 @@ fn flush_makes_a_send_visible_to_another_connection() {
     }
     drop((writer, reader));
     assert_eq!(served.finish(), 5);
+}
+
+#[test]
+fn frames_ahead_of_a_lost_framing_are_served_before_the_hang_up() {
+    use std::io::Write;
+    let Some(served) = Served::start() else {
+        return;
+    };
+    // Three good frames and a length prefix no frame may have, in one
+    // write: the reader forwards the three, then gives the stream up.
+    let mut bytes = Vec::new();
+    for id in 1..=3 {
+        let request = Request::Add { key: 4, delta: 1 };
+        bytes.extend(RequestFrame { id, request }.encode());
+    }
+    bytes.extend(u32::MAX.to_le_bytes());
+    let mut stream = std::net::TcpStream::connect(served.transport.local_addr()).unwrap();
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    stream.write_all(&bytes).unwrap();
+
+    let mut fb = FrameBuf::new();
+    let mut answers = Vec::new();
+    while fb.read_from(&mut stream).expect("a hang-up, not a timeout") > 0 {
+        while let Some(frame) = fb.pop_frame().unwrap() {
+            let frame = ResponseFrame::decode(frame).unwrap();
+            answers.push((frame.id, frame.response));
+        }
+    }
+    let wanted: Vec<_> = (1..=3).map(|n| (n, Response::Added(n))).collect();
+    assert_eq!(answers, wanted);
+    assert_eq!(served.finish(), 3);
 }
 
 #[test]
