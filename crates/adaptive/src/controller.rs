@@ -8,8 +8,9 @@
 //! the [`ResizePolicy`] whether the active table still satisfies the
 //! false-conflict target, and executes the resize when it does not.
 //! Everything is advisory-rate: tick from a timer thread, between batches,
-//! or from a metrics scraper — transactions never block on the controller
-//! except during the microseconds of an actual swap.
+//! or from a metrics scraper — transactions never block on the controller,
+//! except that a thread's first grant waits while a resize drains the
+//! holders.
 
 use tm_model::lockstep;
 use tm_ownership::concurrent::ConcurrentTable;
@@ -43,14 +44,15 @@ pub enum ControlReport {
         /// The swap that happened.
         report: ResizeReport,
     },
-    /// The policy wanted a resize but live grants collided in the new
-    /// geometry; the controller will retry on a later tick.
+    /// The policy wanted a resize but grants were still held when the
+    /// quiesce budget ran out; the controller will retry on a later tick.
     ResizeDeferred {
         /// The workload observed this epoch.
         observation: Observation,
         /// The size that was attempted.
         attempted_entries: usize,
-        /// Why the migration failed.
+        /// Why the resize did not happen: grants still held when the
+        /// quiesce budget ran out.
         error: ResizeError,
     },
 }

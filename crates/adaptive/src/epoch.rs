@@ -1,27 +1,30 @@
-//! Sharded epoch guards: the read side of the active/standby pattern.
+//! The holder gate: the read side of the active/standby pattern.
 //!
-//! Every table operation enters the gate through a per-shard pair of
-//! monotonic counters (`ingress` bumped on entry, `egress` on exit), so the
-//! hot path costs two shard-local atomic increments and one flag load — no
-//! shared lock word for readers to fight over. The resize controller
-//! [`EpochGate::seal`]s the gate, which turns new entrants away and then
-//! waits until every in-flight operation has drained (all ingress/egress
-//! pairs balance), exactly the "writer awaits the standby table being free
-//! of read guards" discipline of the `active_standby` crate this design is
-//! modeled on. While sealed, the sealer may mutate and swap the standby
-//! table; [`EpochGate::open`] releases the spinners.
+//! The gate counts *holders*, not operations: a thread enters with its
+//! first grant in the guarded table and exits with its last release, so
+//! the operations in between never touch it. The count is sharded (one cache-line-padded counter per shard, picked by the
+//! caller's hint), so entering is one shard-local increment and one flag
+//! load.
+//!
+//! A resize [`EpochGate::try_seal`]s the gate: first entries wait, holders
+//! carry on, and the sealer waits — up to a budget — until every shard's
+//! count reads zero. That is the `active_standby` crate's "writer awaits
+//! the standby being free of read guards", where a reader's state is its
+//! grants: once no thread holds one, the guarded table is empty and the
+//! sealer may swap it; [`EpochGate::open`] releases the waiters. A seal
+//! whose budget runs out reopens the gate itself.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// Number of counter shards; a power of two so the hint masks cheaply.
 const SHARDS: usize = 32;
 
-/// One cache-line-padded ingress/egress counter pair.
+/// One cache-line-padded holder count.
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct Shard {
-    ingress: AtomicU64,
-    egress: AtomicU64,
+    holders: AtomicUsize,
 }
 
 /// The gate (see module docs).
@@ -37,16 +40,13 @@ impl Default for EpochGate {
     }
 }
 
-/// RAII token proving the holder is inside the gate; the paired egress
-/// increment happens on drop.
-#[derive(Debug)]
-pub struct EpochGuard<'g> {
-    egress: &'g AtomicU64,
-}
-
-impl Drop for EpochGuard<'_> {
-    fn drop(&mut self) {
-        self.egress.fetch_add(1, Ordering::SeqCst);
+/// Spin briefly, then yield: waits here are on other threads' progress.
+fn backoff(spins: &mut u32) {
+    *spins += 1;
+    if *spins > 64 {
+        std::thread::yield_now();
+    } else {
+        std::hint::spin_loop();
     }
 }
 
@@ -59,64 +59,63 @@ impl EpochGate {
         }
     }
 
-    /// Enter the gate; blocks (spinning) while the gate is sealed.
+    /// Become a holder; waits (spinning, then yielding) while the gate is
+    /// sealed.
     ///
-    /// `hint` selects the counter shard — pass something thread-stable
-    /// (the transaction's thread id) so concurrent entrants spread out.
-    pub fn enter(&self, hint: usize) -> EpochGuard<'_> {
-        let shard = &self.shards[hint & (SHARDS - 1)];
+    /// `hint` selects the counter shard — pass something thread-stable so
+    /// concurrent holders spread out — and the matching
+    /// [`exit`](Self::exit) must pass the same hint.
+    pub fn enter(&self, hint: usize) {
+        let holders = &self.shards[hint & (SHARDS - 1)].holders;
         loop {
-            shard.ingress.fetch_add(1, Ordering::SeqCst);
+            // Count first, then look: a sealer that stores `sealed` before
+            // this load reads its counts after it, so it sees this entry —
+            // or this entry sees the seal and retracts.
+            holders.fetch_add(1, Ordering::SeqCst);
             if !self.sealed.load(Ordering::SeqCst) {
-                return EpochGuard {
-                    egress: &shard.egress,
-                };
+                return;
             }
-            // A seal raced in: retract and wait for the swap to finish.
-            shard.egress.fetch_add(1, Ordering::SeqCst);
+            holders.fetch_sub(1, Ordering::SeqCst);
             let mut spins = 0u32;
             while self.sealed.load(Ordering::SeqCst) {
-                spins += 1;
-                if spins > 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
+                backoff(&mut spins);
             }
         }
     }
 
-    /// Seal the gate and wait until every in-flight guard has been dropped.
+    /// Stop being a holder (pairs with an [`enter`](Self::enter) under the
+    /// same `hint`).
+    pub fn exit(&self, hint: usize) {
+        self.shards[hint & (SHARDS - 1)]
+            .holders
+            .fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Seal the gate and wait up to `budget` for every holder to exit.
     ///
-    /// On return the caller has exclusive access to whatever the gate
-    /// protects, until [`EpochGate::open`]. Callers must not hold an
-    /// [`EpochGuard`] of this gate (self-deadlock).
-    pub fn seal(&self) {
+    /// `true`: no one holds, and no one can enter, until
+    /// [`open`](Self::open) — the caller owns whatever the gate guards.
+    /// `false`: holders remained when the budget ran out; the gate is open
+    /// again. A caller that is itself a holder always gets `false`.
+    pub fn try_seal(&self, budget: Duration) -> bool {
         self.sealed.store(true, Ordering::SeqCst);
+        let start = Instant::now();
         let mut spins = 0u32;
         loop {
-            // Egress before ingress: if the sums then match, every entry
-            // observed had already exited when we read egress — no guard
-            // can still be live (ingress only grows).
-            let egress: u64 = self
+            // A shard read as zero stays free of admitted holders: anyone
+            // entering after the seal sees it and retracts.
+            if self
                 .shards
                 .iter()
-                .map(|s| s.egress.load(Ordering::SeqCst))
-                .sum();
-            let ingress: u64 = self
-                .shards
-                .iter()
-                .map(|s| s.ingress.load(Ordering::SeqCst))
-                .sum();
-            if ingress == egress {
-                return;
+                .all(|s| s.holders.load(Ordering::SeqCst) == 0)
+            {
+                return true;
             }
-            spins += 1;
-            if spins > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
+            if start.elapsed() >= budget {
+                self.open();
+                return false;
             }
+            backoff(&mut spins);
         }
     }
 
@@ -136,42 +135,46 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    const LONG: Duration = Duration::from_secs(10);
+    const SHORT: Duration = Duration::from_millis(5);
+
     #[test]
     fn enter_exit_balances() {
         let gate = EpochGate::new();
-        {
-            let _a = gate.enter(0);
-            let _b = gate.enter(1);
-        }
-        // Both guards dropped: seal must return immediately.
-        gate.seal();
+        gate.enter(0);
+        gate.enter(1);
+        gate.exit(0);
+        gate.exit(1);
+        // Both holders left: the seal succeeds at once.
+        assert!(gate.try_seal(SHORT));
+        assert!(gate.is_sealed());
         gate.open();
     }
 
     #[test]
-    fn seal_waits_for_inflight_guard() {
+    fn seal_waits_for_a_holder_to_exit() {
         let gate = EpochGate::new();
         let inside = AtomicU32::new(0);
         crossbeam::scope(|s| {
             let (gate, inside) = (&gate, &inside);
             s.spawn(move |_| {
-                let _g = gate.enter(3);
+                gate.enter(3);
                 inside.store(1, Ordering::SeqCst);
                 while inside.load(Ordering::SeqCst) != 2 {
                     std::hint::spin_loop();
                 }
-                // guard drops here
+                gate.exit(3);
             });
             while inside.load(Ordering::SeqCst) != 1 {
                 std::hint::spin_loop();
             }
             let sealer = s.spawn(move |_| {
-                gate.seal();
+                assert!(gate.try_seal(LONG));
                 // Only reachable once the holder exited.
                 assert_eq!(inside.load(Ordering::SeqCst), 2);
                 gate.open();
             });
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            std::thread::sleep(Duration::from_millis(20));
             inside.store(2, Ordering::SeqCst);
             sealer.join().unwrap();
         })
@@ -182,16 +185,17 @@ mod tests {
     fn entrants_wait_out_a_seal() {
         let gate = EpochGate::new();
         let passed = AtomicU32::new(0);
-        gate.seal();
+        assert!(gate.try_seal(SHORT));
         crossbeam::scope(|s| {
             let (gate, passed) = (&gate, &passed);
             for i in 0..4 {
                 s.spawn(move |_| {
-                    let _g = gate.enter(i);
+                    gate.enter(i);
                     passed.fetch_add(1, Ordering::SeqCst);
+                    gate.exit(i);
                 });
             }
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            std::thread::sleep(Duration::from_millis(20));
             assert_eq!(
                 passed.load(Ordering::SeqCst),
                 0,
@@ -204,29 +208,50 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_seal_reopens_the_gate() {
+        let gate = EpochGate::new();
+        gate.enter(7);
+        // The caller is a holder: the budget runs out.
+        assert!(!gate.try_seal(SHORT));
+        assert!(!gate.is_sealed());
+        // A first entry on another shard is admitted at once.
+        gate.enter(8);
+        gate.exit(8);
+        gate.exit(7);
+        assert!(gate.try_seal(SHORT));
+        gate.open();
+    }
+
+    #[test]
     fn stress_seal_open_cycles() {
         let gate = EpochGate::new();
         let ops = AtomicU32::new(0);
+        let inside = AtomicU32::new(0);
         crossbeam::scope(|s| {
-            let (gate, ops) = (&gate, &ops);
+            let (gate, ops, inside) = (&gate, &ops, &inside);
             for t in 0..4usize {
                 s.spawn(move |_| {
                     for _ in 0..2000 {
-                        let _g = gate.enter(t);
+                        gate.enter(t);
+                        inside.fetch_add(1, Ordering::SeqCst);
                         ops.fetch_add(1, Ordering::Relaxed);
+                        inside.fetch_sub(1, Ordering::SeqCst);
+                        gate.exit(t);
                     }
                 });
             }
             s.spawn(move |_| {
                 for _ in 0..50 {
-                    gate.seal();
-                    gate.open();
+                    if gate.try_seal(LONG) {
+                        assert_eq!(inside.load(Ordering::SeqCst), 0, "holder inside a seal");
+                        gate.open();
+                    }
                     std::thread::yield_now();
                 }
             });
         })
         .unwrap();
         assert_eq!(ops.load(Ordering::Relaxed), 8000);
-        gate.seal(); // everything drained
+        assert!(gate.try_seal(SHORT)); // everything drained
     }
 }

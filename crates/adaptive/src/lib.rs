@@ -8,11 +8,11 @@
 //! turns that diagnosis into a cure:
 //!
 //! * [`ResizableTable`] wraps any [`ConcurrentTable`] in an
-//!   active/standby
-//!   pair behind sharded [`epoch`] guards: a resize builds a standby table
-//!   of the new geometry, waits out in-flight operations, replays every
-//!   live grant, and swaps — transactions keep running and their logs stay
-//!   valid (grant keys are block addresses, immune to rehashing).
+//!   active/standby pair behind an [`epoch`] gate that counts the threads
+//!   holding grants: a resize turns away first grants, waits for the
+//!   holders to finish, and swaps in an empty table of the new geometry —
+//!   no in-flight transaction aborts, and transaction logs stay valid
+//!   (grant keys are block addresses, immune to rehashing).
 //! * [`ResizePolicy`] inverts the paper's Eq. 8 (via [`tm_model::sizing`])
 //!   against observed footprint/concurrency, with headroom and hysteresis.
 //! * [`AdaptiveController`] closes the loop from a running [`Stm`]'s
@@ -59,7 +59,7 @@ pub mod policy;
 pub mod resizable;
 
 pub use controller::{AdaptiveController, ControlReport};
-pub use epoch::{EpochGate, EpochGuard};
+pub use epoch::EpochGate;
 pub use policy::{Decision, Observation, ResizePolicy};
 pub use resizable::{ResizableTable, ResizeError, ResizeReport, ResizeStats};
 

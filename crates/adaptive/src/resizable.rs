@@ -1,222 +1,74 @@
 //! The online-resizable ownership table.
 //!
 //! [`ResizableTable`] wraps any [`ConcurrentTable`] in the active/standby
-//! pattern: transactions operate on the *active* generation through the
-//! [`crate::epoch::EpochGate`]; a resize builds a *standby*
-//! table of the new geometry, seals the gate, replays every live grant into
-//! the standby, swaps it in, and re-opens — all without aborting a single
-//! in-flight transaction.
+//! pattern and resizes it *between* transactions, not under them. A thread
+//! enters the [`EpochGate`] with its first grant in the active table and
+//! leaves with its last release. A resize seals the gate — first acquires
+//! wait, threads already holding grants carry on — and waits up to
+//! [`QUIESCE_BUDGET`] for every holder to leave. The active table is then
+//! empty, so the resize swaps in a fresh table of the new geometry and
+//! reopens: nothing is replayed, and every in-flight transaction finishes
+//! in the generation it started in. If holders remain when the budget runs
+//! out, the gate reopens and the resize reports [`ResizeError::Busy`] with
+//! the active table untouched.
 //!
-//! ## Why a grant journal
+//! ## Grant keys and aliasing
 //!
-//! A tagless table is, by design, lossy: an occupied entry does not record
-//! *which* blocks its holder touched, so the table alone cannot be rehashed
-//! into a different geometry. The wrapper therefore keys its public
-//! [`GrantKey`]s by **block address** (stable across resizes — transaction
-//! logs stay valid through a swap) and keeps a sharded journal of live
-//! `(transaction, block) → level` grants. Aliasing blocks of one
-//! transaction are coalesced onto a single inner-table grant via per-entry
-//! reference counts, so inter-transaction conflict semantics are exactly
-//! the wrapped table's: false conflicts between transactions still happen
-//! — that is the phenomenon the resize exists to manage.
-//!
-//! ## Migration failure
-//!
-//! Replaying grants into the standby can itself hit an alias conflict
-//! (two transactions' distinct blocks colliding in the *new* geometry with
-//! a write involved). The resize then fails **cleanly**: the standby is
-//! dropped, the active generation was never touched, and
-//! [`ResizeError::MigrationConflict`] tells the controller to try again
-//! later (the usual outcome, since a *larger* table makes such collisions
-//! rarer).
+//! Public [`GrantKey`]s are **block addresses**: the engine resolves a
+//! block's key once per access, before its stall loop, so a key naming an
+//! entry could name an entry of the previous geometry. Per thread, the
+//! wrapper counts the blocks each inner-table key covers, so one
+//! transaction's aliasing blocks coalesce onto a single inner grant and the
+//! conflict semantics between transactions are exactly the wrapped
+//! table's: false conflicts still happen — that is the phenomenon the
+//! resize exists to manage.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
 use tm_ownership::concurrent::{ConcurrentTable, GrantKey, GrantSnapshot, Held};
 use tm_ownership::stats::TableStats;
 use tm_ownership::{
-    Access, AcquireOutcome, BlockAddr, FastHashState, HashKind, Mode, TableConfig, ThreadId,
+    Access, AcquireOutcome, BlockAddr, FastHashState, HashKind, TableConfig, ThreadId,
 };
 
 use crate::epoch::EpochGate;
 
-/// Number of journal shards per generation (power of two).
-const JOURNAL_SHARDS: usize = 64;
+/// How long a resize waits for the threads holding grants to release them
+/// before it gives up with [`ResizeError::Busy`].
+pub const QUIESCE_BUDGET: Duration = Duration::from_millis(10);
 
 /// A transaction's coalesced holding on one inner-table grant key.
 #[derive(Clone, Copy, Debug)]
 struct EntryHold {
     /// Level held on the inner table (max over the covered blocks).
     level: Held,
-    /// Live journal entries (blocks) covered by this inner grant.
+    /// Blocks the transaction holds under this inner key.
     blocks: u32,
 }
 
-/// One journal shard: block-level grants plus the inner-key holdings whose
-/// entry index hashes here.
-///
-/// Both maps sit on every transactional access, so they use the trusted-key
-/// [`FastHashState`] (one multiply-mix per word) instead of SipHash — the
-/// journal is internal bookkeeping, never attacker-controlled.
+/// `(txn, inner key) → holding` for the thread ids of one slot. Internal
+/// bookkeeping, never attacker-controlled, so it hashes with the
+/// trusted-key [`FastHashState`] instead of SipHash.
+type Holdings = HashMap<(ThreadId, GrantKey), EntryHold, FastHashState>;
+
+/// One slot's holdings, padded so threads in neighbouring slots never
+/// share a cache line. The slot is inside the gate exactly while its map
+/// is non-empty.
+#[repr(align(64))]
 #[derive(Debug, Default)]
-struct ShardMaps {
-    /// `(txn, block) → level` for every live block-level grant.
-    journal: HashMap<(ThreadId, BlockAddr), Held, FastHashState>,
-    /// `(txn, inner key) → coalesced holding` on the wrapped table.
-    holdings: HashMap<(ThreadId, GrantKey), EntryHold, FastHashState>,
-}
-
-/// One generation: a wrapped table plus the journal describing its live
-/// grants in rehashable (block-level) form.
-#[derive(Debug)]
-struct Generation<T> {
-    table: T,
-    shards: Vec<Mutex<ShardMaps>>,
-}
-
-impl<T: ConcurrentTable> Generation<T> {
-    fn new(table: T) -> Self {
-        Self {
-            table,
-            shards: (0..JOURNAL_SHARDS).map(|_| Mutex::default()).collect(),
-        }
-    }
-
-    #[inline]
-    fn shard_of(&self, inner_key: GrantKey) -> &Mutex<ShardMaps> {
-        &self.shards[(inner_key as usize) & (JOURNAL_SHARDS - 1)]
-    }
-
-    fn acquire(
-        &self,
-        txn: ThreadId,
-        block: BlockAddr,
-        access: Access,
-        held: Held,
-    ) -> AcquireOutcome {
-        // The caller already holds block-level permission covering this
-        // access: nothing to do, nothing new to release.
-        if matches!(
-            (access, held),
-            (Access::Read, Held::Read | Held::Write) | (Access::Write, Held::Write)
-        ) {
-            return AcquireOutcome::AlreadyHeld;
-        }
-
-        let inner_key = self.table.grant_key(block);
-        let mut shard = self.shard_of(inner_key).lock();
-        let inner_level = shard
-            .holdings
-            .get(&(txn, inner_key))
-            .map(|h| h.level)
-            .unwrap_or(Held::None);
-
-        match self.table.acquire(txn, block, access, inner_level) {
-            AcquireOutcome::Conflict(c) => AcquireOutcome::Conflict(c),
-            AcquireOutcome::Granted | AcquireOutcome::AlreadyHeld => {
-                let fresh_block = shard
-                    .journal
-                    .insert((txn, block), held.after(access))
-                    .is_none();
-                let hold = shard.holdings.entry((txn, inner_key)).or_insert(EntryHold {
-                    level: Held::None,
-                    blocks: 0,
-                });
-                if fresh_block {
-                    hold.blocks += 1;
-                }
-                hold.level = hold.level.max(inner_level.after(access));
-                // Block-level permission is new to the caller even when the
-                // inner entry was already covered (intra-transaction alias):
-                // report Granted so the caller logs — and later releases —
-                // this block.
-                AcquireOutcome::Granted
-            }
-        }
-    }
-
-    fn release(&self, txn: ThreadId, block: BlockAddr, held: Held) {
-        if held == Held::None {
-            return;
-        }
-        let inner_key = self.table.grant_key(block);
-        let mut shard = self.shard_of(inner_key).lock();
-        let journal_level = shard.journal.remove(&(txn, block));
-        debug_assert!(
-            journal_level.is_some(),
-            "release of unjournaled grant (txn {txn}, block {block})"
-        );
-        if journal_level.is_none() {
-            return;
-        }
-        let Some(hold) = shard.holdings.get_mut(&(txn, inner_key)) else {
-            debug_assert!(false, "journal entry without a holding");
-            return;
-        };
-        hold.blocks -= 1;
-        if hold.blocks == 0 {
-            let level = hold.level;
-            shard.holdings.remove(&(txn, inner_key));
-            self.table.release(txn, inner_key, level);
-        }
-    }
-
-    /// Count of live block-level grants (diagnostic).
-    fn live_grants(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().journal.len()).sum()
-    }
-
-    /// Replay a single journaled grant into this (standby) generation.
-    fn place(&self, txn: ThreadId, block: BlockAddr, level: Held) -> Result<(), ResizeError> {
-        let access = match level {
-            Held::None => return Ok(()),
-            Held::Read => Access::Read,
-            Held::Write => Access::Write,
-        };
-        let inner_key = self.table.grant_key(block);
-        let mut shard = self.shard_of(inner_key).lock();
-        let inner_level = shard
-            .holdings
-            .get(&(txn, inner_key))
-            .map(|h| h.level)
-            .unwrap_or(Held::None);
-        // Skip the inner acquire when the coalesced grant already covers it.
-        let needs_inner = inner_level.after(access) != inner_level;
-        if needs_inner {
-            match self.table.acquire(txn, block, access, inner_level) {
-                AcquireOutcome::Granted | AcquireOutcome::AlreadyHeld => {}
-                AcquireOutcome::Conflict(_) => {
-                    return Err(ResizeError::MigrationConflict { txn, block });
-                }
-            }
-        }
-        shard.journal.insert((txn, block), level);
-        let hold = shard.holdings.entry((txn, inner_key)).or_insert(EntryHold {
-            level: Held::None,
-            blocks: 0,
-        });
-        hold.blocks += 1;
-        hold.level = hold.level.max(inner_level.after(access));
-        Ok(())
-    }
-}
+struct Slot(Mutex<Holdings>);
 
 /// Why a resize did not happen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResizeError {
-    /// Two transactions' live grants collide in the proposed geometry; the
-    /// active table is untouched. Retrying after those transactions finish
-    /// (or with a larger size) usually succeeds.
-    MigrationConflict {
-        /// The transaction whose grant could not be replayed.
-        txn: ThreadId,
-        /// The block whose replay collided.
-        block: BlockAddr,
-    },
+    /// Grants were still held when [`QUIESCE_BUDGET`] ran out; the active
+    /// table is untouched. Retrying once those transactions finish usually
+    /// succeeds.
+    Busy,
     /// The proposed size equals the current size.
     SameSize,
 }
@@ -224,10 +76,7 @@ pub enum ResizeError {
 impl std::fmt::Display for ResizeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ResizeError::MigrationConflict { txn, block } => write!(
-                f,
-                "live grant of txn {txn} on block {block} collides in the new geometry"
-            ),
+            ResizeError::Busy => write!(f, "grants still held when the quiesce budget ran out"),
             ResizeError::SameSize => write!(f, "table already has the requested size"),
         }
     }
@@ -242,19 +91,15 @@ pub struct ResizeReport {
     pub from_entries: usize,
     /// Entry count after.
     pub to_entries: usize,
-    /// Live grants replayed into the standby during the swap.
-    pub migrated_grants: u64,
 }
 
-/// Cumulative resize counters (all successful/failed attempts so far).
+/// Cumulative resize counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResizeStats {
     /// Completed swaps.
     pub resizes: u64,
-    /// Attempts abandoned on [`ResizeError::MigrationConflict`].
-    pub failed_migrations: u64,
-    /// Total grants replayed across all completed swaps.
-    pub migrated_grants: u64,
+    /// Attempts abandoned on [`ResizeError::Busy`].
+    pub deferred: u64,
 }
 
 /// An online-resizable concurrent ownership table (see module docs).
@@ -264,7 +109,10 @@ pub struct ResizeStats {
 /// may be called at any moment, from any thread, while transactions run.
 pub struct ResizableTable<T: ConcurrentTable> {
     base_cfg: TableConfig,
-    current: RwLock<Arc<Generation<T>>>,
+    current: RwLock<T>,
+    /// Indexed by `txn % max_threads`, so ids beyond the bound share a slot
+    /// (and its gate membership) but keep their own holdings.
+    slots: Box<[Slot]>,
     gate: EpochGate,
     resize_lock: Mutex<()>,
     factory: Box<dyn Fn(TableConfig) -> T + Send + Sync>,
@@ -273,8 +121,7 @@ pub struct ResizableTable<T: ConcurrentTable> {
     /// resizes.
     carried_stats: Mutex<TableStats>,
     resizes: AtomicU64,
-    failed_migrations: AtomicU64,
-    migrated_grants: AtomicU64,
+    deferred: AtomicU64,
 }
 
 impl<T: ConcurrentTable> std::fmt::Debug for ResizableTable<T> {
@@ -290,30 +137,33 @@ impl<T: ConcurrentTable> ResizableTable<T> {
     /// Wrap tables built by `factory`, starting from `initial` geometry.
     ///
     /// The factory is re-invoked on every resize with the new geometry
-    /// (same block size, hash kind, and classification flag as `initial`;
-    /// only the entry count changes — see [`ResizableTable::resize_with_hash`]).
+    /// (same block size, hash kind, classification flag and thread bound as
+    /// `initial`; only the entry count changes — see
+    /// [`ResizableTable::resize_with_hash`]).
     pub fn with_factory(
         initial: TableConfig,
         factory: impl Fn(TableConfig) -> T + Send + Sync + 'static,
     ) -> Self {
         let table = factory(initial.clone());
         Self {
+            slots: (0..initial.max_threads())
+                .map(|_| Slot::default())
+                .collect(),
             base_cfg: initial,
-            current: RwLock::new(Arc::new(Generation::new(table))),
+            current: RwLock::new(table),
             gate: EpochGate::new(),
             resize_lock: Mutex::new(()),
             factory: Box::new(factory),
             carried_stats: Mutex::new(TableStats::default()),
             resizes: AtomicU64::new(0),
-            failed_migrations: AtomicU64::new(0),
-            migrated_grants: AtomicU64::new(0),
+            deferred: AtomicU64::new(0),
         }
     }
 
     /// Entry count of the *active* generation (unlike
     /// [`ConcurrentTable::config`], this tracks resizes).
     pub fn live_entries(&self) -> usize {
-        self.current.read().table.num_entries()
+        self.current.read().num_entries()
     }
 
     /// The *active* generation's full configuration — entry count, hash
@@ -323,27 +173,33 @@ impl<T: ConcurrentTable> ResizableTable<T> {
     /// logs must outlive swaps); use this accessor whenever you are
     /// reporting what the table looks like *now*.
     pub fn live_config(&self) -> TableConfig {
-        self.current.read().table.config().clone()
+        self.current.read().config().clone()
     }
 
     /// Hash kind of the *active* generation.
     pub fn live_hash(&self) -> HashKind {
-        self.current.read().table.config().hash()
+        self.current.read().config().hash()
     }
 
     /// Live block-level grants across all transactions (diagnostic;
     /// momentarily racy under concurrent traffic).
     pub fn live_grants(&self) -> usize {
-        let _g = self.gate.enter(0);
-        self.current.read().live_grants()
+        self.slots
+            .iter()
+            .map(|s| {
+                s.0.lock()
+                    .values()
+                    .map(|h| h.blocks as usize)
+                    .sum::<usize>()
+            })
+            .sum()
     }
 
     /// Cumulative resize counters.
     pub fn resize_stats(&self) -> ResizeStats {
         ResizeStats {
             resizes: self.resizes.load(Ordering::Relaxed),
-            failed_migrations: self.failed_migrations.load(Ordering::Relaxed),
-            migrated_grants: self.migrated_grants.load(Ordering::Relaxed),
+            deferred: self.deferred.load(Ordering::Relaxed),
         }
     }
 
@@ -356,87 +212,56 @@ impl<T: ConcurrentTable> ResizableTable<T> {
 
     /// Resize and/or rehash the active table while transactions run.
     ///
-    /// Blocks new table operations for the duration of the grant replay
-    /// (microseconds at realistic footprints), waits out in-flight ones,
-    /// swaps, and re-opens. Transaction logs remain valid because public
-    /// grant keys are block addresses, which do not change geometry.
+    /// Seals the gate, waits up to [`QUIESCE_BUDGET`] for the threads
+    /// holding grants to release them, swaps in an empty table of the new
+    /// geometry and reopens; a thread's first grant waits meanwhile.
+    /// Transaction logs remain valid because public grant keys are block
+    /// addresses, which do not change with the geometry. Called by a thread
+    /// that itself holds grants here, it returns [`ResizeError::Busy`].
     ///
     /// # Panics
     /// Panics if `new_entries` is not a power of two (propagated from
-    /// [`TableConfig::new`]). Must not be called from inside a table
-    /// operation of this same table (self-deadlock on the gate).
+    /// [`TableConfig::new`]).
     pub fn resize_with_hash(
         &self,
         new_entries: usize,
         hash: HashKind,
     ) -> Result<ResizeReport, ResizeError> {
         let _one_resizer = self.resize_lock.lock();
-        let old = self.current.read().clone();
-        if old.table.num_entries() == new_entries && old.table.config().hash() == hash {
+        let from_entries = self.live_entries();
+        if from_entries == new_entries && self.live_hash() == hash {
             return Err(ResizeError::SameSize);
         }
         let cfg = TableConfig::new(new_entries)
             .with_block_bytes(self.base_cfg.mapper().block_bytes())
             .with_hash(hash)
-            .with_conflict_classification(self.base_cfg.classify_conflicts());
-        let standby = Generation::new((self.factory)(cfg));
+            .with_conflict_classification(self.base_cfg.classify_conflicts())
+            .with_max_threads(self.base_cfg.max_threads());
+        let fresh = (self.factory)(cfg);
 
-        self.gate.seal();
-        let replayed = Self::migrate(&old, &standby);
-        let result = match replayed {
-            Ok(migrated) => {
-                let report = ResizeReport {
-                    from_entries: old.table.num_entries(),
-                    to_entries: new_entries,
-                    migrated_grants: migrated,
-                };
-                // Fold the retiring generation's counters into the carry
-                // so stats_snapshot() stays cumulative across the swap
-                // (minus the standby's replay acquires, which would
-                // otherwise double-count the migrated grants). The carry
-                // lock is held ACROSS the pointer swap: stats_snapshot()
-                // reads both under the same lock, so it sees either
-                // pre-fold carry + old generation or post-fold carry + new
-                // generation, never the folded carry with the old
-                // generation still live (which would double-count).
-                let mut carried = self.carried_stats.lock();
-                accumulate_stats(&mut carried, &old.table.stats_snapshot());
-                let replay_noise = standby.table.stats_snapshot();
-                subtract_stats(&mut carried, &replay_noise);
-                *self.current.write() = Arc::new(standby);
-                drop(carried);
-                self.resizes.fetch_add(1, Ordering::Relaxed);
-                self.migrated_grants.fetch_add(migrated, Ordering::Relaxed);
-                Ok(report)
-            }
-            Err(e) => {
-                self.failed_migrations.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        };
+        if !self.gate.try_seal(QUIESCE_BUDGET) {
+            self.deferred.fetch_add(1, Ordering::Relaxed);
+            return Err(ResizeError::Busy);
+        }
+        // No thread holds a grant, so the active table is empty: swap it
+        // out whole. The carry lock is held ACROSS the swap, as
+        // stats_snapshot() reads carry and active table under it — it sees
+        // the old pair or the new one, never a half-applied fold.
+        let mut carried = self.carried_stats.lock();
+        let retired = std::mem::replace(&mut *self.current.write(), fresh);
+        accumulate_stats(&mut carried, &retired.stats_snapshot());
+        drop(carried);
         self.gate.open();
-        result
+        self.resizes.fetch_add(1, Ordering::Relaxed);
+        Ok(ResizeReport {
+            from_entries,
+            to_entries: new_entries,
+        })
     }
 
-    /// Replay every live grant of `old` into `standby`.
-    ///
-    /// Writes first, then reads: writes claim their entries outright, and
-    /// same-transaction reads that alias them coalesce for free, which
-    /// avoids spurious read→write upgrade failures during replay.
-    fn migrate(old: &Generation<T>, standby: &Generation<T>) -> Result<u64, ResizeError> {
-        let mut moved = 0u64;
-        for pass_level in [Held::Write, Held::Read] {
-            for shard in &old.shards {
-                let shard = shard.lock();
-                for (&(txn, block), &level) in &shard.journal {
-                    if level == pass_level {
-                        standby.place(txn, block, level)?;
-                        moved += 1;
-                    }
-                }
-            }
-        }
-        Ok(moved)
+    #[inline]
+    fn slot_of(&self, txn: ThreadId) -> usize {
+        txn as usize % self.slots.len()
     }
 }
 
@@ -464,21 +289,6 @@ fn accumulate_stats(acc: &mut TableStats, delta: &TableStats) {
     }
 }
 
-/// Back `noise` (the standby's grant-replay bookkeeping) out of `acc`;
-/// high-water marks are left alone (max semantics cannot be subtracted).
-fn subtract_stats(acc: &mut TableStats, noise: &TableStats) {
-    acc.read_acquires = acc.read_acquires.saturating_sub(noise.read_acquires);
-    acc.write_acquires = acc.write_acquires.saturating_sub(noise.write_acquires);
-    acc.grants = acc.grants.saturating_sub(noise.grants);
-    acc.already_held = acc.already_held.saturating_sub(noise.already_held);
-    acc.upgrades = acc.upgrades.saturating_sub(noise.upgrades);
-    acc.releases = acc.releases.saturating_sub(noise.releases);
-    acc.chain_inserts = acc.chain_inserts.saturating_sub(noise.chain_inserts);
-    for (a, n) in acc.chain_hist.iter_mut().zip(&noise.chain_hist) {
-        *a = a.saturating_sub(*n);
-    }
-}
-
 impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
     fn num_entries(&self) -> usize {
         self.live_entries()
@@ -497,28 +307,89 @@ impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
         access: Access,
         held: Held,
     ) -> AcquireOutcome {
-        let _g = self.gate.enter(txn as usize);
-        // Operate through the read guard: the epoch guard already pins the
-        // generation (a resize swaps only after seal() drains all guards),
-        // so cloning the Arc here would be pure refcount cache traffic.
-        self.current.read().acquire(txn, block, access, held)
+        // The caller already holds block-level permission covering this
+        // access: nothing to do, nothing new to release.
+        if matches!(
+            (access, held),
+            (Access::Read, Held::Read | Held::Write) | (Access::Write, Held::Write)
+        ) {
+            return AcquireOutcome::AlreadyHeld;
+        }
+
+        let slot = self.slot_of(txn);
+        let mut holdings = self.slots[slot].0.lock();
+        if holdings.is_empty() {
+            // The slot's first grant: this is where a resize holds it back.
+            self.gate.enter(slot);
+        }
+        let table = self.current.read();
+        let inner_key = table.grant_key(block);
+        let inner_level = holdings
+            .get(&(txn, inner_key))
+            .map_or(Held::None, |h| h.level);
+
+        match table.acquire(txn, block, access, inner_level) {
+            AcquireOutcome::Conflict(c) => {
+                if holdings.is_empty() {
+                    self.gate.exit(slot);
+                }
+                AcquireOutcome::Conflict(c)
+            }
+            AcquireOutcome::Granted | AcquireOutcome::AlreadyHeld => {
+                let hold = holdings.entry((txn, inner_key)).or_insert(EntryHold {
+                    level: Held::None,
+                    blocks: 0,
+                });
+                // A block is new to the transaction exactly when it held
+                // nothing on it (otherwise this is a read → write upgrade).
+                if held == Held::None {
+                    hold.blocks += 1;
+                }
+                hold.level = hold.level.max(inner_level.after(access));
+                // Block-level permission is new to the caller even when the
+                // inner entry was already covered (intra-transaction alias):
+                // report Granted so the caller logs — and later releases —
+                // this block.
+                AcquireOutcome::Granted
+            }
+        }
     }
 
     fn release(&self, txn: ThreadId, key: GrantKey, held: Held) {
-        let _g = self.gate.enter(txn as usize);
-        self.current.read().release(txn, key, held)
+        if held == Held::None {
+            return;
+        }
+        let slot = self.slot_of(txn);
+        let mut holdings = self.slots[slot].0.lock();
+        let table = self.current.read();
+        let inner_key = table.grant_key(key);
+        let Some(hold) = holdings.get_mut(&(txn, inner_key)) else {
+            debug_assert!(
+                false,
+                "release of a grant not held (txn {txn}, block {key})"
+            );
+            return;
+        };
+        hold.blocks -= 1;
+        if hold.blocks == 0 {
+            let level = hold.level;
+            holdings.remove(&(txn, inner_key));
+            table.release(txn, inner_key, level);
+            if holdings.is_empty() {
+                self.gate.exit(slot);
+            }
+        }
     }
 
     /// Cumulative across resizes: counters of retired generations are
-    /// folded in at swap time (with the standby's replay acquires backed
-    /// out, so migrated grants are not double-counted).
+    /// folded in at swap time.
     fn stats_snapshot(&self) -> TableStats {
-        // Hold the carry lock across the current-generation read so a
-        // concurrent resize's fold+swap (done under the same lock) cannot
-        // be observed half-applied.
+        // Hold the carry lock across the active-table read so a concurrent
+        // resize's fold+swap (done under the same lock) cannot be observed
+        // half-applied.
         let carried = self.carried_stats.lock();
         let mut merged = carried.clone();
-        accumulate_stats(&mut merged, &self.current.read().table.stats_snapshot());
+        accumulate_stats(&mut merged, &self.current.read().stats_snapshot());
         merged
     }
 
@@ -530,43 +401,26 @@ impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
         &self.base_cfg
     }
 
-    /// Yields one snapshot per journaled `(transaction, block)` grant —
-    /// block-keyed, like this table's public [`GrantKey`]s.
+    /// The active generation's grants, as the wrapped table reports them:
+    /// keyed by **entry index** for a tagless table (by block for a tagged
+    /// one), not by this wrapper's block-address grant keys.
     fn for_each_grant(&self, f: &mut dyn FnMut(GrantSnapshot)) {
-        let _g = self.gate.enter(0);
-        let gen = self.current.read();
-        for shard in &gen.shards {
-            for (&(txn, block), &level) in &shard.lock().journal {
-                match level {
-                    Held::None => {}
-                    Held::Read => f(GrantSnapshot {
-                        key: block,
-                        mode: Mode::Read,
-                        owner: None,
-                        sharers: 1,
-                    }),
-                    Held::Write => f(GrantSnapshot {
-                        key: block,
-                        mode: Mode::Write,
-                        owner: Some(txn),
-                        sharers: 0,
-                    }),
-                }
-            }
-        }
+        self.current.read().for_each_grant(f)
     }
 
+    /// Drops every holding (so a resize can go ahead) and the active
+    /// table's grants; returns the block-level grants dropped.
     fn drain_grants(&self) -> u64 {
-        let _g = self.gate.enter(0);
-        let gen = self.current.read();
         let mut dropped = 0u64;
-        for shard in &gen.shards {
-            let mut shard = shard.lock();
-            dropped += shard.journal.len() as u64;
-            shard.journal.clear();
-            shard.holdings.clear();
+        for (i, slot) in self.slots.iter().enumerate() {
+            let mut holdings = slot.0.lock();
+            if !holdings.is_empty() {
+                dropped += holdings.values().map(|h| h.blocks as u64).sum::<u64>();
+                holdings.clear();
+                self.gate.exit(i);
+            }
         }
-        gen.table.drain_grants();
+        self.current.read().drain_grants();
         dropped
     }
 }
@@ -574,13 +428,19 @@ impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_ownership::ConcurrentTaglessTable;
+    use tm_ownership::{ConcurrentTaglessTable, ConflictClass, ConflictKind};
 
     fn table(entries: usize) -> ResizableTable<ConcurrentTaglessTable> {
         ResizableTable::with_factory(
             TableConfig::new(entries).with_hash(HashKind::Mask),
             ConcurrentTaglessTable::new,
         )
+    }
+
+    fn grants(t: &ResizableTable<ConcurrentTaglessTable>) -> Vec<GrantSnapshot> {
+        let mut v = Vec::new();
+        t.for_each_grant(&mut |g| v.push(g));
+        v
     }
 
     #[test]
@@ -614,7 +474,7 @@ mod tests {
     fn intra_txn_alias_coalesces_and_releases() {
         let t = table(16);
         // Same transaction, two aliasing blocks: both granted (no
-        // self-conflict), one inner grant, two journal entries.
+        // self-conflict), one inner grant covering two blocks.
         assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
         assert!(t.acquire(0, 19, Access::Write, Held::None).is_ok());
         assert_eq!(t.live_grants(), 2);
@@ -660,24 +520,34 @@ mod tests {
     }
 
     #[test]
-    fn resize_migrates_live_grants() {
+    fn resize_with_grants_held_is_busy_and_moves_nothing() {
         let t = table(16);
         assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
         assert!(t.acquire(1, 100, Access::Read, Held::None).is_ok());
-        let report = t.resize_to(256).unwrap();
-        assert_eq!(report.from_entries, 16);
-        assert_eq!(report.to_entries, 256);
-        assert_eq!(report.migrated_grants, 2);
-        assert_eq!(t.live_entries(), 256);
-        // The write grant still excludes competitors on the same block.
+        let before = grants(&t);
+        assert_eq!(t.resize_to(256), Err(ResizeError::Busy));
+        assert_eq!(t.live_entries(), 16);
+        assert_eq!(grants(&t), before, "a deferred resize touched the table");
+        // The held grants still exclude competitors...
         assert!(t
             .acquire(2, 3, Access::Write, Held::None)
             .conflict()
             .is_some());
-        // And releases recorded before the resize still drain cleanly.
+        // ...and release cleanly.
         t.release(0, 3, Held::Write);
         t.release(1, 100, Held::Read);
         assert_eq!(t.live_grants(), 0);
+        // With nothing held the same resize goes through.
+        let report = t.resize_to(256).unwrap();
+        assert_eq!((report.from_entries, report.to_entries), (16, 256));
+        assert_eq!(t.live_entries(), 256);
+        assert_eq!(
+            t.resize_stats(),
+            ResizeStats {
+                resizes: 1,
+                deferred: 1
+            }
+        );
         assert!(t.acquire(2, 3, Access::Write, Held::None).is_ok());
     }
 
@@ -707,21 +577,46 @@ mod tests {
     }
 
     #[test]
-    fn shrink_collision_fails_cleanly() {
+    fn a_resize_keeps_max_threads() {
+        let t = crate::resizable_tagless(
+            TableConfig::new(64)
+                .with_hash(HashKind::Mask)
+                .with_conflict_classification(true)
+                .with_max_threads(128),
+        );
+        t.resize_to(128).unwrap();
+        assert_eq!(t.live_config().max_threads(), 128);
+        // Thread ids past the default bound of 64 still publish hints, so
+        // a true conflict is classified as one.
+        assert!(t.acquire(100, 3, Access::Write, Held::None).is_ok());
+        let c = t
+            .acquire(1, 3, Access::Write, Held::None)
+            .conflict()
+            .unwrap();
+        assert_eq!(c.class, ConflictClass::KnownTrue);
+    }
+
+    #[test]
+    fn shrink_with_grants_held_is_busy() {
         let t = table(1 << 10);
         // Two writers on blocks that collide in a 1-entry table.
         assert!(t.acquire(0, 0, Access::Write, Held::None).is_ok());
         assert!(t.acquire(1, 1, Access::Write, Held::None).is_ok());
-        let err = t.resize_to(1).unwrap_err();
-        assert!(matches!(err, ResizeError::MigrationConflict { .. }));
+        assert_eq!(t.resize_to(1), Err(ResizeError::Busy));
         // Active generation untouched; traffic continues.
         assert_eq!(t.live_entries(), 1 << 10);
         assert_eq!(t.live_grants(), 2);
         t.release(0, 0, Held::Write);
         t.release(1, 1, Held::Write);
-        assert_eq!(t.resize_stats().failed_migrations, 1);
-        // With the grants gone the same shrink succeeds.
+        assert_eq!(t.resize_stats().deferred, 1);
+        // With the grants gone the same shrink succeeds, and the two blocks
+        // now alias.
         assert!(t.resize_to(1).is_ok());
+        assert!(t.acquire(0, 0, Access::Write, Held::None).is_ok());
+        assert!(t
+            .acquire(1, 1, Access::Write, Held::None)
+            .conflict()
+            .is_some());
     }
 
     #[test]
@@ -730,40 +625,96 @@ mod tests {
         // Two *read* grants of different txns aliasing at 16 entries...
         assert!(t.acquire(0, 3, Access::Read, Held::None).is_ok());
         assert!(t.acquire(1, 19, Access::Read, Held::None).is_ok());
+        assert_eq!(t.resize_to(64), Err(ResizeError::Busy));
+        // ...so a writer on block 19 fights both while they are held.
+        assert!(t
+            .acquire(2, 19, Access::Write, Held::None)
+            .conflict()
+            .is_some());
+        t.release(0, 3, Held::Read);
+        t.release(1, 19, Held::Read);
         t.resize_to(64).unwrap();
-        // ...land on distinct entries at 64 (3 vs 19 under mask), so a
-        // writer on a third alias of entry 3 now only fights txn 0's read.
+        // At 64 entries 3 and 19 land on distinct entries (mask hash): a
+        // writer on 19 now coexists with a reader of 3.
+        assert!(t.acquire(0, 3, Access::Read, Held::None).is_ok());
+        assert!(t.acquire(2, 19, Access::Write, Held::None).is_ok());
+        // A writer on 3 still fights the reader of 3 itself.
         let c = t
-            .acquire(2, 3, Access::Write, Held::None)
+            .acquire(1, 3, Access::Write, Held::None)
             .conflict()
             .unwrap();
-        assert_eq!(c.kind, tm_ownership::ConflictKind::WriteAfterRead);
-        t.release(0, 3, Held::Read);
-        assert!(t.acquire(2, 3, Access::Write, Held::None).is_ok());
+        assert_eq!(c.kind, ConflictKind::WriteAfterRead);
     }
 
     #[test]
     fn stats_stay_cumulative_across_resizes() {
         let t = table(16);
-        // Two grants: one released before the resize, one held across it.
         assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
         assert!(t.acquire(1, 7, Access::Write, Held::None).is_ok());
+        // One conflict before the resize.
+        assert!(t
+            .acquire(2, 7, Access::Write, Held::None)
+            .conflict()
+            .is_some());
         t.release(0, 3, Held::Write);
+        t.release(1, 7, Held::Write);
         let before = t.stats_snapshot();
         assert_eq!(before.grants, 2);
-        assert_eq!(before.releases, 1);
+        assert_eq!(before.releases, 2);
+        assert_eq!(before.write_after_write, 1);
 
         t.resize_to(256).unwrap();
 
-        // The swap must not reset history nor double-count the migrated
-        // grant's replay acquire.
+        // The swap resets no counter.
+        assert_eq!(t.stats_snapshot(), before);
+        assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
+        t.release(0, 3, Held::Write);
         let after = t.stats_snapshot();
-        assert_eq!(after.grants, 2);
-        assert_eq!(after.releases, 1);
-        // A conflict before the resize stays counted too.
-        t.release(1, 7, Held::Write);
-        let done = t.stats_snapshot();
-        assert_eq!(done.grants, done.releases);
+        assert_eq!(after.grants, 3);
+        assert_eq!(after.releases, 3);
+        assert_eq!(after.write_after_write, 1);
+    }
+
+    #[test]
+    fn ids_sharing_a_slot_keep_separate_holdings() {
+        let t = ResizableTable::with_factory(
+            TableConfig::new(16)
+                .with_hash(HashKind::Mask)
+                .with_max_threads(4),
+            ConcurrentTaglessTable::new,
+        );
+        // Ids 1 and 1 + max_threads share slot 1 but are distinct
+        // transactions: their aliasing blocks conflict, not coalesce.
+        assert!(t.acquire(1, 3, Access::Write, Held::None).is_ok());
+        let c = t
+            .acquire(5, 19, Access::Write, Held::None)
+            .conflict()
+            .unwrap();
+        assert_eq!(c.with, Some(1));
+        assert!(t.acquire(5, 4, Access::Write, Held::None).is_ok());
+        assert_eq!(t.live_grants(), 2);
+        // Id 1 is done, but id 5 still holds in the slot: no resize yet.
+        t.release(1, 3, Held::Write);
+        assert_eq!(t.resize_to(64), Err(ResizeError::Busy));
+        assert!(t.acquire(1, 19, Access::Write, Held::None).is_ok());
+        t.release(1, 19, Held::Write);
+        t.release(5, 4, Held::Write);
+        assert_eq!(t.live_grants(), 0);
+        assert!(t.resize_to(64).is_ok());
+    }
+
+    #[test]
+    fn drain_grants_reopens_the_way_for_a_resize() {
+        let t = table(16);
+        assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
+        assert!(t.acquire(0, 19, Access::Write, Held::None).is_ok());
+        assert!(t.acquire(1, 4, Access::Read, Held::None).is_ok());
+        assert_eq!(t.resize_to(64), Err(ResizeError::Busy));
+        assert_eq!(t.drain_grants(), 3);
+        assert_eq!(t.live_grants(), 0);
+        assert!(grants(&t).is_empty());
+        assert!(t.resize_to(64).is_ok());
+        assert!(t.acquire(2, 3, Access::Write, Held::None).is_ok());
     }
 
     #[test]

@@ -70,8 +70,8 @@ pub type GrantKey = u64;
 /// [`ConcurrentTable::for_each_grant`].
 ///
 /// Under concurrent traffic the snapshot is advisory (grants come and go
-/// while iterating); at a quiesced table it is exact. Used by migration
-/// tooling, diagnostics, and integrity tests.
+/// while iterating); at a quiesced table it is exact. Used by
+/// diagnostics and integrity tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GrantSnapshot {
     /// The key the grant was issued under (entry index or block address).
@@ -116,7 +116,7 @@ pub trait ConcurrentTable: Send + Sync {
     fn config(&self) -> &TableConfig;
 
     /// Visit every live grant (see [`GrantSnapshot`] for the racy-snapshot
-    /// caveat). The basis of grant migration and leak checks.
+    /// caveat). The basis of leak checks and diagnostics.
     ///
     /// The callback runs while internal locks are held: it must **not**
     /// call back into this table (acquire/release/resize), or it will

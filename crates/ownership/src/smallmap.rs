@@ -21,8 +21,8 @@
 //!   multiply instead of SipHash.
 //!
 //! [`FastHashState`] is the companion `BuildHasher` for places that need a
-//! real `std` map (composite keys, iteration-heavy journals) but not a
-//! DoS-resistant hash — e.g. `tm-adaptive`'s sharded grant journal.
+//! real `std` map (composite keys) but not a DoS-resistant hash — e.g.
+//! `tm-adaptive`'s per-slot `(txn, entry)` holdings.
 
 use std::hash::{BuildHasher, Hasher};
 

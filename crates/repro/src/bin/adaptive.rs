@@ -145,10 +145,9 @@ fn main() {
     }
     let final_stats = adaptive_stm.table().resize_stats();
     println!(
-        "adaptive table finished at {} entries after {} resizes ({} grants migrated live, {} deferred)",
+        "adaptive table finished at {} entries after {} resizes ({} deferred)",
         adaptive_stm.table().live_entries(),
         final_stats.resizes,
-        final_stats.migrated_grants,
-        final_stats.failed_migrations,
+        final_stats.deferred,
     );
 }

@@ -86,8 +86,8 @@ fn main() {
     let snap = stm.stats();
     println!();
     println!(
-        "{} commits, {} aborts; {} resizes, {} grants migrated live, {} deferred",
-        snap.commits, snap.aborts, stats.resizes, stats.migrated_grants, stats.failed_migrations
+        "{} commits, {} aborts; {} resizes, {} deferred",
+        snap.commits, snap.aborts, stats.resizes, stats.deferred
     );
 
     // The punchline, in model terms: what the final table buys us.

@@ -123,6 +123,9 @@ fn update_transactions_allocate_nothing_on_any_engine() {
     assert_update_body_allocates_nothing("eager-tagless", &builder().build_tagless());
     assert_update_body_allocates_nothing("eager-tagged", &builder().build_tagged());
     assert_update_body_allocates_nothing("lazy-tl2", &builder().build_lazy());
+    // The resizable table's per-thread holdings stop allocating once warm.
+    let (adaptive, _controller) = builder().build_adaptive(ResizePolicy::default(), 1);
+    assert_update_body_allocates_nothing("adaptive", &adaptive);
 
     // The same engine routed over S=4 tables: the 512-block working set
     // sits entirely inside shard 0's span (2048 blocks / 4 = 512), so every
