@@ -265,8 +265,7 @@ impl<T: ConcurrentTable> ResizableTable<T> {
     }
 }
 
-/// Fold `delta` into `acc`: counters add, high-water marks take the max,
-/// the chain histogram adds element-wise.
+/// Fold `delta` into `acc`: every counter adds.
 fn accumulate_stats(acc: &mut TableStats, delta: &TableStats) {
     acc.read_acquires += delta.read_acquires;
     acc.write_acquires += delta.write_acquires;
@@ -279,14 +278,8 @@ fn accumulate_stats(acc: &mut TableStats, delta: &TableStats) {
     acc.false_conflicts += delta.false_conflicts;
     acc.true_conflicts += delta.true_conflicts;
     acc.unclassified_conflicts += delta.unclassified_conflicts;
-    acc.intra_txn_aliases += delta.intra_txn_aliases;
     acc.releases += delta.releases;
-    acc.occupancy_highwater = acc.occupancy_highwater.max(delta.occupancy_highwater);
     acc.chain_inserts += delta.chain_inserts;
-    acc.max_chain_len = acc.max_chain_len.max(delta.max_chain_len);
-    for (a, d) in acc.chain_hist.iter_mut().zip(&delta.chain_hist) {
-        *a += d;
-    }
 }
 
 impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {

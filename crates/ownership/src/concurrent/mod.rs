@@ -1,8 +1,8 @@
-//! Thread-safe ownership tables for the real STM.
+//! Thread-safe ownership tables, one per organization.
 //!
-//! The sequential tables in this crate serve the paper's Monte-Carlo
-//! simulators; these variants serve [`tm-stm`](https://docs.rs/tm-stm)'s
-//! actual multi-threaded transactions:
+//! [`tm-stm`](https://docs.rs/tm-stm)'s multi-threaded transactions run on
+//! them, and so do the paper's Monte-Carlo simulators in `tm-sim`, from one
+//! thread:
 //!
 //! * [`ConcurrentTaglessTable`] — one atomic word per entry, lock-free
 //!   acquire/release via compare-and-swap. This is the shape published
@@ -12,11 +12,10 @@
 //!   inline-or-chain buckets of Figure 7. Aliasing blocks coexist; only
 //!   same-block conflicts are reported.
 //!
-//! Unlike the sequential tables, concurrent tables do **not** keep per-thread
-//! logs internally — a real STM already owns that log, and duplicating it
-//! under synchronization would be pure overhead. Callers pass the level they
-//! already hold ([`Held`]) and remember the [`GrantKey`] of each grant so
-//! they can release it later.
+//! The tables do **not** keep per-thread logs internally — the caller
+//! already owns that log, and duplicating it under synchronization would be
+//! pure overhead. Callers pass the level they already hold ([`Held`]) and
+//! remember the [`GrantKey`] of each grant so they can release it later.
 //!
 //! ## Memory ordering
 //!

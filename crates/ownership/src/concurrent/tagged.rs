@@ -98,11 +98,6 @@ struct Rec {
     state: RecState,
 }
 
-/// Inline-or-chain bucket, as in the sequential [`crate::TaggedTable`] but
-/// guarded by a lock. `Vec<Rec>` doubles as both: the empty/one-element
-/// cases never re-allocate once warmed up.
-type Bucket = Vec<Rec>;
-
 #[derive(Debug, Default)]
 struct Counters {
     read_acquires: AtomicU64,
@@ -154,7 +149,10 @@ impl Counters {
 #[derive(Debug)]
 pub struct ConcurrentTaggedTable {
     cfg: TableConfig,
-    buckets: Vec<Mutex<Bucket>>,
+    /// Figure 7's inline-or-chain buckets, each guarded by a lock. One
+    /// `Vec<Rec>` serves both shapes: the empty and one-record cases never
+    /// re-allocate once warmed up.
+    buckets: Vec<Mutex<Vec<Rec>>>,
     counters: Counters,
 }
 

@@ -93,8 +93,8 @@ impl fmt::Display for ConflictKind {
 ///
 /// Tagless tables can only classify when built with conflict classification
 /// enabled ([`crate::hashing::TableConfig::with_conflict_classification`]):
-/// sequential tables consult an out-of-band oracle; the concurrent table
-/// compares advisory per-thread block hints published alongside grants.
+/// the table compares advisory per-thread block hints published alongside
+/// grants.
 /// Tagged tables never produce false conflicts by construction, so they
 /// always report [`ConflictClass::KnownTrue`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]

@@ -143,10 +143,10 @@ impl TableConfig {
         }
     }
 
-    /// Expected upper bound on concurrently active thread ids. Tables that
-    /// keep per-thread state (the sequential tagged table's hold maps)
-    /// pre-size it from this bound so no acquire pays a first-touch resize;
-    /// ids at or above the bound still work, via on-demand growth.
+    /// Expected upper bound on concurrently active thread ids. Per-thread
+    /// state is sized from it: the tagless table's conflict-classification
+    /// hint rows (ids at or above the bound go unclassified) and
+    /// `tm-adaptive`'s holder slots (ids beyond it share a slot).
     pub fn with_max_threads(mut self, max_threads: usize) -> Self {
         self.max_threads = max_threads.max(1);
         self

@@ -1,13 +1,12 @@
-//! Statistics counters the paper's experiments measure: conflict rates and
-//! classification, intra-transaction aliasing, table occupancy, and (for the
-//! tagged organization) chain-length behaviour.
-
-use crate::entry::{ConflictClass, ConflictKind};
+//! Statistics counters the paper's experiments measure: acquires, grants,
+//! conflicts by kind and classification, and (for the tagged organization)
+//! chain insertions.
 
 /// Counters accumulated by an ownership table.
 ///
-/// Everything is plain `u64` arithmetic — the sequential tables are used in
-/// Monte-Carlo inner loops where atomic counters would dominate the profile.
+/// A point-in-time copy: the concurrent tables count with relaxed atomics
+/// and [`stats_snapshot`](crate::concurrent::ConcurrentTable::stats_snapshot)
+/// reads them into this plain `u64` struct.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Read-permission acquire attempts.
@@ -34,69 +33,15 @@ pub struct TableStats {
     pub true_conflicts: u64,
     /// Conflicts the table could not classify (classification disabled).
     pub unclassified_conflicts: u64,
-    /// Times a transaction touched a *new distinct block* that mapped to an
-    /// entry the same transaction already held (the paper §4 measures this
-    /// "aliasing within a transaction" to validate a model assumption).
-    pub intra_txn_aliases: u64,
     /// Entry releases performed.
     pub releases: u64,
-    /// High-water mark of simultaneously-held entries.
-    pub occupancy_highwater: u64,
     /// Tagged only: records inserted into a chain that already held at least
     /// one record for a *different* block (i.e. genuine aliasing the tagged
     /// organization absorbs instead of reporting).
     pub chain_inserts: u64,
-    /// Tagged only: longest chain (records in one bucket) ever observed.
-    pub max_chain_len: u64,
-    /// Tagged only: histogram of bucket record-counts observed at acquire
-    /// time. `chain_hist[k]` counts acquires that found `k` records already
-    /// present (saturating at the last slot).
-    pub chain_hist: [u64; CHAIN_HIST_SLOTS],
 }
 
-/// Number of slots in [`TableStats::chain_hist`]; the last slot aggregates
-/// everything at or beyond that length.
-pub const CHAIN_HIST_SLOTS: usize = 9;
-
 impl TableStats {
-    /// Record an acquire attempt of the given kind.
-    #[inline]
-    pub(crate) fn on_acquire(&mut self, is_write: bool) {
-        if is_write {
-            self.write_acquires += 1;
-        } else {
-            self.read_acquires += 1;
-        }
-    }
-
-    /// Record a conflict outcome and its classification verdict.
-    #[inline]
-    pub(crate) fn on_conflict(&mut self, kind: ConflictKind, class: ConflictClass) {
-        match kind {
-            ConflictKind::ReadAfterWrite => self.read_after_write += 1,
-            ConflictKind::WriteAfterRead => self.write_after_read += 1,
-            ConflictKind::WriteAfterWrite => self.write_after_write += 1,
-        }
-        match class {
-            ConflictClass::KnownFalse => self.false_conflicts += 1,
-            ConflictClass::KnownTrue => self.true_conflicts += 1,
-            ConflictClass::Unknown => self.unclassified_conflicts += 1,
-        }
-    }
-
-    /// Record a bucket population observed at acquire time (tagged).
-    #[inline]
-    pub(crate) fn on_chain_observed(&mut self, records_present: usize) {
-        let slot = records_present.min(CHAIN_HIST_SLOTS - 1);
-        self.chain_hist[slot] += 1;
-    }
-
-    /// Update the occupancy high-water mark.
-    #[inline]
-    pub(crate) fn on_occupancy(&mut self, occupancy: usize) {
-        self.occupancy_highwater = self.occupancy_highwater.max(occupancy as u64);
-    }
-
     /// Total acquire attempts.
     pub fn total_acquires(&self) -> u64 {
         self.read_acquires + self.write_acquires
@@ -118,28 +63,6 @@ impl TableStats {
         let n = self.false_conflicts + self.true_conflicts;
         (n > 0).then(|| self.false_conflicts as f64 / n as f64)
     }
-
-    /// Mean number of records already present when acquiring into a tagged
-    /// bucket — the expected chain traversal cost (paper §5 argues this is
-    /// ≈0 for sensible sizings).
-    pub fn mean_chain_len(&self) -> Option<f64> {
-        let total: u64 = self.chain_hist.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let weighted: u64 = self
-            .chain_hist
-            .iter()
-            .enumerate()
-            .map(|(k, &c)| k as u64 * c)
-            .sum();
-        Some(weighted as f64 / total as f64)
-    }
-
-    /// Reset every counter to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 #[cfg(test)]
@@ -150,62 +73,27 @@ mod tests {
     fn conflict_rate_and_totals() {
         let mut s = TableStats::default();
         assert_eq!(s.conflict_rate(), None);
-        s.on_acquire(false);
-        s.on_acquire(true);
-        s.on_acquire(true);
-        s.on_conflict(ConflictKind::WriteAfterWrite, ConflictClass::KnownFalse);
+        s.read_acquires = 1;
+        s.write_acquires = 2;
+        s.write_after_write = 1;
+        s.false_conflicts = 1;
         assert_eq!(s.total_acquires(), 3);
         assert_eq!(s.total_conflicts(), 1);
         assert!((s.conflict_rate().unwrap() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.false_conflicts, 1);
         assert_eq!(s.false_fraction(), Some(1.0));
     }
 
     #[test]
-    fn conflict_kind_buckets() {
-        let mut s = TableStats::default();
-        s.on_conflict(ConflictKind::ReadAfterWrite, ConflictClass::Unknown);
-        s.on_conflict(ConflictKind::WriteAfterRead, ConflictClass::KnownTrue);
-        s.on_conflict(ConflictKind::WriteAfterWrite, ConflictClass::Unknown);
-        assert_eq!(s.read_after_write, 1);
-        assert_eq!(s.write_after_read, 1);
-        assert_eq!(s.write_after_write, 1);
-        assert_eq!(s.unclassified_conflicts, 2);
-        assert_eq!(s.true_conflicts, 1);
+    fn conflict_kinds_sum_and_fraction() {
+        let s = TableStats {
+            read_after_write: 1,
+            write_after_read: 1,
+            write_after_write: 1,
+            true_conflicts: 1,
+            unclassified_conflicts: 2,
+            ..TableStats::default()
+        };
+        assert_eq!(s.total_conflicts(), 3);
         assert_eq!(s.false_fraction(), Some(0.0));
-    }
-
-    #[test]
-    fn chain_histogram_and_mean() {
-        let mut s = TableStats::default();
-        assert_eq!(s.mean_chain_len(), None);
-        s.on_chain_observed(0);
-        s.on_chain_observed(0);
-        s.on_chain_observed(2);
-        assert_eq!(s.chain_hist[0], 2);
-        assert_eq!(s.chain_hist[2], 1);
-        assert!((s.mean_chain_len().unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        // Saturation at the last slot.
-        s.on_chain_observed(100);
-        assert_eq!(s.chain_hist[CHAIN_HIST_SLOTS - 1], 1);
-    }
-
-    #[test]
-    fn occupancy_highwater_is_monotone() {
-        let mut s = TableStats::default();
-        s.on_occupancy(5);
-        s.on_occupancy(3);
-        assert_eq!(s.occupancy_highwater, 5);
-        s.on_occupancy(9);
-        assert_eq!(s.occupancy_highwater, 9);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let mut s = TableStats::default();
-        s.on_acquire(true);
-        s.on_conflict(ConflictKind::WriteAfterWrite, ConflictClass::Unknown);
-        s.reset();
-        assert_eq!(s, TableStats::default());
     }
 }

@@ -12,7 +12,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tm_ownership::{Access, HashKind, OwnershipTable, TableConfig, TaglessTable};
+use tm_ownership::{Access, ConcurrentTaglessTable, HashKind, TableConfig};
+
+use crate::table::SimTable;
 
 /// What a transaction does on conflict (the paper §2.1: "abort or stall").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -120,7 +122,7 @@ pub fn run_closed_system(params: &ClosedSystemParams) -> ClosedSystemResult {
     assert!(params.target_commits >= 1, "need a positive commit target");
 
     let cfg = TableConfig::new(params.table_entries).with_hash(HashKind::Multiplicative);
-    let mut table = TaglessTable::new(cfg);
+    let mut table = SimTable::new(ConcurrentTaglessTable::new(cfg));
     let mut rng = StdRng::seed_from_u64(params.seed);
 
     let blocks_per_txn = (params.alpha as u64 + 1) * params.write_footprint as u64;

@@ -26,9 +26,12 @@
 //!    concurrency of the overflowed (STM) transactions.
 
 use tm_cache_sim::{run_to_overflow, CacheConfig};
-use tm_ownership::{Access, HashKind, OwnershipTable, TableConfig, TaggedTable, TaglessTable};
+use tm_ownership::concurrent::ConcurrentTable;
+use tm_ownership::{Access, ConcurrentTaggedTable, ConcurrentTaglessTable, HashKind, TableConfig};
 use tm_traces::spec::spec2000_profiles;
 use tm_traces::Trace;
+
+use crate::table::SimTable;
 
 /// Which ownership-table organization backs the STM fallback path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,15 +171,16 @@ pub fn run_hybrid(params: &HybridParams) -> HybridResult {
 
     let cfg = TableConfig::new(params.table_entries).with_hash(HashKind::Multiplicative);
     match params.organization {
-        Organization::Tagless => run_ticks(params, &queues, &mut TaglessTable::new(cfg)),
-        Organization::Tagged => run_ticks(params, &queues, &mut TaggedTable::new(cfg)),
+        Organization::Tagless => {
+            run_ticks(&queues, SimTable::new(ConcurrentTaglessTable::new(cfg)))
+        }
+        Organization::Tagged => run_ticks(&queues, SimTable::new(ConcurrentTaggedTable::new(cfg))),
     }
 }
 
-fn run_ticks<T: OwnershipTable>(
-    _params: &HybridParams,
+fn run_ticks<T: ConcurrentTable>(
     queues: &[Vec<PreparedTxn>],
-    table: &mut T,
+    mut table: SimTable<T>,
 ) -> HybridResult {
     #[derive(Clone, Default)]
     struct ThreadState {

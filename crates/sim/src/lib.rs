@@ -1,6 +1,7 @@
 //! Monte-Carlo simulators for the *Birthday Paradox* experiments.
 //!
-//! Three engines, matching the paper's three measurement methodologies:
+//! Five engines: the paper's three measurement methodologies (`open`,
+//! `closed`, `traced`) and two extensions (`strong`, `hybrid`).
 //!
 //! * [`open`] — the **open-system lockstep** simulator behind Figure 4:
 //!   `C` transactions start together, add uniformly random blocks round-
@@ -22,10 +23,12 @@
 //!   ownership table when they overflow; demonstrates the "concurrency of 1
 //!   for overflowed transactions" conclusion end to end.
 //!
-//! All engines run on the *sequential* [`tm_ownership::TaglessTable`] — the
-//! simulations are statistical, not concurrency tests (the real concurrent
-//! STM lives in `tm-stm`). [`runner::parallel_sweep`] distributes
-//! independent data points across CPU cores.
+//! All engines run on the concurrent tables the STM (`tm-stm`) uses,
+//! driven from one thread through [`table::SimTable`], which keeps each
+//! simulated transaction's grant log the way the STM keeps a real one. The
+//! simulations are statistical, not concurrency tests.
+//! [`runner::parallel_sweep`] distributes independent data points across
+//! CPU cores.
 //!
 //! # Example
 //!
@@ -51,6 +54,7 @@ pub mod hybrid;
 pub mod open;
 pub mod runner;
 pub mod strong;
+pub mod table;
 pub mod traced;
 
 pub use closed::{run_closed_system, ClosedSystemParams, ClosedSystemResult};
@@ -58,4 +62,5 @@ pub use hybrid::{run_hybrid, HybridParams, HybridResult, Organization};
 pub use open::{run_open_system, OpenSystemParams, OpenSystemResult};
 pub use runner::parallel_sweep;
 pub use strong::{run_strong_isolation, StrongIsolationParams, StrongIsolationResult};
+pub use table::SimTable;
 pub use traced::{alias_likelihood, TracedAliasParams, TracedAliasResult};

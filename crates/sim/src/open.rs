@@ -15,7 +15,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tm_ownership::{Access, HashKind, OwnershipTable, TableConfig, TaglessTable};
+use tm_ownership::{
+    Access, AcquireOutcome, BlockAddr, ConcurrentTaglessTable, HashKind, SmallMap, TableConfig,
+};
+
+use crate::table::SimTable;
 
 /// Parameters of one open-system data point.
 #[derive(Clone, Debug)]
@@ -120,26 +124,31 @@ pub fn run_open_system(params: &OpenSystemParams) -> OpenSystemResult {
     assert!(params.runs >= 1, "need at least one run");
 
     let cfg = TableConfig::new(params.table_entries).with_hash(HashKind::Multiplicative);
-    let mut table = TaglessTable::new(cfg);
+    let mut table = SimTable::new(ConcurrentTaglessTable::new(cfg));
     let mut rng = StdRng::seed_from_u64(params.seed);
+    let mut blocks = vec![SmallMap::new(); params.concurrency as usize];
 
     let mut conflicted_runs = 0usize;
-    let mut additions = 0u64;
-    let mut intra_aliases_before = 0u64;
-
+    let (mut additions, mut intra_aliases) = (0u64, 0u64);
     for _ in 0..params.runs {
-        if run_once(&mut table, &mut rng, params, &mut additions) {
+        if run_once(
+            &mut table,
+            &mut blocks,
+            &mut rng,
+            params,
+            &mut additions,
+            &mut intra_aliases,
+        ) {
             conflicted_runs += 1;
         }
-        // Reclaim everything for the next run (stats persist).
+        // Reclaim everything for the next run.
         for t in 0..params.concurrency {
             table.release_all(t);
+            blocks[t as usize].clear();
         }
         debug_assert_eq!(table.occupancy(), 0);
-        let _ = &mut intra_aliases_before;
     }
 
-    let intra = table.stats().intra_txn_aliases;
     OpenSystemResult {
         conflict_rate: conflicted_runs as f64 / params.runs as f64,
         runs: params.runs,
@@ -147,17 +156,22 @@ pub fn run_open_system(params: &OpenSystemParams) -> OpenSystemResult {
         intra_alias_rate: if additions == 0 {
             0.0
         } else {
-            intra as f64 / additions as f64
+            intra_aliases as f64 / additions as f64
         },
     }
 }
 
-/// One lockstep run; returns whether any conflict occurred.
+/// One lockstep run; returns whether any conflict occurred. `blocks[t]`
+/// collects the distinct blocks transaction `t` has been granted or found
+/// already covered, so a *new* block that lands in an entry the
+/// transaction already holds counts as an intra-transaction alias.
 fn run_once(
-    table: &mut TaglessTable,
+    table: &mut SimTable<ConcurrentTaglessTable>,
+    blocks: &mut [SmallMap<BlockAddr, ()>],
     rng: &mut StdRng,
     params: &OpenSystemParams,
     additions: &mut u64,
+    intra_aliases: &mut u64,
 ) -> bool {
     let c = params.concurrency;
     let per_txn_blocks = (params.alpha as u64 + 1) * params.write_footprint as u64;
@@ -172,8 +186,13 @@ fn run_once(
         for txn in 0..c {
             let block: u64 = rng.gen();
             *additions += 1;
-            if !table.acquire(txn, block, access).is_ok() {
+            let outcome = table.acquire(txn, block, access);
+            if !outcome.is_ok() {
                 return true;
+            }
+            let new_block = blocks[txn as usize].insert(block, ()).is_none();
+            if new_block && outcome == AcquireOutcome::AlreadyHeld {
+                *intra_aliases += 1;
             }
         }
     }

@@ -18,7 +18,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tm_ownership::{Access, AcquireOutcome, HashKind, OwnershipTable, TableConfig, TaglessTable};
+use tm_ownership::{Access, AcquireOutcome, ConcurrentTaglessTable, HashKind, TableConfig};
+
+use crate::table::SimTable;
 
 /// Parameters of the strong-isolation experiment.
 #[derive(Clone, Debug)]
@@ -88,7 +90,7 @@ pub fn run_strong_isolation(params: &StrongIsolationParams) -> StrongIsolationRe
     );
 
     let cfg = TableConfig::new(params.table_entries).with_hash(HashKind::Multiplicative);
-    let mut table = TaglessTable::new(cfg);
+    let mut table = SimTable::new(ConcurrentTaglessTable::new(cfg));
     let mut rng = StdRng::seed_from_u64(params.seed);
 
     let blocks_per_txn = (params.alpha as u64 + 1) * params.write_footprint as u64;
@@ -151,8 +153,9 @@ pub fn run_strong_isolation(params: &StrongIsolationParams) -> StrongIsolationRe
                     if access.is_write() || c.with.is_some() {
                         // In a strongly-isolated system the non-transactional
                         // access must win (it cannot be rolled back): the
-                        // transaction holding the entry aborts.
-                        if let Some(owner) = holder_of(&table, params.threads, c.with) {
+                        // transaction holding the entry aborts — when the
+                        // table names it and it is transactional.
+                        if let Some(owner) = c.with.filter(|&t| t < params.threads) {
                             table.release_all(owner);
                             progress[owner as usize] = 0;
                             out.bystander_induced_aborts += 1;
@@ -167,11 +170,6 @@ pub fn run_strong_isolation(params: &StrongIsolationParams) -> StrongIsolationRe
         }
     }
     out
-}
-
-/// Resolve the transactional owner to abort, if identifiable and in range.
-fn holder_of(_table: &TaglessTable, txn_threads: u32, with: Option<u32>) -> Option<u32> {
-    with.filter(|&t| t < txn_threads)
 }
 
 #[cfg(test)]

@@ -12,8 +12,10 @@
 //! exhausted it wraps around with a per-wrap block-address salt so later
 //! samples do not replay byte-identical footprints.
 
-use tm_ownership::{Access, HashKind, OwnershipTable, TableConfig, TaglessTable};
+use tm_ownership::{Access, ConcurrentTaglessTable, HashKind, TableConfig};
 use tm_traces::filter::BlockAccess;
+
+use crate::table::SimTable;
 
 /// Parameters of one Figure 2 data point.
 #[derive(Clone, Debug)]
@@ -97,7 +99,7 @@ pub fn alias_likelihood(
     );
 
     let cfg = TableConfig::new(params.table_entries).with_hash(params.hash);
-    let mut table = TaglessTable::new(cfg);
+    let mut table = SimTable::new(ConcurrentTaglessTable::new(cfg));
 
     let mut cursors: Vec<Cursor<'_>> = streams[..params.concurrency]
         .iter()
@@ -128,7 +130,7 @@ pub fn alias_likelihood(
 /// One sample: consume streams round-robin until every stream wrote `W`
 /// distinct blocks or a conflict happened. Returns whether it conflicted.
 fn run_sample(
-    table: &mut TaglessTable,
+    table: &mut SimTable<ConcurrentTaglessTable>,
     cursors: &mut [Cursor<'_>],
     params: &TracedAliasParams,
 ) -> bool {
