@@ -30,7 +30,7 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 
 use tm_ownership::concurrent::{ConcurrentTable, GrantKey, GrantSnapshot, Held};
-use tm_ownership::stats::TableStats;
+use tm_ownership::stats::{AccessTally, TableStats};
 use tm_ownership::{
     Access, AcquireOutcome, BlockAddr, FastHashState, HashKind, TableConfig, ThreadId,
 };
@@ -249,7 +249,7 @@ impl<T: ConcurrentTable> ResizableTable<T> {
         // the old pair or the new one, never a half-applied fold.
         let mut carried = self.carried_stats.lock();
         let retired = std::mem::replace(&mut *self.current.write(), fresh);
-        accumulate_stats(&mut carried, &retired.stats_snapshot());
+        *carried += retired.stats_snapshot();
         drop(carried);
         self.gate.open();
         self.resizes.fetch_add(1, Ordering::Relaxed);
@@ -265,23 +265,6 @@ impl<T: ConcurrentTable> ResizableTable<T> {
     }
 }
 
-/// Fold `delta` into `acc`: every counter adds.
-fn accumulate_stats(acc: &mut TableStats, delta: &TableStats) {
-    acc.read_acquires += delta.read_acquires;
-    acc.write_acquires += delta.write_acquires;
-    acc.grants += delta.grants;
-    acc.already_held += delta.already_held;
-    acc.upgrades += delta.upgrades;
-    acc.read_after_write += delta.read_after_write;
-    acc.write_after_read += delta.write_after_read;
-    acc.write_after_write += delta.write_after_write;
-    acc.false_conflicts += delta.false_conflicts;
-    acc.true_conflicts += delta.true_conflicts;
-    acc.unclassified_conflicts += delta.unclassified_conflicts;
-    acc.releases += delta.releases;
-    acc.chain_inserts += delta.chain_inserts;
-}
-
 impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
     fn num_entries(&self) -> usize {
         self.live_entries()
@@ -293,7 +276,8 @@ impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
         block
     }
 
-    fn acquire(
+    /// Counts through the wrapped table (see [`fold`](Self::fold)).
+    fn acquire_uncounted(
         &self,
         txn: ThreadId,
         block: BlockAddr,
@@ -348,7 +332,8 @@ impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
         }
     }
 
-    fn release(&self, txn: ThreadId, key: GrantKey, held: Held) {
+    /// Counts through the wrapped table (see [`fold`](Self::fold)).
+    fn release_uncounted(&self, txn: ThreadId, key: GrantKey, held: Held) {
         if held == Held::None {
             return;
         }
@@ -374,6 +359,15 @@ impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
         }
     }
 
+    /// Drops the tally: this table's statistics are the wrapped table's
+    /// counts, which it takes at once through the wrapped table's counting
+    /// `acquire`/`release`. A caller's tally describes the wrapper's
+    /// block-level outcomes, which differ from the inner entry-level ones
+    /// (an aliasing block is `Granted` here and `AlreadyHeld` inside;
+    /// releasing it releases nothing inside), and only the wrapper sees the
+    /// inner outcome.
+    fn fold(&self, _tally: &AccessTally) {}
+
     /// Cumulative across resizes: counters of retired generations are
     /// folded in at swap time.
     fn stats_snapshot(&self) -> TableStats {
@@ -382,7 +376,7 @@ impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
         // half-applied.
         let carried = self.carried_stats.lock();
         let mut merged = carried.clone();
-        accumulate_stats(&mut merged, &self.current.read().stats_snapshot());
+        merged += self.current.read().stats_snapshot();
         merged
     }
 

@@ -94,7 +94,8 @@ impl<P: Probe> LazyStm<P> {
         self.stats.snapshot()
     }
 
-    /// Table-level statistics (samples, locks, validations).
+    /// Table-level statistics (commit-time locks, and the samples, locks
+    /// and validations that met contention).
     pub fn table_stats(&self) -> VersionedStats {
         self.table.stats()
     }
@@ -502,9 +503,7 @@ mod tests {
     fn read_only_transactions_do_not_lock() {
         let stm = lazy_stm(64, 256);
         stm.run(0, |txn| txn.read(0));
-        let ts = stm.table_stats();
-        assert_eq!(ts.locks, 0);
-        assert!(ts.samples > 0);
+        assert_eq!(stm.table_stats().locks, 0);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tm_ownership::concurrent::{ConcurrentTable, Held};
+use tm_ownership::stats::AccessTally;
 use tm_ownership::{Access, AcquireOutcome, BlockAddr, BlockMapper, ConflictClass, ThreadId};
 use tm_telemetry::{AbortCause, NoopProbe, Probe};
 
@@ -500,6 +501,11 @@ pub struct Txn<'s, T: ConcurrentTable, P: Probe = NoopProbe, R: Route = OneTable
     /// Stall-policy re-attempts this attempt; flushed to the shared
     /// (striped) stats once per attempt instead of once per spin.
     stall_retries: u64,
+    /// The home table's per-access counts this attempt (acquires, grants,
+    /// already-held hits, upgrades, releases), folded into the table once,
+    /// in `finish`, as `stall_retries` is into the stats. The table counts
+    /// only conflicts itself.
+    tally: AccessTally,
     finished: bool,
     reads: u64,
     writes: u64,
@@ -534,6 +540,7 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
             max_spins: stm.contention.max_spins(),
             scratch: ScratchGuard::checkout(),
             stall_retries: 0,
+            tally: AccessTally::default(),
             finished: false,
             reads: 0,
             writes: 0,
@@ -595,7 +602,9 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
         let held = self.scratch.log.get(key).unwrap_or(Held::None);
         let mut spins = 0u32;
         loop {
-            match table.acquire(self.id, block, access, held) {
+            let outcome = table.acquire_uncounted(self.id, block, access, held);
+            self.tally.on_acquire(access, held, &outcome);
+            match outcome {
                 AcquireOutcome::Granted => {
                     self.scratch.log.insert(key, held.after(access));
                     if P::ENABLED {
@@ -661,20 +670,23 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
         Ok((self.home.unwrap_or(0), 1))
     }
 
-    /// Attempt epilogue (commit, abort and escalation alike): return the
-    /// eager grants and any commit-phase grants still held, flush the
-    /// batched stall counter. Speculative writes of an aborted attempt
-    /// never reached the heap, and nothing is cleared here:
-    /// `ScratchGuard::checkout` is the single clearing authority, so the
-    /// next attempt starts clean either way.
+    /// Attempt epilogue (commit, abort, escalation and `Drop` alike): return
+    /// the eager grants and any commit-phase grants still held, fold the
+    /// attempt's tally into the home table and flush the batched stall
+    /// counter. Speculative writes of an aborted attempt never reached the
+    /// heap, and nothing is cleared here: `ScratchGuard::checkout` is the
+    /// single clearing authority, so the next attempt starts clean either
+    /// way.
     fn finish(&mut self) {
         if self.finished {
             return;
         }
         let TableState { table, stats } = self.home_state();
         for (key, held) in self.scratch.log.iter() {
-            table.release(self.id, key, held);
+            table.release_uncounted(self.id, key, held);
+            self.tally.on_release(held);
         }
+        table.fold(&self.tally);
         if R::MULTI {
             self.release_commit_grants();
         }

@@ -17,6 +17,20 @@
 //! pure overhead. Callers pass the level they already hold ([`Held`]) and
 //! remember the [`GrantKey`] of each grant so they can release it later.
 //!
+//! The same argument covers counting. Acquires, grants, already-held hits,
+//! upgrades and releases all follow from `(access, held, outcome)` and the
+//! levels a caller releases, so the table does not bump a shared counter
+//! for them on every access: the caller keeps an [`AccessTally`] and
+//! [`fold`](ConcurrentTable::fold)s it in — the STM once per transaction
+//! attempt. A table counts only what only it sees: conflicts by kind and
+//! classification, and chain insertions. Each organization has one acquire
+//! and one release body,
+//! [`acquire_uncounted`](ConcurrentTable::acquire_uncounted) and
+//! [`release_uncounted`](ConcurrentTable::release_uncounted);
+//! [`acquire`](ConcurrentTable::acquire) and
+//! [`release`](ConcurrentTable::release) are those plus a one-call fold, for
+//! callers that keep no tally of their own.
+//!
 //! ## Memory ordering
 //!
 //! A successful acquire uses `Acquire` ordering (and `AcqRel` on the CAS) so
@@ -33,7 +47,7 @@ pub use tagless::ConcurrentTaglessTable;
 
 use crate::entry::{Access, AcquireOutcome, Mode, ThreadId};
 use crate::hashing::{BlockAddr, TableConfig};
-use crate::stats::TableStats;
+use crate::stats::{AccessTally, TableStats};
 
 /// The permission level a transaction already holds on a grant key.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -97,7 +111,10 @@ pub trait ConcurrentTable: Send + Sync {
     ///
     /// On [`AcquireOutcome::Granted`] the caller must record
     /// `held.after(access)` for the key and release it at transaction end.
-    fn acquire(
+    ///
+    /// Counts only a conflict (and, tagged, a chain insertion); the caller
+    /// tallies the attempt with [`AccessTally::on_acquire`] and folds it.
+    fn acquire_uncounted(
         &self,
         txn: ThreadId,
         block: BlockAddr,
@@ -105,10 +122,40 @@ pub trait ConcurrentTable: Send + Sync {
         held: Held,
     ) -> AcquireOutcome;
 
-    /// Release a grant previously obtained at level `held` on `key`.
-    fn release(&self, txn: ThreadId, key: GrantKey, held: Held);
+    /// Release a grant previously obtained at level `held` on `key`. Counts
+    /// nothing; the caller tallies it with [`AccessTally::on_release`].
+    fn release_uncounted(&self, txn: ThreadId, key: GrantKey, held: Held);
 
-    /// A point-in-time copy of the table's statistics counters.
+    /// Add a caller's tally to the table's counters.
+    fn fold(&self, tally: &AccessTally);
+
+    /// [`acquire_uncounted`](Self::acquire_uncounted), counted at once.
+    #[inline]
+    fn acquire(
+        &self,
+        txn: ThreadId,
+        block: BlockAddr,
+        access: Access,
+        held: Held,
+    ) -> AcquireOutcome {
+        let outcome = self.acquire_uncounted(txn, block, access, held);
+        let mut tally = AccessTally::default();
+        tally.on_acquire(access, held, &outcome);
+        self.fold(&tally);
+        outcome
+    }
+
+    /// [`release_uncounted`](Self::release_uncounted), counted at once.
+    #[inline]
+    fn release(&self, txn: ThreadId, key: GrantKey, held: Held) {
+        self.release_uncounted(txn, key, held);
+        let mut tally = AccessTally::default();
+        tally.on_release(held);
+        self.fold(&tally);
+    }
+
+    /// A point-in-time copy of the table's statistics counters: exact once
+    /// the table is quiescent, since tallies land when they are folded.
     fn stats_snapshot(&self) -> TableStats;
 
     /// The configuration the table was built with.

@@ -6,13 +6,11 @@
 //! acquire/release is a single atomic lock word plus the record probe the
 //! paper's §5 argues is branch-predictable in the no-alias common case.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::Mutex;
 
 use crate::entry::{Access, AcquireOutcome, Conflict, ConflictClass, ConflictKind, Mode, ThreadId};
 use crate::hashing::{BlockAddr, TableConfig};
-use crate::stats::TableStats;
+use crate::stats::{AccessTally, Counters, TableStats};
 
 use super::{ConcurrentTable, GrantKey, GrantSnapshot, Held};
 
@@ -98,52 +96,6 @@ struct Rec {
     state: RecState,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    read_acquires: AtomicU64,
-    write_acquires: AtomicU64,
-    grants: AtomicU64,
-    already_held: AtomicU64,
-    upgrades: AtomicU64,
-    read_after_write: AtomicU64,
-    write_after_read: AtomicU64,
-    write_after_write: AtomicU64,
-    releases: AtomicU64,
-    chain_inserts: AtomicU64,
-}
-
-impl Counters {
-    fn on_conflict(&self, kind: ConflictKind) {
-        let c = match kind {
-            ConflictKind::ReadAfterWrite => &self.read_after_write,
-            ConflictKind::WriteAfterRead => &self.write_after_read,
-            ConflictKind::WriteAfterWrite => &self.write_after_write,
-        };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> TableStats {
-        let raw = self.read_after_write.load(Ordering::Relaxed);
-        let war = self.write_after_read.load(Ordering::Relaxed);
-        let waw = self.write_after_write.load(Ordering::Relaxed);
-        TableStats {
-            read_acquires: self.read_acquires.load(Ordering::Relaxed),
-            write_acquires: self.write_acquires.load(Ordering::Relaxed),
-            grants: self.grants.load(Ordering::Relaxed),
-            already_held: self.already_held.load(Ordering::Relaxed),
-            upgrades: self.upgrades.load(Ordering::Relaxed),
-            read_after_write: raw,
-            write_after_read: war,
-            write_after_write: waw,
-            // Tagged conflicts are genuine by construction.
-            true_conflicts: raw + war + waw,
-            releases: self.releases.load(Ordering::Relaxed),
-            chain_inserts: self.chain_inserts.load(Ordering::Relaxed),
-            ..TableStats::default()
-        }
-    }
-}
-
 /// A thread-safe tagged/chained ownership table (see the
 /// module docs and [`super::ConcurrentTable`]).
 #[derive(Debug)]
@@ -187,19 +139,11 @@ impl ConcurrentTaggedTable {
             .any(|r| r.block == block)
     }
 
-    fn grant(&self) -> AcquireOutcome {
-        self.counters.grants.fetch_add(1, Ordering::Relaxed);
-        AcquireOutcome::Granted
-    }
-
     fn conflict(&self, kind: ConflictKind, with: Option<ThreadId>) -> AcquireOutcome {
-        self.counters.on_conflict(kind);
         // A tagged record matched the block, so the conflict is genuine.
-        AcquireOutcome::Conflict(Conflict {
-            kind,
-            with,
-            class: ConflictClass::KnownTrue,
-        })
+        let class = ConflictClass::KnownTrue;
+        self.counters.on_conflict(kind, class);
+        AcquireOutcome::Conflict(Conflict { kind, with, class })
     }
 
     fn acquire_read(&self, txn: ThreadId, block: BlockAddr) -> AcquireOutcome {
@@ -207,19 +151,16 @@ impl ConcurrentTaggedTable {
         match bucket.iter_mut().find(|r| r.block == block) {
             None => {
                 if !bucket.is_empty() {
-                    self.counters.chain_inserts.fetch_add(1, Ordering::Relaxed);
+                    self.counters.on_chain_insert();
                 }
                 bucket.push(Rec {
                     block,
                     state: RecState::Readers(ReaderSet::one(txn)),
                 });
-                self.grant()
+                AcquireOutcome::Granted
             }
             Some(rec) => match &mut rec.state {
-                RecState::Writer(o) if *o == txn => {
-                    self.counters.already_held.fetch_add(1, Ordering::Relaxed);
-                    AcquireOutcome::AlreadyHeld
-                }
+                RecState::Writer(o) if *o == txn => AcquireOutcome::AlreadyHeld,
                 RecState::Writer(o) => {
                     let o = *o;
                     drop(bucket);
@@ -227,12 +168,10 @@ impl ConcurrentTaggedTable {
                 }
                 RecState::Readers(v) => {
                     if v.contains(txn) {
-                        self.counters.already_held.fetch_add(1, Ordering::Relaxed);
                         AcquireOutcome::AlreadyHeld
                     } else {
                         v.push(txn);
-                        drop(bucket);
-                        self.grant()
+                        AcquireOutcome::Granted
                     }
                 }
             },
@@ -244,19 +183,16 @@ impl ConcurrentTaggedTable {
         match bucket.iter_mut().find(|r| r.block == block) {
             None => {
                 if !bucket.is_empty() {
-                    self.counters.chain_inserts.fetch_add(1, Ordering::Relaxed);
+                    self.counters.on_chain_insert();
                 }
                 bucket.push(Rec {
                     block,
                     state: RecState::Writer(txn),
                 });
-                self.grant()
+                AcquireOutcome::Granted
             }
             Some(rec) => match &mut rec.state {
-                RecState::Writer(o) if *o == txn => {
-                    self.counters.already_held.fetch_add(1, Ordering::Relaxed);
-                    AcquireOutcome::AlreadyHeld
-                }
+                RecState::Writer(o) if *o == txn => AcquireOutcome::AlreadyHeld,
                 RecState::Writer(o) => {
                     let o = *o;
                     drop(bucket);
@@ -265,9 +201,7 @@ impl ConcurrentTaggedTable {
                 RecState::Readers(v) => {
                     if v.sole(txn) {
                         rec.state = RecState::Writer(txn);
-                        self.counters.upgrades.fetch_add(1, Ordering::Relaxed);
-                        drop(bucket);
-                        self.grant()
+                        AcquireOutcome::Granted
                     } else {
                         drop(bucket);
                         self.conflict(ConflictKind::WriteAfterRead, None)
@@ -287,23 +221,15 @@ impl ConcurrentTable for ConcurrentTaggedTable {
         block
     }
 
-    fn acquire(
+    fn acquire_uncounted(
         &self,
         txn: ThreadId,
         block: BlockAddr,
         access: Access,
         held: Held,
     ) -> AcquireOutcome {
-        let counter = if access.is_write() {
-            &self.counters.write_acquires
-        } else {
-            &self.counters.read_acquires
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-
         match (access, held) {
             (Access::Read, Held::Read | Held::Write) | (Access::Write, Held::Write) => {
-                self.counters.already_held.fetch_add(1, Ordering::Relaxed);
                 AcquireOutcome::AlreadyHeld
             }
             (Access::Read, Held::None) => self.acquire_read(txn, block),
@@ -313,7 +239,7 @@ impl ConcurrentTable for ConcurrentTaggedTable {
         }
     }
 
-    fn release(&self, txn: ThreadId, key: GrantKey, held: Held) {
+    fn release_uncounted(&self, txn: ThreadId, key: GrantKey, held: Held) {
         if held == Held::None {
             return;
         }
@@ -336,8 +262,11 @@ impl ConcurrentTable for ConcurrentTaggedTable {
         if drop_rec {
             bucket.swap_remove(pos);
         }
-        drop(bucket);
-        self.counters.releases.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn fold(&self, tally: &AccessTally) {
+        self.counters.fold(tally);
     }
 
     fn stats_snapshot(&self) -> TableStats {

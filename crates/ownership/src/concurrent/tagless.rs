@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 
 use crate::entry::{Access, AcquireOutcome, Conflict, ConflictClass, ConflictKind, Mode, ThreadId};
 use crate::hashing::{BlockAddr, EntryIndex, TableConfig};
-use crate::stats::TableStats;
+use crate::stats::{AccessTally, Counters, TableStats};
 
 use super::{ConcurrentTable, GrantKey, GrantSnapshot, Held};
 
@@ -39,59 +39,6 @@ fn mode_of(word: u64) -> u64 {
 #[inline]
 fn payload_of(word: u64) -> u32 {
     (word >> PAYLOAD_SHIFT) as u32
-}
-
-/// Relaxed counters; snapshots are advisory, not linearizable.
-#[derive(Debug, Default)]
-struct Counters {
-    read_acquires: AtomicU64,
-    write_acquires: AtomicU64,
-    grants: AtomicU64,
-    already_held: AtomicU64,
-    upgrades: AtomicU64,
-    read_after_write: AtomicU64,
-    write_after_read: AtomicU64,
-    write_after_write: AtomicU64,
-    releases: AtomicU64,
-    false_conflicts: AtomicU64,
-    true_conflicts: AtomicU64,
-}
-
-impl Counters {
-    fn on_conflict(&self, kind: ConflictKind) {
-        let c = match kind {
-            ConflictKind::ReadAfterWrite => &self.read_after_write,
-            ConflictKind::WriteAfterRead => &self.write_after_read,
-            ConflictKind::WriteAfterWrite => &self.write_after_write,
-        };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> TableStats {
-        let total_conflicts = self.read_after_write.load(Ordering::Relaxed)
-            + self.write_after_read.load(Ordering::Relaxed)
-            + self.write_after_write.load(Ordering::Relaxed);
-        let false_conflicts = self.false_conflicts.load(Ordering::Relaxed);
-        let true_conflicts = self.true_conflicts.load(Ordering::Relaxed);
-        TableStats {
-            read_acquires: self.read_acquires.load(Ordering::Relaxed),
-            write_acquires: self.write_acquires.load(Ordering::Relaxed),
-            grants: self.grants.load(Ordering::Relaxed),
-            already_held: self.already_held.load(Ordering::Relaxed),
-            upgrades: self.upgrades.load(Ordering::Relaxed),
-            read_after_write: self.read_after_write.load(Ordering::Relaxed),
-            write_after_read: self.write_after_read.load(Ordering::Relaxed),
-            write_after_write: self.write_after_write.load(Ordering::Relaxed),
-            releases: self.releases.load(Ordering::Relaxed),
-            false_conflicts,
-            true_conflicts,
-            // Whatever the hint classifier could not settle (everything,
-            // when classification is disabled).
-            unclassified_conflicts: total_conflicts
-                .saturating_sub(false_conflicts + true_conflicts),
-            ..TableStats::default()
-        }
-    }
 }
 
 /// Reserved hint value: no block published.
@@ -267,22 +214,11 @@ impl ConcurrentTaglessTable {
         kind: ConflictKind,
         with: Option<ThreadId>,
     ) -> AcquireOutcome {
-        self.counters.on_conflict(kind);
         let class = match &self.classifier {
             Some(c) => c.classify(txn, e, block),
             None => ConflictClass::Unknown,
         };
-        match class {
-            ConflictClass::KnownFalse => {
-                self.counters
-                    .false_conflicts
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            ConflictClass::KnownTrue => {
-                self.counters.true_conflicts.fetch_add(1, Ordering::Relaxed);
-            }
-            ConflictClass::Unknown => {}
-        }
+        self.counters.on_conflict(kind, class);
         AcquireOutcome::Conflict(Conflict { kind, with, class })
     }
 
@@ -312,10 +248,7 @@ impl ConcurrentTaglessTable {
                 }
             };
             match cell.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    self.counters.grants.fetch_add(1, Ordering::Relaxed);
-                    return AcquireOutcome::Granted;
-                }
+                Ok(_) => return AcquireOutcome::Granted,
                 Err(now) => cur = now,
             }
         }
@@ -336,10 +269,7 @@ impl ConcurrentTaglessTable {
                         Ordering::AcqRel,
                         Ordering::Acquire,
                     ) {
-                        Ok(_) => {
-                            self.counters.grants.fetch_add(1, Ordering::Relaxed);
-                            return AcquireOutcome::Granted;
-                        }
+                        Ok(_) => return AcquireOutcome::Granted,
                         Err(now) => cur = now,
                     }
                 }
@@ -380,11 +310,7 @@ impl ConcurrentTaglessTable {
             Ordering::AcqRel,
             Ordering::Acquire,
         ) {
-            Ok(_) => {
-                self.counters.upgrades.fetch_add(1, Ordering::Relaxed);
-                self.counters.grants.fetch_add(1, Ordering::Relaxed);
-                AcquireOutcome::Granted
-            }
+            Ok(_) => AcquireOutcome::Granted,
             Err(now) => {
                 debug_assert_eq!(
                     mode_of(now),
@@ -413,10 +339,7 @@ impl ConcurrentTaglessTable {
                 pack(MODE_READ, sharers - 1)
             };
             match cell.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    self.counters.releases.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
+                Ok(_) => return,
                 Err(now) => cur = now,
             }
         }
@@ -428,7 +351,6 @@ impl ConcurrentTaglessTable {
             c.withdraw(txn, e);
         }
         self.entries[e].store(pack(MODE_FREE, 0), Ordering::Release);
-        self.counters.releases.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -441,24 +363,16 @@ impl ConcurrentTable for ConcurrentTaglessTable {
         self.cfg.entry_of(block) as GrantKey
     }
 
-    fn acquire(
+    fn acquire_uncounted(
         &self,
         txn: ThreadId,
         block: BlockAddr,
         access: Access,
         held: Held,
     ) -> AcquireOutcome {
-        let counter = if access.is_write() {
-            &self.counters.write_acquires
-        } else {
-            &self.counters.read_acquires
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-
         let e = self.cfg.entry_of(block);
         match (access, held) {
             (Access::Read, Held::Read | Held::Write) | (Access::Write, Held::Write) => {
-                self.counters.already_held.fetch_add(1, Ordering::Relaxed);
                 AcquireOutcome::AlreadyHeld
             }
             (Access::Read, Held::None) => self.try_read(txn, e, block),
@@ -467,13 +381,18 @@ impl ConcurrentTable for ConcurrentTaglessTable {
         }
     }
 
-    fn release(&self, txn: ThreadId, key: GrantKey, held: Held) {
+    fn release_uncounted(&self, txn: ThreadId, key: GrantKey, held: Held) {
         let e = key as EntryIndex;
         match held {
             Held::None => {}
             Held::Read => self.release_read(txn, e),
             Held::Write => self.release_write(txn, e),
         }
+    }
+
+    #[inline]
+    fn fold(&self, tally: &AccessTally) {
+        self.counters.fold(tally);
     }
 
     fn stats_snapshot(&self) -> TableStats {

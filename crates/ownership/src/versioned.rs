@@ -90,30 +90,28 @@ impl Stamp {
     }
 }
 
-/// Statistics counters for the versioned table.
+/// Statistics counters for the versioned table: the events a read or a
+/// commit meets only under contention, and commit-time locks. Nothing here
+/// is counted per read — a lazy read samples its entry twice, and a shared
+/// counter bumped there would cost more than the sampling it counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VersionedStats {
-    /// Version samples taken by readers.
-    pub samples: u64,
     /// Samples that found the entry locked.
     pub sampled_locked: u64,
     /// Successful lock acquisitions.
     pub locks: u64,
     /// Failed lock attempts (entry already locked).
     pub lock_conflicts: u64,
-    /// Commit-time validations performed.
-    pub validations: u64,
-    /// Validations that failed (version moved or entry locked by another).
+    /// Commit-time validations that failed (version moved or entry locked
+    /// by another).
     pub validation_failures: u64,
 }
 
 #[derive(Debug, Default)]
 struct Counters {
-    samples: AtomicU64,
     sampled_locked: AtomicU64,
     locks: AtomicU64,
     lock_conflicts: AtomicU64,
-    validations: AtomicU64,
     validation_failures: AtomicU64,
 }
 
@@ -163,7 +161,6 @@ impl VersionedTable {
     /// repeated after the data read to detect concurrent writers).
     #[inline]
     pub fn sample(&self, entry: EntryIndex) -> Stamp {
-        self.counters.samples.fetch_add(1, Ordering::Relaxed);
         let s = Stamp::from_word(self.entries[entry].load(Ordering::Acquire));
         if s.locked {
             self.counters.sampled_locked.fetch_add(1, Ordering::Relaxed);
@@ -259,7 +256,6 @@ impl VersionedTable {
         expected_version: u64,
         locked_by_me: bool,
     ) -> Result<(), Stamp> {
-        self.counters.validations.fetch_add(1, Ordering::Relaxed);
         let s = Stamp::from_word(self.entries[entry].load(Ordering::Acquire));
         if s.version == expected_version && (!s.locked || locked_by_me) {
             Ok(())
@@ -274,11 +270,9 @@ impl VersionedTable {
     /// Copy the statistics counters.
     pub fn stats(&self) -> VersionedStats {
         VersionedStats {
-            samples: self.counters.samples.load(Ordering::Relaxed),
             sampled_locked: self.counters.sampled_locked.load(Ordering::Relaxed),
             locks: self.counters.locks.load(Ordering::Relaxed),
             lock_conflicts: self.counters.lock_conflicts.load(Ordering::Relaxed),
-            validations: self.counters.validations.load(Ordering::Relaxed),
             validation_failures: self.counters.validation_failures.load(Ordering::Relaxed),
         }
     }
@@ -467,11 +461,9 @@ mod tests {
         let _ = t.validate(0, 0, true);
         let _ = t.validate(0, 5, false); // failure
         let s = t.stats();
-        assert_eq!(s.samples, 2);
         assert_eq!(s.sampled_locked, 1);
         assert_eq!(s.locks, 1);
         assert_eq!(s.lock_conflicts, 1);
-        assert_eq!(s.validations, 2);
         assert_eq!(s.validation_failures, 1);
     }
 

@@ -42,6 +42,16 @@ fn conservation<T: ConcurrentTable>(stm: &Stm<T>, cells: u64, iters: u64) {
     .unwrap();
     let total: u64 = (0..cells).map(|i| stm.heap().load(i * 8)).sum();
     assert_eq!(total, cells * 100, "value not conserved");
+    // The ledger identities, exact once every transaction has finished:
+    // each grant is released (an upgrade's second grant rides the first's
+    // release), and each acquire ends in exactly one outcome.
+    let t = stm.table().stats_snapshot();
+    assert_eq!(t.grants, t.releases + t.upgrades, "{t:?}");
+    assert_eq!(
+        t.total_acquires(),
+        t.grants + t.already_held + t.total_conflicts(),
+        "{t:?}"
+    );
 }
 
 #[test]
@@ -109,6 +119,8 @@ fn panicking_transaction_releases_grants() {
     let r = stm.try_run(1, 1, |txn| txn.write(0, 2));
     assert!(r.is_ok(), "grant leaked after panic");
     assert_eq!(stm.heap().load(0), 2);
+    let t = stm.table().stats_snapshot();
+    assert_eq!(t.grants, t.releases + t.upgrades, "{t:?}");
 }
 
 #[test]
