@@ -119,6 +119,15 @@ pub trait TxnOps: ReadOps {
 
     /// Object-safe read-modify-write; returns the new value. Prefer
     /// [`update`](TxnOps::update) outside `dyn` contexts.
+    ///
+    /// The default composes [`read`](ReadOps::read) and
+    /// [`write`](TxnOps::write). An engine may override it to take write
+    /// ownership once: the eager [`Txn`](crate::Txn) acquires `Write`
+    /// directly on its home table (one grant where read + write takes a
+    /// read grant and an upgrade). The lazy engine and the eager engine's
+    /// cross-table mode compose read + write. Values, heap and
+    /// [`EngineStats`] are the same either way; only the ownership table's
+    /// counts differ.
     fn update_with(&mut self, addr: u64, f: &mut dyn FnMut(u64) -> u64) -> Result<u64, Aborted> {
         let v = f(self.read(addr)?);
         self.write(addr, v)?;

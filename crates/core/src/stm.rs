@@ -27,7 +27,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tm_ownership::concurrent::{ConcurrentTable, Held};
+use tm_ownership::concurrent::{ConcurrentTable, GrantKey, Held};
 use tm_ownership::stats::AccessTally;
 use tm_ownership::{Access, AcquireOutcome, BlockAddr, BlockMapper, ConflictClass, ThreadId};
 use tm_telemetry::{AbortCause, NoopProbe, Probe};
@@ -592,21 +592,44 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
         Ok(self.cross)
     }
 
-    fn acquire(&mut self, block: u64, access: Access) -> Result<(), Aborted> {
-        // Everything invariant across the stall-retry spins — table, grant
-        // key, currently-held level, spin budget — is resolved once, before
-        // the loop; each re-attempt is just the table CAS/probe plus a
-        // pause.
+    /// The home table's grant key for `block` and the level this attempt
+    /// holds on it: the one log scan an access makes.
+    ///
+    /// Eager invariant: a key held below `Write` has no block in
+    /// `write_blocks` and no word in `wbuf`, because `write` takes `Write`
+    /// before it buffers. Callers append to those maps unsearched then.
+    #[inline]
+    fn lookup(&self, block: u64) -> (GrantKey, Held) {
+        let key = self.home_state().table.grant_key(block);
+        (key, self.scratch.log.get(key).unwrap_or(Held::None))
+    }
+
+    /// Obtain `access` on `block`, whose key and held level came from
+    /// [`lookup`](Self::lookup). A fresh grant is appended to the log; only
+    /// an upgrade searches it again.
+    fn acquire(
+        &mut self,
+        block: u64,
+        key: GrantKey,
+        held: Held,
+        access: Access,
+    ) -> Result<(), Aborted> {
+        // Everything invariant across the stall-retry spins is resolved
+        // before the loop; each re-attempt is just the table CAS/probe plus
+        // a pause.
         let table = &self.home_state().table;
-        let key = table.grant_key(block);
-        let held = self.scratch.log.get(key).unwrap_or(Held::None);
         let mut spins = 0u32;
         loop {
             let outcome = table.acquire_uncounted(self.id, block, access, held);
             self.tally.on_acquire(access, held, &outcome);
             match outcome {
                 AcquireOutcome::Granted => {
-                    self.scratch.log.insert(key, held.after(access));
+                    let after = held.after(access);
+                    if held == Held::None {
+                        self.scratch.log.insert_new(key, after);
+                    } else {
+                        self.scratch.log.insert(key, after);
+                    }
                     if P::ENABLED {
                         self.stm.probe.on_grant(self.id);
                     }
@@ -628,6 +651,21 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
                     std::hint::spin_loop();
                 }
             }
+        }
+    }
+
+    /// Buffer a home-table write of `block`, now held at `Write`, whose key
+    /// was held at `held` before the access. Below `Write`, the lookup's
+    /// invariant says neither map has the block or the word yet.
+    #[inline]
+    fn buffer(&mut self, block: u64, addr: u64, value: u64, held: Held) {
+        let s = &mut *self.scratch;
+        if held == Held::Write {
+            s.write_blocks.insert(block, ());
+            s.wbuf.insert(addr, value);
+        } else {
+            s.write_blocks.insert_new(block, ());
+            s.wbuf.insert_new(addr, value);
         }
     }
 
@@ -701,14 +739,21 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
 impl<T: ConcurrentTable, P: Probe, R: Route> ReadOps for Txn<'_, T, P, R> {
     fn read(&mut self, addr: u64) -> Result<u64, Aborted> {
         self.reads += 1;
-        if let Some(v) = self.scratch.wbuf.get(addr) {
-            return Ok(v);
-        }
         let block = self.mapper.block_of(addr);
         if R::MULTI && self.route(block)? {
-            return self.read_cross(addr, block);
+            return match self.scratch.wbuf.get(addr) {
+                Some(v) => Ok(v),
+                None => self.read_cross(addr, block),
+            };
         }
-        self.acquire(block, Access::Read)?;
+        let (key, held) = self.lookup(block);
+        // Only a key held at `Write` can have buffered words.
+        if held == Held::Write {
+            if let Some(v) = self.scratch.wbuf.get(addr) {
+                return Ok(v);
+            }
+        }
+        self.acquire(block, key, held, Access::Read)?;
         Ok(self.stm.heap.load(addr))
     }
 
@@ -718,23 +763,55 @@ impl<T: ConcurrentTable, P: Probe, R: Route> ReadOps for Txn<'_, T, P, R> {
 }
 
 /// The eager transaction's write surface: writes acquire block ownership
-/// eagerly and stay buffered until commit.
+/// eagerly and stay buffered until commit. A read-modify-write takes
+/// `Write` once instead of a read grant and then an upgrade.
 impl<T: ConcurrentTable, P: Probe, R: Route> TxnOps for Txn<'_, T, P, R> {
     fn write(&mut self, addr: u64, value: u64) -> Result<(), Aborted> {
         self.writes += 1;
         let block = self.mapper.block_of(addr);
         if R::MULTI && self.route(block)? {
             self.touch_cross(block);
-        } else {
-            self.acquire(block, Access::Write)?;
+            self.scratch.write_blocks.insert(block, ());
+            self.scratch.wbuf.insert(addr, value);
+            return Ok(());
         }
-        self.scratch.write_blocks.insert(block, ());
-        self.scratch.wbuf.insert(addr, value);
+        let (key, held) = self.lookup(block);
+        self.acquire(block, key, held, Access::Write)?;
+        self.buffer(block, addr, value, held);
         Ok(())
     }
 
     fn write_count(&self) -> u64 {
         self.writes
+    }
+
+    /// On the home table: one log lookup, then one `Write` acquire if the
+    /// key is not yet held at `Write` (a fresh grant, or an upgrade of a
+    /// read), or no table call at all if it is. Cross-table mode composes
+    /// `read` and `write`: its commit takes a read-and-written block at
+    /// `Write` either way.
+    fn update_with(&mut self, addr: u64, f: &mut dyn FnMut(u64) -> u64) -> Result<u64, Aborted> {
+        let block = self.mapper.block_of(addr);
+        if R::MULTI && self.route(block)? {
+            let v = f(self.read(addr)?);
+            self.write(addr, v)?;
+            return Ok(v);
+        }
+        self.reads += 1;
+        let (key, held) = self.lookup(block);
+        let old = if held == Held::Write {
+            match self.scratch.wbuf.get(addr) {
+                Some(v) => v,
+                None => self.stm.heap.load(addr),
+            }
+        } else {
+            self.acquire(block, key, held, Access::Write)?;
+            self.stm.heap.load(addr)
+        };
+        self.writes += 1;
+        let v = f(old);
+        self.buffer(block, addr, v, held);
+        Ok(v)
     }
 }
 

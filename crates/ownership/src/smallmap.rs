@@ -251,6 +251,20 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
         out.prev
     }
 
+    /// Insert `key`, which the caller knows is absent: while the map is
+    /// inline this appends without scanning for `key`.
+    #[inline]
+    pub fn insert_new(&mut self, key: K, val: V) {
+        debug_assert!(!self.contains(key), "insert_new of a present key");
+        if !self.spilled && self.len < INLINE_CAP {
+            self.inline_keys[self.len] = key.encode();
+            self.inline_vals[self.len] = val;
+            self.len += 1;
+        } else {
+            self.insert(key, val);
+        }
+    }
+
     /// Remove `key`, returning its value when present. The slot becomes a
     /// tombstone, reclaimed at the next rebuild or clear.
     pub fn remove(&mut self, key: K) -> Option<V> {
@@ -628,8 +642,12 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let key = (x >> 33) % 97; // small key space → heavy collisions
             let op = x % 10;
-            if op < 6 {
+            if op < 3 || (op < 6 && reference.contains_key(&key)) {
                 assert_eq!(m.insert(key, step), reference.insert(key, step));
+            } else if op < 6 {
+                // The append path, for a key known to be absent.
+                m.insert_new(key, step);
+                reference.insert(key, step);
             } else if op < 9 {
                 assert_eq!(m.remove(key), reference.remove(&key));
             } else {
