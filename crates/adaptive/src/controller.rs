@@ -9,8 +9,8 @@
 //! false-conflict target, and executes the resize when it does not.
 //! Everything is advisory-rate: tick from a timer thread, between batches,
 //! or from a metrics scraper — transactions never block on the controller,
-//! except that a thread's first grant waits while a resize drains the
-//! holders.
+//! except that a new attempt waits to enter the table while a resize drains
+//! the attempts inside it.
 
 use tm_model::lockstep;
 use tm_ownership::concurrent::ConcurrentTable;
@@ -44,14 +44,15 @@ pub enum ControlReport {
         /// The swap that happened.
         report: ResizeReport,
     },
-    /// The policy wanted a resize but grants were still held when the
-    /// quiesce budget ran out; the controller will retry on a later tick.
+    /// The policy wanted a resize but attempts were still inside the table
+    /// when the quiesce budget ran out; the controller will retry on a
+    /// later tick.
     ResizeDeferred {
         /// The workload observed this epoch.
         observation: Observation,
         /// The size that was attempted.
         attempted_entries: usize,
-        /// Why the resize did not happen: grants still held when the
+        /// Why the resize did not happen: attempts still inside when the
         /// quiesce budget ran out.
         error: ResizeError,
     },

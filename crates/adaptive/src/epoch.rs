@@ -1,18 +1,19 @@
 //! The holder gate: the read side of the active/standby pattern.
 //!
-//! The gate counts *holders*, not operations: a thread enters with its
-//! first grant in the guarded table and exits with its last release, so
-//! the operations in between never touch it. The count is sharded (one cache-line-padded counter per shard, picked by the
+//! The gate counts *holders*, not operations: a transaction attempt enters
+//! before its first grant in the guarded table and exits after its last
+//! release, so the operations in between never touch it. The count is
+//! sharded (one cache-line-padded counter per shard, picked by the
 //! caller's hint), so entering is one shard-local increment and one flag
 //! load.
 //!
-//! A resize [`EpochGate::try_seal`]s the gate: first entries wait, holders
+//! A resize [`EpochGate::try_seal`]s the gate: new entries wait, holders
 //! carry on, and the sealer waits — up to a budget — until every shard's
 //! count reads zero. That is the `active_standby` crate's "writer awaits
-//! the standby being free of read guards", where a reader's state is its
-//! grants: once no thread holds one, the guarded table is empty and the
-//! sealer may swap it; [`EpochGate::open`] releases the waiters. A seal
-//! whose budget runs out reopens the gate itself.
+//! the standby being free of read guards", where one guard spans an
+//! attempt's grants: once no attempt is inside, the guarded table is empty
+//! and the sealer may swap it; [`EpochGate::open`] releases the waiters. A
+//! seal whose budget runs out reopens the gate itself.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};

@@ -8,11 +8,14 @@
 //! turns that diagnosis into a cure:
 //!
 //! * [`ResizableTable`] wraps any [`ConcurrentTable`] in an
-//!   active/standby pair behind an [`epoch`] gate that counts the threads
-//!   holding grants: a resize turns away first grants, waits for the
-//!   holders to finish, and swaps in an empty table of the new geometry —
-//!   no in-flight transaction aborts, and transaction logs stay valid
-//!   (grant keys are block addresses, immune to rehashing).
+//!   active/standby pair behind an [`epoch`] gate that counts the
+//!   transaction attempts inside it, from the engine's
+//!   [`enter`](ConcurrentTable::enter) to its
+//!   [`exit`](ConcurrentTable::exit): a resize turns away new attempts,
+//!   waits for the ones inside to finish, and swaps in an empty table of
+//!   the new geometry — no in-flight transaction aborts, and since no swap
+//!   happens inside an attempt, keys, acquires, releases and counts all
+//!   forward to the active table.
 //! * [`ResizePolicy`] inverts the paper's Eq. 8 (via [`tm_model::sizing`])
 //!   against observed footprint/concurrency, with headroom and hysteresis.
 //! * [`AdaptiveController`] closes the loop from a running [`Stm`]'s

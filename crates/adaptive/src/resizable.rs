@@ -1,29 +1,26 @@
 //! The online-resizable ownership table.
 //!
 //! [`ResizableTable`] wraps any [`ConcurrentTable`] in the active/standby
-//! pattern and resizes it *between* transactions, not under them. A thread
-//! enters the [`EpochGate`] with its first grant in the active table and
-//! leaves with its last release. A resize seals the gate — first acquires
-//! wait, threads already holding grants carry on — and waits up to
-//! [`QUIESCE_BUDGET`] for every holder to leave. The active table is then
-//! empty, so the resize swaps in a fresh table of the new geometry and
-//! reopens: nothing is replayed, and every in-flight transaction finishes
-//! in the generation it started in. If holders remain when the budget runs
-//! out, the gate reopens and the resize reports [`ResizeError::Busy`] with
-//! the active table untouched.
+//! pattern and resizes it *between* transactions, not under them. A
+//! transaction attempt is inside the [`EpochGate`] from its
+//! [`enter`](ConcurrentTable::enter) to its [`exit`](ConcurrentTable::exit),
+//! which the engine places before its first grant key and after its last
+//! release. A resize seals the gate — new attempts wait, attempts already
+//! inside carry on — and waits up to [`QUIESCE_BUDGET`] for every attempt
+//! to leave. The active table is then empty, so the resize swaps in a fresh
+//! table of the new geometry and reopens: nothing is replayed, and every
+//! in-flight transaction finishes in the generation it started in. If
+//! attempts remain when the budget runs out, the gate reopens and the
+//! resize reports [`ResizeError::Busy`] with the active table untouched.
 //!
-//! ## Grant keys and aliasing
-//!
-//! Public [`GrantKey`]s are **block addresses**: the engine resolves a
-//! block's key once per access, before its stall loop, so a key naming an
-//! entry could name an entry of the previous geometry. Per thread, the
-//! wrapper counts the blocks each inner-table key covers, so one
-//! transaction's aliasing blocks coalesce onto a single inner grant and the
-//! conflict semantics between transactions are exactly the wrapped
-//! table's: false conflicts still happen — that is the phenomenon the
-//! resize exists to manage.
+//! Since no swap can happen inside an attempt, every other operation
+//! forwards to the active table. Its grant keys are the wrapped table's, so
+//! the engine's log coalesces one transaction's aliasing blocks onto one
+//! grant, and its tally counts the wrapped table's outcomes: the conflict
+//! semantics and the counts are exactly the wrapped table's. False
+//! conflicts still happen — that is the phenomenon the resize exists to
+//! manage.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -31,43 +28,20 @@ use parking_lot::{Mutex, RwLock};
 
 use tm_ownership::concurrent::{ConcurrentTable, GrantKey, GrantSnapshot, Held};
 use tm_ownership::stats::{AccessTally, TableStats};
-use tm_ownership::{
-    Access, AcquireOutcome, BlockAddr, FastHashState, HashKind, TableConfig, ThreadId,
-};
+use tm_ownership::{Access, AcquireOutcome, BlockAddr, HashKind, TableConfig, ThreadId};
 
 use crate::epoch::EpochGate;
 
-/// How long a resize waits for the threads holding grants to release them
+/// How long a resize waits for the attempts inside the table to finish
 /// before it gives up with [`ResizeError::Busy`].
 pub const QUIESCE_BUDGET: Duration = Duration::from_millis(10);
-
-/// A transaction's coalesced holding on one inner-table grant key.
-#[derive(Clone, Copy, Debug)]
-struct EntryHold {
-    /// Level held on the inner table (max over the covered blocks).
-    level: Held,
-    /// Blocks the transaction holds under this inner key.
-    blocks: u32,
-}
-
-/// `(txn, inner key) → holding` for the thread ids of one slot. Internal
-/// bookkeeping, never attacker-controlled, so it hashes with the
-/// trusted-key [`FastHashState`] instead of SipHash.
-type Holdings = HashMap<(ThreadId, GrantKey), EntryHold, FastHashState>;
-
-/// One slot's holdings, padded so threads in neighbouring slots never
-/// share a cache line. The slot is inside the gate exactly while its map
-/// is non-empty.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct Slot(Mutex<Holdings>);
 
 /// Why a resize did not happen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResizeError {
-    /// Grants were still held when [`QUIESCE_BUDGET`] ran out; the active
-    /// table is untouched. Retrying once those transactions finish usually
-    /// succeeds.
+    /// Attempts were still inside when [`QUIESCE_BUDGET`] ran out; the
+    /// active table is untouched. Retrying once those transactions finish
+    /// usually succeeds.
     Busy,
     /// The proposed size equals the current size.
     SameSize,
@@ -76,7 +50,7 @@ pub enum ResizeError {
 impl std::fmt::Display for ResizeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ResizeError::Busy => write!(f, "grants still held when the quiesce budget ran out"),
+            ResizeError::Busy => write!(f, "attempts still inside when the quiesce budget ran out"),
             ResizeError::SameSize => write!(f, "table already has the requested size"),
         }
     }
@@ -110,9 +84,6 @@ pub struct ResizeStats {
 pub struct ResizableTable<T: ConcurrentTable> {
     base_cfg: TableConfig,
     current: RwLock<T>,
-    /// Indexed by `txn % max_threads`, so ids beyond the bound share a slot
-    /// (and its gate membership) but keep their own holdings.
-    slots: Box<[Slot]>,
     gate: EpochGate,
     resize_lock: Mutex<()>,
     factory: Box<dyn Fn(TableConfig) -> T + Send + Sync>,
@@ -146,9 +117,6 @@ impl<T: ConcurrentTable> ResizableTable<T> {
     ) -> Self {
         let table = factory(initial.clone());
         Self {
-            slots: (0..initial.max_threads())
-                .map(|_| Slot::default())
-                .collect(),
             base_cfg: initial,
             current: RwLock::new(table),
             gate: EpochGate::new(),
@@ -169,9 +137,8 @@ impl<T: ConcurrentTable> ResizableTable<T> {
     /// The *active* generation's full configuration — entry count, hash
     /// kind, block geometry — as of this call. [`ConcurrentTable::config`]
     /// deliberately keeps returning the construction-time geometry (its
-    /// block mapper stays authoritative for address mapping and transaction
-    /// logs must outlive swaps); use this accessor whenever you are
-    /// reporting what the table looks like *now*.
+    /// block mapper stays authoritative for address mapping); use this
+    /// accessor whenever you are reporting what the table looks like *now*.
     pub fn live_config(&self) -> TableConfig {
         self.current.read().config().clone()
     }
@@ -181,18 +148,16 @@ impl<T: ConcurrentTable> ResizableTable<T> {
         self.current.read().config().hash()
     }
 
-    /// Live block-level grants across all transactions (diagnostic;
-    /// momentarily racy under concurrent traffic).
+    /// Grant units live in the active table, as [`drain_grants`] counts
+    /// them: one per write grant, one per reader of a read grant
+    /// (diagnostic; momentarily racy under concurrent traffic).
+    ///
+    /// [`drain_grants`]: ConcurrentTable::drain_grants
     pub fn live_grants(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| {
-                s.0.lock()
-                    .values()
-                    .map(|h| h.blocks as usize)
-                    .sum::<usize>()
-            })
-            .sum()
+        let mut units = 0;
+        // A write grant has no sharers.
+        self.for_each_grant(&mut |g| units += g.sharers.max(1) as usize);
+        units
     }
 
     /// Cumulative resize counters.
@@ -212,12 +177,12 @@ impl<T: ConcurrentTable> ResizableTable<T> {
 
     /// Resize and/or rehash the active table while transactions run.
     ///
-    /// Seals the gate, waits up to [`QUIESCE_BUDGET`] for the threads
-    /// holding grants to release them, swaps in an empty table of the new
-    /// geometry and reopens; a thread's first grant waits meanwhile.
-    /// Transaction logs remain valid because public grant keys are block
-    /// addresses, which do not change with the geometry. Called by a thread
-    /// that itself holds grants here, it returns [`ResizeError::Busy`].
+    /// Seals the gate, waits up to [`QUIESCE_BUDGET`] for the attempts
+    /// inside to exit, swaps in an empty table of the new geometry and
+    /// reopens; a new attempt's [`enter`](ConcurrentTable::enter) waits
+    /// meanwhile. No transaction log outlives the swap, because no attempt
+    /// is inside when it happens. Called from inside an attempt on this
+    /// table, it returns [`ResizeError::Busy`].
     ///
     /// # Panics
     /// Panics if `new_entries` is not a power of two (propagated from
@@ -243,8 +208,8 @@ impl<T: ConcurrentTable> ResizableTable<T> {
             self.deferred.fetch_add(1, Ordering::Relaxed);
             return Err(ResizeError::Busy);
         }
-        // No thread holds a grant, so the active table is empty: swap it
-        // out whole. The carry lock is held ACROSS the swap, as
+        // No attempt is inside, so the active table is empty: swap it out
+        // whole. The carry lock is held ACROSS the swap, as
         // stats_snapshot() reads carry and active table under it — it sees
         // the old pair or the new one, never a half-applied fold.
         let mut carried = self.carried_stats.lock();
@@ -258,25 +223,32 @@ impl<T: ConcurrentTable> ResizableTable<T> {
             to_entries: new_entries,
         })
     }
-
-    #[inline]
-    fn slot_of(&self, txn: ThreadId) -> usize {
-        txn as usize % self.slots.len()
-    }
 }
 
+/// Apart from the gate and the cumulative statistics, every method forwards
+/// to the active table, which cannot change inside an attempt.
 impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
     fn num_entries(&self) -> usize {
         self.live_entries()
     }
 
-    /// Grant keys are **block addresses**: stable across resizes, so
-    /// transaction logs survive a swap untouched.
-    fn grant_key(&self, block: BlockAddr) -> GrantKey {
-        block
+    /// Joins the gate (waiting out a resize in progress).
+    fn enter(&self, txn: ThreadId) {
+        self.gate.enter(txn as usize);
     }
 
-    /// Counts through the wrapped table (see [`fold`](Self::fold)).
+    /// Leaves the gate.
+    fn exit(&self, txn: ThreadId) {
+        self.gate.exit(txn as usize);
+    }
+
+    /// The active table's key: valid until the caller's
+    /// [`exit`](ConcurrentTable::exit), since the active table is swapped
+    /// only while no attempt is inside.
+    fn grant_key(&self, block: BlockAddr) -> GrantKey {
+        self.current.read().grant_key(block)
+    }
+
     fn acquire_uncounted(
         &self,
         txn: ThreadId,
@@ -284,89 +256,18 @@ impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
         access: Access,
         held: Held,
     ) -> AcquireOutcome {
-        // The caller already holds block-level permission covering this
-        // access: nothing to do, nothing new to release.
-        if matches!(
-            (access, held),
-            (Access::Read, Held::Read | Held::Write) | (Access::Write, Held::Write)
-        ) {
-            return AcquireOutcome::AlreadyHeld;
-        }
-
-        let slot = self.slot_of(txn);
-        let mut holdings = self.slots[slot].0.lock();
-        if holdings.is_empty() {
-            // The slot's first grant: this is where a resize holds it back.
-            self.gate.enter(slot);
-        }
-        let table = self.current.read();
-        let inner_key = table.grant_key(block);
-        let inner_level = holdings
-            .get(&(txn, inner_key))
-            .map_or(Held::None, |h| h.level);
-
-        match table.acquire(txn, block, access, inner_level) {
-            AcquireOutcome::Conflict(c) => {
-                if holdings.is_empty() {
-                    self.gate.exit(slot);
-                }
-                AcquireOutcome::Conflict(c)
-            }
-            AcquireOutcome::Granted | AcquireOutcome::AlreadyHeld => {
-                let hold = holdings.entry((txn, inner_key)).or_insert(EntryHold {
-                    level: Held::None,
-                    blocks: 0,
-                });
-                // A block is new to the transaction exactly when it held
-                // nothing on it (otherwise this is a read → write upgrade).
-                if held == Held::None {
-                    hold.blocks += 1;
-                }
-                hold.level = hold.level.max(inner_level.after(access));
-                // Block-level permission is new to the caller even when the
-                // inner entry was already covered (intra-transaction alias):
-                // report Granted so the caller logs — and later releases —
-                // this block.
-                AcquireOutcome::Granted
-            }
-        }
+        self.current
+            .read()
+            .acquire_uncounted(txn, block, access, held)
     }
 
-    /// Counts through the wrapped table (see [`fold`](Self::fold)).
     fn release_uncounted(&self, txn: ThreadId, key: GrantKey, held: Held) {
-        if held == Held::None {
-            return;
-        }
-        let slot = self.slot_of(txn);
-        let mut holdings = self.slots[slot].0.lock();
-        let table = self.current.read();
-        let inner_key = table.grant_key(key);
-        let Some(hold) = holdings.get_mut(&(txn, inner_key)) else {
-            debug_assert!(
-                false,
-                "release of a grant not held (txn {txn}, block {key})"
-            );
-            return;
-        };
-        hold.blocks -= 1;
-        if hold.blocks == 0 {
-            let level = hold.level;
-            holdings.remove(&(txn, inner_key));
-            table.release(txn, inner_key, level);
-            if holdings.is_empty() {
-                self.gate.exit(slot);
-            }
-        }
+        self.current.read().release_uncounted(txn, key, held)
     }
 
-    /// Drops the tally: this table's statistics are the wrapped table's
-    /// counts, which it takes at once through the wrapped table's counting
-    /// `acquire`/`release`. A caller's tally describes the wrapper's
-    /// block-level outcomes, which differ from the inner entry-level ones
-    /// (an aliasing block is `Granted` here and `AlreadyHeld` inside;
-    /// releasing it releases nothing inside), and only the wrapper sees the
-    /// inner outcome.
-    fn fold(&self, _tally: &AccessTally) {}
+    fn fold(&self, tally: &AccessTally) {
+        self.current.read().fold(tally)
+    }
 
     /// Cumulative across resizes: counters of retired generations are
     /// folded in at swap time.
@@ -380,35 +281,22 @@ impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
         merged
     }
 
-    /// The *initial* configuration. Its block mapper and hash kind remain
-    /// authoritative for address mapping, but the entry count reflects
-    /// construction time — use [`ResizableTable::live_entries`] for the
-    /// current size.
+    /// The *initial* configuration. Its block mapper remains authoritative
+    /// for address mapping, but its entry count and hash kind are
+    /// construction time's — grant keys come from the active table, and
+    /// [`ResizableTable::live_config`] reports its geometry.
     fn config(&self) -> &TableConfig {
         &self.base_cfg
     }
 
-    /// The active generation's grants, as the wrapped table reports them:
-    /// keyed by **entry index** for a tagless table (by block for a tagged
-    /// one), not by this wrapper's block-address grant keys.
     fn for_each_grant(&self, f: &mut dyn FnMut(GrantSnapshot)) {
         self.current.read().for_each_grant(f)
     }
 
-    /// Drops every holding (so a resize can go ahead) and the active
-    /// table's grants; returns the block-level grants dropped.
+    /// Drops the active table's grants. Attempts inside the gate stay
+    /// inside until they exit.
     fn drain_grants(&self) -> u64 {
-        let mut dropped = 0u64;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let mut holdings = slot.0.lock();
-            if !holdings.is_empty() {
-                dropped += holdings.values().map(|h| h.blocks as u64).sum::<u64>();
-                holdings.clear();
-                self.gate.exit(i);
-            }
-        }
-        self.current.read().drain_grants();
-        dropped
+        self.current.read().drain_grants()
     }
 }
 
@@ -430,71 +318,73 @@ mod tests {
         v
     }
 
-    #[test]
-    fn basic_acquire_release() {
-        let t = table(16);
-        assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
-        assert_eq!(t.live_grants(), 1);
-        t.release(0, 3, Held::Write);
-        assert_eq!(t.live_grants(), 0);
+    /// Release `txn`'s grant on `block` under the active table's key.
+    fn release(t: &ResizableTable<ConcurrentTaglessTable>, txn: ThreadId, block: u64, held: Held) {
+        t.release(txn, t.grant_key(block), held);
     }
 
     #[test]
-    fn grant_key_is_block() {
+    fn basic_acquire_release() {
         let t = table(16);
-        assert_eq!(t.grant_key(12345), 12345);
+        t.enter(0);
+        assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
+        assert_eq!(t.live_grants(), 1);
+        release(&t, 0, 3, Held::Write);
+        assert_eq!(t.live_grants(), 0);
+        t.exit(0);
     }
 
     #[test]
     fn false_conflicts_survive_wrapping() {
         let t = table(16);
+        t.enter(0);
+        t.enter(1);
         // Blocks 3 and 19 alias in a 16-entry mask table.
+        assert_eq!(t.grant_key(3), t.grant_key(19));
         assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
         let c = t
             .acquire(1, 19, Access::Write, Held::None)
             .conflict()
             .unwrap();
         assert_eq!(c.with, Some(0));
+        release(&t, 0, 3, Held::Write);
+        t.exit(1);
+        t.exit(0);
     }
 
     #[test]
-    fn intra_txn_alias_coalesces_and_releases() {
-        let t = table(16);
-        // Same transaction, two aliasing blocks: both granted (no
-        // self-conflict), one inner grant covering two blocks.
-        assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
-        assert!(t.acquire(0, 19, Access::Write, Held::None).is_ok());
-        assert_eq!(t.live_grants(), 2);
-        t.release(0, 3, Held::Write);
-        // The inner entry must still be held: a competitor still conflicts.
-        assert!(t
-            .acquire(1, 35, Access::Write, Held::None)
-            .conflict()
-            .is_some());
-        t.release(0, 19, Held::Write);
-        // Now it is free.
-        assert!(t.acquire(1, 35, Access::Write, Held::None).is_ok());
-    }
+    fn one_transactions_aliasing_blocks_make_one_grant() {
+        use crate::{AdaptiveStmBuilder, ResizePolicy};
+        use tm_stm::{StmBuilder, TmEngine, TxnOps};
 
-    #[test]
-    fn already_held_only_when_block_covered() {
-        let t = table(16);
-        assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
-        assert_eq!(
-            t.acquire(0, 3, Access::Read, Held::Write),
-            AcquireOutcome::AlreadyHeld
-        );
-        // Aliasing block is NOT covered at block level: must be Granted so
-        // the caller records and releases it.
-        assert_eq!(
-            t.acquire(0, 19, Access::Write, Held::None),
-            AcquireOutcome::Granted
-        );
+        let (stm, _controller) = StmBuilder::new()
+            .heap_words(1 << 10)
+            .table_entries(16)
+            .hash(HashKind::Mask)
+            .build_adaptive(ResizePolicy::default(), 1);
+        let t = stm.table();
+        stm.run(0, |txn| {
+            // Blocks 3 and 19 alias: the second write finds the key held.
+            txn.write(3 * 64, 1)?;
+            txn.write(19 * 64, 2)?;
+            assert_eq!(txn.grant_count(), 1);
+            assert_eq!(t.live_grants(), 1);
+            // The attempt is inside the gate, so no resize can go ahead.
+            assert_eq!(t.resize_to(64), Err(ResizeError::Busy));
+            Ok(())
+        });
+        let s = t.stats_snapshot();
+        assert_eq!((s.write_acquires, s.grants, s.already_held), (2, 1, 1));
+        assert_eq!(s.releases, 1, "the one grant is released once");
+        assert_eq!(t.live_grants(), 0);
+        assert!(t.resize_to(64).is_ok());
     }
 
     #[test]
     fn read_upgrade_through_wrapper() {
         let t = table(16);
+        t.enter(0);
+        t.enter(1);
         assert!(t.acquire(0, 3, Access::Read, Held::None).is_ok());
         assert!(t.acquire(0, 3, Access::Write, Held::Read).is_ok());
         // Exclusive now.
@@ -502,13 +392,18 @@ mod tests {
             .acquire(1, 3, Access::Read, Held::None)
             .conflict()
             .is_some());
-        t.release(0, 3, Held::Write);
+        release(&t, 0, 3, Held::Write);
         assert_eq!(t.live_grants(), 0);
+        t.exit(1);
+        t.exit(0);
     }
 
     #[test]
     fn resize_with_grants_held_is_busy_and_moves_nothing() {
         let t = table(16);
+        for txn in 0..3 {
+            t.enter(txn);
+        }
         assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
         assert!(t.acquire(1, 100, Access::Read, Held::None).is_ok());
         let before = grants(&t);
@@ -521,10 +416,13 @@ mod tests {
             .conflict()
             .is_some());
         // ...and release cleanly.
-        t.release(0, 3, Held::Write);
-        t.release(1, 100, Held::Read);
+        release(&t, 0, 3, Held::Write);
+        release(&t, 1, 100, Held::Read);
         assert_eq!(t.live_grants(), 0);
-        // With nothing held the same resize goes through.
+        for txn in 0..3 {
+            t.exit(txn);
+        }
+        // With every attempt out the same resize goes through.
         let report = t.resize_to(256).unwrap();
         assert_eq!((report.from_entries, report.to_entries), (16, 256));
         assert_eq!(t.live_entries(), 256);
@@ -535,7 +433,10 @@ mod tests {
                 deferred: 1
             }
         );
+        t.enter(2);
         assert!(t.acquire(2, 3, Access::Write, Held::None).is_ok());
+        release(&t, 2, 3, Held::Write);
+        t.exit(2);
     }
 
     #[test]
@@ -575,17 +476,24 @@ mod tests {
         assert_eq!(t.live_config().max_threads(), 128);
         // Thread ids past the default bound of 64 still publish hints, so
         // a true conflict is classified as one.
+        t.enter(100);
+        t.enter(1);
         assert!(t.acquire(100, 3, Access::Write, Held::None).is_ok());
         let c = t
             .acquire(1, 3, Access::Write, Held::None)
             .conflict()
             .unwrap();
         assert_eq!(c.class, ConflictClass::KnownTrue);
+        release(&t, 100, 3, Held::Write);
+        t.exit(1);
+        t.exit(100);
     }
 
     #[test]
     fn shrink_with_grants_held_is_busy() {
         let t = table(1 << 10);
+        t.enter(0);
+        t.enter(1);
         // Two writers on blocks that collide in a 1-entry table.
         assert!(t.acquire(0, 0, Access::Write, Held::None).is_ok());
         assert!(t.acquire(1, 1, Access::Write, Held::None).is_ok());
@@ -593,22 +501,32 @@ mod tests {
         // Active generation untouched; traffic continues.
         assert_eq!(t.live_entries(), 1 << 10);
         assert_eq!(t.live_grants(), 2);
-        t.release(0, 0, Held::Write);
-        t.release(1, 1, Held::Write);
+        release(&t, 0, 0, Held::Write);
+        release(&t, 1, 1, Held::Write);
+        t.exit(0);
+        t.exit(1);
         assert_eq!(t.resize_stats().deferred, 1);
-        // With the grants gone the same shrink succeeds, and the two blocks
-        // now alias.
+        // With the attempts gone the same shrink succeeds, and the two
+        // blocks now alias.
         assert!(t.resize_to(1).is_ok());
+        t.enter(0);
+        t.enter(1);
         assert!(t.acquire(0, 0, Access::Write, Held::None).is_ok());
         assert!(t
             .acquire(1, 1, Access::Write, Held::None)
             .conflict()
             .is_some());
+        release(&t, 0, 0, Held::Write);
+        t.exit(1);
+        t.exit(0);
     }
 
     #[test]
     fn alias_grants_rehash_apart() {
         let t = table(16);
+        for txn in 0..3 {
+            t.enter(txn);
+        }
         // Two *read* grants of different txns aliasing at 16 entries...
         assert!(t.acquire(0, 3, Access::Read, Held::None).is_ok());
         assert!(t.acquire(1, 19, Access::Read, Held::None).is_ok());
@@ -618,9 +536,15 @@ mod tests {
             .acquire(2, 19, Access::Write, Held::None)
             .conflict()
             .is_some());
-        t.release(0, 3, Held::Read);
-        t.release(1, 19, Held::Read);
+        release(&t, 0, 3, Held::Read);
+        release(&t, 1, 19, Held::Read);
+        for txn in 0..3 {
+            t.exit(txn);
+        }
         t.resize_to(64).unwrap();
+        for txn in 0..3 {
+            t.enter(txn);
+        }
         // At 64 entries 3 and 19 land on distinct entries (mask hash): a
         // writer on 19 now coexists with a reader of 3.
         assert!(t.acquire(0, 3, Access::Read, Held::None).is_ok());
@@ -631,11 +555,19 @@ mod tests {
             .conflict()
             .unwrap();
         assert_eq!(c.kind, ConflictKind::WriteAfterRead);
+        release(&t, 0, 3, Held::Read);
+        release(&t, 2, 19, Held::Write);
+        for txn in 0..3 {
+            t.exit(txn);
+        }
     }
 
     #[test]
     fn stats_stay_cumulative_across_resizes() {
         let t = table(16);
+        for txn in 0..3 {
+            t.enter(txn);
+        }
         assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
         assert!(t.acquire(1, 7, Access::Write, Held::None).is_ok());
         // One conflict before the resize.
@@ -643,8 +575,11 @@ mod tests {
             .acquire(2, 7, Access::Write, Held::None)
             .conflict()
             .is_some());
-        t.release(0, 3, Held::Write);
-        t.release(1, 7, Held::Write);
+        release(&t, 0, 3, Held::Write);
+        release(&t, 1, 7, Held::Write);
+        for txn in 0..3 {
+            t.exit(txn);
+        }
         let before = t.stats_snapshot();
         assert_eq!(before.grants, 2);
         assert_eq!(before.releases, 2);
@@ -654,8 +589,10 @@ mod tests {
 
         // The swap resets no counter.
         assert_eq!(t.stats_snapshot(), before);
+        t.enter(0);
         assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
-        t.release(0, 3, Held::Write);
+        release(&t, 0, 3, Held::Write);
+        t.exit(0);
         let after = t.stats_snapshot();
         assert_eq!(after.grants, 3);
         assert_eq!(after.releases, 3);
@@ -663,45 +600,26 @@ mod tests {
     }
 
     #[test]
-    fn ids_sharing_a_slot_keep_separate_holdings() {
-        let t = ResizableTable::with_factory(
-            TableConfig::new(16)
-                .with_hash(HashKind::Mask)
-                .with_max_threads(4),
-            ConcurrentTaglessTable::new,
-        );
-        // Ids 1 and 1 + max_threads share slot 1 but are distinct
-        // transactions: their aliasing blocks conflict, not coalesce.
-        assert!(t.acquire(1, 3, Access::Write, Held::None).is_ok());
-        let c = t
-            .acquire(5, 19, Access::Write, Held::None)
-            .conflict()
-            .unwrap();
-        assert_eq!(c.with, Some(1));
-        assert!(t.acquire(5, 4, Access::Write, Held::None).is_ok());
-        assert_eq!(t.live_grants(), 2);
-        // Id 1 is done, but id 5 still holds in the slot: no resize yet.
-        t.release(1, 3, Held::Write);
-        assert_eq!(t.resize_to(64), Err(ResizeError::Busy));
-        assert!(t.acquire(1, 19, Access::Write, Held::None).is_ok());
-        t.release(1, 19, Held::Write);
-        t.release(5, 4, Held::Write);
-        assert_eq!(t.live_grants(), 0);
-        assert!(t.resize_to(64).is_ok());
-    }
-
-    #[test]
     fn drain_grants_reopens_the_way_for_a_resize() {
         let t = table(16);
+        t.enter(0);
+        t.enter(1);
         assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
-        assert!(t.acquire(0, 19, Access::Write, Held::None).is_ok());
         assert!(t.acquire(1, 4, Access::Read, Held::None).is_ok());
         assert_eq!(t.resize_to(64), Err(ResizeError::Busy));
-        assert_eq!(t.drain_grants(), 3);
+        assert_eq!(t.drain_grants(), 2);
         assert_eq!(t.live_grants(), 0);
         assert!(grants(&t).is_empty());
+        // Draining leaves the attempts inside: only their exits let the
+        // resize through.
+        assert_eq!(t.resize_to(64), Err(ResizeError::Busy));
+        t.exit(0);
+        t.exit(1);
         assert!(t.resize_to(64).is_ok());
+        t.enter(2);
         assert!(t.acquire(2, 3, Access::Write, Held::None).is_ok());
+        release(&t, 2, 3, Held::Write);
+        t.exit(2);
     }
 
     #[test]
@@ -714,9 +632,11 @@ mod tests {
                 s.spawn(move |_| {
                     for r in 0..rounds {
                         let block = (id as u64) * 1000 + (r % 50);
+                        t.enter(id);
                         if t.acquire(id, block, Access::Write, Held::None).is_ok() {
-                            t.release(id, block, Held::Write);
+                            release(t, id, block, Held::Write);
                         }
+                        t.exit(id);
                     }
                 });
             }

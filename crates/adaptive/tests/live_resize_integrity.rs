@@ -1,13 +1,16 @@
 //! Integrity of live resizes: grants are neither lost nor spuriously
-//! conflicted while the table is swapped under concurrent writers.
+//! conflicted while the table is swapped under concurrent writers, and a
+//! resize waits for exactly the attempts inside the table. Callers that
+//! drive the table directly bracket each transaction's grants with
+//! `enter`/`exit` and release under `grant_key(block)`, as the engine does.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tm_adaptive::{adaptive_stm, resizable_tagless, ResizeError, ResizePolicy};
-use tm_ownership::concurrent::{ConcurrentTable, Held};
-use tm_ownership::{Access, HashKind, TableConfig};
-use tm_stm::{ReadOps, TmEngine, TxnOps};
+use tm_adaptive::{adaptive_stm, resizable_tagless, AdaptiveStmBuilder, ResizeError, ResizePolicy};
+use tm_ownership::concurrent::{ConcurrentTable, GrantKey, Held};
+use tm_ownership::{Access, AcquireOutcome, HashKind, TableConfig};
+use tm_stm::{ReadOps, StmBuilder, TmEngine, TxnOps};
 
 /// Transactional counters stay exact while a background thread resizes the
 /// table through five geometries: a lost write grant would let increments
@@ -90,12 +93,14 @@ fn write_exclusion_holds_through_swaps() {
             s.spawn(move |_| {
                 for round in 0..1500u64 {
                     let block = round % BLOCKS as u64;
+                    table.enter(id);
                     if table.acquire(id, block, Access::Write, Held::None).is_ok() {
                         let prev = in_cs[block as usize].fetch_add(1, Ordering::SeqCst);
                         assert_eq!(prev, 0, "two writers inside block {block}");
                         in_cs[block as usize].fetch_sub(1, Ordering::SeqCst);
-                        table.release(id, block, Held::Write);
+                        table.release(id, table.grant_key(block), Held::Write);
                     }
+                    table.exit(id);
                 }
             });
         }
@@ -137,12 +142,14 @@ fn disjoint_blocks_never_conflict_across_resizes() {
                 let base = id as u64 * 16;
                 for round in 0..1200u64 {
                     let block = base + (round % 16);
+                    table.enter(id);
                     let outcome = table.acquire(id, block, Access::Write, Held::None);
                     assert!(
                         outcome.is_ok(),
                         "thread {id} got a spurious conflict on block {block}: {outcome:?}"
                     );
-                    table.release(id, block, Held::Write);
+                    table.release(id, table.grant_key(block), Held::Write);
+                    table.exit(id);
                 }
             });
         }
@@ -166,13 +173,16 @@ fn disjoint_blocks_never_conflict_across_resizes() {
 
 /// A resize asked for while transactions hold grants is deferred and
 /// touches nothing: the active table's grants are identical before and
-/// after, still exclude competitors, release cleanly — and then the same
-/// resize goes through.
+/// after, still exclude competitors, release cleanly — and then, once the
+/// transactions exit, the same resize goes through.
 #[test]
 fn a_resize_under_held_grants_defers_and_moves_nothing() {
     let table = resizable_tagless(TableConfig::new(32).with_hash(HashKind::Multiplicative));
-    let mut held = Vec::new();
+    // (txn, grant key, level, a block under the key), one per key a
+    // transaction holds, as an engine's log keeps them.
+    let mut held: Vec<(u32, GrantKey, Held, u64)> = Vec::new();
     for txn in 0..6u32 {
+        table.enter(txn);
         for b in 0..8u64 {
             let block = txn as u64 * 100 + b;
             let access = if b % 2 == 0 {
@@ -180,8 +190,14 @@ fn a_resize_under_held_grants_defers_and_moves_nothing() {
             } else {
                 Access::Read
             };
-            if table.acquire(txn, block, access, Held::None).is_ok() {
-                held.push((txn, block, Held::None.after(access)));
+            let key = table.grant_key(block);
+            let logged = held.iter().position(|g| g.0 == txn && g.1 == key);
+            let level = logged.map_or(Held::None, |i| held[i].2);
+            if table.acquire(txn, block, access, level) == AcquireOutcome::Granted {
+                match logged {
+                    Some(i) => held[i].2 = level.after(access),
+                    None => held.push((txn, key, level.after(access), block)),
+                }
             }
         }
     }
@@ -197,7 +213,8 @@ fn a_resize_under_held_grants_defers_and_moves_nothing() {
 
     assert_eq!(table.live_entries(), 32);
     assert_eq!(snapshot(), before, "a deferred resize changed the grants");
-    for &(txn, block, level) in &held {
+    table.enter(99);
+    for &(txn, _, level, block) in &held {
         if level == Held::Write {
             assert!(
                 table
@@ -208,14 +225,74 @@ fn a_resize_under_held_grants_defers_and_moves_nothing() {
             );
         }
     }
-    for (txn, block, level) in held {
-        table.release(txn, block, level);
+    table.exit(99);
+    for (txn, key, level, _) in held {
+        table.release(txn, key, level);
     }
     assert_eq!(table.live_grants(), 0);
     assert!(snapshot().is_empty());
+    for txn in 0..6u32 {
+        table.exit(txn);
+    }
 
     table.resize_to(4096).unwrap();
     assert_eq!(table.live_entries(), 4096);
     assert_eq!(table.resize_stats().resizes, 1);
     assert_eq!(table.resize_stats().deferred, 1);
+}
+
+/// Gate membership is the attempt's: a resize issued while an attempt is
+/// open is deferred, and one issued after the attempt — however it ended —
+/// goes through. A missed exit would make every later resize `Busy`.
+#[test]
+fn gate_membership_ends_with_the_attempt() {
+    let (stm, _ctl) = adaptive_stm(1 << 12, 64, ResizePolicy::default(), 1);
+    let table = stm.table();
+    let mut sizes = [128usize, 256, 512].into_iter();
+    let mut resize = || table.resize_to(sizes.next().unwrap());
+
+    stm.run(0, |txn| {
+        txn.read(0)?;
+        assert_eq!(table.resize_to(4096), Err(ResizeError::Busy));
+        txn.write(64, 1)
+    });
+    assert!(resize().is_ok(), "after a commit");
+
+    let exhausted: Result<(), _> = stm.try_run(0, 3, |txn| {
+        txn.write(0, 1)?;
+        txn.retry()
+    });
+    assert!(exhausted.is_err());
+    assert!(resize().is_ok(), "after an exhausted retry budget");
+
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        stm.run(0, |txn| {
+            txn.write(0, 1)?;
+            panic!("the body gives up mid-transaction");
+            #[allow(unreachable_code)]
+            Ok(())
+        })
+    }));
+    assert!(panicked.is_err());
+    assert!(resize().is_ok(), "after a panicking body");
+    assert_eq!(table.resize_stats().deferred, 1);
+
+    let (sharded, _ctls) = StmBuilder::new()
+        .heap_words(1 << 12)
+        .table_entries(128)
+        .shards(2)
+        .build_sharded_adaptive(ResizePolicy::default(), 1);
+    let far = sharded.shard_map().block_range(1).start * 64;
+    sharded.run(0, |txn| {
+        txn.update_add(0, 1)?;
+        txn.update_add(far, 1)?;
+        Ok(())
+    });
+    assert_eq!(sharded.cross_shard_commits(), 1);
+    for shard in 0..2 {
+        assert!(
+            sharded.shard_table(shard).resize_to(256).is_ok(),
+            "shard {shard} after a cross-shard commit"
+        );
+    }
 }

@@ -15,36 +15,40 @@ use rand::{Rng, SeedableRng};
 
 use tm_adaptive::{resizable_tagless, Observation, ResizePolicy};
 use tm_model::lockstep;
-use tm_ownership::concurrent::{ConcurrentTable, Held};
+use tm_ownership::concurrent::{ConcurrentTable, GrantKey, Held};
 use tm_ownership::{Access, HashKind, TableConfig};
+
+/// Write-acquire `block` for `txn`, whose write grant keys so far are
+/// `log`, as an engine's log does: a key already held is not acquired
+/// again. `false` on a conflict.
+fn write(table: &impl ConcurrentTable, txn: u32, block: u64, log: &mut Vec<GrantKey>) -> bool {
+    let key = table.grant_key(block);
+    if log.contains(&key) {
+        return true;
+    }
+    let granted = table.acquire(txn, block, Access::Write, Held::None).is_ok();
+    if granted {
+        log.push(key);
+    }
+    granted
+}
 
 /// One trial: txn 0 plants `w` write grants on random distinct blocks,
 /// txn 1 tries `w` different random blocks; did txn 1 hit any conflict?
 fn pair_conflicts(table: &impl ConcurrentTable, w: u32, rng: &mut StdRng) -> bool {
+    table.enter(0);
+    table.enter(1);
     let mut planted = Vec::with_capacity(w as usize);
     for _ in 0..w {
-        let block = rng.gen::<u64>();
-        if table.acquire(0, block, Access::Write, Held::None).is_ok() {
-            planted.push(block);
-        }
+        write(table, 0, rng.gen::<u64>(), &mut planted);
     }
     let mut probed = Vec::new();
-    let mut conflicted = false;
-    for _ in 0..w {
-        let block = rng.gen::<u64>();
-        match table.acquire(1, block, Access::Write, Held::None) {
-            o if o.is_ok() => probed.push(block),
-            _ => {
-                conflicted = true;
-                break;
-            }
+    let conflicted = !(0..w).all(|_| write(table, 1, rng.gen::<u64>(), &mut probed));
+    for (txn, log) in [(0, planted), (1, probed)] {
+        for key in log {
+            table.release(txn, key, Held::Write);
         }
-    }
-    for b in planted {
-        table.release(0, b, Held::Write);
-    }
-    for b in probed {
-        table.release(1, b, Held::Write);
+        table.exit(txn);
     }
     conflicted
 }

@@ -32,7 +32,7 @@ use std::ops::{Deref, DerefMut};
 use tm_ownership::concurrent::Held;
 use tm_ownership::EntryIndex;
 
-pub use tm_ownership::smallmap::{FastHashState, SmallKey, SmallMap, INLINE_CAP};
+pub use tm_ownership::smallmap::{SmallKey, SmallMap, INLINE_CAP};
 
 /// Bundles checked back into a thread's pool beyond this depth are freed
 /// instead (bounds memory if something checks out deep nests once).

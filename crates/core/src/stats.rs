@@ -42,11 +42,12 @@ pub struct EngineStats {
     /// Sum over committed transactions of distinct footprint units held at
     /// commit — `(1+α)·W` in the model. The lazy engine counts write-set
     /// blocks plus read-set entries. The eager engines count ownership
-    /// grants, which is exact for **block-keyed** tables (tagged,
-    /// resizable); a plain tagless table keys grants by *entry index*, so
-    /// aliasing blocks coalesce and this undercounts the block footprint.
-    /// The adaptive controller only consumes it through block-keyed
-    /// `ResizableTable`s.
+    /// grants, which is exact for **block-keyed** (tagged) tables; a
+    /// tagless table, plain or wrapped in `tm-adaptive`'s resizable table,
+    /// keys grants by *entry index*, so a transaction's aliasing blocks
+    /// coalesce and this undercounts its block footprint — by about
+    /// `F²/2N` for `F` blocks over `N` entries, which vanishes as the
+    /// adaptive controller grows the table.
     pub committed_grant_blocks: u64,
     /// Read-only transactions committed through the snapshot read path
     /// (`run_read`). Deliberately **not** folded into `commits`: read-only

@@ -183,54 +183,49 @@ impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
     /// ownership table so the read cannot observe a transaction's
     /// speculative state, spinning while a writer holds the block.
     pub fn strong_read(&self, me: ThreadId, addr: u64) -> u64 {
-        let TableState { table, stats } = &self.first;
-        stats.on_strong(me, false);
-        // Invariant across spins — derive once, as Txn::acquire does.
-        let block = table.config().mapper().block_of(addr);
-        loop {
-            match table.acquire(me, block, Access::Read, Held::None) {
-                AcquireOutcome::Granted => {
-                    let v = self.heap.load(addr);
-                    table.release(me, table.grant_key(block), Held::Read);
-                    return v;
-                }
-                AcquireOutcome::AlreadyHeld => {
-                    // Only possible if the caller misuses a transaction's id;
-                    // read without a release obligation.
-                    return self.heap.load(addr);
-                }
-                AcquireOutcome::Conflict(_) => {
-                    stats.on_strong_stall(me);
-                    std::hint::spin_loop();
-                }
-            }
-        }
+        self.strong_access(me, addr, Access::Read, || self.heap.load(addr))
     }
 
     /// Strong-isolation non-transactional write (paper §6); spins while any
     /// transaction holds the block.
     pub fn strong_write(&self, me: ThreadId, addr: u64, value: u64) {
+        self.strong_access(me, addr, Access::Write, || self.heap.store(addr, value));
+    }
+
+    /// One strong-isolation access: inside the table's
+    /// [`enter`](ConcurrentTable::enter)/[`exit`](ConcurrentTable::exit)
+    /// bracket, acquire `access` on `addr`'s block (spinning while it
+    /// conflicts), run `body`, release.
+    fn strong_access<V>(
+        &self,
+        me: ThreadId,
+        addr: u64,
+        access: Access,
+        body: impl FnOnce() -> V,
+    ) -> V {
         let TableState { table, stats } = &self.first;
-        stats.on_strong(me, true);
+        stats.on_strong(me, access == Access::Write);
         // Invariant across spins — derive once, as Txn::acquire does.
         let block = table.config().mapper().block_of(addr);
-        loop {
-            match table.acquire(me, block, Access::Write, Held::None) {
+        table.enter(me);
+        let value = loop {
+            match table.acquire(me, block, access, Held::None) {
                 AcquireOutcome::Granted => {
-                    self.heap.store(addr, value);
-                    table.release(me, table.grant_key(block), Held::Write);
-                    return;
+                    let value = body();
+                    table.release(me, table.grant_key(block), Held::None.after(access));
+                    break value;
                 }
-                AcquireOutcome::AlreadyHeld => {
-                    self.heap.store(addr, value);
-                    return;
-                }
+                // Only possible if the caller misuses a transaction's id;
+                // access without a release obligation.
+                AcquireOutcome::AlreadyHeld => break body(),
                 AcquireOutcome::Conflict(_) => {
                     stats.on_strong_stall(me);
                     std::hint::spin_loop();
                 }
             }
-        }
+        };
+        table.exit(me);
+        value
     }
 }
 
@@ -529,10 +524,18 @@ pub struct Txn<'s, T: ConcurrentTable, P: Probe = NoopProbe, R: Route = OneTable
     /// Cross-table mode: the publication-gate epoch the read log is valid
     /// at.
     epoch: Option<u64>,
+    /// Cross-table commit: bitmap of the tables it entered, exited by
+    /// `release_commit_grants`.
+    commit_tables: u64,
 }
 
 impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
+    /// Begin an attempt. On the one-table route it enters the table here;
+    /// a multi-table route enters its home table at the pin, in `route`.
     fn new(stm: &'s Stm<T, P, R>, id: ThreadId, cross: bool) -> Self {
+        if !R::MULTI {
+            stm.first.table.enter(id);
+        }
         Self {
             stm,
             id,
@@ -550,6 +553,7 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
             escalate: false,
             commit_phase_abort: false,
             epoch: None,
+            commit_tables: 0,
         }
     }
 
@@ -575,14 +579,19 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
     }
 
     /// Multi-table routes: route `block` and decide how this access
-    /// proceeds — `Ok(false)` eagerly on the (now pinned) home table,
-    /// `Ok(true)` in cross-table mode, or an escalating abort when an
-    /// eager attempt reaches a second table.
+    /// proceeds — `Ok(false)` eagerly on the (now pinned and entered) home
+    /// table, `Ok(true)` in cross-table mode, or an escalating abort when
+    /// an eager attempt reaches a second table.
     #[inline]
     fn route(&mut self, block: u64) -> Result<bool, Aborted> {
         let shard = self.stm.route.table_of(block);
         match self.home {
-            None => self.home = Some(shard),
+            None => {
+                self.home = Some(shard);
+                if !self.cross {
+                    self.stm.state(shard).table.enter(self.id);
+                }
+            }
             Some(home) if home == shard || self.cross => {}
             Some(_) => {
                 self.escalate = true;
@@ -710,11 +719,11 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
 
     /// Attempt epilogue (commit, abort, escalation and `Drop` alike): return
     /// the eager grants and any commit-phase grants still held, fold the
-    /// attempt's tally into the home table and flush the batched stall
-    /// counter. Speculative writes of an aborted attempt never reached the
-    /// heap, and nothing is cleared here: `ScratchGuard::checkout` is the
-    /// single clearing authority, so the next attempt starts clean either
-    /// way.
+    /// attempt's tally into the home table, exit every table the attempt
+    /// entered and flush the batched stall counter. Speculative writes of an
+    /// aborted attempt never reached the heap, and nothing is cleared here:
+    /// `ScratchGuard::checkout` is the single clearing authority, so the
+    /// next attempt starts clean either way.
     fn finish(&mut self) {
         if self.finished {
             return;
@@ -725,6 +734,9 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
             self.tally.on_release(held);
         }
         table.fold(&self.tally);
+        if !R::MULTI || (self.home.is_some() && !self.cross) {
+            table.exit(self.id);
+        }
         if R::MULTI {
             self.release_commit_grants();
         }

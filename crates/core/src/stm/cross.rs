@@ -6,9 +6,10 @@
 //! publication-gate-validated heap snapshot (the `run_read` epoch scheme,
 //! with whole-read-log revalidation when the epoch moves) and logged by
 //! value, writes stay buffered. Commit is an ordered two-phase protocol —
-//! acquire the whole footprint's grants in ascending `(table, grant key)`
-//! order, validate the read log under them, publish inside one gate
-//! bracket, release. All *blocking* acquisition in the engine is this
+//! enter the participating tables in ascending order, acquire the whole
+//! footprint's grants in ascending `(table, grant key)` order, validate the
+//! read log under them, publish inside one gate bracket, release and exit.
+//! All *blocking* acquisition in the engine is this
 //! commit phase and it is globally ordered, so no two committers can wait
 //! on each other in a cycle; `tm-shard`'s crate docs carry the full
 //! argument.
@@ -32,6 +33,16 @@ pub const DEFAULT_COMMIT_SPINS: u32 = 1 << 14;
 /// Bounded rounds of mid-body read-log revalidation before an attempt
 /// gives up and retries through backoff.
 const REVALIDATE_ROUNDS: u32 = 64;
+
+/// The table indices set in a table bitmap (≤ 64 tables by builder cap),
+/// ascending.
+fn tables_of(mut bitmap: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let shard = bitmap.trailing_zeros();
+        bitmap &= bitmap.wrapping_sub(1);
+        (shard < u64::BITS).then_some(shard)
+    })
+}
 
 /// The order the cross-table commit acquires its footprint's grants in.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -147,13 +158,17 @@ impl<T: ConcurrentTable, P: Probe, R: Route> Txn<'_, T, P, R> {
         }
     }
 
-    /// Release every commit-phase grant (error paths and epilogue).
+    /// Release every commit-phase grant, then exit the tables the commit
+    /// entered (error paths and epilogue).
     pub(super) fn release_commit_grants(&mut self) {
         let stm = self.stm;
         for &(shard, key, held) in self.scratch.cgrants.iter() {
             stm.state(shard).table.release(self.id, key, held);
         }
         self.scratch.cgrants.clear();
+        for shard in tables_of(std::mem::take(&mut self.commit_tables)) {
+            stm.state(shard).table.exit(self.id);
+        }
     }
 
     /// Abort out of the commit phase, returning everything acquired.
@@ -172,6 +187,17 @@ impl<T: ConcurrentTable, P: Probe, R: Route> Txn<'_, T, P, R> {
     /// Returns the coordinator (lowest participating) table and the span.
     pub(super) fn commit_cross(&mut self) -> Result<(u32, u32), Aborted> {
         let stm = self.stm;
+
+        // Enter every participating table, in ascending order, before the
+        // plan takes their grant keys: no table can change its keys until
+        // `release_commit_grants` exits it.
+        let tables = self.scratch.touched.iter().fold(0u64, |bits, &block| {
+            bits | (1 << (stm.route.table_of(block) & 63))
+        });
+        for shard in tables_of(tables) {
+            stm.state(shard).table.enter(self.id);
+        }
+        self.commit_tables = tables;
 
         // Build the acquisition plan: one entry per touched block, in
         // first-touch order — written blocks at Write, read-only blocks at
@@ -263,22 +289,10 @@ impl<T: ConcurrentTable, P: Probe, R: Route> Txn<'_, T, P, R> {
         // the lowest participating table; each table's footprint counters
         // get the blocks that actually landed there.
         let s = &*self.scratch;
-        let mut span = 0u32;
-        let mut coordinator = u32::MAX;
-        let mut seen: u64 = 0; // table bitmap (≤ 64 tables by builder cap)
-        for &(shard, ..) in s.acq.iter() {
-            coordinator = coordinator.min(shard);
-            let bit = 1u64 << (shard as u64 & 63);
-            if seen & bit == 0 {
-                seen |= bit;
-                span += 1;
-            }
-        }
+        let span = tables.count_ones();
+        let coordinator = tables.trailing_zeros();
         let mut extra = 0u64;
-        for shard_idx in 0..stm.shard_count() as u32 {
-            if seen & (1u64 << (shard_idx as u64 & 63)) == 0 {
-                continue;
-            }
+        for shard_idx in tables_of(tables) {
             let writes = s
                 .write_blocks
                 .iter()

@@ -103,7 +103,22 @@ pub trait ConcurrentTable: Send + Sync {
     /// Number of first-level entries (the paper's `N`).
     fn num_entries(&self) -> usize;
 
-    /// The grant key covering `block` (entry index or the block itself).
+    /// Begin one transaction attempt on this table. A caller brackets every
+    /// grant it keys, acquires and releases here with `enter` and
+    /// [`exit`](Self::exit): enter before its first
+    /// [`grant_key`](Self::grant_key), exit after its last release. A
+    /// table that can change its geometry (`tm-adaptive`'s resizable
+    /// table) changes it only while no one is inside, so keys stay valid
+    /// across the bracket. A plain table does nothing here.
+    #[inline]
+    fn enter(&self, _txn: ThreadId) {}
+
+    /// End the attempt [`enter`](Self::enter) began, after its last release.
+    #[inline]
+    fn exit(&self, _txn: ThreadId) {}
+
+    /// The grant key covering `block` (entry index or the block itself),
+    /// valid until the caller's [`exit`](Self::exit).
     fn grant_key(&self, block: BlockAddr) -> GrantKey;
 
     /// Attempt to obtain `access` on `block` for `txn`, given that `txn`

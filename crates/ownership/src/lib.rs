@@ -78,5 +78,5 @@ pub mod versioned;
 pub use concurrent::{ConcurrentTaggedTable, ConcurrentTaglessTable, GrantSnapshot};
 pub use entry::{Access, AcquireOutcome, Conflict, ConflictClass, ConflictKind, Mode, ThreadId};
 pub use hashing::{BlockAddr, BlockMapper, EntryIndex, HashKind, TableConfig};
-pub use smallmap::{FastHashState, SmallKey, SmallMap};
+pub use smallmap::{SmallKey, SmallMap};
 pub use versioned::{fingerprint_of, Stamp, VersionedStats, VersionedTable, FP_NONE, FP_SATURATED};

@@ -19,12 +19,6 @@
 //! * **`u64`-like keys only** — keys implement [`SmallKey`] (block
 //!   addresses, grant keys, entry indices), hashed with one Fibonacci
 //!   multiply instead of SipHash.
-//!
-//! [`FastHashState`] is the companion `BuildHasher` for places that need a
-//! real `std` map (composite keys) but not a DoS-resistant hash — e.g.
-//! `tm-adaptive`'s per-slot `(txn, entry)` holdings.
-
-use std::hash::{BuildHasher, Hasher};
 
 /// Entries kept in the inline array before spilling to the probe table.
 pub const INLINE_CAP: usize = 16;
@@ -418,75 +412,6 @@ struct InsertOutcome<V> {
     prev: Option<V>,
 }
 
-/// `BuildHasher` for `std` maps on trusted keys: FxHash-style multiply-mix,
-/// an order of magnitude cheaper than SipHash for the word-sized keys the
-/// TM hot path uses. **Not** DoS-resistant — internal bookkeeping only.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FastHashState;
-
-impl BuildHasher for FastHashState {
-    type Hasher = FastHasher;
-
-    #[inline]
-    fn build_hasher(&self) -> FastHasher {
-        FastHasher { hash: 0 }
-    }
-}
-
-/// The hasher produced by [`FastHashState`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FastHasher {
-    hash: u64,
-}
-
-impl FastHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FIB);
-    }
-}
-
-impl Hasher for FastHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        // Final avalanche so low output bits depend on high input bits
-        // (HashMap uses the low bits for bucket selection).
-        let mut z = self.hash;
-        z ^= z >> 32;
-        z = z.wrapping_mul(FIB);
-        z ^ (z >> 29)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(v as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,31 +587,5 @@ mod tests {
         let mut want: Vec<_> = reference.iter().map(|(&k, &v)| (k, v)).collect();
         want.sort_unstable();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn fast_hasher_spreads_and_is_deterministic() {
-        use std::hash::BuildHasher;
-        let s = FastHashState;
-        let h1 = s.hash_one((3u32, 1000u64));
-        let h2 = s.hash_one((3u32, 1000u64));
-        assert_eq!(h1, h2);
-        let mut low_bits = std::collections::HashSet::new();
-        for k in 0..1024u64 {
-            low_bits.insert(s.hash_one(k) & 0x3FF);
-        }
-        // Sequential keys must not collapse onto few buckets.
-        assert!(low_bits.len() > 600, "only {} distinct", low_bits.len());
-    }
-
-    #[test]
-    fn fast_hashmap_works_with_tuple_keys() {
-        let mut m: HashMap<(u32, u64), u8, FastHashState> = HashMap::default();
-        m.insert((1, 2), 3);
-        m.insert((2, 1), 4);
-        assert_eq!(m.get(&(1, 2)), Some(&3));
-        assert_eq!(m.get(&(2, 1)), Some(&4));
-        assert_eq!(m.remove(&(1, 2)), Some(3));
-        assert!(!m.contains_key(&(1, 2)));
     }
 }

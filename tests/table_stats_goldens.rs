@@ -26,7 +26,10 @@
 //! home table began taking `Write` once: it no longer makes a read acquire,
 //! and its grant is fresh instead of an upgrade (see `tests/rmw_ownership.rs`
 //! for the per-access rule). Every engine line, the four-table route, the
-//! strong-isolation line and the panicking body are the first capture.
+//! strong-isolation line and the panicking body are the first capture. The
+//! adaptive line has equalled the tagless line since the adaptive table
+//! began handing out the wrapped table's keys; before, its own block-level
+//! already-held check moved three fields.
 //!
 //! To re-capture after an *intended* behaviour change:
 //! `cargo test --test table_stats_goldens -- --ignored --nocapture`.
@@ -267,12 +270,12 @@ fn pinned_four_table_route() {
     );
 }
 
+/// The adaptive engine logs the wrapped table's keys and folds its tally
+/// into the wrapped table, so its counts are the tagless engine's exactly.
 #[test]
 fn pinned_adaptive_reports_the_wrapped_tables_counts() {
-    assert_lines(
-        adaptive(),
-        &["adaptive: read_acquires=9033 write_acquires=3025 grants=11983 already_held=75 upgrades=70 raw=0 war=0 waw=0 false=0 true=0 unclassified=0 releases=11913 chain_inserts=0"],
-    );
+    let tagless = tagless().join("\n");
+    assert_lines(adaptive(), &[&tagless.replacen("tagless:", "adaptive:", 1)]);
 }
 
 #[test]
