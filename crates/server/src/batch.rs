@@ -25,7 +25,14 @@
 //!    pending the moment its queue is empty: whatever was going to share a
 //!    transaction has arrived by then, so a lone write costs one commit and
 //!    no delay. [`BatchPolicy::latency_budget`] only caps a request's age
-//!    under a queue that never empties ([`Batcher::should_flush`]).
+//!    under a queue that never empties ([`Batcher::should_flush`]). The
+//!    server does not read the clock per request: it reads it at most once
+//!    per message it takes off its queue, the first time a batched write
+//!    needs it, and at most once more per 128 frames of a longer message
+//!    (`DELIVER_EVERY`), and hands that reading to both [`Batcher::push`]
+//!    and `should_flush`. An age is therefore measured against a reading
+//!    at most one message or 128 frames old, whichever is less, and the
+//!    cap can fire that much late.
 //!
 //! Requests that fail rule 1 or 2 against the *open* group seal it and
 //! start a new one; groups flush in FIFO order, so per-session request
@@ -111,7 +118,10 @@ pub struct BatchPolicy {
     /// see the module docs for why this is bounded).
     pub max_footprint: usize,
     /// The oldest a pending request may grow under a queue that never
-    /// empties. A cap, not a timer: nothing waits for it (rule 3).
+    /// empties. A cap, not a timer: nothing waits for it (rule 3). The
+    /// server measures the age against a clock reading at most one message
+    /// or 128 frames old, so a request can outlive the cap by the time the
+    /// shard takes to handle that much.
     pub latency_budget: Duration,
 }
 

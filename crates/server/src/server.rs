@@ -121,8 +121,13 @@ impl ServerConfig {
     }
 }
 
-/// Monotone service counters, shared across shards.
+/// One shard's monotone service counters. Each shard has its own block,
+/// aligned so no two share a cache line, and only that shard's thread
+/// writes it (recovery included), so a bump is a plain load and store
+/// rather than a locked read-modify-write. [`ServerHandle::stats`] sums
+/// the blocks.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct ServerStats {
     requests: AtomicU64,
     reads: AtomicU64,
@@ -141,7 +146,7 @@ pub struct ServerStats {
     audit_failures: AtomicU64,
 }
 
-/// Point-in-time copy of [`ServerStats`].
+/// Point-in-time sum of every shard's [`ServerStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStatsSnapshot {
     /// Frames decoded into requests.
@@ -195,26 +200,40 @@ impl ServerStatsSnapshot {
     }
 }
 
-impl ServerStats {
-    fn snapshot(&self) -> ServerStatsSnapshot {
-        ServerStatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            writes_enqueued: self.writes_enqueued.load(Ordering::Relaxed),
-            busy: self.busy.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-            groups_committed: self.groups_committed.load(Ordering::Relaxed),
-            ops_committed: self.ops_committed.load(Ordering::Relaxed),
-            duplicates: self.duplicates.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            shard_restarts: self.shard_restarts.load(Ordering::Relaxed),
-            poisoned_writes: self.poisoned_writes.load(Ordering::Relaxed),
-            sessions_closed: self.sessions_closed.load(Ordering::Relaxed),
-            applied_delta: self.applied_delta.load(Ordering::Relaxed),
-            put_writes: self.put_writes.load(Ordering::Relaxed),
-            audit_failures: self.audit_failures.load(Ordering::Relaxed),
-        }
+/// Add `n` to a counter of the calling shard's own block. No other thread
+/// writes the block, so nothing lands between the load and the store. The
+/// counters publish no other data, hence `Relaxed`: a reader that has heard
+/// from the shard since (a response received, the thread joined) sees every
+/// bump made before it.
+fn bump(counter: &AtomicU64, n: u64) {
+    let now = counter.load(Ordering::Relaxed);
+    counter.store(now.wrapping_add(n), Ordering::Relaxed);
+}
+
+/// The sum of every shard's block (wrapping, as `applied_delta` is).
+fn snapshot(blocks: &[ServerStats]) -> ServerStatsSnapshot {
+    let add = |sum: &mut u64, counter: &AtomicU64| {
+        *sum = sum.wrapping_add(counter.load(Ordering::Relaxed));
+    };
+    let mut total = ServerStatsSnapshot::default();
+    for s in blocks {
+        add(&mut total.requests, &s.requests);
+        add(&mut total.reads, &s.reads);
+        add(&mut total.writes_enqueued, &s.writes_enqueued);
+        add(&mut total.busy, &s.busy);
+        add(&mut total.malformed, &s.malformed);
+        add(&mut total.groups_committed, &s.groups_committed);
+        add(&mut total.ops_committed, &s.ops_committed);
+        add(&mut total.duplicates, &s.duplicates);
+        add(&mut total.expired, &s.expired);
+        add(&mut total.shard_restarts, &s.shard_restarts);
+        add(&mut total.poisoned_writes, &s.poisoned_writes);
+        add(&mut total.sessions_closed, &s.sessions_closed);
+        add(&mut total.applied_delta, &s.applied_delta);
+        add(&mut total.put_writes, &s.put_writes);
+        add(&mut total.audit_failures, &s.audit_failures);
     }
+    total
 }
 
 /// A running server: its ingress plane and worker threads. Dropping the
@@ -223,7 +242,8 @@ impl ServerStats {
 pub struct ServerHandle {
     ingress: Ingress,
     next_session: Arc<AtomicU64>,
-    stats: Arc<ServerStats>,
+    /// One counter block per shard, indexed by shard id.
+    stats: Arc<[ServerStats]>,
     admission: Arc<Admission>,
     shards: Vec<JoinHandle<()>>,
 }
@@ -269,7 +289,7 @@ where
         "engine heap smaller than the key universe"
     );
 
-    let stats = Arc::new(ServerStats::default());
+    let stats: Arc<[ServerStats]> = (0..config.shards).map(|_| ServerStats::default()).collect();
     let admission = Arc::new(Admission::new(config.admission));
 
     let mut shard_txs = Vec::with_capacity(config.shards as usize);
@@ -317,7 +337,7 @@ impl ServerHandle {
 
     /// Service counters.
     pub fn stats(&self) -> ServerStatsSnapshot {
-        self.stats.snapshot()
+        snapshot(&self.stats)
     }
 
     /// The admission gauge (budget, inflight, shed count).
@@ -339,7 +359,7 @@ impl ServerHandle {
     /// everything).
     pub fn shutdown(mut self) -> ServerStatsSnapshot {
         self.shutdown_inner();
-        self.stats.snapshot()
+        snapshot(&self.stats)
     }
 
     fn shutdown_inner(&mut self) {
@@ -447,6 +467,20 @@ struct Pace {
     writes_since_observe: u64,
     /// Units handled since responses were last handed over.
     handled: u32,
+    /// The clock reading of the current message, taken the first time a
+    /// write needs it; cleared when the shard takes a message off its queue
+    /// and every [`DELIVER_EVERY`] units. See [`Pace::now`].
+    now: Option<Instant>,
+}
+
+impl Pace {
+    /// What a batched write is stamped with and what the oldest one's age
+    /// is measured against: one clock reading per message (per
+    /// [`DELIVER_EVERY`] units of a longer one), not two per write, and
+    /// none for a message of reads with nothing batched.
+    fn now(&mut self) -> Instant {
+        *self.now.get_or_insert_with(Instant::now)
+    }
 }
 
 /// Shard supervisor: run the shard loop under `catch_unwind`; on a panic,
@@ -460,9 +494,10 @@ fn shard_thread<E: TmEngine>(
     rx: Receiver<ServerMsg>,
     engine: Arc<E>,
     config: ServerConfig,
-    stats: Arc<ServerStats>,
+    stats: Arc<[ServerStats]>,
     admission: Arc<Admission>,
 ) {
+    let stats = &stats[shard_id as usize];
     let mut state = ShardState {
         registry: SessionRegistry::new(config.dedup_window),
         batcher: Batcher::with_faults(config.batch, config.faults.clone()),
@@ -478,7 +513,7 @@ fn shard_thread<E: TmEngine>(
                 &rx,
                 &engine,
                 &config,
-                &stats,
+                stats,
                 &admission,
                 &mut state,
                 &mut inbound,
@@ -487,7 +522,7 @@ fn shard_thread<E: TmEngine>(
         match result {
             Ok(()) => return, // orderly shutdown
             Err(_panic) => {
-                recover_shard(&engine, &config, &stats, &admission, &mut state);
+                recover_shard(&engine, &config, stats, &admission, &mut state);
                 // Poison frames and recovered acks leave now, not whenever
                 // the restarted loop next finds its queue empty.
                 state.registry.flush_out();
@@ -517,6 +552,7 @@ fn shard_loop<E: TmEngine>(
         last_engine: engine.engine_stats(),
         writes_since_observe: 0,
         handled: 0,
+        now: None,
     };
     // A restart: the frames behind the one the panic struck come first.
     if inbound.left > 0 {
@@ -536,6 +572,7 @@ fn shard_loop<E: TmEngine>(
             }
             ready => ready.ok(),
         };
+        pace.now = None;
         match next {
             Some(ServerMsg::Connect { session, sink }) => state.registry.connect(session, sink),
             Some(ServerMsg::Disconnect { session }) => {
@@ -585,15 +622,7 @@ fn walk<E: TmEngine>(
     let session = inbound.session;
     while let Some(frame) = inbound.pop() {
         handle_frame(
-            shard_id,
-            session,
-            frame,
-            engine,
-            config,
-            stats,
-            admission,
-            state,
-            &mut pace.writes_since_observe,
+            shard_id, session, frame, engine, config, stats, admission, state, pace,
         );
         after_unit(shard_id, engine, config, stats, admission, state, pace);
     }
@@ -602,9 +631,9 @@ fn walk<E: TmEngine>(
         .recycle(session, std::mem::take(&mut inbound.bytes));
 }
 
-/// What follows every unit: commit at the cap, hand responses over every
-/// [`DELIVER_EVERY`] units, fold the abort ratio into the admission budget
-/// every [`OBSERVE_EVERY`] writes.
+/// What follows every unit: commit at the cap, hand responses over (and
+/// let the clock be read again) every [`DELIVER_EVERY`] units, fold the
+/// abort ratio into the admission budget every [`OBSERVE_EVERY`] writes.
 fn after_unit<E: TmEngine>(
     shard_id: u32,
     engine: &Arc<E>,
@@ -614,14 +643,18 @@ fn after_unit<E: TmEngine>(
     state: &mut ShardState,
     pace: &mut Pace,
 ) {
-    // A group is full, or this drain has outlasted `latency_budget`.
-    if !state.batcher.is_empty() && state.batcher.should_flush(Instant::now()) {
+    // A group is full, or this drain has outlasted `latency_budget` by the
+    // shard's reading of the clock for this message.
+    if !state.batcher.is_empty() && state.batcher.should_flush(pace.now()) {
         flush(shard_id, engine, config, stats, admission, state);
     }
     pace.handled += 1;
     if pace.handled >= DELIVER_EVERY {
         state.registry.flush_out();
         pace.handled = 0;
+        // One message can hold thousands of frames: a fresh reading keeps
+        // the age cap within `DELIVER_EVERY` units of the truth.
+        pace.now = None;
     }
     // Shard 0 periodically folds the windowed abort ratio into the
     // shared admission budget (one observer keeps windows disjoint).
@@ -658,7 +691,7 @@ fn recover_shard<E: TmEngine>(
     admission: &Admission,
     state: &mut ShardState,
 ) {
-    stats.shard_restarts.fetch_add(1, Ordering::Relaxed);
+    bump(&stats.shard_restarts, 1);
 
     if let Some(ifg) = state.current.take() {
         if ifg.committed.is_some() {
@@ -679,7 +712,7 @@ fn recover_shard<E: TmEngine>(
         if let Some(token) = p.token {
             state.registry.dedup_abandon(p.session, token);
         }
-        stats.poisoned_writes.fetch_add(1, Ordering::Relaxed);
+        bump(&stats.poisoned_writes, 1);
         state
             .registry
             .respond(p.session, p.id, Response::Error(ErrorCode::ShardRestarted));
@@ -692,24 +725,25 @@ fn recover_shard<E: TmEngine>(
         let heap = engine.heap_sum(config.key_universe as usize);
         let applied = stats.applied_delta.load(Ordering::Relaxed);
         if heap != applied {
-            stats.audit_failures.fetch_add(1, Ordering::Relaxed);
+            bump(&stats.audit_failures, 1);
         }
     }
 }
 
-/// Poison every op of a group that vanished without committing.
+/// Poison every op of a group that vanished without committing, after
+/// releasing the group's admission cost in one go.
 fn vanish_group(
     group: Group,
     stats: &ServerStats,
     admission: &Admission,
     registry: &mut SessionRegistry,
 ) {
+    admission.release(admitted_cost(&group));
+    bump(&stats.poisoned_writes, group.ops.len() as u64);
     for pw in group.ops {
-        admission.release(pw.op.keys().len() as u64);
         if let Some(token) = pw.token {
             registry.dedup_abandon(pw.session, token);
         }
-        stats.poisoned_writes.fetch_add(1, Ordering::Relaxed);
         registry.respond(
             pw.session,
             pw.id,
@@ -728,7 +762,7 @@ fn handle_frame<E: TmEngine>(
     stats: &ServerStats,
     admission: &Admission,
     state: &mut ShardState,
-    writes_since_observe: &mut u64,
+    pace: &mut Pace,
 ) {
     // Frames addressed to a session this shard already closed are
     // discarded unread — exactly like bytes arriving after a TCP reset.
@@ -746,7 +780,7 @@ fn handle_frame<E: TmEngine>(
     let frame = match RequestFrame::decode(bytes) {
         Ok(frame) => frame,
         Err(_) => {
-            stats.malformed.fetch_add(1, Ordering::Relaxed);
+            bump(&stats.malformed, 1);
             match peek_id(bytes) {
                 // The envelope was readable: answer under the frame's own
                 // correlation id so the client can match the error.
@@ -760,14 +794,14 @@ fn handle_frame<E: TmEngine>(
                 // the error to a request it never made), so close the
                 // session instead: dropping the sink surfaces as EOF.
                 None => {
-                    stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
+                    bump(&stats.sessions_closed, 1);
                     state.registry.disconnect(session);
                 }
             }
             return;
         }
     };
-    stats.requests.fetch_add(1, Ordering::Relaxed);
+    bump(&stats.requests, 1);
     let id = frame.id;
 
     // Unwrap the idempotency envelope through the session's dedup window.
@@ -776,18 +810,18 @@ fn handle_frame<E: TmEngine>(
             DedupVerdict::New => (Some(token), *op),
             DedupVerdict::InFlight => {
                 // The original delivery is still working; it will answer.
-                stats.duplicates.fetch_add(1, Ordering::Relaxed);
+                bump(&stats.duplicates, 1);
                 return;
             }
             DedupVerdict::Done(resp) => {
                 // Applied already: replay the recorded answer under the
                 // retry's id, apply nothing.
-                stats.duplicates.fetch_add(1, Ordering::Relaxed);
+                bump(&stats.duplicates, 1);
                 state.registry.respond(session, id, resp);
                 return;
             }
             DedupVerdict::Expired => {
-                stats.expired.fetch_add(1, Ordering::Relaxed);
+                bump(&stats.expired, 1);
                 state
                     .registry
                     .respond(session, id, Response::Error(ErrorCode::Expired));
@@ -810,16 +844,16 @@ fn handle_frame<E: TmEngine>(
 
     match request {
         Request::Ping => {
-            stats.reads.fetch_add(1, Ordering::Relaxed);
+            bump(&stats.reads, 1);
             state.registry.respond(session, id, Response::Pong);
         }
         Request::Get { key } => {
-            stats.reads.fetch_add(1, Ordering::Relaxed);
+            bump(&stats.reads, 1);
             let v = engine.run_read(shard_id, |txn| txn.read(addr(key)));
             state.registry.respond(session, id, Response::Value(v));
         }
         Request::MultiGet { keys } => {
-            stats.reads.fetch_add(1, Ordering::Relaxed);
+            bump(&stats.reads, 1);
             // One read-only transaction: the vector is one consistent
             // snapshot of all requested keys.
             let values = engine.run_read(shard_id, |txn| {
@@ -844,7 +878,7 @@ fn handle_frame<E: TmEngine>(
         | Request::MultiPut { .. }) => {
             let cost = req.cost();
             if !admission.try_admit(cost) {
-                stats.busy.fetch_add(1, Ordering::Relaxed);
+                bump(&stats.busy, 1);
                 if let Some(token) = token {
                     // The write was not applied; a retry must be allowed
                     // to apply it.
@@ -853,8 +887,8 @@ fn handle_frame<E: TmEngine>(
                 state.registry.respond(session, id, Response::Busy);
                 return;
             }
-            stats.writes_enqueued.fetch_add(1, Ordering::Relaxed);
-            *writes_since_observe += 1;
+            bump(&stats.writes_enqueued, 1);
+            pace.writes_since_observe += 1;
             let op = match req {
                 Request::Put { key, value } => WriteOp::Put {
                     key: canon(key),
@@ -889,7 +923,7 @@ fn handle_frame<E: TmEngine>(
                     token,
                     op,
                 },
-                Instant::now(),
+                pace.now(),
             );
             state.processing = None;
         }
@@ -1014,12 +1048,10 @@ fn run_current_group<E: TmEngine>(
             WriteOp::MultiPut { keys, .. } => puts += keys.len() as u64,
         }
     }
-    stats.groups_committed.fetch_add(1, Ordering::Relaxed);
-    stats
-        .ops_committed
-        .fetch_add(group.ops.len() as u64, Ordering::Relaxed);
-    stats.applied_delta.fetch_add(delta, Ordering::Relaxed);
-    stats.put_writes.fetch_add(puts, Ordering::Relaxed);
+    bump(&stats.groups_committed, 1);
+    bump(&stats.ops_committed, group.ops.len() as u64);
+    bump(&stats.applied_delta, delta);
+    bump(&stats.put_writes, puts);
     ifg.committed = Some(responses);
 
     // Crash point: committed but unacknowledged — recovery must deliver
@@ -1030,8 +1062,9 @@ fn run_current_group<E: TmEngine>(
     deliver_current(admission, state);
 }
 
-/// Deliver the committed group's acks: release admission cost, record
-/// dedup outcomes, respond. Shared by the normal path and crash recovery.
+/// Deliver the committed group's acks: release its admission cost in one
+/// go, then record dedup outcomes and respond. Shared by the normal path
+/// and crash recovery.
 fn deliver_current(admission: &Admission, state: &mut ShardState) {
     let Some(ifg) = state.current.take() else {
         return;
@@ -1040,8 +1073,8 @@ fn deliver_current(admission: &Admission, state: &mut ShardState) {
     let responses = ifg
         .committed
         .expect("deliver_current needs a committed group");
+    admission.release(admitted_cost(&group));
     for (pw, response) in group.ops.drain(..).zip(responses) {
-        admission.release(pw.op.keys().len() as u64);
         if let Some(token) = pw.token {
             state
                 .registry
@@ -1050,4 +1083,10 @@ fn deliver_current(admission: &Admission, state: &mut ShardState) {
         state.registry.respond(pw.session, pw.id, response);
     }
     state.batcher.recycle(group);
+}
+
+/// What admitting the group's ops cost: each op's `Request::cost`, the
+/// keys it touches.
+fn admitted_cost(group: &Group) -> u64 {
+    group.ops.iter().map(|pw| pw.op.keys().len() as u64).sum()
 }

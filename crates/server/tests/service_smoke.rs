@@ -262,6 +262,42 @@ fn write_under_a_queue_that_never_empties_is_flushed_at_the_cap() {
     assert_eq!((stats.ops_committed, stats.groups_committed), (1, 1));
 }
 
+/// Groups committed for one message of 200 key-disjoint `Add`s under the
+/// drain-only caps and `latency_budget`. The message crosses
+/// `DELIVER_EVERY` (128 frames), where the worker hands responses over and
+/// reads its clock again.
+fn groups_for_one_message_under(latency_budget: Duration) -> u64 {
+    let eng = engine(1024);
+    let mut cfg = ServerConfig::new(1024);
+    cfg.batch = BatchPolicy {
+        latency_budget,
+        ..drain_only_batching()
+    };
+    let server = start(Arc::clone(&eng), cfg);
+    let mut conn = server.connect();
+    let adds: Vec<Request> = (0..200).map(|key| Request::Add { key, delta: 1 }).collect();
+    conn.send_raw(message_of(&adds));
+    for id in 1..=200 {
+        let frame = conn.recv_timeout(TIMEOUT).expect("acked");
+        assert_eq!((frame.id, frame.response), (id, Response::Added(1)));
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.ops_committed, 200);
+    assert_eq!(eng.heap_sum(1024), 200);
+    stats.groups_committed
+}
+
+#[test]
+fn the_age_cap_fires_inside_one_message() {
+    // No group fills and the queue is not empty until the message is
+    // walked. A zero budget makes every write as old as the cap by the
+    // worker's reading after it, however stale that reading: each commits
+    // alone.
+    assert_eq!(groups_for_one_message_under(Duration::ZERO), 200);
+    // Ten minutes: only the empty queue behind the message commits, once.
+    assert_eq!(groups_for_one_message_under(Duration::from_secs(600)), 1);
+}
+
 #[test]
 fn close_after_pipelined_writes_acks_them_all_then_closes() {
     let eng = engine(1024);

@@ -123,7 +123,8 @@ fn update_transactions_allocate_nothing_on_any_engine() {
     assert_update_body_allocates_nothing("eager-tagless", &builder().build_tagless());
     assert_update_body_allocates_nothing("eager-tagged", &builder().build_tagged());
     assert_update_body_allocates_nothing("lazy-tl2", &builder().build_lazy());
-    // The resizable table's per-thread holdings stop allocating once warm.
+    // The resizable table keeps no holdings of its own: an attempt enters
+    // its gate (a counter) and every access goes to the wrapped table.
     let (adaptive, _controller) = builder().build_adaptive(ResizePolicy::default(), 1);
     assert_update_body_allocates_nothing("adaptive", &adaptive);
 
