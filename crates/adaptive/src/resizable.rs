@@ -108,9 +108,8 @@ impl<T: ConcurrentTable> ResizableTable<T> {
     /// Wrap tables built by `factory`, starting from `initial` geometry.
     ///
     /// The factory is re-invoked on every resize with the new geometry
-    /// (same block size, hash kind, classification flag and thread bound as
-    /// `initial`; only the entry count changes — see
-    /// [`ResizableTable::resize_with_hash`]).
+    /// (the block size of `initial`, with the entry count and hash kind the
+    /// resize asks for — see [`ResizableTable::resize_with_hash`]).
     pub fn with_factory(
         initial: TableConfig,
         factory: impl Fn(TableConfig) -> T + Send + Sync + 'static,
@@ -199,9 +198,7 @@ impl<T: ConcurrentTable> ResizableTable<T> {
         }
         let cfg = TableConfig::new(new_entries)
             .with_block_bytes(self.base_cfg.mapper().block_bytes())
-            .with_hash(hash)
-            .with_conflict_classification(self.base_cfg.classify_conflicts())
-            .with_max_threads(self.base_cfg.max_threads());
+            .with_hash(hash);
         let fresh = (self.factory)(cfg);
 
         if !self.gate.try_seal(QUIESCE_BUDGET) {
@@ -303,7 +300,7 @@ impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_ownership::{ConcurrentTaglessTable, ConflictClass, ConflictKind};
+    use tm_ownership::{ConcurrentTaglessTable, ConflictKind};
 
     fn table(entries: usize) -> ResizableTable<ConcurrentTaglessTable> {
         ResizableTable::with_factory(
@@ -462,31 +459,6 @@ mod tests {
         // its block mapper remains authoritative for address mapping).
         assert_eq!(t.config().num_entries(), 16);
         assert_eq!(t.config().hash(), HashKind::Mask);
-    }
-
-    #[test]
-    fn a_resize_keeps_max_threads() {
-        let t = crate::resizable_tagless(
-            TableConfig::new(64)
-                .with_hash(HashKind::Mask)
-                .with_conflict_classification(true)
-                .with_max_threads(128),
-        );
-        t.resize_to(128).unwrap();
-        assert_eq!(t.live_config().max_threads(), 128);
-        // Thread ids past the default bound of 64 still publish hints, so
-        // a true conflict is classified as one.
-        t.enter(100);
-        t.enter(1);
-        assert!(t.acquire(100, 3, Access::Write, Held::None).is_ok());
-        let c = t
-            .acquire(1, 3, Access::Write, Held::None)
-            .conflict()
-            .unwrap();
-        assert_eq!(c.class, ConflictClass::KnownTrue);
-        release(&t, 100, 3, Held::Write);
-        t.exit(1);
-        t.exit(100);
     }
 
     #[test]

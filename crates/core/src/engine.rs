@@ -329,8 +329,8 @@ impl<E: TmEngine + Send> TmEngine for std::sync::Arc<E> {
 /// call: [`Stm::routed`] (every eager terminal, here and in `tm-shard` /
 /// `tm-adaptive`) and [`LazyStm::with_config_probed`] (`build_lazy`).
 ///
-/// Axes: heap size × table geometry (entries, block bytes, hash kind,
-/// conflict classification) × [`ContentionPolicy`] × telemetry probe. The
+/// Axes: heap size × table geometry (entries, block bytes, hash kind) ×
+/// [`ContentionPolicy`] × telemetry probe. The
 /// engine kind is the typed terminal method, so each engine keeps its
 /// concrete type (no boxing on the hot path). The builder is `Clone` and
 /// terminals take `&self`, so one geometry can mint several engines for
@@ -377,7 +377,6 @@ pub struct StmBuilder<P: Probe = NoopProbe> {
     shards: usize,
     block_bytes: Option<usize>,
     hash: Option<HashKind>,
-    classify_conflicts: Option<bool>,
     contention: ContentionPolicy,
     probe: P,
 }
@@ -399,7 +398,6 @@ impl StmBuilder {
             shards: 1,
             block_bytes: None,
             hash: None,
-            classify_conflicts: None,
             contention: ContentionPolicy::default(),
             probe: NoopProbe,
         }
@@ -447,12 +445,6 @@ impl<P: Probe> StmBuilder<P> {
         self
     }
 
-    /// Whether the table classifies conflicts as true/false (costs a probe).
-    pub fn classify_conflicts(mut self, on: bool) -> Self {
-        self.classify_conflicts = Some(on);
-        self
-    }
-
     /// Reaction to a conflicting acquire (eager engines only; the lazy
     /// engine has no in-flight stalling to configure).
     pub fn contention(mut self, policy: ContentionPolicy) -> Self {
@@ -472,7 +464,6 @@ impl<P: Probe> StmBuilder<P> {
             shards: self.shards,
             block_bytes: self.block_bytes,
             hash: self.hash,
-            classify_conflicts: self.classify_conflicts,
             contention: self.contention,
             probe,
         }
@@ -486,9 +477,6 @@ impl<P: Probe> StmBuilder<P> {
         }
         if let Some(hash) = self.hash {
             cfg = cfg.with_hash(hash);
-        }
-        if let Some(on) = self.classify_conflicts {
-            cfg = cfg.with_conflict_classification(on);
         }
         cfg
     }

@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tm_ownership::versioned::{VersionedStats, VersionedTable};
-use tm_ownership::{fingerprint_of, BlockMapper, TableConfig, ThreadId, FP_NONE, FP_SATURATED};
+use tm_ownership::{classify, fingerprint_of, BlockMapper, TableConfig, ThreadId, FP_SATURATED};
 use tm_telemetry::{AbortCause, NoopProbe, Probe};
 
 use crate::contention::{drive, Attempt, Path, RetryPolicy};
@@ -33,22 +33,7 @@ use crate::heap::Heap;
 use crate::readpath::READ_SPINS;
 use crate::scratch::ScratchGuard;
 use crate::stats::{EngineStats, LazyAbort, StmStats};
-use crate::stm::{Aborted, RetryLimitExceeded};
-
-/// Classify a conflict by comparing the fingerprint found in the entry word
-/// (the last/current writer's block) against the fingerprint of the block
-/// this transaction accessed there. Unknown or saturated fingerprints on
-/// either side prove nothing.
-#[inline]
-fn classify_fp(theirs: u32, mine: u32) -> AbortCause {
-    if theirs == FP_NONE || theirs == FP_SATURATED || mine == FP_NONE || mine == FP_SATURATED {
-        AbortCause::UnknownConflict
-    } else if theirs == mine {
-        AbortCause::TrueConflict
-    } else {
-        AbortCause::FalseConflict
-    }
-}
+use crate::stm::{cause_of_class, Aborted, RetryLimitExceeded};
 
 /// A TL2-style software transactional memory (see the [module docs](self)).
 ///
@@ -228,7 +213,7 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
             // The entry word names the block of the writer that locked or
             // last bumped it — compare fingerprints to attribute the abort.
             if P::ENABLED {
-                self.abort_cause = Some(classify_fp(pre.fp, my_fp));
+                self.abort_cause = Some(cause_of_class(classify(pre.fp, my_fp)));
             }
             return Err(Aborted);
         }
@@ -237,7 +222,7 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
         let post = self.stm.table.sample(entry);
         if post.locked || post.version != pre.version {
             if P::ENABLED {
-                self.abort_cause = Some(classify_fp(post.fp, my_fp));
+                self.abort_cause = Some(cause_of_class(classify(post.fp, my_fp)));
             }
             return Err(Aborted);
         }
@@ -246,7 +231,7 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
         match self.scratch.read_set.get(entry) {
             Some((v, _)) if v != pre.version => {
                 if P::ENABLED {
-                    self.abort_cause = Some(classify_fp(pre.fp, my_fp));
+                    self.abort_cause = Some(cause_of_class(classify(pre.fp, my_fp)));
                 }
                 return Err(Aborted);
             }
@@ -312,7 +297,7 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
                 stm.table.try_lock_fp(entry, stamp.version, fp)
             };
             if let Err(theirs) = refused {
-                let cause = classify_fp(theirs.fp, fp);
+                let cause = cause_of_class(classify(theirs.fp, fp));
                 for &(e, v, pfp) in &scratch.locked_buf {
                     stm.table.unlock_restore_fp(e, v, pfp);
                 }
@@ -342,7 +327,7 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
                 // A provably-aliasing invalidator is a false conflict; a
                 // provably-same-block one a true conflict; otherwise the
                 // generic validation failure.
-                let cause = match classify_fp(their_fp, my_fp) {
+                let cause = match cause_of_class(classify(their_fp, my_fp)) {
                     AbortCause::UnknownConflict => AbortCause::ValidationFailed,
                     c => c,
                 };

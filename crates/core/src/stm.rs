@@ -799,7 +799,7 @@ impl<T: ConcurrentTable, P: Probe, R: Route> TxnOps for Txn<'_, T, P, R> {
 
     /// On the home table: one log lookup, then one `Write` acquire if the
     /// key is not yet held at `Write` (a fresh grant, or an upgrade of a
-    /// read), or no table call at all if it is. Cross-table mode composes
+    /// read), or no acquire if it is. Cross-table mode composes
     /// `read` and `write`: its commit takes a read-and-written block at
     /// `Write` either way.
     fn update_with(&mut self, addr: u64, f: &mut dyn FnMut(u64) -> u64) -> Result<u64, Aborted> {
@@ -814,7 +814,19 @@ impl<T: ConcurrentTable, P: Probe, R: Route> TxnOps for Txn<'_, T, P, R> {
         let old = if held == Held::Write {
             match self.scratch.wbuf.get(addr) {
                 Some(v) => v,
-                None => self.stm.heap.load(addr),
+                None => {
+                    // The block may be new to the key: the table's
+                    // already-held path covers it. Not tallied, since the
+                    // access makes no acquire.
+                    let covered = self.home_state().table.acquire_uncounted(
+                        self.id,
+                        block,
+                        Access::Write,
+                        held,
+                    );
+                    debug_assert_eq!(covered, AcquireOutcome::AlreadyHeld);
+                    self.stm.heap.load(addr)
+                }
             }
         } else {
             self.acquire(block, key, held, Access::Write)?;

@@ -233,10 +233,14 @@ impl<T: ConcurrentTable, P: Probe, R: Route> Txn<'_, T, P, R> {
                 .iter()
                 .position(|g| g.0 == shard && g.1 == key);
             let held = slot.map_or(Held::None, |j| self.scratch.cgrants[j].2);
-            if held == Held::Write || (held == Held::Read && !write) {
-                continue; // already held at a sufficient level
-            }
             let table = &stm.state(shard).table;
+            if held == Held::Write || (held == Held::Read && !write) {
+                // Held at a sufficient level through another block of the
+                // key: the table covers this one too. Not tallied, since no
+                // acquire is made.
+                table.acquire_uncounted(self.id, block, access, held);
+                continue;
+            }
             let mut spins = 0u32;
             loop {
                 match table.acquire(self.id, block, access, held) {

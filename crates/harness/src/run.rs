@@ -92,16 +92,14 @@ pub fn execute(spec: &RunSpec) -> RunResult {
 /// histograms, abort causes, and the flight-recorder event ring) for JSONL
 /// trace export.
 ///
-/// Every engine runs with an attached [`Recorder`] probe and conflict
-/// classification enabled, so abort causes are attributed at the abort
-/// site on every cell.
+/// Every engine runs with an attached [`Recorder`] probe, so abort causes
+/// are attributed at the abort site on every cell.
 pub fn execute_traced(spec: &RunSpec) -> (RunResult, TelemetrySnapshot) {
     let recorder = Arc::new(Recorder::new());
     let builder = StmBuilder::new()
         .heap_words(spec.heap_words)
         .table_entries(spec.table_entries)
         .shards(spec.shards)
-        .classify_conflicts(true)
         .probe(Arc::clone(&recorder));
     let mut extra = AdaptiveExtra::default();
     let outcome = match spec.engine {
@@ -613,8 +611,15 @@ mod tests {
     fn disjoint_scenario_reports_false_conflicts() {
         let r = execute(&quick_spec(EngineKind::EagerTagless, Scenario::disjoint()));
         // Cause attribution must agree with the construction: on a
-        // data-disjoint workload every abort is a false conflict.
-        assert_eq!(r.false_conflict_aborts, Some(r.aborts));
+        // data-disjoint workload every abort is a false conflict, unless
+        // the word that refused it was saturated (its holders cover two
+        // blocks), which proves nothing.
+        let unknown = r
+            .abort_causes
+            .iter()
+            .find(|(n, _)| n == "unknown-conflict")
+            .map_or(0, |&(_, c)| c);
+        assert_eq!(r.false_conflict_aborts.map(|f| f + unknown), Some(r.aborts));
         assert!(r.sim_false_conflicts_per_commit.is_some());
         assert!(r.predicted_false_conflicts_per_commit.is_some());
     }

@@ -1,20 +1,35 @@
 //! Lock-free concurrent tagless ownership table.
 //!
-//! Each entry is a single `AtomicU64` packing the Figure 1 fields:
+//! Each entry is a single `AtomicU64` packing the Figure 1 fields and the
+//! fingerprint of the block its holders cover:
 //!
 //! ```text
-//! bits 0..2   mode      (0 = Free, 1 = Read, 2 = Write)
-//! bits 2..34  payload   (owner ThreadId for Write, sharer count for Read)
+//! bits 0..2    mode      (0 = Free, 1 = Read, 2 = Write)
+//! bits 2..34   payload   (owner ThreadId for Write, sharer count for Read)
+//! bits 34..64  fp        (the one block the holders cover; saturated once
+//!                         they cover more than one; 0 when Free)
 //! ```
 //!
 //! Acquire and release are CAS loops over that word — the "low metadata
 //! overhead" that makes the tagless design attractive and that the paper
-//! shows comes at the cost of false conflicts.
+//! shows comes at the cost of false conflicts. The fingerprint rides in the
+//! same CAS:
+//!
+//! * every grant installs the granted block's fingerprint; a reader joining
+//!   with a different block saturates it, and so does an upgrade to a
+//!   different block;
+//! * a holder that covers a second distinct block at its entry (an
+//!   already-held access) saturates it;
+//! * reaching `Free` clears it. A departing reader leaves it as it is.
+//!
+//! An exact fingerprint thus names the only block any holder of the word
+//! covers, and a refused request is [`classify`]d from the word that
+//! refused it — the evidence cannot race away before the verdict.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::entry::{Access, AcquireOutcome, Conflict, ConflictClass, ConflictKind, Mode, ThreadId};
+use crate::entry::{Access, AcquireOutcome, Conflict, ConflictKind, Mode, ThreadId};
+use crate::fingerprint::{classify, fingerprint_of, FP_SATURATED};
 use crate::hashing::{BlockAddr, EntryIndex, TableConfig};
 use crate::stats::{AccessTally, Counters, TableStats};
 
@@ -25,10 +40,15 @@ const MODE_FREE: u64 = 0;
 const MODE_READ: u64 = 1;
 const MODE_WRITE: u64 = 2;
 const PAYLOAD_SHIFT: u32 = 2;
+const FP_SHIFT: u32 = 34;
+/// A free word: no mode, no payload, no fingerprint.
+const FREE: u64 = 0;
+/// The fingerprint field set to [`FP_SATURATED`] (all ones).
+const FP_SATURATED_BITS: u64 = (FP_SATURATED as u64) << FP_SHIFT;
 
 #[inline]
-fn pack(mode: u64, payload: u32) -> u64 {
-    mode | ((payload as u64) << PAYLOAD_SHIFT)
+fn pack(mode: u64, payload: u32, fp: u32) -> u64 {
+    mode | ((payload as u64) << PAYLOAD_SHIFT) | ((fp as u64) << FP_SHIFT)
 }
 
 #[inline]
@@ -41,106 +61,37 @@ fn payload_of(word: u64) -> u32 {
     (word >> PAYLOAD_SHIFT) as u32
 }
 
-/// Reserved hint value: no block published.
-const NO_HINT: u32 = 0;
-/// Reserved hint value: the block address did not fit the hint encoding.
-const HINT_SATURATED: u32 = u32::MAX;
-
 #[inline]
-fn encode_hint(block: BlockAddr) -> u32 {
-    if block >= (HINT_SATURATED - 1) as u64 {
-        HINT_SATURATED
+fn fp_of(word: u64) -> u32 {
+    (word >> FP_SHIFT) as u32
+}
+
+/// The fingerprint of a word whose holders covered `held` and now `fp`.
+#[inline]
+fn join(held: u32, fp: u32) -> u32 {
+    if held == fp {
+        held
     } else {
-        block as u32 + 1
+        FP_SATURATED
     }
 }
 
-/// Advisory per-thread block hints for classifying conflicts at the abort
-/// site (true = same block, false = table aliasing between distinct blocks).
-///
-/// Each active thread owns one lazily-allocated row of `num_entries` hint
-/// slots; a grant *publishes* the block it covers into the granter's slot
-/// **before** the grant CAS (the CAS's release ordering makes the hint
-/// visible to any requester that observes the grant), and *withdraws* it
-/// before the entry-word release. A conflicting requester scans the other
-/// threads' slots at its entry: a matching block proves a true conflict, any
-/// saturated hint leaves the verdict unknown, and differing (or vanished)
-/// hints classify as false — exact on data-disjoint workloads, advisory
-/// elsewhere (the holder's hint names only the *first* block it was granted
-/// at that entry; the tagged table is ground truth for true conflicts).
-#[derive(Debug)]
-struct Classifier {
-    rows: Vec<OnceLock<Vec<AtomicU32>>>,
-    /// One past the highest thread id that ever published (bounds scans).
-    watermark: AtomicU32,
-    num_entries: usize,
-}
-
-impl Classifier {
-    fn new(num_entries: usize, max_threads: usize) -> Self {
-        let mut rows = Vec::with_capacity(max_threads);
-        rows.resize_with(max_threads, OnceLock::new);
-        Classifier {
-            rows,
-            watermark: AtomicU32::new(0),
-            num_entries,
+/// The word after granting `access` on `cur` to `txn`, which holds `held`
+/// there and covers the block fingerprinted `fp`; `None` when `cur` refuses.
+#[inline]
+fn granted(cur: u64, txn: ThreadId, access: Access, held: Held, fp: u32) -> Option<u64> {
+    match (access, mode_of(cur)) {
+        (Access::Read, MODE_FREE) => Some(pack(MODE_READ, 1, fp)),
+        (Access::Read, MODE_READ) => {
+            Some(pack(MODE_READ, payload_of(cur) + 1, join(fp_of(cur), fp)))
         }
-    }
-
-    fn row(&self, txn: ThreadId) -> Option<&[AtomicU32]> {
-        let slot = self.rows.get(txn as usize)?;
-        Some(slot.get_or_init(|| {
-            self.watermark.fetch_max(txn + 1, Ordering::AcqRel);
-            let mut v = Vec::with_capacity(self.num_entries);
-            v.resize_with(self.num_entries, || AtomicU32::new(NO_HINT));
-            v
-        }))
-    }
-
-    #[inline]
-    fn publish(&self, txn: ThreadId, e: EntryIndex, block: BlockAddr) {
-        if let Some(row) = self.row(txn) {
-            row[e].store(encode_hint(block), Ordering::Release);
+        (Access::Write, MODE_FREE) => Some(pack(MODE_WRITE, txn, fp)),
+        // An upgrade: the caller holds a read unit, so a sole reader is
+        // the caller.
+        (Access::Write, MODE_READ) if held == Held::Read && payload_of(cur) == 1 => {
+            Some(pack(MODE_WRITE, txn, join(fp_of(cur), fp)))
         }
-    }
-
-    #[inline]
-    fn withdraw(&self, txn: ThreadId, e: EntryIndex) {
-        if let Some(row) = self.rows.get(txn as usize).and_then(OnceLock::get) {
-            row[e].store(NO_HINT, Ordering::Release);
-        }
-    }
-
-    fn classify(&self, txn: ThreadId, e: EntryIndex, block: BlockAddr) -> ConflictClass {
-        let mine = encode_hint(block);
-        if mine == HINT_SATURATED {
-            return ConflictClass::Unknown;
-        }
-        let n = (self.watermark.load(Ordering::Acquire) as usize).min(self.rows.len());
-        let mut verdict = ConflictClass::KnownFalse;
-        for (t, slot) in self.rows[..n].iter().enumerate() {
-            if t == txn as usize {
-                continue;
-            }
-            let Some(row) = slot.get() else { continue };
-            match row[e].load(Ordering::Acquire) {
-                NO_HINT => {}
-                h if h == mine => return ConflictClass::KnownTrue,
-                HINT_SATURATED => verdict = ConflictClass::Unknown,
-                _ => {}
-            }
-        }
-        verdict
-    }
-
-    fn clear(&self) {
-        for slot in &self.rows {
-            if let Some(row) = slot.get() {
-                for hint in row {
-                    hint.store(NO_HINT, Ordering::Relaxed);
-                }
-            }
-        }
+        _ => None,
     }
 }
 
@@ -150,27 +101,18 @@ impl Classifier {
 pub struct ConcurrentTaglessTable {
     cfg: TableConfig,
     entries: Vec<AtomicU64>,
-    classifier: Option<Classifier>,
     counters: Counters,
 }
 
 impl ConcurrentTaglessTable {
-    /// Build a table from `cfg`. When
-    /// [`TableConfig::with_conflict_classification`] is on, the table keeps
-    /// per-thread block hints (one lazily-allocated row of `num_entries`
-    /// `u32`s per active thread up to [`TableConfig::max_threads`]) and
-    /// classifies every reported conflict as true or false.
+    /// Build a table from `cfg`, every entry free.
     pub fn new(cfg: TableConfig) -> Self {
         let n = cfg.num_entries();
         let mut entries = Vec::with_capacity(n);
-        entries.resize_with(n, || AtomicU64::new(pack(MODE_FREE, 0)));
-        let classifier = cfg
-            .classify_conflicts()
-            .then(|| Classifier::new(n, cfg.max_threads()));
+        entries.resize_with(n, || AtomicU64::new(FREE));
         Self {
             cfg,
             entries,
-            classifier,
             counters: Counters::default(),
         }
     }
@@ -205,138 +147,64 @@ impl ConcurrentTaglessTable {
         (mode_of(w) == MODE_WRITE).then(|| payload_of(w))
     }
 
-    /// Record a conflict, classifying it against the other threads' hints.
-    fn conflicted(
+    /// The grant CAS loop: `Ok` once granted, or the word that refused it.
+    #[inline]
+    fn grant(
         &self,
         txn: ThreadId,
         e: EntryIndex,
-        block: BlockAddr,
-        kind: ConflictKind,
-        with: Option<ThreadId>,
-    ) -> AcquireOutcome {
-        let class = match &self.classifier {
-            Some(c) => c.classify(txn, e, block),
-            None => ConflictClass::Unknown,
-        };
-        self.counters.on_conflict(kind, class);
-        AcquireOutcome::Conflict(Conflict { kind, with, class })
-    }
-
-    fn try_read(&self, txn: ThreadId, e: EntryIndex, block: BlockAddr) -> AcquireOutcome {
-        // Publish before the grant CAS: its release ordering makes the hint
-        // visible to any requester that observes the granted word.
-        if let Some(c) = &self.classifier {
-            c.publish(txn, e, block);
-        }
+        access: Access,
+        held: Held,
+        fp: u32,
+    ) -> Result<(), u64> {
         let cell = &self.entries[e];
         let mut cur = cell.load(Ordering::Acquire);
         loop {
-            let next = match mode_of(cur) {
-                MODE_FREE => pack(MODE_READ, 1),
-                MODE_READ => pack(MODE_READ, payload_of(cur) + 1),
-                _ => {
-                    if let Some(c) = &self.classifier {
-                        c.withdraw(txn, e);
-                    }
-                    return self.conflicted(
-                        txn,
-                        e,
-                        block,
-                        ConflictKind::ReadAfterWrite,
-                        Some(payload_of(cur)),
-                    );
-                }
-            };
+            let next = granted(cur, txn, access, held, fp).ok_or(cur)?;
             match cell.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return AcquireOutcome::Granted,
+                Ok(_) => return Ok(()),
                 Err(now) => cur = now,
             }
         }
     }
 
-    fn try_write(&self, txn: ThreadId, e: EntryIndex, block: BlockAddr) -> AcquireOutcome {
-        if let Some(c) = &self.classifier {
-            c.publish(txn, e, block);
-        }
+    /// Count and report the conflict `word` raised against a request for
+    /// `access` on the block fingerprinted `fp`, classified from `word`.
+    fn refused(&self, access: Access, word: u64, fp: u32) -> AcquireOutcome {
+        let (kind, with) = match (access, mode_of(word)) {
+            (Access::Read, _) => (ConflictKind::ReadAfterWrite, Some(payload_of(word))),
+            (Access::Write, MODE_READ) => (ConflictKind::WriteAfterRead, None),
+            (Access::Write, _) => (ConflictKind::WriteAfterWrite, Some(payload_of(word))),
+        };
+        let class = classify(fp_of(word), fp);
+        self.counters.on_conflict(kind, class);
+        AcquireOutcome::Conflict(Conflict { kind, with, class })
+    }
+
+    /// A holder of entry `e` covers the block fingerprinted `fp` there:
+    /// saturate the word's fingerprint unless it names exactly that block.
+    /// The caller holds the word, so it cannot be freed meanwhile, and a
+    /// stale load can only show an exact fingerprint that is now saturated.
+    #[inline]
+    fn cover(&self, e: EntryIndex, fp: u32) {
         let cell = &self.entries[e];
-        let mut cur = cell.load(Ordering::Acquire);
-        loop {
-            match mode_of(cur) {
-                MODE_FREE => {
-                    match cell.compare_exchange_weak(
-                        cur,
-                        pack(MODE_WRITE, txn),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => return AcquireOutcome::Granted,
-                        Err(now) => cur = now,
-                    }
-                }
-                MODE_READ => {
-                    if let Some(c) = &self.classifier {
-                        c.withdraw(txn, e);
-                    }
-                    return self.conflicted(txn, e, block, ConflictKind::WriteAfterRead, None);
-                }
-                _ => {
-                    if let Some(c) = &self.classifier {
-                        c.withdraw(txn, e);
-                    }
-                    return self.conflicted(
-                        txn,
-                        e,
-                        block,
-                        ConflictKind::WriteAfterWrite,
-                        Some(payload_of(cur)),
-                    );
-                }
-            }
+        let named = fp_of(cell.load(Ordering::Relaxed));
+        if named != fp && named != FP_SATURATED {
+            cell.fetch_or(FP_SATURATED_BITS, Ordering::Relaxed);
         }
     }
 
-    /// Caller must hold a read unit on `e`. Succeeds only if it is the sole
-    /// reader (Read with sharers == 1 ⇒ that reader is the caller).
-    fn try_upgrade(&self, txn: ThreadId, e: EntryIndex, block: BlockAddr) -> AcquireOutcome {
-        // Re-publish with the block being written; the caller keeps its read
-        // unit either way, so the hint is not withdrawn on failure.
-        if let Some(c) = &self.classifier {
-            c.publish(txn, e, block);
-        }
-        let cell = &self.entries[e];
-        match cell.compare_exchange(
-            pack(MODE_READ, 1),
-            pack(MODE_WRITE, txn),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => AcquireOutcome::Granted,
-            Err(now) => {
-                debug_assert_eq!(
-                    mode_of(now),
-                    MODE_READ,
-                    "caller holds a read unit, so the entry must be in Read mode"
-                );
-                self.conflicted(txn, e, block, ConflictKind::WriteAfterRead, None)
-            }
-        }
-    }
-
-    fn release_read(&self, txn: ThreadId, e: EntryIndex) {
-        // Withdraw before the entry-word release so no requester can observe
-        // the grant gone but the hint still standing.
-        if let Some(c) = &self.classifier {
-            c.withdraw(txn, e);
-        }
+    fn release_read(&self, e: EntryIndex) {
         let cell = &self.entries[e];
         let mut cur = cell.load(Ordering::Acquire);
         loop {
             debug_assert_eq!(mode_of(cur), MODE_READ, "release_read on non-Read entry");
             let sharers = payload_of(cur);
+            // The remaining readers cover at most what the word names.
             let next = if sharers <= 1 {
-                pack(MODE_FREE, 0)
+                FREE
             } else {
-                pack(MODE_READ, sharers - 1)
+                pack(MODE_READ, sharers - 1, fp_of(cur))
             };
             match cell.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => return,
@@ -347,10 +215,7 @@ impl ConcurrentTaglessTable {
 
     fn release_write(&self, txn: ThreadId, e: EntryIndex) {
         debug_assert_eq!(self.owner_of(e), Some(txn), "release_write by non-owner");
-        if let Some(c) = &self.classifier {
-            c.withdraw(txn, e);
-        }
-        self.entries[e].store(pack(MODE_FREE, 0), Ordering::Release);
+        self.entries[e].store(FREE, Ordering::Release);
     }
 }
 
@@ -371,13 +236,16 @@ impl ConcurrentTable for ConcurrentTaglessTable {
         held: Held,
     ) -> AcquireOutcome {
         let e = self.cfg.entry_of(block);
+        let fp = fingerprint_of(block);
         match (access, held) {
             (Access::Read, Held::Read | Held::Write) | (Access::Write, Held::Write) => {
+                self.cover(e, fp);
                 AcquireOutcome::AlreadyHeld
             }
-            (Access::Read, Held::None) => self.try_read(txn, e, block),
-            (Access::Write, Held::None) => self.try_write(txn, e, block),
-            (Access::Write, Held::Read) => self.try_upgrade(txn, e, block),
+            _ => match self.grant(txn, e, access, held, fp) {
+                Ok(()) => AcquireOutcome::Granted,
+                Err(word) => self.refused(access, word, fp),
+            },
         }
     }
 
@@ -385,7 +253,7 @@ impl ConcurrentTable for ConcurrentTaglessTable {
         let e = key as EntryIndex;
         match held {
             Held::None => {}
-            Held::Read => self.release_read(txn, e),
+            Held::Read => self.release_read(e),
             Held::Write => self.release_write(txn, e),
         }
     }
@@ -425,12 +293,9 @@ impl ConcurrentTable for ConcurrentTaglessTable {
     }
 
     fn drain_grants(&self) -> u64 {
-        if let Some(c) = &self.classifier {
-            c.clear();
-        }
         let mut dropped = 0u64;
         for cell in &self.entries {
-            let word = cell.swap(pack(MODE_FREE, 0), Ordering::AcqRel);
+            let word = cell.swap(FREE, Ordering::AcqRel);
             dropped += match mode_of(word) {
                 MODE_READ => payload_of(word) as u64,
                 MODE_WRITE => 1,
@@ -444,10 +309,22 @@ impl ConcurrentTable for ConcurrentTaglessTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::ConflictClass;
+    use crate::fingerprint::FP_NONE;
     use crate::hashing::HashKind;
 
     fn table(n: usize) -> ConcurrentTaglessTable {
         ConcurrentTaglessTable::new(TableConfig::new(n).with_hash(HashKind::Mask))
+    }
+
+    /// The fingerprint entry `e`'s word holds.
+    fn fp_at(t: &ConcurrentTaglessTable, e: EntryIndex) -> u32 {
+        fp_of(t.entries[e].load(Ordering::Relaxed))
+    }
+
+    /// The class of a conflicting `acquire`.
+    fn class_of(outcome: AcquireOutcome) -> ConflictClass {
+        outcome.conflict().expect("a conflict").class
     }
 
     #[test]
@@ -474,6 +351,7 @@ mod tests {
             .unwrap();
         assert_eq!(c.kind, ConflictKind::WriteAfterWrite);
         assert_eq!(c.with, Some(0));
+        assert_eq!(c.class, ConflictClass::KnownFalse);
     }
 
     #[test]
@@ -488,6 +366,8 @@ mod tests {
             t.acquire(0, 3, Access::Write, Held::Write),
             AcquireOutcome::AlreadyHeld
         );
+        // The same block again leaves the word naming it.
+        assert_eq!(fp_at(&t, 3), fingerprint_of(3));
     }
 
     #[test]
@@ -496,6 +376,7 @@ mod tests {
         assert!(t.acquire(0, 3, Access::Read, Held::None).is_ok());
         assert!(t.acquire(0, 3, Access::Write, Held::Read).is_ok());
         assert_eq!(t.owner_of(3), Some(0));
+        assert_eq!(fp_at(&t, 3), fingerprint_of(3), "same block: still exact");
         let s = t.stats_snapshot();
         assert_eq!(s.upgrades, 1);
     }
@@ -510,109 +391,133 @@ mod tests {
             .conflict()
             .unwrap();
         assert_eq!(c.kind, ConflictKind::WriteAfterRead);
+        // Another reader of the same block: a true conflict.
+        assert_eq!(c.class, ConflictClass::KnownTrue);
     }
 
     #[test]
-    fn stats_snapshot_counts() {
+    fn conflicts_are_classified_from_the_refusing_word() {
         let t = table(16);
         t.acquire(0, 1, Access::Read, Held::None);
-        t.acquire(0, 2, Access::Write, Held::None);
-        t.acquire(1, 2, Access::Write, Held::None); // WW conflict (same block)
-        t.acquire(1, 18, Access::Write, Held::None); // WW conflict (alias of 2)
-        let s = t.stats_snapshot();
-        assert_eq!(s.read_acquires, 1);
-        assert_eq!(s.write_acquires, 3);
-        assert_eq!(s.grants, 2);
-        assert_eq!(s.write_after_write, 2);
-        assert_eq!(s.unclassified_conflicts, 2);
-    }
-
-    fn classifying_table(n: usize) -> ConcurrentTaglessTable {
-        ConcurrentTaglessTable::new(
-            TableConfig::new(n)
-                .with_hash(HashKind::Mask)
-                .with_conflict_classification(true),
-        )
-    }
-
-    #[test]
-    fn classifier_attributes_true_and_false_conflicts() {
-        let t = classifying_table(16);
         assert!(t.acquire(0, 2, Access::Write, Held::None).is_ok());
         // Same block: a true conflict.
-        let c = t
-            .acquire(1, 2, Access::Write, Held::None)
-            .conflict()
-            .unwrap();
-        assert!(c.class.is_known_true(), "{c}");
+        let same = t.acquire(1, 2, Access::Write, Held::None);
+        assert_eq!(class_of(same), ConflictClass::KnownTrue);
         // Block 18 aliases entry 2: a false conflict.
-        let c = t
-            .acquire(1, 18, Access::Write, Held::None)
-            .conflict()
-            .unwrap();
-        assert!(c.class.is_known_false(), "{c}");
-        // Read-side: reader of 18 collides with writer of 2 at entry 2.
+        let alias = t.acquire(1, 18, Access::Write, Held::None);
+        assert_eq!(class_of(alias), ConflictClass::KnownFalse);
+        // Read-side: a reader of 18 collides with the writer of 2.
         let c = t
             .acquire(1, 18, Access::Read, Held::None)
             .conflict()
             .unwrap();
         assert_eq!(c.kind, ConflictKind::ReadAfterWrite);
-        assert!(c.class.is_known_false(), "{c}");
+        assert_eq!(c.class, ConflictClass::KnownFalse);
         let s = t.stats_snapshot();
+        assert_eq!(s.read_acquires, 2);
+        assert_eq!(s.write_acquires, 3);
+        assert_eq!(s.grants, 2);
+        assert_eq!(s.read_after_write, 1);
+        assert_eq!(s.write_after_write, 2);
         assert_eq!(s.true_conflicts, 1);
         assert_eq!(s.false_conflicts, 2);
         assert_eq!(s.unclassified_conflicts, 0);
     }
 
     #[test]
-    fn classifier_hints_withdrawn_on_release() {
-        let t = classifying_table(16);
+    fn a_departing_holder_cannot_change_the_verdict() {
+        // The race a side table of per-thread hints lost, forged on one
+        // thread: the requester's CAS fails against a holder of the same
+        // block, the holder releases, and only then is the verdict read.
+        let t = table(16);
+        let (e, fp) = (2, fingerprint_of(2));
         assert!(t.acquire(0, 2, Access::Write, Held::None).is_ok());
+        let word = t
+            .grant(1, e, Access::Write, Held::None, fp)
+            .expect_err("thread 0 holds the entry");
         t.release(0, t.grant_key(2), Held::Write);
-        // Thread 0's hint is gone; a fresh writer of the aliasing block sees
-        // a free entry and is granted.
-        assert!(t.acquire(1, 18, Access::Write, Held::None).is_ok());
-        // Thread 0 writing block 2 again now conflicts *falsely* with 18.
-        let c = t
-            .acquire(0, 2, Access::Write, Held::None)
-            .conflict()
-            .unwrap();
-        assert!(c.class.is_known_false(), "{c}");
+        assert_eq!(t.mode_of(e), Mode::Free);
+        // The word that refused thread 1 still names block 2.
+        assert_eq!(
+            class_of(t.refused(Access::Write, word, fp)),
+            ConflictClass::KnownTrue
+        );
     }
 
     #[test]
-    fn classifier_read_sharing_true_conflict_on_upgrade_contention() {
-        let t = classifying_table(16);
-        assert!(t.acquire(0, 3, Access::Read, Held::None).is_ok());
-        assert!(t.acquire(1, 3, Access::Read, Held::None).is_ok());
-        // Thread 0's upgrade fails against another reader of the same block.
-        let c = t
-            .acquire(0, 3, Access::Write, Held::Read)
-            .conflict()
-            .unwrap();
-        assert_eq!(c.kind, ConflictKind::WriteAfterRead);
-        assert!(c.class.is_known_true(), "{c}");
-    }
-
-    #[test]
-    fn classification_disabled_reports_unknown() {
+    fn release_clears_the_fingerprint() {
         let t = table(16);
         assert!(t.acquire(0, 2, Access::Write, Held::None).is_ok());
-        let c = t
-            .acquire(1, 2, Access::Write, Held::None)
-            .conflict()
-            .unwrap();
-        assert_eq!(c.class, ConflictClass::Unknown);
-        let s = t.stats_snapshot();
-        assert_eq!(s.unclassified_conflicts, 1);
-        assert_eq!(s.false_conflicts + s.true_conflicts, 0);
+        t.release(0, t.grant_key(2), Held::Write);
+        assert_eq!(fp_at(&t, 2), FP_NONE);
+        // A writer of the aliasing block finds the entry free and names
+        // its own block; thread 0 writing block 2 now conflicts falsely.
+        assert!(t.acquire(1, 18, Access::Write, Held::None).is_ok());
+        let again = t.acquire(0, 2, Access::Write, Held::None);
+        assert_eq!(class_of(again), ConflictClass::KnownFalse);
     }
 
     #[test]
-    fn classifier_disjoint_stress_all_false() {
+    fn a_reader_joining_with_another_block_saturates() {
+        let t = table(16);
+        assert!(t.acquire(0, 3, Access::Read, Held::None).is_ok());
+        assert!(t.acquire(1, 3, Access::Read, Held::None).is_ok());
+        assert_eq!(fp_at(&t, 3), fingerprint_of(3), "same block joins exact");
+        assert!(t.acquire(2, 19, Access::Read, Held::None).is_ok());
+        assert_eq!(fp_at(&t, 3), FP_SATURATED);
+        // A writer of either block learns nothing from the word.
+        let w = t.acquire(3, 19, Access::Write, Held::None);
+        assert_eq!(class_of(w), ConflictClass::Unknown);
+        // Departing readers leave it saturated; the last one frees it.
+        t.release(2, 3, Held::Read);
+        t.release(0, 3, Held::Read);
+        assert_eq!(fp_at(&t, 3), FP_SATURATED);
+        t.release(1, 3, Held::Read);
+        assert_eq!(fp_at(&t, 3), FP_NONE);
+    }
+
+    #[test]
+    fn an_upgrade_to_another_block_saturates() {
+        let t = table(16);
+        // Thread 0 reads block 3, then writes block 19 at the same entry:
+        // it covers both, so a reader of block 3 is a true conflict the
+        // word must not call false.
+        assert!(t.acquire(0, 3, Access::Read, Held::None).is_ok());
+        assert!(t.acquire(0, 19, Access::Write, Held::Read).is_ok());
+        assert_eq!(fp_at(&t, 3), FP_SATURATED);
+        let r = t.acquire(1, 3, Access::Read, Held::None);
+        assert_eq!(class_of(r), ConflictClass::Unknown);
+    }
+
+    #[test]
+    fn a_second_block_covered_while_held_saturates() {
+        let t = table(16);
+        // Held at Write: thread 0 wrote block 3, then reads block 19.
+        assert!(t.acquire(0, 3, Access::Write, Held::None).is_ok());
+        assert_eq!(
+            t.acquire(0, 19, Access::Read, Held::Write),
+            AcquireOutcome::AlreadyHeld
+        );
+        assert_eq!(fp_at(&t, 3), FP_SATURATED);
+        let w = t.acquire(1, 19, Access::Write, Held::None);
+        assert_eq!(class_of(w), ConflictClass::Unknown);
+        // Held at Read: two readers of block 4, one of which reads 20 too.
+        assert!(t.acquire(1, 4, Access::Read, Held::None).is_ok());
+        assert!(t.acquire(2, 4, Access::Read, Held::None).is_ok());
+        assert_eq!(
+            t.acquire(1, 20, Access::Read, Held::Read),
+            AcquireOutcome::AlreadyHeld
+        );
+        assert_eq!(fp_at(&t, 4), FP_SATURATED);
+        let w = t.acquire(3, 20, Access::Write, Held::None);
+        assert_eq!(class_of(w), ConflictClass::Unknown);
+    }
+
+    #[test]
+    fn disjoint_stress_all_false() {
         // 4 threads, fully disjoint block sets, tiny table: every conflict
         // must classify as false.
-        let t = std::sync::Arc::new(classifying_table(8));
+        let t = std::sync::Arc::new(table(8));
         let false_seen = std::sync::atomic::AtomicU64::new(0);
         crossbeam::scope(|s| {
             for id in 0..4u32 {

@@ -91,16 +91,16 @@ impl fmt::Display for ConflictKind {
 /// distinct blocks sharing one entry — the paper's central quantity) or
 /// *true* (a genuine collision on the same block).
 ///
-/// Tagless tables can only classify when built with conflict classification
-/// enabled ([`crate::hashing::TableConfig::with_conflict_classification`]):
-/// the table compares advisory per-thread block hints published alongside
-/// grants.
+/// A tagless table classifies from the block fingerprint in the entry word
+/// that refused the request ([`crate::classify`]): the word names the one
+/// block its holders cover, or is saturated when they cover more than one.
 /// Tagged tables never produce false conflicts by construction, so they
 /// always report [`ConflictClass::KnownTrue`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ConflictClass {
-    /// The table could not compare block identities (classification
-    /// disabled, or the evidence raced away before it could be read).
+    /// The table could not compare block identities: the refusing word's
+    /// holders cover more than one block, or a block address is beyond the
+    /// fingerprint's range.
     #[default]
     Unknown,
     /// Proven to involve the **same** block — inherent to the workload.

@@ -107,25 +107,17 @@ impl HashKind {
 }
 
 /// Configuration shared by every table organization: entry count, cache-block
-/// geometry, hash function, and whether the (tagless) table should keep an
-/// out-of-band oracle for classifying conflicts as true or false.
+/// geometry and hash function.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableConfig {
     num_entries: usize,
     mapper: BlockMapper,
     hash: HashKind,
-    classify_conflicts: bool,
-    max_threads: usize,
 }
 
-/// Default [`TableConfig::max_threads`]: comfortably above any machine the
-/// paper's experiments (≤ 8 hardware threads) or this workspace's harness
-/// target, while keeping pre-sized per-thread state small.
-pub const DEFAULT_MAX_THREADS: usize = 64;
-
 impl TableConfig {
-    /// A table of `num_entries` entries (power of two), 64-byte blocks,
-    /// multiplicative hashing, and no conflict classification.
+    /// A table of `num_entries` entries (power of two), 64-byte blocks and
+    /// multiplicative hashing.
     ///
     /// # Panics
     /// Panics if `num_entries` is zero or not a power of two.
@@ -138,18 +130,7 @@ impl TableConfig {
             num_entries,
             mapper: BlockMapper::default(),
             hash: HashKind::default(),
-            classify_conflicts: false,
-            max_threads: DEFAULT_MAX_THREADS,
         }
-    }
-
-    /// Expected upper bound on concurrently active thread ids. Per-thread
-    /// state is sized from it: the tagless table's conflict-classification
-    /// hint rows (ids at or above the bound go unclassified) and
-    /// `tm-adaptive`'s holder slots (ids beyond it share a slot).
-    pub fn with_max_threads(mut self, max_threads: usize) -> Self {
-        self.max_threads = max_threads.max(1);
-        self
     }
 
     /// Use blocks of `block_bytes` (power of two). The paper's experiments
@@ -162,15 +143,6 @@ impl TableConfig {
     /// Select the block-to-entry hash function.
     pub fn with_hash(mut self, hash: HashKind) -> Self {
         self.hash = hash;
-        self
-    }
-
-    /// Enable the out-of-band oracle that lets a *tagless* table report
-    /// whether each conflict was false (an alias between distinct blocks) or
-    /// true (same block). This costs extra memory and is intended for
-    /// experiments, not production use.
-    pub fn with_conflict_classification(mut self, on: bool) -> Self {
-        self.classify_conflicts = on;
         self
     }
 
@@ -190,19 +162,6 @@ impl TableConfig {
     #[inline]
     pub fn hash(&self) -> HashKind {
         self.hash
-    }
-
-    /// Whether conflict classification is enabled.
-    #[inline]
-    pub fn classify_conflicts(&self) -> bool {
-        self.classify_conflicts
-    }
-
-    /// Expected upper bound on thread ids (see
-    /// [`TableConfig::with_max_threads`]).
-    #[inline]
-    pub fn max_threads(&self) -> usize {
-        self.max_threads
     }
 
     /// Entry index for a cache block.

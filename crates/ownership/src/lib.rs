@@ -70,6 +70,7 @@
 
 pub mod concurrent;
 mod entry;
+mod fingerprint;
 mod hashing;
 pub mod smallmap;
 pub mod stats;
@@ -77,6 +78,7 @@ pub mod versioned;
 
 pub use concurrent::{ConcurrentTaggedTable, ConcurrentTaglessTable, GrantSnapshot};
 pub use entry::{Access, AcquireOutcome, Conflict, ConflictClass, ConflictKind, Mode, ThreadId};
+pub use fingerprint::{classify, fingerprint_of, FP_NONE, FP_SATURATED};
 pub use hashing::{BlockAddr, BlockMapper, EntryIndex, HashKind, TableConfig};
 pub use smallmap::{SmallKey, SmallMap};
-pub use versioned::{fingerprint_of, Stamp, VersionedStats, VersionedTable, FP_NONE, FP_SATURATED};
+pub use versioned::{Stamp, VersionedStats, VersionedTable};

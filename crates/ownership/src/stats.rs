@@ -42,13 +42,13 @@ pub struct TableStats {
     pub write_after_read: u64,
     /// Write-after-write conflicts.
     pub write_after_write: u64,
-    /// Conflicts proven to be aliases between distinct blocks (requires
-    /// conflict classification; tagless only — tagged tables cannot produce
-    /// these by construction).
+    /// Conflicts proven to be aliases between distinct blocks (tagless
+    /// only — tagged tables cannot produce these by construction).
     pub false_conflicts: u64,
     /// Conflicts proven to involve the same block.
     pub true_conflicts: u64,
-    /// Conflicts the table could not classify (classification disabled).
+    /// Conflicts the table could not classify: the refusing word's holders
+    /// covered more than one block.
     pub unclassified_conflicts: u64,
     /// Entry releases performed.
     pub releases: u64,
@@ -257,8 +257,7 @@ impl Counters {
             write_after_write: waw,
             false_conflicts,
             true_conflicts,
-            // Whatever the classifier could not settle (every conflict,
-            // when a tagless table's classification is disabled).
+            // Whatever the refusing word could not settle.
             unclassified_conflicts: (raw + war + waw)
                 .saturating_sub(false_conflicts + true_conflicts),
             releases: load(&self.releases),

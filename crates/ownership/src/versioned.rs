@@ -20,38 +20,22 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::fingerprint::FP_NONE;
 use crate::hashing::{BlockAddr, EntryIndex, TableConfig};
 
 /// Entry encoding: bit 0 = locked, bits 1..34 = version, bits 34..64 = the
 /// *fingerprint* of the block the last writer (or current locker) covered.
 ///
-/// The fingerprint lets an aborting reader attribute its abort: if the
-/// version moved (or the entry is locked) and the recorded fingerprint names
-/// a *different* block than the one being read, the invalidation was pure
-/// table aliasing — a false conflict. Fingerprints are exact for block
-/// addresses below 2^30 − 2 (every workload in this workspace) and saturate
-/// above; 0 means "unknown". The version field wraps at 2^33 (~8.6 G
-/// writing commits), far beyond any run this repo performs.
+/// The fingerprint lets an aborting reader attribute its abort with
+/// [`classify`](crate::fingerprint::classify): if the version moved (or the
+/// entry is locked) and the recorded fingerprint names a *different* block
+/// than the one being read, the invalidation was pure table aliasing — a
+/// false conflict. The version field wraps at 2^33 (~8.6 G writing
+/// commits), far beyond any run this repo performs.
 const LOCKED: u64 = 1;
 const VERSION_BITS: u32 = 33;
 const VERSION_MASK: u64 = (1 << VERSION_BITS) - 1;
 const FP_SHIFT: u32 = 1 + VERSION_BITS;
-
-/// Fingerprint value meaning "no information".
-pub const FP_NONE: u32 = 0;
-/// Fingerprint value meaning "block address out of encodable range".
-pub const FP_SATURATED: u32 = (1 << 30) - 1;
-
-/// The block fingerprint stored in an entry word: exact (`block + 1`) below
-/// the saturation bound, [`FP_SATURATED`] above it.
-#[inline]
-pub fn fingerprint_of(block: BlockAddr) -> u32 {
-    if block >= (FP_SATURATED - 1) as u64 {
-        FP_SATURATED
-    } else {
-        block as u32 + 1
-    }
-}
 
 #[inline]
 fn pack(version: u64, locked: bool, fp: u32) -> u64 {
@@ -78,15 +62,6 @@ impl Stamp {
             locked: word & LOCKED != 0,
             fp: (word >> FP_SHIFT) as u32,
         }
-    }
-
-    /// Whether the stamp's fingerprint *proves* the covered block differs
-    /// from `block` (i.e. a conflict against this entry would be false).
-    /// Saturated or absent fingerprints prove nothing.
-    #[inline]
-    pub fn covers_other_block(&self, block: BlockAddr) -> bool {
-        let mine = fingerprint_of(block);
-        self.fp != FP_NONE && self.fp != FP_SATURATED && mine != FP_SATURATED && self.fp != mine
     }
 }
 
@@ -168,14 +143,6 @@ impl VersionedTable {
         s
     }
 
-    /// Attempt to write-lock `entry`, expecting it unlocked at `version`.
-    /// Returns whether the lock was obtained. Equivalent to
-    /// [`VersionedTable::try_lock_fp`] with no fingerprint.
-    #[inline]
-    pub fn try_lock(&self, entry: EntryIndex, version: u64) -> bool {
-        self.try_lock_fp(entry, version, FP_NONE).is_ok()
-    }
-
     /// Attempt to write-lock `entry`, expecting it unlocked at `version`,
     /// installing `fp` (the fingerprint of the block being written) in the
     /// locked word so concurrent aborters can classify their conflicts
@@ -213,7 +180,7 @@ impl VersionedTable {
         outcome
     }
 
-    /// Release a lock previously obtained with [`VersionedTable::try_lock`],
+    /// Release a lock previously obtained with [`VersionedTable::try_lock_fp`],
     /// installing `new_version` (writer commit). The fingerprint installed
     /// at lock time is preserved: the entry now names the block the
     /// committing writer covered.
@@ -222,14 +189,6 @@ impl VersionedTable {
         let s = Stamp::from_word(self.entries[entry].load(Ordering::Relaxed));
         debug_assert!(s.locked, "unlock_bump on unlocked entry");
         self.entries[entry].store(pack(new_version, false, s.fp), Ordering::Release);
-    }
-
-    /// Release a lock restoring the pre-lock version (writer abort), with no
-    /// fingerprint information. Prefer [`VersionedTable::unlock_restore_fp`]
-    /// when the pre-lock stamp is at hand.
-    #[inline]
-    pub fn unlock_restore(&self, entry: EntryIndex, old_version: u64) {
-        self.unlock_restore_fp(entry, old_version, FP_NONE);
     }
 
     /// Release a lock restoring the pre-lock version *and* fingerprint
@@ -281,7 +240,13 @@ impl VersionedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::{classify, fingerprint_of, FP_SATURATED};
     use crate::hashing::HashKind;
+
+    /// Whether a conflict against `s` on `block` is proven false.
+    fn proven_false(s: Stamp, block: BlockAddr) -> bool {
+        classify(s.fp, fingerprint_of(block)).is_known_false()
+    }
 
     fn table(n: usize) -> VersionedTable {
         VersionedTable::new(TableConfig::new(n).with_hash(HashKind::Mask))
@@ -301,10 +266,10 @@ mod tests {
             }
         );
 
-        assert!(t.try_lock(e, 0));
+        assert!(t.try_lock_fp(e, 0, FP_NONE).is_ok());
         assert!(t.sample(e).locked);
         // Second lock attempt fails.
-        assert!(!t.try_lock(e, 0));
+        assert!(t.try_lock_fp(e, 0, FP_NONE).is_err());
 
         t.unlock_bump(e, 7);
         let s = t.sample(e);
@@ -329,8 +294,8 @@ mod tests {
         let s = t.sample(e);
         assert!(!s.locked);
         assert_eq!(s.fp, fingerprint_of(9));
-        assert!(s.covers_other_block(10));
-        assert!(!s.covers_other_block(9));
+        assert!(proven_false(s, 10));
+        assert!(!proven_false(s, 9));
 
         // An aborting locker restores the previous writer's fingerprint.
         assert!(t.try_lock_fp(e, 1, fingerprint_of(25)).is_ok());
@@ -340,19 +305,14 @@ mod tests {
         assert_eq!((s.version, s.locked, s.fp), (1, false, fingerprint_of(9)));
 
         // Unknown and saturated fingerprints prove nothing.
-        assert!(!Stamp {
-            version: 0,
-            locked: false,
-            fp: FP_NONE
+        for fp in [FP_NONE, FP_SATURATED] {
+            let s = Stamp {
+                version: 0,
+                locked: false,
+                fp,
+            };
+            assert!(!proven_false(s, 3));
         }
-        .covers_other_block(3));
-        assert!(!Stamp {
-            version: 0,
-            locked: false,
-            fp: FP_SATURATED
-        }
-        .covers_other_block(3));
-        assert_eq!(fingerprint_of(u64::MAX), FP_SATURATED);
     }
 
     #[test]
@@ -384,9 +344,9 @@ mod tests {
         // caller would report a true conflict on data nobody shares.
         assert!(refused.locked);
         assert_eq!(refused.fp, fingerprint_of(b2));
-        assert!(refused.covers_other_block(b1));
+        assert!(proven_false(refused, b1));
         assert_eq!(t.sample(e).fp, fingerprint_of(b1));
-        assert!(!t.sample(e).covers_other_block(b1));
+        assert!(!proven_false(t.sample(e), b1));
 
         // A completed bumper refuses the same way, and is named the same way.
         assert!(t.try_lock_fp(e, 1, fingerprint_of(b2)).is_ok());
@@ -404,12 +364,12 @@ mod tests {
     fn lock_fails_on_stale_version() {
         let t = table(16);
         let e = 5;
-        assert!(t.try_lock(e, 0));
+        assert!(t.try_lock_fp(e, 0, FP_NONE).is_ok());
         t.unlock_bump(e, 1);
         // Expecting the old version: must fail even though unlocked.
-        assert!(!t.try_lock(e, 0));
-        assert!(t.try_lock(e, 1));
-        t.unlock_restore(e, 1);
+        assert!(t.try_lock_fp(e, 0, FP_NONE).is_err());
+        assert!(t.try_lock_fp(e, 1, FP_NONE).is_ok());
+        t.unlock_restore_fp(e, 1, FP_NONE);
         assert_eq!(t.sample(e).version, 1);
     }
 
@@ -443,7 +403,7 @@ mod tests {
         let (e_a, e_b) = (t.entry_of(3), t.entry_of(19));
         assert_eq!(e_a, e_b);
         let read_stamp = t.sample(e_a);
-        assert!(t.try_lock(e_b, 0));
+        assert!(t.try_lock_fp(e_b, 0, FP_NONE).is_ok());
         t.unlock_bump(e_b, 1);
         assert!(
             t.validate(e_a, read_stamp.version, false).is_err(),
@@ -455,9 +415,9 @@ mod tests {
     fn stats_accumulate() {
         let t = table(16);
         t.sample(0);
-        t.try_lock(0, 0);
+        let _ = t.try_lock_fp(0, 0, FP_NONE);
         t.sample(0); // locked sample
-        t.try_lock(0, 0); // conflict
+        let _ = t.try_lock_fp(0, 0, FP_NONE); // conflict
         let _ = t.validate(0, 0, true);
         let _ = t.validate(0, 5, false); // failure
         let s = t.stats();
@@ -478,7 +438,7 @@ mod tests {
                 s.spawn(move |_| {
                     for _ in 0..2_000 {
                         let st = t.sample(0);
-                        if !st.locked && t.try_lock(0, st.version) {
+                        if !st.locked && t.try_lock_fp(0, st.version, FP_NONE).is_ok() {
                             assert_eq!(in_cs.fetch_add(1, Ordering::SeqCst), 0);
                             in_cs.fetch_sub(1, Ordering::SeqCst);
                             t.unlock_bump(0, st.version + 1);

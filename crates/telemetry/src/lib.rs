@@ -38,7 +38,7 @@ use std::time::Instant;
 /// a *true* conflict involves the same block; a *false* conflict is two
 /// distinct blocks aliasing to one ownership-table entry (Eq. 8's
 /// birthday-paradox rate). `UnknownConflict` is a conflict the abort site
-/// could not classify (classification disabled, or the evidence raced away).
+/// could not classify (the evidence named more than one block, or none).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AbortCause {
     /// Conflict on the same block — inherent to the workload.

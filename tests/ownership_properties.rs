@@ -138,25 +138,16 @@ proptest! {
         }
     }
 
-    /// With classification enabled, every tagless conflict between distinct
-    /// blocks is classified false and every same-block incompatibility that
-    /// conflicts is classified true.
-    ///
-    /// Restricted to scripts in which no transaction holds two distinct
-    /// blocks of one entry: an acquire that would make its transaction such
-    /// a holder is skipped. The table's hint names only the first block a
-    /// holder was granted at an entry, so a multi-block holder can make a
-    /// genuine conflict read as false. ROADMAP item 3 (a sound classifier)
-    /// lifts the restriction.
+    /// Every verdict the tagless table gives is sound: a conflict called
+    /// false meets no other holder of the requested block, and one called
+    /// true meets one (`Unknown` claims nothing). A transaction may hold
+    /// several blocks of one entry, which is what saturates its word.
     #[test]
     fn tagless_classification_is_sound(
         ops in proptest::collection::vec(op_strategy(3, 24), 0..150)
     ) {
-        let cfg = TableConfig::new(8)
-            .with_hash(HashKind::Mask)
-            .with_conflict_classification(true);
-        let entry = |block: u64| cfg.entry_of(block);
-        let mut table = SimTable::new(ConcurrentTaglessTable::new(cfg.clone()));
+        let cfg = TableConfig::new(8).with_hash(HashKind::Mask);
+        let mut table = SimTable::new(ConcurrentTaglessTable::new(cfg));
         // Which (txn, block, write) accesses are live, as the transactions'
         // own logs would record them.
         use std::collections::HashSet;
@@ -164,29 +155,17 @@ proptest! {
         for op in &ops {
             match *op {
                 Op::Acquire { txn, block, write } => {
-                    let second_block_of_entry = live
-                        .iter()
-                        .any(|&(t, b, _)| t == txn && b != block && entry(b) == entry(block));
-                    if second_block_of_entry {
-                        continue;
-                    }
                     let got = table.acquire(txn, block, access(write));
                     if let AcquireOutcome::Conflict(c) = got {
                         let genuine = live.iter().any(|&(t, b, w)| {
                             t != txn && b == block && (w || write)
                         });
-                        prop_assert_eq!(
-                            c.class.is_known_false(),
-                            !genuine,
-                            "block {} txn {}: {:?}",
-                            block, txn, c
-                        );
-                        prop_assert_eq!(
-                            c.class.is_known_true(),
-                            genuine,
-                            "block {} txn {}: {:?}",
-                            block, txn, c
-                        );
+                        if c.class.is_known_false() {
+                            prop_assert!(!genuine, "a genuine conflict called false: block {} txn {}: {:?}", block, txn, c);
+                        }
+                        if c.class.is_known_true() {
+                            prop_assert!(genuine, "an alias called true: block {} txn {}: {:?}", block, txn, c);
+                        }
                     } else {
                         // Both Granted and AlreadyHeld extend the
                         // transaction's footprint.

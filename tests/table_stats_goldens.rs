@@ -145,7 +145,6 @@ fn lockstep(name: &str, policy: ContentionPolicy) -> Vec<String> {
     let stm = StmBuilder::new()
         .heap_words(LOCKSTEP_HEAP_WORDS)
         .table_entries(LOCKSTEP_ENTRIES)
-        .classify_conflicts(true)
         .contention(policy)
         .build_tagless();
     let spec = Scenario::disjoint()
@@ -284,7 +283,7 @@ fn pinned_lockstep_pair() {
         lockstep("lockstep", ContentionPolicy::Suicide),
         &[
             "lockstep engine: commits=1200 aborts=110 stall_retries=0",
-            "lockstep: read_acquires=10379 write_acquires=9924 grants=20153 already_held=40 upgrades=82 raw=33 war=32 waw=45 false=110 true=0 unclassified=0 releases=20071 chain_inserts=0",
+            "lockstep: read_acquires=10379 write_acquires=9924 grants=20153 already_held=40 upgrades=82 raw=33 war=32 waw=45 false=109 true=0 unclassified=1 releases=20071 chain_inserts=0",
         ],
     );
 }
@@ -295,7 +294,7 @@ fn pinned_lockstep_pair_under_stall() {
         lockstep("stall", ContentionPolicy::Stall { max_spins: 3 }),
         &[
             "stall engine: commits=1200 aborts=110 stall_retries=330",
-            "stall: read_acquires=10478 write_acquires=10155 grants=20153 already_held=40 upgrades=82 raw=132 war=128 waw=180 false=440 true=0 unclassified=0 releases=20071 chain_inserts=0",
+            "stall: read_acquires=10478 write_acquires=10155 grants=20153 already_held=40 upgrades=82 raw=132 war=128 waw=180 false=436 true=0 unclassified=4 releases=20071 chain_inserts=0",
         ],
     );
 }
