@@ -815,16 +815,18 @@ impl<T: ConcurrentTable, P: Probe, R: Route> TxnOps for Txn<'_, T, P, R> {
             match self.scratch.wbuf.get(addr) {
                 Some(v) => v,
                 None => {
-                    // The block may be new to the key: the table's
-                    // already-held path covers it. Not tallied, since the
-                    // access makes no acquire.
-                    let covered = self.home_state().table.acquire_uncounted(
-                        self.id,
-                        block,
-                        Access::Write,
-                        held,
-                    );
-                    debug_assert_eq!(covered, AcquireOutcome::AlreadyHeld);
+                    // A block new to the key (an alias of a written one)
+                    // must be covered by the table's already-held path. Not
+                    // tallied, since the access makes no acquire.
+                    if !self.scratch.write_blocks.contains(block) {
+                        let covered = self.home_state().table.acquire_uncounted(
+                            self.id,
+                            block,
+                            Access::Write,
+                            held,
+                        );
+                        debug_assert_eq!(covered, AcquireOutcome::AlreadyHeld);
+                    }
                     self.stm.heap.load(addr)
                 }
             }

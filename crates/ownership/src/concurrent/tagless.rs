@@ -445,6 +445,38 @@ mod tests {
     }
 
     #[test]
+    fn a_holder_racing_its_release_never_makes_a_same_block_conflict_false() {
+        // The same race, live: one thread takes and releases block 2 as
+        // fast as it can while another keeps requesting it. Every refusal
+        // meets a holder of block 2, so none may be called false.
+        let t = table(16);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (mut refused, mut called_false) = (0u64, 0u64);
+        crossbeam::scope(|s| {
+            let (t, done) = (&t, &done);
+            s.spawn(move |_| {
+                for _ in 0..200_000 {
+                    if t.acquire(0, 2, Access::Write, Held::None).is_ok() {
+                        t.release(0, t.grant_key(2), Held::Write);
+                    }
+                }
+                done.store(true, Ordering::Release);
+            });
+            while !done.load(Ordering::Acquire) {
+                match t.acquire(1, 2, Access::Write, Held::None) {
+                    AcquireOutcome::Conflict(c) => {
+                        refused += 1;
+                        called_false += u64::from(c.class.is_known_false());
+                    }
+                    _ => t.release(1, t.grant_key(2), Held::Write),
+                }
+            }
+        })
+        .unwrap();
+        assert_eq!(called_false, 0, "{called_false} of {refused} called false");
+    }
+
+    #[test]
     fn release_clears_the_fingerprint() {
         let t = table(16);
         assert!(t.acquire(0, 2, Access::Write, Held::None).is_ok());
