@@ -678,6 +678,25 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
         }
     }
 
+    /// An RMW's read of a word not buffered on a key held at `Write`. A
+    /// block new to the key (an alias of a written one) must be covered
+    /// by the table's already-held path; not tallied, since the access
+    /// makes no acquire. Kept out of line: it is off the common RMW path,
+    /// and inlined it grows the code of every RMW.
+    #[inline(never)]
+    fn load_unbuffered(&self, block: u64, addr: u64) -> u64 {
+        if !self.scratch.write_blocks.contains(block) {
+            let covered = self.home_state().table.acquire_uncounted(
+                self.id,
+                block,
+                Access::Write,
+                Held::Write,
+            );
+            debug_assert_eq!(covered, AcquireOutcome::AlreadyHeld);
+        }
+        self.stm.heap.load(addr)
+    }
+
     /// Publish the write buffer. The table's Release/Acquire transitions
     /// order the (relaxed) heap stores before any subsequent reader's
     /// loads. The publish gate brackets the stores so the table-free
@@ -814,21 +833,7 @@ impl<T: ConcurrentTable, P: Probe, R: Route> TxnOps for Txn<'_, T, P, R> {
         let old = if held == Held::Write {
             match self.scratch.wbuf.get(addr) {
                 Some(v) => v,
-                None => {
-                    // A block new to the key (an alias of a written one)
-                    // must be covered by the table's already-held path. Not
-                    // tallied, since the access makes no acquire.
-                    if !self.scratch.write_blocks.contains(block) {
-                        let covered = self.home_state().table.acquire_uncounted(
-                            self.id,
-                            block,
-                            Access::Write,
-                            held,
-                        );
-                        debug_assert_eq!(covered, AcquireOutcome::AlreadyHeld);
-                    }
-                    self.stm.heap.load(addr)
-                }
+                None => self.load_unbuffered(block, addr),
             }
         } else {
             self.acquire(block, key, held, Access::Write)?;

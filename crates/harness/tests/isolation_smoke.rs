@@ -181,29 +181,39 @@ fn disjoint_cause_attribution_matches_construction_on_every_engine() {
 fn counter_aborts_are_never_false() {
     // `TCounter` is one word, so every `counter` conflict is on one block:
     // the word that refuses an increment names that block (or, saturated,
-    // proves nothing), on every engine whose table is tagless. Timed, so
-    // the threads overlap long enough to meet holders as they leave: a
-    // short fixed count lets them run mostly one at a time.
+    // proves nothing), on every engine whose table is tagless. Only
+    // threads that overlap meet holders as they leave, and a run may have
+    // them take turns (a few hundred aborts where an overlapping run has
+    // tens of thousands), so timed runs repeat until 5 000 aborts are in
+    // or ten runs are done (on one CPU they never overlap that much).
     for engine in [
         EngineKind::EagerTagless,
         EngineKind::Adaptive,
         EngineKind::Sharded,
     ] {
-        let r = execute(&RunSpec {
-            threads: 4,
-            warmup: Phase::Txns(20),
-            measure: Phase::DurationMs(100),
-            table_entries: 1024,
-            heap_words: 1 << 14,
-            ..RunSpec::new(engine, Scenario::counter())
-        });
-        assert_eq!(
-            r.false_conflict_aborts,
-            Some(0),
-            "{engine}: a same-block conflict called false: {:?} of {}",
-            r.abort_causes,
-            r.aborts
-        );
-        assert_eq!(r.invariant_violations, 0, "{engine}");
+        let mut aborts = 0;
+        for seed in 0..10 {
+            let r = execute(&RunSpec {
+                threads: 4,
+                seed,
+                warmup: Phase::DurationMs(20),
+                measure: Phase::DurationMs(100),
+                table_entries: 1024,
+                heap_words: 1 << 14,
+                ..RunSpec::new(engine, Scenario::counter())
+            });
+            assert_eq!(
+                r.false_conflict_aborts,
+                Some(0),
+                "{engine}: a same-block conflict called false: {:?} of {}",
+                r.abort_causes,
+                r.aborts
+            );
+            assert_eq!(r.invariant_violations, 0, "{engine}");
+            aborts += r.aborts;
+            if aborts >= 5_000 {
+                break;
+            }
+        }
     }
 }

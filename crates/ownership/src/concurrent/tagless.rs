@@ -446,23 +446,26 @@ mod tests {
 
     #[test]
     fn a_holder_racing_its_release_never_makes_a_same_block_conflict_false() {
-        // The same race, live: one thread takes and releases block 2 as
-        // fast as it can while another keeps requesting it. Every refusal
-        // meets a holder of block 2, so none may be called false.
+        // The same race, live: for 100 ms one thread takes and releases
+        // block 2 as fast as it can while another keeps requesting it.
+        // Every refusal meets a holder of block 2, so none may be called
+        // false. Timed, not counted: a holder preempted while it holds
+        // lets the requester pile up refusals against one grant. On two
+        // CPUs a side table of hints called most refusals false here.
         let t = table(16);
-        let done = std::sync::atomic::AtomicBool::new(false);
+        let stop = std::sync::atomic::AtomicBool::new(false);
         let (mut refused, mut called_false) = (0u64, 0u64);
         crossbeam::scope(|s| {
-            let (t, done) = (&t, &done);
+            let (t, stop) = (&t, &stop);
             s.spawn(move |_| {
-                for _ in 0..200_000 {
+                while !stop.load(Ordering::Acquire) {
                     if t.acquire(0, 2, Access::Write, Held::None).is_ok() {
                         t.release(0, t.grant_key(2), Held::Write);
                     }
                 }
-                done.store(true, Ordering::Release);
             });
-            while !done.load(Ordering::Acquire) {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_millis(100);
+            while std::time::Instant::now() < deadline {
                 match t.acquire(1, 2, Access::Write, Held::None) {
                     AcquireOutcome::Conflict(c) => {
                         refused += 1;
@@ -471,8 +474,10 @@ mod tests {
                     _ => t.release(1, t.grant_key(2), Held::Write),
                 }
             }
+            stop.store(true, Ordering::Release);
         })
         .unwrap();
+        assert!(refused > 0, "the threads never overlapped");
         assert_eq!(called_false, 0, "{called_false} of {refused} called false");
     }
 
