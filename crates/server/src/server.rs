@@ -8,18 +8,20 @@
 //!  (session % shards)          ├──▶ shard 1 ──▶ engine (ThreadId 1)
 //!                              └──▶ ...
 //!
-//! shard i ──outbox, one message per session per wake-up──▶ session sinks
+//! shard i ──outbox, one message per session per wake-up──┬──▶ channel sinks
+//!                                                        └──▶ TCP sockets
 //! ```
 //!
-//! There is one hop in each direction, and what crosses it either way is a
-//! message of whole frames. A transport thread puts the request frames a
-//! session had ready, as one [`ServerMsg::Frames`], straight on the queue
-//! of its session's shard (`Ingress`); a shard takes everything queued
-//! without blocking, walks each message frame by frame in place, and only
-//! when its queue is empty commits the writes still batched, hands each
-//! session the responses made since (one sink message of whole frames per
-//! session, see [`SessionRegistry::flush_out`]) and blocks until the next
-//! message.
+//! There is one hop in, and what crosses it is a message of whole frames:
+//! a transport thread puts the request frames a session had ready, as one
+//! [`ServerMsg::Frames`], straight on the queue of its session's shard
+//! (`Ingress`). A shard takes everything queued without blocking, walks
+//! each message frame by frame in place, and only when its queue is empty
+//! commits the writes still batched, hands each session the responses made
+//! since (one message of whole frames per session, see
+//! [`SessionRegistry::flush_out`]) and blocks until the next message. Out
+//! is one hop for a channel session (its receiver) and none for a TCP
+//! session: the shard writes the message to the socket itself.
 //!
 //! Sessions are pinned to shards (`session % shards`), which buys three
 //! properties at once:

@@ -1,12 +1,12 @@
 //! Per-connection session state and the server's internal message plane.
 //!
-//! A **session** is one client connection: a stable id, an outbound sink
-//! of encoded response frames, and an ordering guarantee. Sessions are
-//! sharded by `session_id % shards`; one transport thread feeds a session
-//! and its shard processes the frames in arrival order, so each session
-//! sees its own requests answered in the order it sent them — pipelining
-//! (many requests in flight before reading responses) is safe without any
-//! client-side windowing protocol.
+//! A **session** is one client connection: a stable id, an outbound
+//! [`Sink`] for encoded response frames, and an ordering guarantee.
+//! Sessions are sharded by `session_id % shards`; one transport thread
+//! feeds a session and its shard processes the frames in arrival order, so
+//! each session sees its own requests answered in the order it sent them —
+//! pipelining (many requests in flight before reading responses) is safe
+//! without any client-side windowing protocol.
 //!
 //! Both directions carry **messages of whole frames**: one `Vec<u8>` holding
 //! one or more complete encoded frames, in order, never a part of one.
@@ -24,20 +24,22 @@
 //! Responses leave in the other direction through each session's
 //! **outbox**: [`SessionRegistry::respond`] appends the encoded frame, and
 //! [`SessionRegistry::flush_out`] hands every outbox with something in it
-//! to its sink as *one* message of whole frames. A shard calls it when it
-//! is about to block, so a client is woken once per shard wake-up rather
-//! than once per answer.
+//! to its sink as *one* message of whole frames — a channel send, or one
+//! write to a TCP session's socket. A shard calls it when it is about to
+//! block, so a client is woken once per shard wake-up rather than once per
+//! answer.
 //!
 //! The buffers go round instead of being allocated: an inbound message the
 //! shard has finished with is given back through
-//! [`SessionRegistry::recycle`] and becomes that session's next outbox the
-//! moment the current one leaves for the sink.
+//! [`SessionRegistry::recycle`] and becomes a channel session's next outbox
+//! the moment the current one leaves for the sink. A socket session's
+//! outbox is written and cleared in place.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;
 
 use crate::protocol::{Response, ResponseFrame};
-use crate::transport::COALESCE_BYTES;
+use crate::transport::{SocketSink, COALESCE_BYTES};
 
 /// Stable identifier of one client connection.
 pub type SessionId = u64;
@@ -158,6 +160,17 @@ impl DedupWindow {
     }
 }
 
+/// Where a session's encoded [`ResponseFrame`]s go: one or more whole
+/// frames at a time, in order.
+#[derive(Debug)]
+pub enum Sink {
+    /// The channel transport: each outbox is handed over as one message.
+    Channel(Sender<Vec<u8>>),
+    /// The TCP transport: the worker writes each outbox to the socket
+    /// itself. Dropping the sink closes the connection.
+    Socket(SocketSink),
+}
+
 /// One message on the server's ingress plane (transport → shard).
 #[derive(Debug)]
 pub enum ServerMsg {
@@ -165,9 +178,10 @@ pub enum ServerMsg {
     Connect {
         /// The new session's id (allocated by the transport).
         session: SessionId,
-        /// Where this session's encoded [`ResponseFrame`]s go. Each
-        /// message is one or more whole frames, in order.
-        sink: Sender<Vec<u8>>,
+        /// Where this session's responses go: a channel, or the accepted
+        /// socket's write half. The session's shard owns it from here on
+        /// and drops it when the session ends.
+        sink: Sink,
     },
     /// One or more complete encoded request frames from a session, in
     /// order. A message that is anything else (a cut or garbled frame) is
@@ -190,11 +204,12 @@ pub enum ServerMsg {
 /// One live session's shard-local state.
 #[derive(Debug)]
 struct SessionState {
-    sink: Sender<Vec<u8>>,
+    sink: Sink,
     dedup: DedupWindow,
     /// Encoded responses not yet handed to `sink`: whole frames, in order.
     outbox: Vec<u8>,
-    /// An emptied inbound message: the outbox after this one.
+    /// An emptied inbound message: the outbox after this one (channel
+    /// sessions only; a socket session keeps its outbox).
     spare: Vec<u8>,
 }
 
@@ -227,7 +242,7 @@ impl SessionRegistry {
     }
 
     /// Register a session's outbound sink.
-    pub fn connect(&mut self, session: SessionId, sink: Sender<Vec<u8>>) {
+    pub fn connect(&mut self, session: SessionId, sink: Sink) {
         self.sessions.insert(
             session,
             SessionState {
@@ -241,8 +256,9 @@ impl SessionRegistry {
 
     /// Forget a session. What its outbox holds goes to the sink first, so
     /// every response made before this call is delivered; later ones are
-    /// dropped. Its dedup window dies with it (tokens are per-connection;
-    /// a reconnect is a new session).
+    /// dropped, and so is the sink (a socket is shut down). Its dedup window
+    /// dies with it (tokens are per-connection; a reconnect is a new
+    /// session).
     pub fn disconnect(&mut self, session: SessionId) {
         self.deliver(session);
         self.sessions.remove(&session);
@@ -318,14 +334,18 @@ impl SessionRegistry {
     }
 
     /// Take back the buffer of an inbound message of `session` whose frames
-    /// have all been handled: emptied, it is the session's next outbox. The
-    /// responses to the *next* message are then encoded into room that is
-    /// already there, where an outbox starting from nothing would grow by
-    /// doubling once per wake-up. A departed session's buffer is dropped.
+    /// have all been handled: emptied, it is a channel session's next
+    /// outbox. The responses to the *next* message are then encoded into
+    /// room that is already there, where an outbox starting from nothing
+    /// would grow by doubling once per wake-up. A socket session's outbox
+    /// never leaves, and a departed session has none: their buffers are
+    /// dropped.
     pub fn recycle(&mut self, session: SessionId, mut buffer: Vec<u8>) {
         if let Some(state) = self.sessions.get_mut(&session) {
-            buffer.clear();
-            state.spare = buffer;
+            if let Sink::Channel(_) = state.sink {
+                buffer.clear();
+                state.spare = buffer;
+            }
         }
     }
 
@@ -337,7 +357,9 @@ impl SessionRegistry {
         self.dirty.clear();
     }
 
-    /// Send a session's outbox, if it holds anything, as one sink message.
+    /// Send a session's outbox, if it holds anything, as one sink message:
+    /// hand it over with the spare put in its place, or write it to the
+    /// socket and clear it.
     fn deliver(&mut self, session: SessionId) {
         let Some(state) = self.sessions.get_mut(&session) else {
             return;
@@ -345,14 +367,23 @@ impl SessionRegistry {
         if state.outbox.is_empty() {
             return;
         }
-        let next = std::mem::take(&mut state.spare);
-        if state
-            .sink
-            .send(std::mem::replace(&mut state.outbox, next))
-            .is_err()
-        {
-            // Receiver dropped without a Disconnect (abrupt client
-            // death); reclaim the slot now rather than on every send.
+        let delivered = match &mut state.sink {
+            Sink::Channel(sink) => {
+                let next = std::mem::take(&mut state.spare);
+                sink.send(std::mem::replace(&mut state.outbox, next))
+                    .is_ok()
+            }
+            Sink::Socket(socket) => {
+                let written = socket.write(&state.outbox).is_ok();
+                state.outbox.clear();
+                written
+            }
+        };
+        if !delivered {
+            // Receiver dropped without a Disconnect (abrupt client death),
+            // or a socket that failed or stalled past `WRITE_STALL`: close
+            // the session now, the way an unreadable envelope does, rather
+            // than fail on every send.
             self.sessions.remove(&session);
         }
     }
@@ -380,8 +411,8 @@ mod tests {
         let mut reg = SessionRegistry::default();
         let (tx_a, rx_a) = channel();
         let (tx_b, rx_b) = channel();
-        reg.connect(7, tx_a);
-        reg.connect(8, tx_b);
+        reg.connect(7, Sink::Channel(tx_a));
+        reg.connect(8, Sink::Channel(tx_b));
         assert_eq!(reg.len(), 2);
 
         for id in 1..=5 {
@@ -413,7 +444,7 @@ mod tests {
     fn outbox_past_the_coalescing_bound_leaves_early() {
         let mut reg = SessionRegistry::default();
         let (tx, rx) = channel();
-        reg.connect(1, tx);
+        reg.connect(1, Sink::Channel(tx));
         let values = vec![7u64; 1000]; // ~8 KB a frame
         let mut sent = 0;
         while rx.try_recv().is_err() {
@@ -434,7 +465,7 @@ mod tests {
     fn a_recycled_buffer_is_the_next_outbox() {
         let mut reg = SessionRegistry::default();
         let (tx, rx) = channel();
-        reg.connect(1, tx);
+        reg.connect(1, Sink::Channel(tx));
         // The buffer is kept while this round's responses wait...
         reg.respond(1, 1, Response::Pong);
         let mut inbound = Vec::with_capacity(4096);
@@ -459,7 +490,7 @@ mod tests {
     fn dead_sink_is_reaped_on_send() {
         let mut reg = SessionRegistry::default();
         let (tx, rx) = channel();
-        reg.connect(3, tx);
+        reg.connect(3, Sink::Channel(tx));
         drop(rx);
         reg.respond(3, 1, Response::Pong);
         assert_eq!(reg.len(), 1, "respond only queues");
@@ -471,7 +502,7 @@ mod tests {
     fn disconnect_delivers_the_outbox_and_forgets_the_session() {
         let mut reg = SessionRegistry::default();
         let (tx, rx) = channel();
-        reg.connect(1, tx);
+        reg.connect(1, Sink::Channel(tx));
         reg.respond(1, 1, Response::Written);
         reg.respond(1, 2, Response::Closed);
         reg.disconnect(1);
@@ -560,8 +591,8 @@ mod tests {
         let mut reg = SessionRegistry::new(8);
         let (tx_a, _rx_a) = channel();
         let (tx_b, _rx_b) = channel();
-        reg.connect(1, tx_a);
-        reg.connect(2, tx_b);
+        reg.connect(1, Sink::Channel(tx_a));
+        reg.connect(2, Sink::Channel(tx_b));
         assert_eq!(reg.dedup_begin(1, 7), DedupVerdict::New);
         assert_eq!(
             reg.dedup_begin(2, 7),

@@ -2,15 +2,15 @@
 //!
 //! Two implementations share one contract: deliver request frames as
 //! [`ServerMsg::Frames`] — messages of whole frames, as many as were ready
-//! — and carry the session's sink messages, whole response frames too,
-//! back:
+//! — and take the session's responses, whole frames too, back:
 //!
 //! * **channel** — an in-process transport over `mpsc` channels. Frames
 //!   are *fully encoded and decoded* on both directions, so the wire
 //!   format is exercised end to end, but no sockets are involved: CI,
 //!   tests, and the load generator run hermetically.
-//! * **tcp** — a `std::net` listener with one reader and one writer thread
-//!   per connection, and [`TcpConn`] on the client side.
+//! * **tcp** — a `std::net` listener with one reader thread per
+//!   connection, whose session's worker writes the responses to the socket
+//!   itself ([`SocketSink`]), and [`TcpConn`] on the client side.
 //!
 //! A hand-over — a socket call, or a channel send and the wake-up behind
 //! it — costs a microsecond where a frame costs tens of nanoseconds, so
@@ -26,9 +26,9 @@
 //!   through some other channel must `flush` first.
 //! * the server's socket **reader** reads straight into [`FrameBuf`]'s
 //!   spare room and forwards everything up to the last whole frame as one
-//!   message; its **writer** blocks for one sink message (the responses a
-//!   worker made in one wake-up), gathers whatever else the workers queued
-//!   while it was not running, and issues one `write_all`.
+//!   message; the **worker** writes a session's outbox — the responses it
+//!   made in one wake-up — to the socket in one `write`, so an answer
+//!   crosses no thread on its way out.
 //! * both clients decode responses **in place** — [`ChannelConn`] from the
 //!   sink message, [`TcpConn`] from its [`FrameBuf`] — and the TCP client
 //!   re-arms its socket timeout only when it changes.
@@ -37,15 +37,18 @@
 //!   that session's next outbox
 //!   ([`SessionRegistry::recycle`](crate::session::SessionRegistry::recycle)),
 //!   so a steady window of reads over the channel transport allocates
-//!   nothing on either side.
+//!   nothing on either side. A TCP session's outbox is written and reused
+//!   in place.
 //!
 //! Every stage stops gathering at [`COALESCE_BYTES`], which bounds the
 //! buffers; how far a TCP client can pipeline before it must receive is
-//! bounded by the kernel's socket buffers, as it is for any TCP peer. The
-//! queues between the stages are not bounded: see DESIGN.md "Transport".
+//! bounded by the kernel's socket buffers, as it is for any TCP peer. A TCP
+//! session's responses queue in its outbox and the kernel's socket buffers
+//! only: a client that stops reading is closed after [`WRITE_STALL`]. The
+//! other queues are not bounded: see DESIGN.md "Transport".
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
@@ -54,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use crate::protocol::{frame_len, DecodeError, FrameBuf, Request, RequestFrame, ResponseFrame};
 use crate::server::{Ingress, ServerHandle};
-use crate::session::{ServerMsg, SessionId};
+use crate::session::{ServerMsg, SessionId, Sink};
 
 impl ServerHandle {
     /// Open an in-process connection: a fresh session over the channel
@@ -64,7 +67,10 @@ impl ServerHandle {
         let (sink, rx) = channel();
         let ingress = self.ingress();
         ingress
-            .send(ServerMsg::Connect { session, sink })
+            .send(ServerMsg::Connect {
+                session,
+                sink: Sink::Channel(sink),
+            })
             .expect("server is running");
         ChannelConn {
             ingress,
@@ -218,11 +224,56 @@ impl Drop for ChannelConn {
 
 /// Bytes gathered before they are passed on: into one socket write on
 /// either end of a TCP connection, and into one sink message in a session's
-/// outbox. Bounds those buffers (a session's outbox to this plus one frame,
-/// the server's write buffer to this plus one sink message) without costing
-/// throughput: a write this large already amortises its syscall, or its
-/// wake-up, over thousands of frames.
+/// outbox. Bounds those buffers (a session's outbox, and so one write of
+/// it, to this plus one frame) without costing throughput: a write this
+/// large already amortises its syscall, or its wake-up, over thousands of
+/// frames.
 pub const COALESCE_BYTES: usize = 64 * 1024;
+
+/// The longest one write of a TCP session's outbox may block its worker.
+/// A client that leaves a write unfinished that long is closed, the way an
+/// unreadable envelope closes it: it reads EOF behind the bytes already
+/// written. That bounds what a TCP session can hold queued on the server to
+/// the kernel's socket buffers plus one outbox.
+///
+/// The trade-off: while a worker waits on one client's socket, every other
+/// session on that worker waits too, so this is also how long one stalled
+/// client can delay them at a time (a peer whose kernel still takes bytes
+/// in bursts, as loopback's does, can make more than one write wait before
+/// one fails). One second is far longer than a live client takes to start
+/// reading — it is blocked in `recv` already, or about to be — even on a
+/// loaded one-core box, and short enough that the sessions sharing a
+/// worker with a dead peer recover within a second or two.
+pub const WRITE_STALL: Duration = Duration::from_secs(1);
+
+/// A TCP session's sink: the accepted socket's write half, to which the
+/// session's worker writes each outbox itself. Dropping it shuts the socket
+/// down both ways, so the client reads EOF behind the last answer written
+/// and the connection's reader thread wakes from its `read` and exits.
+#[derive(Debug)]
+pub struct SocketSink(TcpStream);
+
+impl SocketSink {
+    /// Write all of `bytes` in one call, or fail. A blocking socket's write
+    /// returns short only when its write timeout, [`WRITE_STALL`], ran out
+    /// (or a signal cut it): the client has stalled.
+    pub(crate) fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        loop {
+            match self.0.write(bytes) {
+                Ok(n) if n == bytes.len() => return Ok(()),
+                Ok(_) => return Err(std::io::ErrorKind::TimedOut.into()),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+impl Drop for SocketSink {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
+    }
+}
 
 /// A running TCP front-end for a server.
 pub struct TcpTransport {
@@ -270,12 +321,13 @@ impl TcpTransport {
         self.stop_inner();
     }
 
-    /// Wait up to `timeout` for every per-connection reader/writer thread
-    /// spawned so far to exit. Returns `true` if they all joined in time.
+    /// Wait up to `timeout` for every per-connection reader thread spawned
+    /// so far to exit. Returns `true` if they all joined in time.
     ///
     /// Threads only exit once their exit condition holds (peer hung up,
-    /// or the server shut down and the writer closed the socket) — this
-    /// does not force them out, it verifies teardown actually completes.
+    /// or the session's worker dropped its sink and so shut the socket
+    /// down) — this does not force them out, it verifies teardown actually
+    /// completes.
     pub fn join_connections(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
@@ -339,9 +391,9 @@ fn accept_loop(
     }
 }
 
-/// Wire one accepted socket into the ingress plane: a writer thread drains
-/// the session sink into the socket, a reader thread reassembles frames
-/// and forwards them.
+/// Wire one accepted socket into the ingress plane: the session's worker
+/// gets the write half as its sink, a reader thread reassembles frames and
+/// forwards them.
 fn spawn_connection(
     stream: TcpStream,
     session: SessionId,
@@ -353,58 +405,29 @@ fn spawn_connection(
     // for a hang-up.
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
-    let write_half = stream.try_clone()?;
-    let (sink, sink_rx) = channel::<Vec<u8>>();
+    stream.set_write_timeout(Some(WRITE_STALL))?;
+    let sink = Sink::Socket(SocketSink(stream.try_clone()?));
     if ingress.send(ServerMsg::Connect { session, sink }).is_err() {
         return Ok(()); // server already gone
     }
 
-    let writer = std::thread::Builder::new()
-        .name(format!("tm-server-tcp-w-{session}"))
-        .spawn(move || writer_loop(write_half, sink_rx))?;
-
-    let ingress = ingress.clone();
+    let reader_ingress = ingress.clone();
     let reader = std::thread::Builder::new()
         .name(format!("tm-server-tcp-r-{session}"))
-        .spawn(move || reader_loop(stream, session, ingress))?;
+        .spawn(move || reader_loop(stream, session, reader_ingress))
+        .inspect_err(|_| {
+            // No thread will ever send this session's `Disconnect`: send it
+            // now, so the worker forgets the session and drops the sink,
+            // which closes the socket.
+            let _ = ingress.send(ServerMsg::Disconnect { session });
+        })?;
 
     let mut conns = conns.lock().expect("conns lock");
     // Forget the threads of connections that have since closed, so a
     // long-lived server holds handles for live connections only.
     conns.retain(|h| !h.is_finished());
-    conns.push(writer);
     conns.push(reader);
     Ok(())
-}
-
-/// Fill `out` with `first` and every sink message already queued behind it
-/// on `rx`, in order, stopping once `out` holds [`COALESCE_BYTES`]. Sink
-/// messages are whole frames, so `out` is too. A sink that disconnects
-/// mid-gather just ends it: what was gathered stays in `out`, and the
-/// caller's next `recv` reports the disconnect.
-fn gather(first: &[u8], rx: &Receiver<Vec<u8>>, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(first);
-    while out.len() < COALESCE_BYTES {
-        let Ok(message) = rx.try_recv() else { break };
-        out.extend_from_slice(&message);
-    }
-}
-
-fn writer_loop(mut stream: TcpStream, rx: Receiver<Vec<u8>>) {
-    // One socket write per wake-up: whatever the workers queued while this
-    // thread was not running leaves in the same `write_all`.
-    let mut out = Vec::new();
-    while let Ok(first) = rx.recv() {
-        gather(&first, &rx, &mut out);
-        if stream.write_all(&out).is_err() {
-            return;
-        }
-    }
-    // Session dropped server-side: signal EOF to the client, and shut the
-    // read half too so our own reader thread unblocks and exits instead
-    // of waiting for the peer to hang up.
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 fn reader_loop(mut stream: TcpStream, session: SessionId, ingress: Ingress) {
@@ -744,63 +767,5 @@ mod tests {
         assert_eq!(conn.recv_timeout(Duration::from_millis(1)), None);
         drop(sink);
         assert_eq!(conn.recv_timeout(Duration::from_secs(5)), None, "hang-up");
-    }
-
-    /// A frame-sized chunk whose every byte is `tag`, so order shows.
-    fn chunk(tag: u8, len: usize) -> Vec<u8> {
-        vec![tag; len]
-    }
-
-    #[test]
-    fn gather_takes_everything_queued_in_order() {
-        let (tx, rx) = channel();
-        for tag in 2..=5 {
-            tx.send(chunk(tag, 3)).unwrap();
-        }
-        let mut out = vec![0xEE; 7]; // stale bytes of the previous write
-        gather(&chunk(1, 3), &rx, &mut out);
-        assert_eq!(out, [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5]);
-        assert!(rx.try_recv().is_err(), "queue drained");
-
-        // Nothing queued: the write is the one frame (depth-1 traffic).
-        gather(&chunk(9, 2), &rx, &mut out);
-        assert_eq!(out, [9, 9]);
-    }
-
-    #[test]
-    fn gather_stops_at_the_coalescing_bound() {
-        let (tx, rx) = channel();
-        let frame = 1000;
-        let queued = 2 * COALESCE_BYTES / frame;
-        for i in 0..queued {
-            tx.send(chunk(i as u8, frame)).unwrap();
-        }
-        let mut out = Vec::new();
-        gather(&chunk(0xFF, frame), &rx, &mut out);
-        // Whole frames only, and the last one taken is the one that
-        // crossed the bound.
-        assert_eq!(out.len() % frame, 0);
-        assert!(out.len() >= COALESCE_BYTES);
-        assert!(out.len() < COALESCE_BYTES + frame);
-        // The rest is still queued, and the next gather starts with it.
-        let taken = out.len() / frame - 1;
-        let next = rx.try_recv().expect("frames left behind");
-        assert_eq!(next, chunk(taken as u8, frame));
-        gather(&next, &rx, &mut out);
-        assert_eq!(out.len(), (queued - taken) * frame);
-    }
-
-    #[test]
-    fn gather_keeps_what_it_has_when_the_sink_disconnects() {
-        let (tx, rx) = channel();
-        tx.send(chunk(2, 2)).unwrap();
-        tx.send(chunk(3, 2)).unwrap();
-        drop(tx); // the session is gone; its last responses are queued
-        let first = rx.recv().unwrap();
-        let mut out = Vec::new();
-        gather(&first, &rx, &mut out);
-        assert_eq!(out, [2, 2, 3, 3]);
-        // The writer's next blocking receive is what sees the disconnect.
-        assert!(rx.recv().is_err());
     }
 }

@@ -1,14 +1,14 @@
-//! TCP transport teardown: the per-connection reader/writer threads must
-//! exit — not leak — on either side hanging up.
+//! TCP transport teardown: the per-connection reader thread must exit —
+//! not leak — on either side hanging up.
 //!
 //! Two exit chains are under test:
 //!
-//! * **peer disconnect**: client closes the socket → reader sees EOF and
-//!   sends `Disconnect` → the shard drops the session sink → the writer's
-//!   `recv` fails and it shuts the socket down → both threads exit.
-//! * **server shutdown**: shards exit and drop every sink → each writer
-//!   shuts its socket down (both halves, unblocking its own reader) →
-//!   both threads exit.
+//! * **peer disconnect**: client closes the socket → reader sees EOF,
+//!   sends `Disconnect` and exits → the shard drops the session's socket
+//!   sink, which shuts the socket down.
+//! * **server shutdown**: shards exit and drop every sink → each sink
+//!   shuts its socket down (both halves: the client reads EOF, and the
+//!   reader's blocked `read` returns) → each reader exits.
 //!
 //! `TcpTransport::join_connections` polls the spawned handles with a
 //! deadline, so a stuck thread fails the test instead of hanging it.
