@@ -46,6 +46,7 @@ impl Heap {
         index as u64 * WORD_BYTES
     }
 
+    #[inline]
     fn index_of(&self, addr: u64) -> usize {
         assert!(
             addr.is_multiple_of(WORD_BYTES),

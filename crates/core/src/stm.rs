@@ -616,6 +616,7 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
     /// Obtain `access` on `block`, whose key and held level came from
     /// [`lookup`](Self::lookup). A fresh grant is appended to the log; only
     /// an upgrade searches it again.
+    #[inline]
     fn acquire(
         &mut self,
         block: u64,
@@ -768,6 +769,7 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
 /// The eager transaction's read surface: reads acquire block ownership
 /// eagerly (write-buffer hits are served locally).
 impl<T: ConcurrentTable, P: Probe, R: Route> ReadOps for Txn<'_, T, P, R> {
+    #[inline]
     fn read(&mut self, addr: u64) -> Result<u64, Aborted> {
         self.reads += 1;
         let block = self.mapper.block_of(addr);
@@ -797,6 +799,7 @@ impl<T: ConcurrentTable, P: Probe, R: Route> ReadOps for Txn<'_, T, P, R> {
 /// eagerly and stay buffered until commit. A read-modify-write takes
 /// `Write` once instead of a read grant and then an upgrade.
 impl<T: ConcurrentTable, P: Probe, R: Route> TxnOps for Txn<'_, T, P, R> {
+    #[inline]
     fn write(&mut self, addr: u64, value: u64) -> Result<(), Aborted> {
         self.writes += 1;
         let block = self.mapper.block_of(addr);
@@ -821,6 +824,7 @@ impl<T: ConcurrentTable, P: Probe, R: Route> TxnOps for Txn<'_, T, P, R> {
     /// read), or no acquire if it is. Cross-table mode composes
     /// `read` and `write`: its commit takes a read-and-written block at
     /// `Write` either way.
+    #[inline]
     fn update_with(&mut self, addr: u64, f: &mut dyn FnMut(u64) -> u64) -> Result<u64, Aborted> {
         let block = self.mapper.block_of(addr);
         if R::MULTI && self.route(block)? {

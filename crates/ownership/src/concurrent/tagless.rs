@@ -194,6 +194,7 @@ impl ConcurrentTaglessTable {
         }
     }
 
+    #[inline]
     fn release_read(&self, e: EntryIndex) {
         let cell = &self.entries[e];
         let mut cur = cell.load(Ordering::Acquire);
@@ -213,6 +214,7 @@ impl ConcurrentTaglessTable {
         }
     }
 
+    #[inline]
     fn release_write(&self, txn: ThreadId, e: EntryIndex) {
         debug_assert_eq!(self.owner_of(e), Some(txn), "release_write by non-owner");
         self.entries[e].store(FREE, Ordering::Release);
@@ -224,10 +226,12 @@ impl ConcurrentTable for ConcurrentTaglessTable {
         self.cfg.num_entries()
     }
 
+    #[inline]
     fn grant_key(&self, block: BlockAddr) -> GrantKey {
         self.cfg.entry_of(block) as GrantKey
     }
 
+    #[inline]
     fn acquire_uncounted(
         &self,
         txn: ThreadId,
@@ -249,6 +253,7 @@ impl ConcurrentTable for ConcurrentTaglessTable {
         }
     }
 
+    #[inline]
     fn release_uncounted(&self, txn: ThreadId, key: GrantKey, held: Held) {
         let e = key as EntryIndex;
         match held {

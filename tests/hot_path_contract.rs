@@ -258,3 +258,64 @@ fn read_only_transactions_take_no_grants_no_locks_and_allocate_nothing() {
     assert_eq!(s.commits, 0);
     assert_eq!(s.read_only_commits, READ_TXNS);
 }
+
+/// Table entries for the nested pair: few enough that the two
+/// transactions' disjoint footprints often alias, and often do not.
+const PAIR_TABLE_ENTRIES: usize = 64;
+/// Blocks each side of the pair draws from; the two ranges are disjoint.
+const PAIR_SPAN: u64 = WORKING_SET / 2;
+
+/// One side of the pair: the standard body over its own half of the
+/// working set, at an offset that strides by `stride` blocks a pair so the
+/// two sides' table entries drift past each other.
+fn pair_body<T: TxnOps>(txn: &mut T, first: u64, stride: u64, i: u64) -> Result<(), Aborted> {
+    let block = |k: u64| (first + (i * stride + k) % PAIR_SPAN) * 64;
+    for k in 0..READS {
+        txn.read(block(k))?;
+    }
+    for k in 0..WRITES {
+        txn.update_add(block(READS + k), 1)?;
+    }
+    Ok(())
+}
+
+/// The paper's two overlapping transactions on one thread (the benchmark's
+/// `txn-birthday` shape): transaction 0 takes its footprint, then a
+/// single-attempt transaction 1 runs inside its body, so two scratch
+/// bundles are checked out at once. An inner attempt refused by an alias
+/// of an outer grant aborts and runs again once the outer has committed.
+#[test]
+fn nested_pairs_with_aborting_inner_transactions_allocate_nothing() {
+    let engine = StmBuilder::new()
+        .heap_words(HEAP_WORDS)
+        .table_entries(PAIR_TABLE_ENTRIES)
+        .build_tagless();
+    let mut reruns = 0u64;
+    let allocs = steady_state_allocs(WARMUP_TXNS, MEASURED_TXNS, |i| {
+        let mut inner_committed = false;
+        engine.run(0, |outer| {
+            pair_body(outer, 0, 7, i)?;
+            inner_committed = engine
+                .try_run(1, 1, |inner| pair_body(inner, PAIR_SPAN, 13, i))
+                .is_ok();
+            Ok(())
+        });
+        if !inner_committed {
+            reruns += 1;
+            engine.run(1, |inner| pair_body(inner, PAIR_SPAN, 13, i));
+        }
+    });
+    let pairs = WARMUP_TXNS + MEASURED_TXNS;
+    assert!(
+        0 < reruns && reruns < pairs,
+        "the inner transaction must abort on some pairs and commit on others \
+         ({reruns} reruns over {pairs} pairs)"
+    );
+    assert_eq!(
+        allocs, 0,
+        "nested pairs: steady-state attempts must not allocate \
+         ({allocs} allocations over {MEASURED_TXNS} pairs)"
+    );
+    // Every transaction committed: each pair adds 2 * WRITES increments.
+    assert_eq!(engine.heap_sum(HEAP_WORDS), 2 * WRITES * pairs);
+}
