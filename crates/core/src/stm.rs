@@ -799,7 +799,6 @@ impl<T: ConcurrentTable, P: Probe, R: Route> ReadOps for Txn<'_, T, P, R> {
 /// eagerly and stay buffered until commit. A read-modify-write takes
 /// `Write` once instead of a read grant and then an upgrade.
 impl<T: ConcurrentTable, P: Probe, R: Route> TxnOps for Txn<'_, T, P, R> {
-    #[inline]
     fn write(&mut self, addr: u64, value: u64) -> Result<(), Aborted> {
         self.writes += 1;
         let block = self.mapper.block_of(addr);

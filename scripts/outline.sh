@@ -20,6 +20,9 @@
 # script reads it from the slot's `R_X86_64_RELATIVE` relocation addend
 # (`readelf -r`). Indirect calls through a register (trait objects,
 # closures passed as `&mut dyn FnMut`) are not followed. x86-64 only.
+# Exits 2 when the binary or the root is missing, and 3 when no call in
+# the disassembly parses (an `objdump` whose syntax the script does not
+# know), so a wrong listing does not pass for an empty one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,14 +64,16 @@ root=${2:-'Lockstep<E>::pair'}
         insns[cur]++
         split($0, f, "\t")
         op = f[2]
-        if (op !~ /^(call|jmp) /) next
+        # Older binutils print `callq`/`jmpq`.
+        if (op !~ /^(call|jmp)q? /) next
+        calls++
         if (op ~ /\*0x[0-9a-f]+\(%rip\)/) {
             # Through a GOT slot: "call *0x..(%rip)   # 14a288 <...>".
             s = op
             sub(/.*# */, "", s)
             split(s, g, " ")
             if (hex(g[1]) in slot) edges[cur] = edges[cur] " " slot[hex(g[1])] "g"
-        } else if (op ~ /^(call|jmp) +[0-9a-f]+ <[^+]*>$/) {
+        } else if (op ~ /^(call|jmp)q? +[0-9a-f]+ <[^+]*>$/) {
             # Direct, to a function start (a label without "+0x").
             split(op, g, " +")
             t = hex(g[2])
@@ -79,6 +84,12 @@ root=${2:-'Lockstep<E>::pair'}
         if (tail == 0) {
             print "outline.sh: no function ends with \"" root "\"" > "/dev/stderr"
             exit 2
+        }
+        # Every real binary calls something: none seen means this
+        # objdump prints calls in a form the patterns above do not know.
+        if (calls == 0) {
+            print "outline.sh: no call or jmp instruction recognised in the disassembly" > "/dev/stderr"
+            exit 3
         }
         for (i = 1; i <= tail; i++) seen[queue[i]] = 1
         for (head = 1; head <= tail; head++) {
