@@ -49,7 +49,7 @@ impl ContentionPolicy {
 /// How a whole transaction reacts to repeated aborts: the retry budget
 /// one [`run_with`](crate::TmEngine::run_with) /
 /// [`run_read_with`](crate::TmEngine::run_read_with) call spends before it
-/// gives up with [`RetryLimitExceeded`](crate::RetryLimitExceeded).
+/// gives up with [`RetryLimitExceeded`].
 ///
 /// Orthogonal to [`ContentionPolicy`], which governs a *single* conflicting
 /// acquire inside one attempt; the retry policy governs the attempt loop

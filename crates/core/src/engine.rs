@@ -10,7 +10,7 @@
 //!
 //! * [`ReadOps`] is the read-only operation surface — what a
 //!   [`TmEngine::run_read`] body sees. [`TxnOps`] extends it with the write
-//!   surface for read-write bodies. [`Txn`] and [`LazyTxn`](crate::LazyTxn)
+//!   surface for read-write bodies. [`Txn`](crate::Txn) and [`LazyTxn`](crate::LazyTxn)
 //!   implement both; the read-only [`ReadTxn`](crate::ReadTxn) and
 //!   [`LazyReadTxn`](crate::LazyReadTxn) implement only [`ReadOps`], so a
 //!   write inside a read-only body is a *compile error*, not a runtime

@@ -55,9 +55,9 @@ pub(crate) fn cause_of_class(class: ConflictClass) -> AbortCause {
 
 /// Marker error: the current transaction attempt must be abandoned.
 ///
-/// Returned by [`ReadOps::read`](crate::ReadOps::read)/[`TxnOps::write`]
+/// Returned by [`ReadOps::read`]/[`TxnOps::write`]
 /// on conflict; user code
-/// propagates it with `?` and [`TmEngine::run`](crate::TmEngine::run)
+/// propagates it with `?` and [`TmEngine::run`]
 /// retries the whole closure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Aborted;

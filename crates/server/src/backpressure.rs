@@ -24,7 +24,7 @@
 //!   server (no transaction is started), so under overload latency for
 //!   *admitted* work stays bounded instead of every request degrading.
 //!
-//! Shards call [`Admission::observe`] periodically with a windowed abort
+//! Workers call [`Admission::observe`] periodically with a windowed abort
 //! ratio from [`EngineStats::since`](tm_stm::EngineStats::since); the
 //! budget is a plain atomic so observation and admission never lock.
 
@@ -73,7 +73,7 @@ impl AdmissionPolicy {
     }
 }
 
-/// The shared admission gauge. One per server; all shards admit against
+/// The shared admission gauge. One per server; all workers admit against
 /// the same budget, so total inflight write cost is globally bounded.
 #[derive(Debug)]
 pub struct Admission {
@@ -104,7 +104,7 @@ impl Admission {
         let budget = self.budget.load(Ordering::Relaxed);
         // Optimistic add, undo on overshoot: cheaper than CAS-looping on
         // the hot path and the transient overshoot is bounded by one
-        // request per shard.
+        // request per worker.
         let prev = self.inflight.fetch_add(cost, Ordering::Relaxed);
         if prev.saturating_add(cost) > budget {
             self.inflight.fetch_sub(cost, Ordering::Relaxed);

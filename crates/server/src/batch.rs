@@ -6,7 +6,7 @@
 //! *extra* transaction in flight raises the paper's false-conflict
 //! probability (Eq. 8 is quadratic in footprint but also `C(C−1)` in the
 //! number of concurrent transactions). Group commit amortizes the fixed
-//! cost and shrinks effective concurrency: a shard folds adjacent write
+//! cost and shrinks effective concurrency: a worker folds adjacent write
 //! requests — possibly from different sessions — into one engine
 //! transaction when their footprints are **compatible**.
 //!
@@ -121,7 +121,7 @@ pub struct BatchPolicy {
     /// empties. A cap, not a timer: nothing waits for it (rule 3). The
     /// server measures the age against a clock reading at most one message
     /// or 128 frames old, so a request can outlive the cap by the time the
-    /// shard takes to handle that much.
+    /// worker takes to handle that much.
     pub latency_budget: Duration,
 }
 
@@ -180,9 +180,9 @@ impl Group {
     }
 }
 
-/// The per-shard write coalescer. Single-threaded by design: each shard
+/// The per-worker write coalescer. Single-threaded by design: each worker
 /// owns one, so no locking — cross-session coalescing happens because one
-/// shard serves many sessions.
+/// worker serves many sessions.
 #[derive(Debug)]
 pub struct Batcher {
     policy: BatchPolicy,
@@ -260,7 +260,7 @@ impl Batcher {
             .any(|g| g.ops.iter().any(|op| op.session == session))
     }
 
-    /// Must the shard flush before it takes another message? True when any
+    /// Must the worker flush before it takes another message? True when any
     /// group is full or the oldest request has reached the latency budget.
     pub fn should_flush(&self, now: Instant) -> bool {
         let (full, old) = (self.policy.max_ops, self.policy.latency_budget);

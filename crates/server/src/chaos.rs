@@ -2,7 +2,7 @@
 //! and check the invariants that survive it.
 //!
 //! One [`ChaosCase`] is a complete, replayable experiment: a seed expands
-//! deterministically into a [`FaultPlan`] (frame faults, scheduled shard
+//! deterministically into a [`FaultPlan`] (frame faults, scheduled worker
 //! crashes, abort storm), a server topology, and a client fleet of
 //! [`RetryClient`]s issuing increment-only writes through [`FaultyConn`]s.
 //! After the dust settles the runner reconciles three ledgers:
@@ -28,9 +28,9 @@
 //! teeth.
 //!
 //! A concurrent FIFO probe (a plain pipelined session) runs alongside the
-//! fleet: its responses must come back in send order even across shard
-//! crashes and recoveries, because session state survives the supervisor's
-//! `catch_unwind` boundary.
+//! fleet: its responses must come back in send order even across worker
+//! crashes and recoveries, because session state survives the worker
+//! thread's `catch_unwind` boundary.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,7 +50,7 @@ use crate::session::DEFAULT_DEDUP_WINDOW;
 pub struct ChaosCase {
     /// Master seed; every derived draw traces back to it.
     pub seed: u64,
-    /// Server shards (engine writer concurrency).
+    /// Server workers (engine writer concurrency).
     pub shards: u32,
     /// Retry clients driven in parallel.
     pub clients: u32,

@@ -13,10 +13,10 @@
 //!   would still decode is dropped instead), so a fault can garble what the
 //!   server sees but never silently change a write's meaning.
 //! * **crash points** ([`CrashPoint`], checked by the server/batch code
-//!   via [`FaultState::crash_point`]): a [`CrashSchedule`] panics the shard
-//!   thread on the scheduled hit of a named point. The shard supervisor
+//!   via [`FaultState::crash_point`]): a [`CrashSchedule`] panics the worker
+//!   thread on the scheduled hit of a named point. The worker thread
 //!   catches the unwind, poisons what was lost, audits the engine, and
-//!   restarts the shard — the chaos tests assert conservation across every
+//!   serves on — the chaos tests assert conservation across every
 //!   such crash.
 //! * **abort storms** ([`FaultState::force_abort`], polled by the group
 //!   body as a fault probe): a deterministic per-mille coin that forces the
@@ -143,7 +143,7 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Frame-level faults (applied client-side by [`FaultyConn`]).
     pub frame: FrameFaults,
-    /// Scheduled shard panics.
+    /// Scheduled worker panics.
     pub crashes: Vec<CrashSchedule>,
     /// Per-mille probability that the group-commit body aborts voluntarily
     /// on any given attempt. Capped at [`FaultPlan::MAX_STORM_PER_MILLE`]
@@ -192,7 +192,7 @@ impl FaultPlan {
 
 /// Shared runtime state of an armed [`FaultPlan`]: per-crash-point hit
 /// counters plus the abort-storm coin. One instance is shared by every
-/// shard of a server (and by the test observing it).
+/// worker of a server (and by the test observing it).
 #[derive(Debug)]
 pub struct FaultState {
     plan: FaultPlan,

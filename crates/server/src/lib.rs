@@ -18,10 +18,10 @@
 //! * [`backpressure`] — admission control that contracts a shared inflight
 //!   budget as the engine's observed abort ratio rises, shedding load with
 //!   explicit `Busy` responses instead of collapsing;
-//! * [`server`] — the shard threads, fed directly by the transports;
+//! * [`server`] — the worker threads, fed directly by the transports;
 //!   reads run inline on the engine's wait-free read path, writes flow
 //!   through the batcher, and each session is handed its responses once
-//!   per shard wake-up;
+//!   per worker wake-up;
 //! * [`transport`] — TCP and a hermetic in-process channel transport
 //!   (same frames, no sockets) that CI and tests run on;
 //! * [`loadgen`] — a client fleet simulating thousands of sessions with

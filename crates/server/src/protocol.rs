@@ -158,7 +158,7 @@ pub enum ErrorCode {
     /// from "applied long ago" — it must treat the operation's outcome as
     /// unknown rather than retry.
     Expired,
-    /// A shard thread panicked while this write was pending; the write
+    /// A worker thread panicked while this write was pending; the write
     /// **vanished without applying** (its group never committed). Safe to
     /// retry — with an idempotency token the retry applies exactly once.
     ShardRestarted,

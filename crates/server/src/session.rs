@@ -2,11 +2,11 @@
 //!
 //! A **session** is one client connection: a stable id, an outbound
 //! [`Sink`] for encoded response frames, and an ordering guarantee.
-//! Sessions are sharded by `session_id % shards`; one transport thread
-//! feeds a session and its shard processes the frames in arrival order, so
-//! each session sees its own requests answered in the order it sent them —
-//! pipelining (many requests in flight before reading responses) is safe
-//! without any client-side windowing protocol.
+//! Sessions are spread over the workers by `session_id % workers`; one
+//! transport thread feeds a session and its worker processes the frames in
+//! arrival order, so each session sees its own requests answered in the
+//! order it sent them — pipelining (many requests in flight before reading
+//! responses) is safe without any client-side windowing protocol.
 //!
 //! Both directions carry **messages of whole frames**: one `Vec<u8>` holding
 //! one or more complete encoded frames, in order, never a part of one.
@@ -18,19 +18,19 @@
 //! [`ServerMsg::Disconnect`] abandons the session (the writes it still has
 //! batched commit first, and their acks are the last thing its sink gets).
 //! [`ServerMsg::Shutdown`] drains everything: the server handle queues it
-//! on every shard *behind* whatever that shard had already been sent, so a
-//! shard that sees it has already answered everything ahead of it.
+//! on every worker *behind* whatever that worker had already been sent, so
+//! a worker that sees it has already answered everything ahead of it.
 //!
 //! Responses leave in the other direction through each session's
 //! **outbox**: [`SessionRegistry::respond`] appends the encoded frame, and
 //! [`SessionRegistry::flush_out`] hands every outbox with something in it
 //! to its sink as *one* message of whole frames — a channel send, or one
-//! write to a TCP session's socket. A shard calls it when it is about to
-//! block, so a client is woken once per shard wake-up rather than once per
+//! write to a TCP session's socket. A worker calls it when it is about to
+//! block, so a client is woken once per worker wake-up rather than once per
 //! answer.
 //!
 //! The buffers go round instead of being allocated: an inbound message the
-//! shard has finished with is given back through
+//! worker has finished with is given back through
 //! [`SessionRegistry::recycle`] and becomes a channel session's next outbox
 //! the moment the current one leaves for the sink. A socket session's
 //! outbox is written and cleared in place.
@@ -135,7 +135,7 @@ impl DedupWindow {
     }
 
     /// Forget an in-flight token whose write did **not** apply (`Busy`
-    /// shed, shard crash): a retry must be allowed to apply it.
+    /// shed, worker crash): a retry must be allowed to apply it.
     pub fn abandon(&mut self, token: u64) {
         if matches!(self.entries.get(&token), Some(None)) {
             self.entries.remove(&token);
@@ -171,7 +171,7 @@ pub enum Sink {
     Socket(SocketSink),
 }
 
-/// One message on the server's ingress plane (transport → shard).
+/// One message on the server's ingress plane (transport → worker).
 #[derive(Debug)]
 pub enum ServerMsg {
     /// A new session with its outbound frame sink.
@@ -179,7 +179,7 @@ pub enum ServerMsg {
         /// The new session's id (allocated by the transport).
         session: SessionId,
         /// Where this session's responses go: a channel, or the accepted
-        /// socket's write half. The session's shard owns it from here on
+        /// socket's write half. The session's worker owns it from here on
         /// and drops it when the session ends.
         sink: Sink,
     },
@@ -197,11 +197,11 @@ pub enum ServerMsg {
         /// The departed session.
         session: SessionId,
     },
-    /// Drain pending work and exit (the handle sends one to every shard).
+    /// Drain pending work and exit (the handle sends one to every worker).
     Shutdown,
 }
 
-/// One live session's shard-local state.
+/// One live session's worker-local state.
 #[derive(Debug)]
 struct SessionState {
     sink: Sink,
@@ -213,7 +213,7 @@ struct SessionState {
     spare: Vec<u8>,
 }
 
-/// A shard's view of its live sessions. Single-threaded (each shard owns
+/// A worker's view of its live sessions. Single-threaded (each worker owns
 /// one), so plain `HashMap` and no locking.
 #[derive(Debug)]
 pub struct SessionRegistry {

@@ -592,7 +592,7 @@ mod tests {
     fn intercepted(server: &ServerHandle) -> (ChannelConn, Receiver<ServerMsg>) {
         let mut conn = server.connect();
         let (tx, rx) = channel();
-        conn.ingress = Ingress { shards: vec![tx] };
+        conn.ingress = Ingress { workers: vec![tx] };
         (conn, rx)
     }
 
