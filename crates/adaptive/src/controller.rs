@@ -79,11 +79,6 @@ impl AdaptiveController {
         }
     }
 
-    /// Update the expected concurrency (e.g. after a thread-pool rescale).
-    pub fn set_concurrency(&mut self, concurrency: u32) {
-        self.concurrency = concurrency;
-    }
-
     /// The policy in force.
     pub fn policy(&self) -> &ResizePolicy {
         &self.policy

@@ -9,8 +9,14 @@
 //!   word-based STMs give their tagless tables, and it preserves the false
 //!   conflicts the paper analyses.
 //! * [`ConcurrentTaggedTable`] — per-bucket `parking_lot` mutexes over the
-//!   inline-or-chain buckets of Figure 7. Aliasing blocks coexist; only
-//!   same-block conflicts are reported.
+//!   inline-or-chain buckets of Figure 7, one record per held block.
+//!   Aliasing blocks coexist; only same-block conflicts are reported.
+//!
+//! Both keep Figure 1's entry — a mode plus the writer or the sharer
+//! count — as the same packed ownership word, and change it through the
+//! same pure transitions (the private `word` module): a tagless entry is
+//! one such word for every block that hashes there, a tagged record one
+//! such word beside the one block it tags.
 //!
 //! The tables do **not** keep per-thread logs internally — the caller
 //! already owns that log, and duplicating it under synchronization would be
@@ -41,6 +47,7 @@
 
 mod tagged;
 mod tagless;
+mod word;
 
 pub use tagged::ConcurrentTaggedTable;
 pub use tagless::ConcurrentTaglessTable;

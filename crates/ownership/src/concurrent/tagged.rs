@@ -1,6 +1,14 @@
 //! Concurrent tagged ownership table: per-bucket locks over Figure 7's
 //! inline-or-chain buckets.
 //!
+//! A record is Figure 7's tag beside its entry fields: the block, and the
+//! ownership word a tagless entry keeps (see [`word`](super::word)) — a
+//! mode plus the writer or the count of readers of that block. Acquire and
+//! release apply the same transitions as the tagless table, but to the
+//! record of the requested block alone, so aliasing blocks coexist and a
+//! refusal is always a true conflict. A record leaves its chain when its
+//! word is free again.
+//!
 //! Bucket mutation is short (find/insert/remove one record), so a
 //! `parking_lot::Mutex` per bucket is both simple and fast; uncontended
 //! acquire/release is a single atomic lock word plus the record probe the
@@ -8,92 +16,20 @@
 
 use parking_lot::Mutex;
 
-use crate::entry::{Access, AcquireOutcome, Conflict, ConflictClass, ConflictKind, Mode, ThreadId};
+use crate::entry::{Access, AcquireOutcome, Conflict, ConflictClass, ThreadId};
+use crate::fingerprint::fingerprint_of;
 use crate::hashing::{BlockAddr, TableConfig};
 use crate::stats::{AccessTally, Counters, TableStats};
 
+use super::word::{granted, refusal, released, snapshot, units, FREE};
 use super::{ConcurrentTable, GrantKey, GrantSnapshot, Held};
 
-/// Sharers kept inline before spilling to a heap list. Covers the paper's
-/// experimental range (≤ 8 hardware threads): with at most
-/// `READERS_INLINE` concurrent readers per block, acquiring a fresh read
-/// record allocates nothing.
-const READERS_INLINE: usize = 8;
-
-/// The reader list of one record: inline array first, heap spill only past
-/// [`READERS_INLINE`] simultaneous sharers of one block.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct ReaderSet {
-    inline: [ThreadId; READERS_INLINE],
-    inline_len: u8,
-    spill: Vec<ThreadId>,
-}
-
-impl ReaderSet {
-    fn one(txn: ThreadId) -> Self {
-        let mut inline = [0; READERS_INLINE];
-        inline[0] = txn;
-        Self {
-            inline,
-            inline_len: 1,
-            spill: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.inline_len as usize + self.spill.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn contains(&self, txn: ThreadId) -> bool {
-        self.inline[..self.inline_len as usize].contains(&txn) || self.spill.contains(&txn)
-    }
-
-    fn push(&mut self, txn: ThreadId) {
-        if (self.inline_len as usize) < READERS_INLINE {
-            self.inline[self.inline_len as usize] = txn;
-            self.inline_len += 1;
-        } else {
-            self.spill.push(txn);
-        }
-    }
-
-    /// `true` when `txn` is the only sharer (the read→write upgrade test).
-    fn sole(&self, txn: ThreadId) -> bool {
-        self.inline_len == 1 && self.spill.is_empty() && self.inline[0] == txn
-    }
-
-    /// Drop one occurrence of `txn`, backfilling the inline array from the
-    /// spill so inline stays the dense prefix.
-    fn remove(&mut self, txn: ThreadId) {
-        let n = self.inline_len as usize;
-        if let Some(i) = self.inline[..n].iter().position(|&t| t == txn) {
-            if let Some(last) = self.spill.pop() {
-                self.inline[i] = last;
-            } else {
-                self.inline[i] = self.inline[n - 1];
-                self.inline_len -= 1;
-            }
-        } else if let Some(i) = self.spill.iter().position(|&t| t == txn) {
-            self.spill.swap_remove(i);
-        }
-    }
-}
-
-/// Who holds a record and how.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum RecState {
-    Readers(ReaderSet),
-    Writer(ThreadId),
-}
-
+/// One block's record: its tag and its ownership word (never free while
+/// the record is in its chain).
 #[derive(Clone, Debug)]
 struct Rec {
     block: BlockAddr,
-    state: RecState,
+    word: u64,
 }
 
 /// A thread-safe tagged/chained ownership table (see the
@@ -121,11 +57,6 @@ impl ConcurrentTaggedTable {
         }
     }
 
-    /// Convenience constructor: `N` entries, paper-default geometry.
-    pub fn with_entries(n: usize) -> Self {
-        Self::new(TableConfig::new(n))
-    }
-
     /// Number of records currently stored for `block`'s bucket (diagnostic).
     pub fn chain_len_of(&self, block: BlockAddr) -> usize {
         self.buckets[self.cfg.entry_of(block)].lock().len()
@@ -139,76 +70,13 @@ impl ConcurrentTaggedTable {
             .any(|r| r.block == block)
     }
 
-    fn conflict(&self, kind: ConflictKind, with: Option<ThreadId>) -> AcquireOutcome {
-        // A tagged record matched the block, so the conflict is genuine.
+    /// Count and report the conflict `word` raised against a request for
+    /// `access`. The record matched the block, so the conflict is genuine.
+    fn refused(&self, access: Access, word: u64) -> AcquireOutcome {
+        let (kind, with) = refusal(access, word);
         let class = ConflictClass::KnownTrue;
         self.counters.on_conflict(kind, class);
         AcquireOutcome::Conflict(Conflict { kind, with, class })
-    }
-
-    fn acquire_read(&self, txn: ThreadId, block: BlockAddr) -> AcquireOutcome {
-        let mut bucket = self.buckets[self.cfg.entry_of(block)].lock();
-        match bucket.iter_mut().find(|r| r.block == block) {
-            None => {
-                if !bucket.is_empty() {
-                    self.counters.on_chain_insert();
-                }
-                bucket.push(Rec {
-                    block,
-                    state: RecState::Readers(ReaderSet::one(txn)),
-                });
-                AcquireOutcome::Granted
-            }
-            Some(rec) => match &mut rec.state {
-                RecState::Writer(o) if *o == txn => AcquireOutcome::AlreadyHeld,
-                RecState::Writer(o) => {
-                    let o = *o;
-                    drop(bucket);
-                    self.conflict(ConflictKind::ReadAfterWrite, Some(o))
-                }
-                RecState::Readers(v) => {
-                    if v.contains(txn) {
-                        AcquireOutcome::AlreadyHeld
-                    } else {
-                        v.push(txn);
-                        AcquireOutcome::Granted
-                    }
-                }
-            },
-        }
-    }
-
-    fn acquire_write(&self, txn: ThreadId, block: BlockAddr) -> AcquireOutcome {
-        let mut bucket = self.buckets[self.cfg.entry_of(block)].lock();
-        match bucket.iter_mut().find(|r| r.block == block) {
-            None => {
-                if !bucket.is_empty() {
-                    self.counters.on_chain_insert();
-                }
-                bucket.push(Rec {
-                    block,
-                    state: RecState::Writer(txn),
-                });
-                AcquireOutcome::Granted
-            }
-            Some(rec) => match &mut rec.state {
-                RecState::Writer(o) if *o == txn => AcquireOutcome::AlreadyHeld,
-                RecState::Writer(o) => {
-                    let o = *o;
-                    drop(bucket);
-                    self.conflict(ConflictKind::WriteAfterWrite, Some(o))
-                }
-                RecState::Readers(v) => {
-                    if v.sole(txn) {
-                        rec.state = RecState::Writer(txn);
-                        AcquireOutcome::Granted
-                    } else {
-                        drop(bucket);
-                        self.conflict(ConflictKind::WriteAfterRead, None)
-                    }
-                }
-            },
-        }
     }
 }
 
@@ -232,10 +100,25 @@ impl ConcurrentTable for ConcurrentTaggedTable {
             (Access::Read, Held::Read | Held::Write) | (Access::Write, Held::Write) => {
                 AcquireOutcome::AlreadyHeld
             }
-            (Access::Read, Held::None) => self.acquire_read(txn, block),
-            // The bucket holds reader identities, so upgrade shares the
-            // write path (it finds the caller as sole reader).
-            (Access::Write, Held::None | Held::Read) => self.acquire_write(txn, block),
+            _ => {
+                let mut bucket = self.buckets[self.cfg.entry_of(block)].lock();
+                let found = bucket.iter().position(|r| r.block == block);
+                let cur = found.map_or(FREE, |i| bucket[i].word);
+                let Some(next) = granted(cur, txn, access, held, fingerprint_of(block)) else {
+                    drop(bucket);
+                    return self.refused(access, cur);
+                };
+                match found {
+                    Some(i) => bucket[i].word = next,
+                    None => {
+                        if !bucket.is_empty() {
+                            self.counters.on_chain_insert();
+                        }
+                        bucket.push(Rec { block, word: next });
+                    }
+                }
+                AcquireOutcome::Granted
+            }
         }
     }
 
@@ -249,17 +132,15 @@ impl ConcurrentTable for ConcurrentTaggedTable {
             debug_assert!(false, "release of unheld block {block}");
             return;
         };
-        let drop_rec = match &mut bucket[pos].state {
-            RecState::Writer(o) => {
-                debug_assert_eq!(*o, txn, "write release by non-owner");
-                true
-            }
-            RecState::Readers(v) => {
-                v.remove(txn);
-                v.is_empty()
-            }
-        };
-        if drop_rec {
+        let rec = &mut bucket[pos];
+        debug_assert!(
+            snapshot(block, rec.word)
+                .and_then(|g| g.owner)
+                .is_none_or(|o| o == txn),
+            "write release by non-owner"
+        );
+        rec.word = released(rec.word, held);
+        if rec.word == FREE {
             bucket.swap_remove(pos);
         }
     }
@@ -280,41 +161,31 @@ impl ConcurrentTable for ConcurrentTaggedTable {
     fn for_each_grant(&self, f: &mut dyn FnMut(GrantSnapshot)) {
         for bucket in &self.buckets {
             for rec in bucket.lock().iter() {
-                match &rec.state {
-                    RecState::Readers(v) => f(GrantSnapshot {
-                        key: rec.block,
-                        mode: Mode::Read,
-                        owner: None,
-                        sharers: v.len() as u32,
-                    }),
-                    RecState::Writer(o) => f(GrantSnapshot {
-                        key: rec.block,
-                        mode: Mode::Write,
-                        owner: Some(*o),
-                        sharers: 0,
-                    }),
+                if let Some(g) = snapshot(rec.block, rec.word) {
+                    f(g);
                 }
             }
         }
     }
 
     fn drain_grants(&self) -> u64 {
-        let mut dropped = 0u64;
-        for bucket in &self.buckets {
-            for rec in bucket.lock().drain(..) {
-                dropped += match rec.state {
-                    RecState::Readers(v) => v.len() as u64,
-                    RecState::Writer(_) => 1,
-                };
-            }
-        }
-        dropped
+        self.buckets
+            .iter()
+            .map(|bucket| {
+                bucket
+                    .lock()
+                    .drain(..)
+                    .map(|rec| units(rec.word))
+                    .sum::<u64>()
+            })
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::{ConflictKind, Mode};
     use crate::hashing::HashKind;
 
     fn table(n: usize) -> ConcurrentTaggedTable {

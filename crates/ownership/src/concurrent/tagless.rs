@@ -1,14 +1,8 @@
 //! Lock-free concurrent tagless ownership table.
 //!
-//! Each entry is a single `AtomicU64` packing the Figure 1 fields and the
-//! fingerprint of the block its holders cover:
-//!
-//! ```text
-//! bits 0..2    mode      (0 = Free, 1 = Read, 2 = Write)
-//! bits 2..34   payload   (owner ThreadId for Write, sharer count for Read)
-//! bits 34..64  fp        (the one block the holders cover; saturated once
-//!                         they cover more than one; 0 when Free)
-//! ```
+//! Each entry is a single `AtomicU64` holding the ownership word (see
+//! [`word`](super::word)): the Figure 1 fields and the fingerprint of the
+//! block its holders cover.
 //!
 //! Acquire and release are CAS loops over that word — the "low metadata
 //! overhead" that makes the tagless design attractive and that the paper
@@ -28,72 +22,15 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::entry::{Access, AcquireOutcome, Conflict, ConflictKind, Mode, ThreadId};
+use crate::entry::{Access, AcquireOutcome, Conflict, Mode, ThreadId};
 use crate::fingerprint::{classify, fingerprint_of, FP_SATURATED};
 use crate::hashing::{BlockAddr, EntryIndex, TableConfig};
 use crate::stats::{AccessTally, Counters, TableStats};
 
+use super::word::{
+    fp_of, granted, mode_of, refusal, released, snapshot, units, FP_SATURATED_BITS, FREE, MODE_READ,
+};
 use super::{ConcurrentTable, GrantKey, GrantSnapshot, Held};
-
-const MODE_MASK: u64 = 0b11;
-const MODE_FREE: u64 = 0;
-const MODE_READ: u64 = 1;
-const MODE_WRITE: u64 = 2;
-const PAYLOAD_SHIFT: u32 = 2;
-const FP_SHIFT: u32 = 34;
-/// A free word: no mode, no payload, no fingerprint.
-const FREE: u64 = 0;
-/// The fingerprint field set to [`FP_SATURATED`] (all ones).
-const FP_SATURATED_BITS: u64 = (FP_SATURATED as u64) << FP_SHIFT;
-
-#[inline]
-fn pack(mode: u64, payload: u32, fp: u32) -> u64 {
-    mode | ((payload as u64) << PAYLOAD_SHIFT) | ((fp as u64) << FP_SHIFT)
-}
-
-#[inline]
-fn mode_of(word: u64) -> u64 {
-    word & MODE_MASK
-}
-
-#[inline]
-fn payload_of(word: u64) -> u32 {
-    (word >> PAYLOAD_SHIFT) as u32
-}
-
-#[inline]
-fn fp_of(word: u64) -> u32 {
-    (word >> FP_SHIFT) as u32
-}
-
-/// The fingerprint of a word whose holders covered `held` and now `fp`.
-#[inline]
-fn join(held: u32, fp: u32) -> u32 {
-    if held == fp {
-        held
-    } else {
-        FP_SATURATED
-    }
-}
-
-/// The word after granting `access` on `cur` to `txn`, which holds `held`
-/// there and covers the block fingerprinted `fp`; `None` when `cur` refuses.
-#[inline]
-fn granted(cur: u64, txn: ThreadId, access: Access, held: Held, fp: u32) -> Option<u64> {
-    match (access, mode_of(cur)) {
-        (Access::Read, MODE_FREE) => Some(pack(MODE_READ, 1, fp)),
-        (Access::Read, MODE_READ) => {
-            Some(pack(MODE_READ, payload_of(cur) + 1, join(fp_of(cur), fp)))
-        }
-        (Access::Write, MODE_FREE) => Some(pack(MODE_WRITE, txn, fp)),
-        // An upgrade: the caller holds a read unit, so a sole reader is
-        // the caller.
-        (Access::Write, MODE_READ) if held == Held::Read && payload_of(cur) == 1 => {
-            Some(pack(MODE_WRITE, txn, join(fp_of(cur), fp)))
-        }
-        _ => None,
-    }
-}
 
 /// A thread-safe tagless ownership table (see the
 /// module docs and [`super::ConcurrentTable`]).
@@ -117,34 +54,24 @@ impl ConcurrentTaglessTable {
         }
     }
 
-    /// Convenience constructor: `N` entries, paper-default geometry.
-    pub fn with_entries(n: usize) -> Self {
-        Self::new(TableConfig::new(n))
+    /// The grant entry `e` holds, if any (diagnostic; racy by nature).
+    fn grant_at(&self, e: EntryIndex) -> Option<GrantSnapshot> {
+        snapshot(e as GrantKey, self.entries[e].load(Ordering::Acquire))
     }
 
     /// Decoded mode of entry `e` (diagnostic; racy by nature).
     pub fn mode_of(&self, e: EntryIndex) -> Mode {
-        match mode_of(self.entries[e].load(Ordering::Acquire)) {
-            MODE_READ => Mode::Read,
-            MODE_WRITE => Mode::Write,
-            _ => Mode::Free,
-        }
+        self.grant_at(e).map_or(Mode::Free, |g| g.mode)
     }
 
     /// Decoded sharer count (diagnostic; racy by nature).
     pub fn sharers_of(&self, e: EntryIndex) -> u32 {
-        let w = self.entries[e].load(Ordering::Acquire);
-        if mode_of(w) == MODE_READ {
-            payload_of(w)
-        } else {
-            0
-        }
+        self.grant_at(e).map_or(0, |g| g.sharers)
     }
 
     /// Decoded write owner (diagnostic; racy by nature).
     pub fn owner_of(&self, e: EntryIndex) -> Option<ThreadId> {
-        let w = self.entries[e].load(Ordering::Acquire);
-        (mode_of(w) == MODE_WRITE).then(|| payload_of(w))
+        self.grant_at(e).and_then(|g| g.owner)
     }
 
     /// The grant CAS loop: `Ok` once granted, or the word that refused it.
@@ -171,11 +98,7 @@ impl ConcurrentTaglessTable {
     /// Count and report the conflict `word` raised against a request for
     /// `access` on the block fingerprinted `fp`, classified from `word`.
     fn refused(&self, access: Access, word: u64, fp: u32) -> AcquireOutcome {
-        let (kind, with) = match (access, mode_of(word)) {
-            (Access::Read, _) => (ConflictKind::ReadAfterWrite, Some(payload_of(word))),
-            (Access::Write, MODE_READ) => (ConflictKind::WriteAfterRead, None),
-            (Access::Write, _) => (ConflictKind::WriteAfterWrite, Some(payload_of(word))),
-        };
+        let (kind, with) = refusal(access, word);
         let class = classify(fp_of(word), fp);
         self.counters.on_conflict(kind, class);
         AcquireOutcome::Conflict(Conflict { kind, with, class })
@@ -200,13 +123,7 @@ impl ConcurrentTaglessTable {
         let mut cur = cell.load(Ordering::Acquire);
         loop {
             debug_assert_eq!(mode_of(cur), MODE_READ, "release_read on non-Read entry");
-            let sharers = payload_of(cur);
-            // The remaining readers cover at most what the word names.
-            let next = if sharers <= 1 {
-                FREE
-            } else {
-                pack(MODE_READ, sharers - 1, fp_of(cur))
-            };
+            let next = released(cur, Held::Read);
             match cell.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => return,
                 Err(now) => cur = now,
@@ -277,44 +194,25 @@ impl ConcurrentTable for ConcurrentTaglessTable {
     }
 
     fn for_each_grant(&self, f: &mut dyn FnMut(GrantSnapshot)) {
-        for (e, cell) in self.entries.iter().enumerate() {
-            let word = cell.load(Ordering::Acquire);
-            match mode_of(word) {
-                MODE_READ => f(GrantSnapshot {
-                    key: e as GrantKey,
-                    mode: Mode::Read,
-                    owner: None,
-                    sharers: payload_of(word),
-                }),
-                MODE_WRITE => f(GrantSnapshot {
-                    key: e as GrantKey,
-                    mode: Mode::Write,
-                    owner: Some(payload_of(word)),
-                    sharers: 0,
-                }),
-                _ => {}
+        for e in 0..self.entries.len() {
+            if let Some(g) = self.grant_at(e) {
+                f(g);
             }
         }
     }
 
     fn drain_grants(&self) -> u64 {
-        let mut dropped = 0u64;
-        for cell in &self.entries {
-            let word = cell.swap(FREE, Ordering::AcqRel);
-            dropped += match mode_of(word) {
-                MODE_READ => payload_of(word) as u64,
-                MODE_WRITE => 1,
-                _ => 0,
-            };
-        }
-        dropped
+        self.entries
+            .iter()
+            .map(|cell| units(cell.swap(FREE, Ordering::AcqRel)))
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::ConflictClass;
+    use crate::entry::{ConflictClass, ConflictKind};
     use crate::fingerprint::FP_NONE;
     use crate::hashing::HashKind;
 

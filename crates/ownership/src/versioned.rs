@@ -111,11 +111,6 @@ impl VersionedTable {
         }
     }
 
-    /// Convenience constructor with default geometry.
-    pub fn with_entries(n: usize) -> Self {
-        Self::new(TableConfig::new(n))
-    }
-
     /// The configuration.
     pub fn config(&self) -> &TableConfig {
         &self.cfg

@@ -87,7 +87,6 @@ fn fleet(args: &Args, arrivals: ArrivalProcess, write_fraction: f64) -> LoadgenC
         key_universe: KEY_UNIVERSE,
         pipeline_window: 4,
         seed: 0x5e55,
-        busy_retry: None,
     }
 }
 

@@ -15,6 +15,8 @@
 //! [`LoadReport::applied_delta`] — every acknowledged increment applied
 //! exactly once, every `Busy`-shed increment applied exactly zero times.
 //! [`LoadReport::conservation_holds`] checks it against the engine.
+//! `Busy` is terminal here: the fleet never resends a shed write
+//! ([`RetryClient`](crate::client::RetryClient) is the client that does).
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -25,7 +27,6 @@ use tm_harness::{AccessPattern, BlockSampler};
 use tm_stm::TmEngine;
 use tm_telemetry::Histogram;
 
-use crate::client::BackoffPolicy;
 use crate::protocol::{Request, Response};
 use crate::server::ServerHandle;
 use crate::transport::ChannelConn;
@@ -91,13 +92,6 @@ pub struct LoadgenConfig {
     pub pipeline_window: u32,
     /// Fleet RNG seed.
     pub seed: u64,
-    /// Retry `Busy`-shed writes with this backoff policy instead of giving
-    /// up. `None` (the default posture) treats `Busy` as terminal, which
-    /// is what the conservation tests assume; `Some` turns the fleet into
-    /// a well-behaved retrying client population (resends are counted in
-    /// [`LoadReport::retries`], and each logical request is still counted
-    /// once in [`LoadReport::sent`]).
-    pub busy_retry: Option<BackoffPolicy>,
 }
 
 impl LoadgenConfig {
@@ -114,7 +108,6 @@ impl LoadgenConfig {
             key_universe,
             pipeline_window: 4,
             seed: 0x10ad,
-            busy_retry: None,
         }
     }
 }
@@ -134,9 +127,6 @@ pub struct LoadReport {
     pub errors: u64,
     /// Responses that never arrived before the drain deadline.
     pub unanswered: u64,
-    /// `Busy`-shed writes resent under [`LoadgenConfig::busy_retry`]
-    /// (each resend counts once; always 0 with retries disabled).
-    pub retries: u64,
     /// Total increment actually applied by acknowledged writes (each
     /// `Added` is +1, each `MultiAdded{applied}` is +applied).
     pub applied_delta: u64,
@@ -156,7 +146,6 @@ impl LoadReport {
         self.busy += other.busy;
         self.errors += other.errors;
         self.unanswered += other.unanswered;
-        self.retries += other.retries;
         self.applied_delta += other.applied_delta;
         self.write_latency.merge(&other.write_latency);
         self.read_latency.merge(&other.read_latency);
@@ -198,14 +187,13 @@ impl LoadReport {
     /// Multi-line human summary (what the example and smoke bin print).
     pub fn summary(&self) -> String {
         format!(
-            "sent {}  acked writes {}  reads {}  busy {}  retries {}  errors {}  unanswered {}\n\
+            "sent {}  acked writes {}  reads {}  busy {}  errors {}  unanswered {}\n\
              applied delta {}  elapsed {:.2?}  throughput {:.0} ops/s\n\
              {}\n{}",
             self.sent,
             self.acked_writes,
             self.acked_reads,
             self.busy,
-            self.retries,
             self.errors,
             self.unanswered,
             self.applied_delta,
@@ -217,23 +205,6 @@ impl LoadReport {
     }
 }
 
-/// One request in flight (keyed by correlation id).
-struct Pending {
-    sent_at: Instant,
-    /// The request itself, kept only when `busy_retry` is enabled (it is
-    /// what gets resent on a `Busy` shed).
-    request: Option<Request>,
-    /// 1 for the first send, +1 per resend.
-    attempt: u32,
-}
-
-/// A `Busy`-shed write waiting out its backoff before resend.
-struct QueuedRetry {
-    eligible_at: Instant,
-    request: Request,
-    attempt: u32,
-}
-
 /// One logical session inside a driver thread.
 struct SessionSim {
     conn: ChannelConn,
@@ -242,8 +213,8 @@ struct SessionSim {
     /// Requests still owed by the current arrival event (bursts > 1).
     event_remaining: u32,
     sent: u32,
-    outstanding: HashMap<u64, Pending>,
-    retry_queue: Vec<QueuedRetry>,
+    /// When each request in flight was sent, by correlation id.
+    outstanding: HashMap<u64, Instant>,
 }
 
 /// Run the fleet against `server` and aggregate what it saw. Returns after
@@ -316,7 +287,6 @@ fn drive(
                 event_remaining: size,
                 sent: 0,
                 outstanding: HashMap::new(),
-                retry_queue: Vec::new(),
             }
         })
         .collect();
@@ -327,8 +297,7 @@ fn drive(
         let mut any_progress = false;
         let now = Instant::now();
         for s in sessions.iter_mut() {
-            any_progress |= drain_responses(s, cfg, &mut report);
-            any_progress |= resend_due_retries(s, cfg, &mut report);
+            any_progress |= drain_responses(s, &mut report);
             if s.sent >= cfg.requests_per_session {
                 continue;
             }
@@ -368,18 +337,12 @@ fn drive(
         }
     }
 
-    // Phase 2: drain the tail (including retries still waiting out their
-    // backoff — each resend re-enters `outstanding`).
+    // Phase 2: drain the tail.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while sessions
-        .iter()
-        .any(|s| !s.outstanding.is_empty() || !s.retry_queue.is_empty())
-        && Instant::now() < deadline
-    {
+    while sessions.iter().any(|s| !s.outstanding.is_empty()) && Instant::now() < deadline {
         let mut progressed = false;
         for s in sessions.iter_mut() {
-            progressed |= drain_responses(s, cfg, &mut report);
-            progressed |= resend_due_retries(s, cfg, &mut report);
+            progressed |= drain_responses(s, &mut report);
         }
         if !progressed {
             std::thread::sleep(Duration::from_micros(200));
@@ -406,68 +369,22 @@ fn send_one(
         (false, 1) => Request::Get { key: keys[0] },
         (false, _) => Request::MultiGet { keys },
     };
-    // Keep a copy only if a Busy answer may need to resend it.
-    let retained = (cfg.busy_retry.is_some() && is_write).then(|| request.clone());
     let id = s.conn.send(request);
-    s.outstanding.insert(
-        id,
-        Pending {
-            sent_at: Instant::now(),
-            request: retained,
-            attempt: 1,
-        },
-    );
+    s.outstanding.insert(id, Instant::now());
     s.sent += 1;
     report.sent += 1;
 }
 
-/// Resend every queued retry whose backoff has elapsed (window permitting);
-/// returns whether any went out.
-fn resend_due_retries(s: &mut SessionSim, cfg: &LoadgenConfig, report: &mut LoadReport) -> bool {
-    if s.retry_queue.is_empty() {
-        return false;
-    }
-    let now = Instant::now();
-    let mut any = false;
-    let mut i = 0;
-    while i < s.retry_queue.len() {
-        if s.retry_queue[i].eligible_at > now || (s.outstanding.len() as u32) >= cfg.pipeline_window
-        {
-            i += 1;
-            continue;
-        }
-        let entry = s.retry_queue.swap_remove(i);
-        let retained = Some(entry.request.clone());
-        let id = s.conn.send(entry.request);
-        s.outstanding.insert(
-            id,
-            Pending {
-                sent_at: Instant::now(),
-                request: retained,
-                attempt: entry.attempt,
-            },
-        );
-        report.retries += 1;
-        any = true;
-    }
-    s.conn.flush();
-    any
-}
-
 /// Pull every ready response for one session; returns whether any arrived.
-fn drain_responses(s: &mut SessionSim, cfg: &LoadgenConfig, report: &mut LoadReport) -> bool {
+fn drain_responses(s: &mut SessionSim, report: &mut LoadReport) -> bool {
     let mut any = false;
     while let Some(frame) = s.conn.try_recv() {
         any = true;
-        let Some(pending) = s.outstanding.remove(&frame.id) else {
+        let Some(sent_at) = s.outstanding.remove(&frame.id) else {
             report.errors += 1; // response to a request we never made
             continue;
         };
-        let nanos = pending
-            .sent_at
-            .elapsed()
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64;
+        let nanos = sent_at.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         match frame.response {
             Response::Added(_) => {
                 report.acked_writes += 1;
@@ -487,21 +404,7 @@ fn drain_responses(s: &mut SessionSim, cfg: &LoadgenConfig, report: &mut LoadRep
                 report.acked_reads += 1;
                 report.read_latency.record(nanos);
             }
-            Response::Busy => {
-                report.busy += 1;
-                // A shed write applied nothing, so resending it cannot
-                // double-apply — no idempotency machinery needed here.
-                if let (Some(policy), Some(request)) = (cfg.busy_retry, pending.request) {
-                    if pending.attempt < policy.max_attempts {
-                        let delay = policy.delay_before(pending.attempt + 1, &mut s.rng);
-                        s.retry_queue.push(QueuedRetry {
-                            eligible_at: Instant::now() + delay,
-                            request,
-                            attempt: pending.attempt + 1,
-                        });
-                    }
-                }
-            }
+            Response::Busy => report.busy += 1,
             Response::Closed => {}
             Response::Error(_) => report.errors += 1,
         }

@@ -78,7 +78,6 @@ fn measured_conflict_rate_matches_simulation() {
         key_universe: KEY_UNIVERSE,
         pipeline_window: 8,
         seed: 0xc0c5,
-        busy_retry: None,
     };
     let report = run_loadgen(&server, &fleet);
     let stats = engine.engine_stats();
@@ -158,7 +157,6 @@ fn table_size_scaling_tracks_simulation() {
             key_universe: KEY_UNIVERSE,
             pipeline_window: 8,
             seed: 0x5ca1e,
-            busy_retry: None,
         };
         let report = run_loadgen(&server, &fleet);
         let stats = engine.engine_stats();

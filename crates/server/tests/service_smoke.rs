@@ -726,7 +726,6 @@ fn acceptance_fleet_4k_sessions_conserves() {
         key_universe: universe,
         pipeline_window: 2,
         seed: 0x4096,
-        busy_retry: None,
     };
     let report = run_loadgen(&server, &fleet);
 
@@ -771,7 +770,6 @@ fn bursty_fleet_conserves() {
         key_universe: universe,
         pipeline_window: 8,
         seed: 0xb0b,
-        busy_retry: None,
     };
     let report = run_loadgen(&server, &fleet);
     assert_eq!(report.unanswered, 0);

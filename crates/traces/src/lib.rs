@@ -2,7 +2,7 @@
 //!
 //! The paper's two trace-driven experiments consume inputs we cannot
 //! redistribute, so this crate synthesizes structurally equivalent streams
-//! (substitutions documented in `DESIGN.md`):
+//! (see DESIGN.md, "Trace substitutions"):
 //!
 //! * [`jbb`] — a SPECjbb2005-like 4-warehouse multithreaded workload, the
 //!   input to the Figure 2 alias-likelihood study. Per-thread object heaps,

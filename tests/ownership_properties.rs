@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use tm_birthday::ownership::concurrent::ConcurrentTable;
+use tm_birthday::ownership::concurrent::{ConcurrentTable, GrantSnapshot};
 use tm_birthday::ownership::{
     Access, AcquireOutcome, ConcurrentTaggedTable, ConcurrentTaglessTable, HashKind, TableConfig,
 };
@@ -177,6 +177,40 @@ proptest! {
                     live.retain(|&(t, _, _)| t != txn);
                 }
             }
+        }
+    }
+
+    /// Where no two blocks share an entry, the organizations are one table:
+    /// tagless and tagged give every acquire the same outcome (kind, owner
+    /// met, class) and hold the same grants after every operation.
+    #[test]
+    fn without_aliasing_tagless_and_tagged_agree(
+        ops in proptest::collection::vec(op_strategy(4, 16), 0..200)
+    ) {
+        // Mask hash over 16 entries, blocks below 16: block b is entry b,
+        // so a tagless grant key and a tagged one coincide.
+        let cfg = TableConfig::new(16).with_hash(HashKind::Mask);
+        let mut tagless = SimTable::new(ConcurrentTaglessTable::new(cfg.clone()));
+        let mut tagged = SimTable::new(ConcurrentTaggedTable::new(cfg));
+        fn grants<T: ConcurrentTable>(table: &SimTable<T>) -> Vec<GrantSnapshot> {
+            let mut all = Vec::new();
+            table.table().for_each_grant(&mut |g| all.push(g));
+            all.sort_by_key(|g| g.key);
+            all
+        }
+        for op in &ops {
+            match *op {
+                Op::Acquire { txn, block, write } => {
+                    let lhs = tagless.acquire(txn, block, access(write));
+                    let rhs = tagged.acquire(txn, block, access(write));
+                    prop_assert_eq!(lhs, rhs, "block {} txn {} write {}", block, txn, write);
+                }
+                Op::ReleaseAll { txn } => {
+                    tagless.release_all(txn);
+                    tagged.release_all(txn);
+                }
+            }
+            prop_assert_eq!(grants(&tagless), grants(&tagged), "after {:?}", op);
         }
     }
 
