@@ -224,7 +224,8 @@ tuple_layout!(A B C D);
 /// `TRef` is `Copy` regardless of `T` (it is an address, not a value) and
 /// all access goes through a transaction: [`get`](TRef::get)/
 /// [`set`](TRef::set)/[`update`](TRef::update) compose into any
-/// [`TxnOps`] body, and the `*_now` conveniences auto-commit on any
+/// [`TxnOps`] body, and [`get_now`](TRef::get_now)/
+/// [`get_read`](TRef::get_read) are auto-committing reads on any
 /// [`TmEngine`]. Construction happens through the allocators
 /// ([`Region`](crate::Region) for static layout, [`TxAlloc`](crate::TxAlloc)
 /// for transactional alloc/free) — user code never computes addresses.
@@ -317,25 +318,6 @@ impl<T: TxLayout> TRef<T> {
     /// un-torn.
     pub fn get_read<E: TmEngine>(&self, stm: &E, me: ThreadId) -> T {
         stm.run_read(me, |txn| self.get(txn))
-    }
-
-    /// Auto-committing write on any engine.
-    pub fn set_now<E: TmEngine>(&self, stm: &E, me: ThreadId, value: T)
-    where
-        T: Clone,
-    {
-        stm.run(me, |txn| self.set(txn, value.clone()))
-    }
-
-    /// Auto-committing read-modify-write; returns the new value.
-    pub fn update_now<E, F>(&self, stm: &E, me: ThreadId, f: F) -> T
-    where
-        E: TmEngine,
-        F: FnMut(T) -> T,
-        T: Clone,
-    {
-        let mut f = f;
-        stm.run(me, |txn| self.update(txn, &mut f))
     }
 
     /// Non-transactional read straight from the heap. Only meaningful while

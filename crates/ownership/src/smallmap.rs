@@ -10,6 +10,9 @@
 //!
 //! [`SmallMap`] is the replacement shape:
 //!
+//! * **Grow, then clear** — an attempt only inserts (or overwrites) and
+//!   then clears, so nothing is ever removed: a spill slot is empty or
+//!   full, and a probe chain ends at its first empty slot.
 //! * **Inline first** — up to [`INLINE_CAP`] entries live in a fixed array
 //!   scanned linearly (branch-predictable, cache-resident, zero heap).
 //! * **Spill once, keep forever** — past that, entries move to an
@@ -17,8 +20,10 @@
 //!   *retained* across [`SmallMap::clear`]. A warmed-up map never allocates
 //!   or rehashes again, which is what makes a retry loop allocation-free.
 //! * **`u64`-like keys only** — keys implement [`SmallKey`] (block
-//!   addresses, grant keys, entry indices), hashed with one Fibonacci
-//!   multiply instead of SipHash.
+//!   addresses, grant keys, entry indices), placed with the ownership
+//!   tables' own [`HashKind::Multiplicative`] hash instead of SipHash.
+
+use crate::hashing::HashKind;
 
 /// Entries kept in the inline array before spilling to the probe table.
 pub const INLINE_CAP: usize = 16;
@@ -26,9 +31,6 @@ pub const INLINE_CAP: usize = 16;
 /// Initial capacity of the spill table (power of two, ≥ 2×[`INLINE_CAP`]
 /// so the spilling insert never immediately re-grows).
 const SPILL_MIN_CAP: usize = 64;
-
-/// Knuth's multiplicative constant: ⌊2^64 / φ⌋, odd.
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Keys a [`SmallMap`] accepts: `Copy`, equality-comparable, and losslessly
 /// convertible to/from `u64` (addresses, block numbers, entry indices).
@@ -50,17 +52,6 @@ impl SmallKey for u64 {
     }
 }
 
-impl SmallKey for u32 {
-    #[inline]
-    fn encode(self) -> u64 {
-        self as u64
-    }
-    #[inline]
-    fn decode(raw: u64) -> Self {
-        raw as u32
-    }
-}
-
 impl SmallKey for usize {
     #[inline]
     fn encode(self) -> u64 {
@@ -72,22 +63,11 @@ impl SmallKey for usize {
     }
 }
 
-/// Spill-slot occupancy. `Tombstone` marks a deleted slot so probe chains
-/// stay intact; tombstones are reclaimed wholesale at the next rebuild or
-/// [`SmallMap::clear`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum SlotState {
-    #[default]
-    Empty,
-    Full,
-    Tombstone,
-}
-
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot<V> {
     key: u64,
     val: V,
-    state: SlotState,
+    full: bool,
 }
 
 /// A small-footprint map from [`SmallKey`]s to `Copy` values (see the
@@ -103,14 +83,11 @@ pub struct SmallMap<K: SmallKey, V: Copy + Default> {
     len: usize,
     /// Spill probe table; empty until the first spill, then retained.
     slots: Vec<Slot<V>>,
-    /// Indices of slots that left `Empty` since the last clear (each
-    /// recorded exactly once: tombstone reuse does not re-record). Makes
-    /// [`SmallMap::clear`] and [`SmallMap::iter`] O(touched slots), not
+    /// Indices of the slots filled since the last clear, in fill order.
+    /// Makes [`SmallMap::clear`] and [`SmallMap::iter`] O(entries), not
     /// O(capacity) — one huge historical footprint must not tax every
     /// later attempt on the thread.
     dirty: Vec<u32>,
-    /// Full + tombstone slots in `slots` (governs the load factor).
-    occupied: usize,
     /// Whether entries currently live in `slots` (all of them do, once
     /// spilled; `clear` returns the map to inline mode).
     spilled: bool,
@@ -133,7 +110,6 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
             len: 0,
             slots: Vec::new(),
             dirty: Vec::new(),
-            occupied: 0,
             spilled: false,
             _key: std::marker::PhantomData,
         }
@@ -166,26 +142,29 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
     }
 
     /// Remove every entry, keeping all backing storage for reuse. O(1)
-    /// while inline; O(slots touched since the last clear) after a spill
-    /// (the dirty list, not the whole capacity).
+    /// while inline; O(entries) after a spill (the dirty list, not the
+    /// whole capacity).
     pub fn clear(&mut self) {
         if self.spilled {
             for &i in &self.dirty {
-                self.slots[i as usize].state = SlotState::Empty;
+                self.slots[i as usize].full = false;
             }
             self.dirty.clear();
-            self.occupied = 0;
             self.spilled = false;
         }
         self.len = 0;
     }
 
-    /// First probe index for `raw` in a table of `cap` slots (power of two).
+    /// The slot holding `raw` in `slots`, or the empty slot that ends its
+    /// probe chain (the table is at most half full, so one exists).
     #[inline]
-    fn probe_start(raw: u64, cap: usize) -> usize {
-        // Fibonacci hashing: the high bits of a single multiply are well
-        // mixed even for sequential keys (block runs, entry indices).
-        (raw.wrapping_mul(FIB) >> (64 - cap.trailing_zeros())) as usize
+    fn probe(slots: &[Slot<V>], raw: u64) -> usize {
+        let mask = slots.len() - 1;
+        let mut i = HashKind::Multiplicative.index(raw, slots.len());
+        while slots[i].full && slots[i].key != raw {
+            i = (i + 1) & mask;
+        }
+        i
     }
 
     /// The value stored under `key`, if present.
@@ -198,17 +177,8 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
                 .position(|&k| k == raw)
                 .map(|i| self.inline_vals[i]);
         }
-        let cap = self.slots.len();
-        let mask = cap - 1;
-        let mut i = Self::probe_start(raw, cap);
-        loop {
-            let slot = &self.slots[i];
-            match slot.state {
-                SlotState::Empty => return None,
-                SlotState::Full if slot.key == raw => return Some(slot.val),
-                _ => i = (i + 1) & mask,
-            }
-        }
+        let slot = &self.slots[Self::probe(&self.slots, raw)];
+        slot.full.then_some(slot.val)
     }
 
     /// `true` when `key` is present.
@@ -234,15 +204,13 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
             self.spill();
         }
         self.maybe_grow();
-        let out = Self::insert_spilled(&mut self.slots, raw, val);
-        if out.consumed_empty {
-            self.occupied += 1;
-            self.dirty.push(out.index as u32);
+        let i = Self::probe(&self.slots, raw);
+        if self.slots[i].full {
+            return Some(std::mem::replace(&mut self.slots[i].val, val));
         }
-        if out.prev.is_none() {
-            self.len += 1;
-        }
-        out.prev
+        self.fill(i, raw, val);
+        self.len += 1;
+        None
     }
 
     /// Insert `key`, which the caller knows is absent: while the map is
@@ -259,39 +227,8 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
         }
     }
 
-    /// Remove `key`, returning its value when present. The slot becomes a
-    /// tombstone, reclaimed at the next rebuild or clear.
-    pub fn remove(&mut self, key: K) -> Option<V> {
-        let raw = key.encode();
-        if !self.spilled {
-            let i = self.inline_keys[..self.len]
-                .iter()
-                .position(|&k| k == raw)?;
-            let val = self.inline_vals[i];
-            self.len -= 1;
-            self.inline_keys[i] = self.inline_keys[self.len];
-            self.inline_vals[i] = self.inline_vals[self.len];
-            return Some(val);
-        }
-        let cap = self.slots.len();
-        let mask = cap - 1;
-        let mut i = Self::probe_start(raw, cap);
-        loop {
-            let slot = &mut self.slots[i];
-            match slot.state {
-                SlotState::Empty => return None,
-                SlotState::Full if slot.key == raw => {
-                    slot.state = SlotState::Tombstone;
-                    self.len -= 1;
-                    return Some(slot.val);
-                }
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
     /// Visit every `(key, value)` pair (insertion order while inline,
-    /// touch order after a spill). O(slots touched since the last clear).
+    /// fill order after a spill). O(entries).
     pub fn iter(&self) -> impl Iterator<Item = (K, V)> + '_ {
         // Invariant: `dirty` is non-empty only while spilled, so the two
         // halves of the chain are mutually exclusive.
@@ -304,9 +241,18 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
                 self.dirty
                     .iter()
                     .map(|&i| &self.slots[i as usize])
-                    .filter(|s| s.state == SlotState::Full)
                     .map(|s| (K::decode(s.key), s.val)),
             )
+    }
+
+    /// Store a new entry in the empty slot `i` and record it dirty.
+    fn fill(&mut self, i: usize, raw: u64, val: V) {
+        self.slots[i] = Slot {
+            key: raw,
+            val,
+            full: true,
+        };
+        self.dirty.push(i as u32);
     }
 
     /// Move the inline entries into the spill table (allocating it on
@@ -315,101 +261,27 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
         if self.slots.is_empty() {
             self.slots = vec![Slot::default(); SPILL_MIN_CAP];
         }
-        debug_assert_eq!(self.occupied, 0, "spill over a dirty table");
-        debug_assert!(self.dirty.is_empty(), "dirty list out of sync");
-        for i in 0..self.len {
-            let out =
-                Self::insert_spilled(&mut self.slots, self.inline_keys[i], self.inline_vals[i]);
-            debug_assert!(out.consumed_empty);
-            self.dirty.push(out.index as u32);
+        debug_assert!(self.dirty.is_empty(), "spill over a dirty table");
+        for n in 0..self.len {
+            let raw = self.inline_keys[n];
+            self.fill(Self::probe(&self.slots, raw), raw, self.inline_vals[n]);
         }
-        self.occupied = self.len;
         self.spilled = true;
     }
 
-    /// Keep the spill table at most half full (counting tombstones); grows
-    /// or rebuilds before the insert that would cross the threshold.
+    /// Keep the spill table at most half full: doubles it before the
+    /// insert that would cross the threshold.
     fn maybe_grow(&mut self) {
         let cap = self.slots.len();
-        if (self.occupied + 1) * 2 <= cap {
+        if (self.len + 1) * 2 <= cap {
             return;
         }
-        // Mostly tombstones → rebuild at the same size; genuinely full →
-        // double. (Either way tombstones are reclaimed.)
-        let new_cap = if (self.len + 1) * 2 > cap {
-            cap * 2
-        } else {
-            cap
-        };
-        let old = std::mem::replace(&mut self.slots, vec![Slot::default(); new_cap]);
+        let old = std::mem::replace(&mut self.slots, vec![Slot::default(); cap * 2]);
         self.dirty.clear();
-        for slot in old {
-            if slot.state == SlotState::Full {
-                let out = Self::insert_spilled(&mut self.slots, slot.key, slot.val);
-                debug_assert!(out.consumed_empty);
-                self.dirty.push(out.index as u32);
-            }
-        }
-        self.occupied = self.len;
-    }
-
-    /// Raw open-addressed insert. Returns `(consumed_fresh_slot, previous)`.
-    fn insert_spilled(slots: &mut [Slot<V>], raw: u64, val: V) -> InsertOutcome<V> {
-        let cap = slots.len();
-        let mask = cap - 1;
-        let mut i = Self::probe_start(raw, cap);
-        let mut reuse: Option<usize> = None;
-        loop {
-            let slot = &mut slots[i];
-            match slot.state {
-                SlotState::Full if slot.key == raw => {
-                    return InsertOutcome {
-                        consumed_empty: false,
-                        index: i,
-                        prev: Some(std::mem::replace(&mut slot.val, val)),
-                    };
-                }
-                SlotState::Full => {}
-                SlotState::Tombstone => {
-                    // Remember the first reusable slot but keep probing: the
-                    // key may exist further down the chain.
-                    if reuse.is_none() {
-                        reuse = Some(i);
-                    }
-                }
-                SlotState::Empty => {
-                    // A reused tombstone slot is already on the dirty list
-                    // (recorded when it first left Empty), so only a fresh
-                    // Empty slot counts as newly consumed.
-                    let (target, fresh) = match reuse {
-                        Some(t) => (t, false),
-                        None => (i, true),
-                    };
-                    slots[target] = Slot {
-                        key: raw,
-                        val,
-                        state: SlotState::Full,
-                    };
-                    return InsertOutcome {
-                        consumed_empty: fresh,
-                        index: target,
-                        prev: None,
-                    };
-                }
-            }
-            i = (i + 1) & mask;
+        for slot in old.into_iter().filter(|s| s.full) {
+            self.fill(Self::probe(&self.slots, slot.key), slot.key, slot.val);
         }
     }
-}
-
-/// What [`SmallMap::insert_spilled`] did (internal).
-struct InsertOutcome<V> {
-    /// A previously-`Empty` slot became `Full` (must be recorded dirty).
-    consumed_empty: bool,
-    /// The slot the key now occupies.
-    index: usize,
-    /// The displaced value on overwrite.
-    prev: Option<V>,
 }
 
 #[cfg(test)]
@@ -437,8 +309,6 @@ mod tests {
         assert_eq!(m.get(0), None);
         m.insert(0, 42);
         assert_eq!(m.get(0), Some(42));
-        assert_eq!(m.remove(0), Some(42));
-        assert_eq!(m.get(0), None);
     }
 
     #[test]
@@ -473,39 +343,6 @@ mod tests {
         }
         assert_eq!(m.spill_capacity(), cap);
         assert_eq!(m.get(199), Some(200));
-    }
-
-    #[test]
-    fn inline_remove_swaps_last() {
-        let mut m: SmallMap<u64, u64> = SmallMap::new();
-        for k in 0..4u64 {
-            m.insert(k, k * 10);
-        }
-        assert_eq!(m.remove(1), Some(10));
-        assert_eq!(m.remove(1), None);
-        assert_eq!(m.len(), 3);
-        for k in [0u64, 2, 3] {
-            assert_eq!(m.get(k), Some(k * 10));
-        }
-    }
-
-    #[test]
-    fn tombstones_are_reclaimed_not_leaked() {
-        let mut m: SmallMap<u64, u64> = SmallMap::new();
-        // Churn far more inserts+removes than any capacity, staying small.
-        for round in 0..10_000u64 {
-            m.insert(round, round);
-            if round >= 20 {
-                assert_eq!(m.remove(round - 20), Some(round - 20));
-            }
-        }
-        assert!(m.len() <= 21);
-        // Capacity must stay bounded (tombstone rebuilds, not growth).
-        assert!(
-            m.spill_capacity() <= 256,
-            "capacity {} grew without bound",
-            m.spill_capacity()
-        );
     }
 
     #[test]
@@ -547,8 +384,6 @@ mod tests {
                 got,
                 (0..20).map(|k| (k, epoch * 100 + k)).collect::<Vec<_>>()
             );
-            assert_eq!(m.remove(3), Some(epoch * 100 + 3));
-            assert_eq!(m.len(), 19);
             m.clear();
             assert_eq!(m.iter().count(), 0);
         }
@@ -558,34 +393,45 @@ mod tests {
     #[test]
     fn randomized_against_std_hashmap() {
         // Deterministic pseudo-random op stream, mirrored into a std map.
+        // A wide key space and rare clears keep most steps spilled and
+        // double the table several times.
         let mut m: SmallMap<u64, u64> = SmallMap::new();
         let mut reference: HashMap<u64, u64> = HashMap::new();
+        // Every entry, compared before each clear and at the end.
+        let assert_same = |m: &SmallMap<u64, u64>, reference: &HashMap<u64, u64>| {
+            let mut got: Vec<_> = m.iter().collect();
+            got.sort_unstable();
+            let mut want: Vec<_> = reference.iter().map(|(&k, &v)| (k, v)).collect();
+            want.sort_unstable();
+            assert_eq!(got, want);
+        };
         let mut x = 0x0123_4567_89AB_CDEF_u64;
         for step in 0..50_000u64 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let key = (x >> 33) % 97; // small key space → heavy collisions
-            let op = x % 10;
-            if op < 3 || (op < 6 && reference.contains_key(&key)) {
+            let key = (x >> 33) % 4096;
+            let op = x % 1000;
+            if op == 999 {
+                assert_same(&m, &reference);
+                m.clear();
+                reference.clear();
+            } else if op < 500 || reference.contains_key(&key) {
                 assert_eq!(m.insert(key, step), reference.insert(key, step));
-            } else if op < 6 {
+            } else {
                 // The append path, for a key known to be absent.
                 m.insert_new(key, step);
                 reference.insert(key, step);
-            } else if op < 9 {
-                assert_eq!(m.remove(key), reference.remove(&key));
-            } else {
-                m.clear();
-                reference.clear();
             }
             assert_eq!(m.len(), reference.len(), "step {step}");
             assert_eq!(m.get(key), reference.get(&key).copied());
+            // A second key, usually absent while the map is small.
+            let other = (x >> 13) % 4096;
+            assert_eq!(m.get(other), reference.get(&other).copied());
         }
-        let mut got: Vec<_> = m.iter().collect();
-        got.sort_unstable();
-        let mut want: Vec<_> = reference.iter().map(|(&k, &v)| (k, v)).collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
+        // Capacity is retained across clears, so this is the peak.
+        let cap = m.spill_capacity();
+        assert!(cap >= 1024, "the table doubled to only {cap}");
+        assert_same(&m, &reference);
     }
 }

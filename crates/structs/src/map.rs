@@ -14,7 +14,7 @@
 
 use std::marker::PhantomData;
 
-use tm_ownership::ThreadId;
+use tm_ownership::{HashKind, ThreadId};
 use tm_stm::{
     Aborted, CapacityError, ReadOps, Region, TRef, TmEngine, TxLayout, TxResult, TxnOps, WORD_BYTES,
 };
@@ -77,9 +77,7 @@ impl<V: TxLayout> TMap<V> {
 
     #[inline]
     fn slot_of(&self, key: u64) -> u64 {
-        // Fibonacci hashing, as elsewhere in the workspace.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.capacity.trailing_zeros()))
-            % self.capacity
+        HashKind::Multiplicative.index(key, self.capacity as usize) as u64
     }
 
     #[inline]
@@ -275,6 +273,13 @@ mod tests {
         assert_eq!(m.remove_now(&stm, 0, 7), Some(71));
         assert_eq!(m.get_now(&stm, 0, 7), None);
         assert_eq!(m.remove_now(&stm, 0, 7), None);
+    }
+
+    #[test]
+    fn one_slot_map_round_trips() {
+        let (stm, m) = setup(1);
+        assert_eq!(m.insert_now(&stm, 0, 7, 70), Ok(None));
+        assert_eq!(m.get_now(&stm, 0, 7), Some(70));
     }
 
     #[test]
