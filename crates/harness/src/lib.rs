@@ -53,7 +53,7 @@ pub mod json;
 pub mod report;
 pub mod run;
 pub mod scenario;
-pub mod structs_load;
+mod structs_load;
 
 pub use driver::{
     build_replay_streams, phase_loop, run_phase_threads, run_replay_phase, run_synthetic_phase,
@@ -61,9 +61,8 @@ pub use driver::{
 };
 pub use engine::{EngineKind, EngineStats, ReadOps, TmEngine, TxnOps};
 pub use report::{HarnessReport, RunResult, SCHEMA_VERSION};
-pub use run::{execute, execute_traced, run_matrix, run_matrix_traced, MatrixConfig, RunSpec};
+pub use run::{execute, execute_traced, run_matrix, MatrixConfig, RunSpec};
 pub use scenario::{
     AccessPattern, BlockSampler, ListKeyMix, ReplaySpec, Scenario, ScenarioKind, StructsKind,
     SyntheticSpec,
 };
-pub use structs_load::{run_structs, StructsRun, StructsTally};

@@ -309,7 +309,7 @@ mod tests {
             measure: Phase::Txns(20),
             fast: true,
         };
-        let report = run_matrix(&config, |_, _, _| {});
+        let report = run_matrix(&config, |_, _, _, _| {});
         assert_eq!(report.engines(), vec!["eager-tagged", "sharded"]);
         assert_eq!(report.scenarios(), vec!["uniform-mixed"]);
         assert_eq!(report.runs[0].key(), "eager-tagged/uniform-mixed/t2");

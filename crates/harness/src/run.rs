@@ -6,7 +6,6 @@
 //! sweeps the cross product and returns a [`HarnessReport`] ready for JSON
 //! serialization and CI gating.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,7 +19,7 @@ use tm_stm::{
 };
 
 use crate::driver::{
-    build_replay_streams, run_replay_phase, run_synthetic_phase, Phase, ThreadTally,
+    build_replay_streams, run_replay_phase, run_synthetic_phase, warmup_seed, Phase, PhaseResult,
 };
 use crate::engine::{EngineKind, EngineStats, TmEngine};
 use crate::report::{HarnessReport, RunResult};
@@ -71,13 +70,11 @@ impl RunSpec {
 }
 
 /// Outcome of driving both phases on a concrete engine.
-struct DriveOutcome {
+pub(crate) struct DriveOutcome {
     measure_elapsed: Duration,
-    measure: EngineStats,
-    violations: u64,
-    /// Telemetry captured over exactly the measured phase (the recorder's
-    /// window is reset at the warmup/measure boundary and snapshotted
-    /// before any post-run verification transactions).
+    pub(crate) measure: EngineStats,
+    pub(crate) violations: u64,
+    /// Telemetry captured over exactly the measured phase (see [`Phases`]).
     telemetry: TelemetrySnapshot,
 }
 
@@ -211,97 +208,71 @@ fn drive_ticked<E: TmEngine>(
     outcome.expect("scope body ran")
 }
 
-/// Drive any scenario family on any engine. The recorder's window is reset
-/// at the warmup/measure boundary and snapshotted immediately after the
-/// measured phase, so the captured telemetry covers exactly the phase the
-/// counters describe (post-run verification transactions excluded).
-fn drive<E: TmEngine>(engine: &E, spec: &RunSpec, recorder: &Recorder) -> DriveOutcome {
-    if let ScenarioKind::Structs(kind) = &spec.scenario.kind {
-        let captured: RefCell<Option<TelemetrySnapshot>> = RefCell::new(None);
-        let run = run_structs(
-            engine,
-            *kind,
-            spec.heap_words,
-            spec.threads,
-            spec.warmup,
-            spec.measure,
-            spec.seed,
-            || recorder.reset_window(),
-            || *captured.borrow_mut() = Some(recorder.snapshot()),
-        );
-        let telemetry = captured.into_inner().expect("after_measure hook ran");
-        return DriveOutcome {
-            measure_elapsed: run.measure.elapsed,
-            measure: run.measure.counters,
-            violations: run.violations,
-            telemetry,
-        };
-    }
-    drive_addr_level(engine, spec, recorder)
+/// The warmup and measured phases of one cell, run back to back around the
+/// recorder's window: the window is reset at the quiescent point between
+/// the phases and snapshotted as soon as the measured phase's workers join,
+/// so the captured telemetry covers exactly the phase the counters describe
+/// (any verification transactions the caller runs afterwards excluded).
+pub(crate) struct Phases<R> {
+    warmup: PhaseResult<R>,
+    measure: PhaseResult<R>,
+    telemetry: TelemetrySnapshot,
 }
 
-/// Drive an address-level (synthetic or replay) scenario on any engine.
-fn drive_addr_level<E: TmEngine>(engine: &E, spec: &RunSpec, recorder: &Recorder) -> DriveOutcome {
-    let warm_seed = crate::driver::warmup_seed(spec.seed);
-    let (warmup, measure) = match &spec.scenario.kind {
-        ScenarioKind::Synthetic(s) => {
-            let w = run_synthetic_phase(
-                engine,
-                s,
-                spec.heap_words,
-                spec.threads,
-                spec.warmup,
-                warm_seed,
-            );
-            recorder.reset_window();
-            let m = run_synthetic_phase(
-                engine,
-                s,
-                spec.heap_words,
-                spec.threads,
-                spec.measure,
-                spec.seed,
-            );
-            (w, m)
+impl<R> Phases<R> {
+    /// Run `phase(budget, seed)` for the warmup under its derived seed,
+    /// then for the measured phase under the run seed.
+    pub(crate) fn run(
+        spec: &RunSpec,
+        recorder: &Recorder,
+        mut phase: impl FnMut(Phase, u64) -> PhaseResult<R>,
+    ) -> Self {
+        let warmup = phase(spec.warmup, warmup_seed(spec.seed));
+        recorder.reset_window();
+        let measure = phase(spec.measure, spec.seed);
+        let telemetry = recorder.snapshot();
+        Self {
+            warmup,
+            measure,
+            telemetry,
         }
+    }
+
+    /// Every worker's tally: the warmup's, then the measured phase's.
+    pub(crate) fn tallies(&self) -> impl Iterator<Item = &R> {
+        self.warmup.tallies.iter().chain(&self.measure.tallies)
+    }
+
+    /// The cell's outcome, given the invariant violations the caller found.
+    pub(crate) fn outcome(self, violations: u64) -> DriveOutcome {
+        DriveOutcome {
+            measure_elapsed: self.measure.elapsed,
+            measure: self.measure.counters,
+            violations,
+            telemetry: self.telemetry,
+        }
+    }
+}
+
+/// Drive any scenario family on any engine.
+fn drive<E: TmEngine>(engine: &E, spec: &RunSpec, recorder: &Recorder) -> DriveOutcome {
+    let phases = match &spec.scenario.kind {
+        ScenarioKind::Synthetic(s) => Phases::run(spec, recorder, |phase, seed| {
+            run_synthetic_phase(engine, s, spec.heap_words, spec.threads, phase, seed)
+        }),
         ScenarioKind::Replay(r) => {
             let streams = build_replay_streams(r, spec.seed, spec.heap_words);
-            let w = run_replay_phase(
-                engine,
-                &streams,
-                r.blocks_per_txn,
-                spec.threads,
-                spec.warmup,
-            );
-            recorder.reset_window();
-            let m = run_replay_phase(
-                engine,
-                &streams,
-                r.blocks_per_txn,
-                spec.threads,
-                spec.measure,
-            );
-            (w, m)
+            Phases::run(spec, recorder, |phase, _| {
+                run_replay_phase(engine, &streams, r.blocks_per_txn, spec.threads, phase)
+            })
         }
-        ScenarioKind::Structs(_) => unreachable!("structs handled by drive"),
+        ScenarioKind::Structs(kind) => return run_structs(engine, *kind, spec, recorder),
     };
-    let telemetry = recorder.snapshot();
     // Isolation invariant: writes are RMW increments, so the final heap
     // checksum must equal the committed write ops of both phases. Any lost
     // update, torn publish, or isolation leak breaks the equality.
-    let expected: u64 = warmup
-        .tallies
-        .iter()
-        .chain(&measure.tallies)
-        .map(|t: &ThreadTally| t.committed_write_ops)
-        .sum();
-    let violations = u64::from(engine.heap_sum(spec.heap_words) != expected);
-    DriveOutcome {
-        measure_elapsed: measure.elapsed,
-        measure: measure.counters,
-        violations,
-        telemetry,
-    }
+    let expected: u64 = phases.tallies().map(|t| t.committed_write_ops).sum();
+    phases.outcome(u64::from(engine.heap_sum(spec.heap_words) != expected))
 }
 
 /// Monte-Carlo cross-check: predicted false conflicts per commit from the
@@ -486,22 +457,12 @@ impl MatrixConfig {
     }
 }
 
-/// Sweep the matrix, reporting progress through `progress` (cell index,
-/// total cells, result of the finished cell).
+/// Sweep the matrix, handing each finished cell to `on_cell` (cell index,
+/// total cells, the cell's result, and its measured-phase telemetry — what
+/// `--trace-out` streams as JSONL).
 pub fn run_matrix(
     config: &MatrixConfig,
-    progress: impl FnMut(usize, usize, &RunResult),
-) -> HarnessReport {
-    run_matrix_traced(config, progress, |_, _| {})
-}
-
-/// [`run_matrix`], additionally handing each finished cell's telemetry
-/// snapshot to `telemetry_sink` — the hook `--trace-out` uses to stream
-/// flight-recorder events as JSONL.
-pub fn run_matrix_traced(
-    config: &MatrixConfig,
-    mut progress: impl FnMut(usize, usize, &RunResult),
-    mut telemetry_sink: impl FnMut(&RunResult, &TelemetrySnapshot),
+    mut on_cell: impl FnMut(usize, usize, &RunResult, &TelemetrySnapshot),
 ) -> HarnessReport {
     let cells: Vec<(EngineKind, Scenario)> = config
         .engines
@@ -523,8 +484,7 @@ pub fn run_matrix_traced(
             measure: config.measure,
         };
         let (result, telemetry) = execute_traced(&spec);
-        progress(i, total, &result);
-        telemetry_sink(&result, &telemetry);
+        on_cell(i, total, &result, &telemetry);
         runs.push(result);
     }
     HarnessReport::new(config.fast, runs)
@@ -574,6 +534,25 @@ mod tests {
         assert_eq!(telemetry.txn.count(), r.commits);
         assert!(!telemetry.events.is_empty());
         assert!(telemetry.events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+    }
+
+    #[test]
+    fn telemetry_window_covers_exactly_the_measured_phase() {
+        // The recorder's window must open after the warmup and close before
+        // any verification transaction (the structs families run theirs
+        // after the measured phase), so its commit counts equal the
+        // measured counters on every family.
+        for scenario in Scenario::standard_matrix() {
+            let spec = RunSpec {
+                threads: 1,
+                ..quick_spec(EngineKind::EagerTagless, scenario)
+            };
+            let (r, telemetry) = execute_traced(&spec);
+            let key = r.key();
+            assert_eq!(telemetry.txn.count(), r.commits, "{key}");
+            assert_eq!(telemetry.read_txn.count(), r.read_only_commits, "{key}");
+            assert_eq!(r.invariant_violations, 0, "{key}");
+        }
     }
 
     #[test]
@@ -702,7 +681,7 @@ mod tests {
             fast: true,
         };
         let mut seen = 0;
-        let report = run_matrix(&config, |_, total, _| {
+        let report = run_matrix(&config, |_, total, _, _| {
             assert_eq!(total, 4); // full cross product: no carve-outs
             seen += 1;
         });

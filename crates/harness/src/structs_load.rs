@@ -20,10 +20,11 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tm_stm::TmEngine;
+use tm_stm::{Recorder, TmEngine};
 use tm_structs::{Region, TCounter, TList, TMap, TQueue, TStack};
 
-use crate::driver::{mix_seed, phase_loop, run_phase_threads, warmup_seed, Phase, PhaseResult};
+use crate::driver::{mix_seed, phase_loop, run_phase_threads};
+use crate::run::{DriveOutcome, Phases, RunSpec};
 use crate::scenario::{ListKeyMix, StructsKind};
 
 /// Keys each thread owns in the map workload.
@@ -44,331 +45,229 @@ const LIST_HOT_KEYS: u64 = 16;
 const LIST_HOT_PCT: u32 = 50;
 
 /// What one thread committed during a structs phase.
-#[derive(Clone, Debug, Default)]
-pub struct StructsTally {
-    /// Transactions committed by this thread.
-    pub committed_txns: u64,
+#[derive(Debug, Default)]
+pub(crate) struct StructsTally {
     /// Counter workload: sum of committed deltas.
-    pub delta_sum: u64,
-    /// Queue/stack: elements successfully inserted, and their value sum.
-    pub in_count: u64,
+    delta_sum: u64,
+    /// Queue/stack/list: elements successfully inserted.
+    in_count: u64,
     /// Value sum of inserted elements.
-    pub in_sum: u64,
-    /// Queue/stack: elements successfully removed, and their value sum.
-    pub out_count: u64,
+    in_sum: u64,
+    /// Queue/stack/list: elements successfully removed.
+    out_count: u64,
     /// Value sum of removed elements.
-    pub out_sum: u64,
-    /// Map: this thread's expected final state — `(key, Some(value))` for a
-    /// live entry, `(key, None)` for a removed one.
-    pub expected: Vec<(u64, Option<u64>)>,
+    out_sum: u64,
+    /// Map: this thread's expected final state per key — `Some(value)` for
+    /// a live entry, `None` for a removed one.
+    expected: HashMap<u64, Option<u64>>,
 }
 
-/// Outcome of a full structs run (both phases plus the invariant verdict).
-#[derive(Clone, Debug)]
-pub struct StructsRun {
-    /// Warmup-phase window.
-    pub warmup: PhaseResult<StructsTally>,
-    /// Measured-phase window.
-    pub measure: PhaseResult<StructsTally>,
-    /// Conservation/linearizability violations found post-run (0 = clean).
-    pub violations: u64,
+impl StructsTally {
+    /// Record an element that went in.
+    fn put(&mut self, value: u64) {
+        self.in_count += 1;
+        self.in_sum = self.in_sum.wrapping_add(value);
+    }
+
+    /// Record an element that came out.
+    fn took(&mut self, value: u64) {
+        self.out_count += 1;
+        self.out_sum = self.out_sum.wrapping_add(value);
+    }
+
+    /// Net flow over `tallies`: how many elements must still be inside
+    /// (`None` when more came out than went in — itself a violation) and
+    /// their value sum.
+    fn flow<'a>(tallies: impl Iterator<Item = &'a Self>) -> (Option<u64>, u64) {
+        let (mut put, mut took, mut sum) = (0u64, 0u64, 0u64);
+        for t in tallies {
+            put += t.in_count;
+            took += t.out_count;
+            sum = sum.wrapping_add(t.in_sum).wrapping_sub(t.out_sum);
+        }
+        (put.checked_sub(took), sum)
+    }
 }
 
-/// Run warmup + measure phases of a structs workload and verify invariants.
-///
-/// `between_phases` runs at the quiescent point after warmup and before
-/// measurement — the place to reset telemetry windows so recorded
-/// histograms and abort causes cover exactly the measured phase.
-/// `after_measure` runs right after the measured phase's workers join and
-/// *before* the sequential conservation checks, which execute their own
-/// transactions on the engine — the place to snapshot telemetry so
-/// verification traffic does not pollute it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_structs<E: TmEngine>(
+/// Run warmup + measure phases of a structs workload and verify its
+/// invariants. The sequential checks run their own transactions on the
+/// engine, after [`Phases::run`] has snapshotted the telemetry window.
+pub(crate) fn run_structs<E: TmEngine>(
     stm: &E,
     kind: StructsKind,
-    heap_words: usize,
-    threads: u32,
-    warmup: Phase,
-    measure: Phase,
-    seed: u64,
-    between_phases: impl Fn(),
-    after_measure: impl Fn(),
-) -> StructsRun {
-    let mut region = Region::new(0, heap_words as u64 * 8);
+    spec: &RunSpec,
+    recorder: &Recorder,
+) -> DriveOutcome {
+    let mut region = Region::new(0, spec.heap_words as u64 * 8);
     match kind {
         StructsKind::Counter => {
             let counter = TCounter::create(&mut region);
-            let phase_fn = |phase: Phase, seed: u64| {
-                run_phase_threads(stm, threads, phase, |id, stop, budget| {
-                    let mut rng = StdRng::seed_from_u64(mix_seed(seed, id));
-                    let mut tally = StructsTally::default();
-                    phase_loop(stop, budget, |_| {
-                        let delta = rng.gen_range(1..8u64);
-                        counter.add_now(stm, id, delta);
-                        tally.committed_txns += 1;
-                        tally.delta_sum = tally.delta_sum.wrapping_add(delta);
-                    });
-                    tally
-                })
-            };
-            let w = phase_fn(warmup, warmup_seed(seed));
-            between_phases();
-            let m = phase_fn(measure, seed);
-            after_measure();
-            let expected = w
-                .tallies
-                .iter()
-                .chain(&m.tallies)
+            let phases = structs_phases(stm, spec, recorder, |id, rng, tally| {
+                let delta = rng.gen_range(1..8u64);
+                counter.add_now(stm, id, delta);
+                tally.delta_sum = tally.delta_sum.wrapping_add(delta);
+            });
+            let expected = phases
+                .tallies()
                 .fold(0u64, |acc, t| acc.wrapping_add(t.delta_sum));
             let violations = u64::from(counter.get(stm, 0) != expected);
-            StructsRun {
-                warmup: w,
-                measure: m,
-                violations,
-            }
+            phases.outcome(violations)
         }
         StructsKind::Map => {
             let map = TMap::create(&mut region, MAP_CAPACITY);
             assert!(
-                threads as u64 * MAP_KEYS_PER_THREAD <= MAP_CAPACITY / 2,
-                "map workload needs headroom: {threads} threads"
+                spec.threads as u64 * MAP_KEYS_PER_THREAD <= MAP_CAPACITY / 2,
+                "map workload needs headroom: {} threads",
+                spec.threads
             );
-            let phase_fn = |phase: Phase, seed: u64| {
-                run_phase_threads(stm, threads, phase, |id, stop, budget| {
-                    let mut rng = StdRng::seed_from_u64(mix_seed(seed, id));
-                    let mut tally = StructsTally::default();
-                    let base = 1 + id as u64 * MAP_KEYS_PER_THREAD;
-                    let mut mine: HashMap<u64, Option<u64>> = HashMap::new();
-                    phase_loop(stop, budget, |_| {
-                        let key = base + rng.gen_range(0..MAP_KEYS_PER_THREAD);
-                        match rng.gen_range(0..100u32) {
-                            0..=59 => {
-                                let value = rng.gen_range(0..VALUE_RANGE);
-                                map.insert_now(stm, id, key, value)
-                                    .expect("map sized with headroom for the workload");
-                                mine.insert(key, Some(value));
-                            }
-                            60..=84 => {
-                                map.get_now(stm, id, key);
-                            }
-                            _ => {
-                                map.remove_now(stm, id, key);
-                                mine.insert(key, None);
-                            }
-                        }
-                        tally.committed_txns += 1;
-                    });
-                    tally.expected = mine.into_iter().collect();
-                    tally
-                })
-            };
-            let w = phase_fn(warmup, warmup_seed(seed));
-            between_phases();
-            let m = phase_fn(measure, seed);
-            after_measure();
-            // Per thread: warmup expectations, overridden by measure-phase
-            // ones (key ranges are disjoint across threads, so the merge is
-            // exact).
-            let mut expected: HashMap<u64, Option<u64>> = HashMap::new();
-            for phase in [&w, &m] {
-                for tally in &phase.tallies {
-                    for &(k, v) in &tally.expected {
-                        expected.insert(k, v);
+            let phases = structs_phases(stm, spec, recorder, |id, rng, tally| {
+                let key =
+                    1 + id as u64 * MAP_KEYS_PER_THREAD + rng.gen_range(0..MAP_KEYS_PER_THREAD);
+                match rng.gen_range(0..100u32) {
+                    0..=59 => {
+                        let value = rng.gen_range(0..VALUE_RANGE);
+                        map.insert_now(stm, id, key, value)
+                            .expect("map sized with headroom for the workload");
+                        tally.expected.insert(key, Some(value));
+                    }
+                    60..=84 => {
+                        map.get_now(stm, id, key);
+                    }
+                    _ => {
+                        map.remove_now(stm, id, key);
+                        tally.expected.insert(key, None);
                     }
                 }
+            });
+            // Warmup expectations, overridden by measure-phase ones (key
+            // ranges are disjoint across threads, so the merge is exact).
+            let mut expected: HashMap<u64, Option<u64>> = HashMap::new();
+            for t in phases.tallies() {
+                expected.extend(&t.expected);
             }
-            let mut violations = 0u64;
-            for (&key, &want) in &expected {
-                if map.get_now(stm, 0, key) != want {
-                    violations += 1;
-                }
-            }
-            StructsRun {
-                warmup: w,
-                measure: m,
-                violations,
-            }
+            let violations = expected
+                .iter()
+                .filter(|&(&key, &want)| map.get_now(stm, 0, key) != want)
+                .count() as u64;
+            phases.outcome(violations)
         }
         StructsKind::Queue => {
             let queue = TQueue::create(&mut region, CONTAINER_CAPACITY);
-            let phase_fn = |phase: Phase, seed: u64| {
-                run_phase_threads(stm, threads, phase, |id, stop, budget| {
-                    let mut rng = StdRng::seed_from_u64(mix_seed(seed, id));
-                    let mut tally = StructsTally::default();
-                    phase_loop(stop, budget, |_| {
-                        if rng.gen_range(0..100u32) < 55 {
-                            let value = rng.gen_range(0..VALUE_RANGE);
-                            if queue.enqueue_now(stm, id, value).is_ok() {
-                                tally.in_count += 1;
-                                tally.in_sum = tally.in_sum.wrapping_add(value);
-                            }
-                        } else if let Some(value) = queue.dequeue_now(stm, id) {
-                            tally.out_count += 1;
-                            tally.out_sum = tally.out_sum.wrapping_add(value);
-                        }
-                        tally.committed_txns += 1;
-                    });
-                    tally
-                })
-            };
-            let w = phase_fn(warmup, warmup_seed(seed));
-            between_phases();
-            let m = phase_fn(measure, seed);
-            after_measure();
+            let phases = structs_phases(stm, spec, recorder, |id, rng, tally| {
+                if rng.gen_range(0..100u32) < 55 {
+                    let value = rng.gen_range(0..VALUE_RANGE);
+                    if queue.enqueue_now(stm, id, value).is_ok() {
+                        tally.put(value);
+                    }
+                } else if let Some(value) = queue.dequeue_now(stm, id) {
+                    tally.took(value);
+                }
+            });
             let violations = verify_container(
-                w.tallies.iter().chain(&m.tallies),
+                StructsTally::flow(phases.tallies()),
                 queue.len_now(stm, 0),
                 || queue.dequeue_now(stm, 0),
             );
-            StructsRun {
-                warmup: w,
-                measure: m,
-                violations,
-            }
+            phases.outcome(violations)
         }
         StructsKind::Stack => {
             let stack = TStack::create(&mut region, CONTAINER_CAPACITY);
-            let phase_fn = |phase: Phase, seed: u64| {
-                run_phase_threads(stm, threads, phase, |id, stop, budget| {
-                    let mut rng = StdRng::seed_from_u64(mix_seed(seed, id));
-                    let mut tally = StructsTally::default();
-                    phase_loop(stop, budget, |_| {
-                        if rng.gen_range(0..100u32) < 55 {
-                            let value = rng.gen_range(0..VALUE_RANGE);
-                            if stack.push_now(stm, id, value).is_ok() {
-                                tally.in_count += 1;
-                                tally.in_sum = tally.in_sum.wrapping_add(value);
-                            }
-                        } else if let Some(value) = stack.pop_now(stm, id) {
-                            tally.out_count += 1;
-                            tally.out_sum = tally.out_sum.wrapping_add(value);
-                        }
-                        tally.committed_txns += 1;
-                    });
-                    tally
-                })
-            };
-            let w = phase_fn(warmup, warmup_seed(seed));
-            between_phases();
-            let m = phase_fn(measure, seed);
-            after_measure();
+            let phases = structs_phases(stm, spec, recorder, |id, rng, tally| {
+                if rng.gen_range(0..100u32) < 55 {
+                    let value = rng.gen_range(0..VALUE_RANGE);
+                    if stack.push_now(stm, id, value).is_ok() {
+                        tally.put(value);
+                    }
+                } else if let Some(value) = stack.pop_now(stm, id) {
+                    tally.took(value);
+                }
+            });
             let violations = verify_container(
-                w.tallies.iter().chain(&m.tallies),
+                StructsTally::flow(phases.tallies()),
                 stack.len_now(stm, 0),
                 || stack.pop_now(stm, 0),
             );
-            StructsRun {
-                warmup: w,
-                measure: m,
-                violations,
-            }
+            phases.outcome(violations)
         }
         StructsKind::List(mix) => {
             let list: TList = TList::create(&mut region, LIST_KEY_RANGE);
-            let phase_fn = |phase: Phase, seed: u64| {
-                run_phase_threads(stm, threads, phase, |id, stop, budget| {
-                    let mut rng = StdRng::seed_from_u64(mix_seed(seed, id));
-                    let mut tally = StructsTally::default();
-                    phase_loop(stop, budget, |_| {
-                        let key = match mix {
-                            ListKeyMix::Uniform => rng.gen_range(0..LIST_KEY_RANGE),
-                            ListKeyMix::Hotspot => {
-                                if rng.gen_range(0..100u32) < LIST_HOT_PCT {
-                                    rng.gen_range(0..LIST_HOT_KEYS)
-                                } else {
-                                    rng.gen_range(0..LIST_KEY_RANGE)
-                                }
-                            }
-                        };
-                        match rng.gen_range(0..100u32) {
-                            0..=39 => {
-                                let inserted = list
-                                    .insert_now(stm, id, key)
-                                    .expect("pool covers the key universe");
-                                if inserted {
-                                    tally.in_count += 1;
-                                    tally.in_sum = tally.in_sum.wrapping_add(key);
-                                }
-                            }
-                            40..=79 => {
-                                if list.remove_now(stm, id, key) {
-                                    tally.out_count += 1;
-                                    tally.out_sum = tally.out_sum.wrapping_add(key);
-                                }
-                            }
-                            _ => {
-                                list.contains_now(stm, id, key);
-                            }
+            let phases = structs_phases(stm, spec, recorder, |id, rng, tally| {
+                let key = match mix {
+                    ListKeyMix::Uniform => rng.gen_range(0..LIST_KEY_RANGE),
+                    ListKeyMix::Hotspot => {
+                        if rng.gen_range(0..100u32) < LIST_HOT_PCT {
+                            rng.gen_range(0..LIST_HOT_KEYS)
+                        } else {
+                            rng.gen_range(0..LIST_KEY_RANGE)
                         }
-                        tally.committed_txns += 1;
-                    });
-                    tally
-                })
-            };
-            let w = phase_fn(warmup, warmup_seed(seed));
-            between_phases();
-            let m = phase_fn(measure, seed);
-            after_measure();
+                    }
+                };
+                match rng.gen_range(0..100u32) {
+                    0..=39 => {
+                        let inserted = list
+                            .insert_now(stm, id, key)
+                            .expect("pool covers the key universe");
+                        if inserted {
+                            tally.put(key);
+                        }
+                    }
+                    40..=79 => {
+                        if list.remove_now(stm, id, key) {
+                            tally.took(key);
+                        }
+                    }
+                    _ => {
+                        list.contains_now(stm, id, key);
+                    }
+                }
+            });
             // Conservation: what the threads observed going in and out must
-            // match the surviving list exactly — in count, in value sum, in
-            // sorted-set shape, and in node-pool accounting (a leaked or
+            // match the surviving list exactly — in sorted-set shape, in
+            // count, in value sum, and in node-pool accounting (a leaked or
             // double-freed node breaks `len + free == capacity`).
-            let (mut in_count, mut in_sum, mut out_count, mut out_sum) = (0u64, 0u64, 0u64, 0u64);
-            for t in w.tallies.iter().chain(&m.tallies) {
-                in_count += t.in_count;
-                in_sum = in_sum.wrapping_add(t.in_sum);
-                out_count += t.out_count;
-                out_sum = out_sum.wrapping_add(t.out_sum);
-            }
+            let (count, sum) = StructsTally::flow(phases.tallies());
             let snap = list.snapshot_now(stm, 0);
-            let mut violations = 0u64;
-            if !snap.windows(2).all(|w| w[0] < w[1]) {
-                violations += 1; // unsorted or duplicated values
-            }
-            if snap.len() as u64 != in_count.wrapping_sub(out_count) {
-                violations += 1; // element conservation
-            }
-            let snap_sum = snap.iter().fold(0u64, |acc, &v| acc.wrapping_add(v));
-            if snap_sum != in_sum.wrapping_sub(out_sum) {
-                violations += 1; // value conservation
-            }
-            if snap.len() as u64 + list.free_nodes_now(stm, 0) != list.capacity() {
-                violations += 1; // node leak or double free
-            }
-            StructsRun {
-                warmup: w,
-                measure: m,
-                violations,
-            }
+            let holds = [
+                snap.windows(2).all(|w| w[0] < w[1]),
+                Some(snap.len() as u64) == count,
+                snap.iter().fold(0u64, |acc, &v| acc.wrapping_add(v)) == sum,
+                snap.len() as u64 + list.free_nodes_now(stm, 0) == list.capacity(),
+            ];
+            phases.outcome(holds.iter().filter(|&&ok| !ok).count() as u64)
         }
     }
 }
 
+/// Both phases of one structs workload: each worker seeds its RNG from the
+/// phase seed and its thread id, then runs `op(thread, rng, tally)` once per
+/// transaction under [`phase_loop`].
+fn structs_phases<E: TmEngine>(
+    stm: &E,
+    spec: &RunSpec,
+    recorder: &Recorder,
+    op: impl Fn(u32, &mut StdRng, &mut StructsTally) + Sync,
+) -> Phases<StructsTally> {
+    Phases::run(spec, recorder, |phase, seed| {
+        run_phase_threads(stm, spec.threads, phase, |id, stop, budget| {
+            let mut rng = StdRng::seed_from_u64(mix_seed(seed, id));
+            let mut tally = StructsTally::default();
+            phase_loop(stop, budget, |_| op(id, &mut rng, &mut tally));
+            tally
+        })
+    })
+}
+
 /// Conservation check shared by queue and stack: drain the container and
-/// compare count and value sums with the per-thread tallies.
-fn verify_container<'a>(
-    tallies: impl Iterator<Item = &'a StructsTally>,
+/// compare count and value sum with the net flow of the per-thread tallies.
+fn verify_container(
+    (count, sum): (Option<u64>, u64),
     reported_len: u64,
     mut drain: impl FnMut() -> Option<u64>,
 ) -> u64 {
-    let (mut in_count, mut in_sum, mut out_count, mut out_sum) = (0u64, 0u64, 0u64, 0u64);
-    for t in tallies {
-        in_count += t.in_count;
-        in_sum = in_sum.wrapping_add(t.in_sum);
-        out_count += t.out_count;
-        out_sum = out_sum.wrapping_add(t.out_sum);
-    }
-    let mut violations = 0u64;
     // More removals than insertions is itself the violation being hunted;
     // keep the checker alive (no underflow) and count it.
-    let expected_len = match in_count.checked_sub(out_count) {
-        Some(n) => n,
-        None => {
-            violations += 1;
-            0
-        }
-    };
+    let mut violations = u64::from(count.is_none());
+    let expected_len = count.unwrap_or(0);
     if reported_len != expected_len {
         violations += 1;
     }
@@ -380,7 +279,7 @@ fn verify_container<'a>(
     if drained != expected_len {
         violations += 1;
     }
-    if drained_sum != in_sum.wrapping_sub(out_sum) {
+    if drained_sum != sum {
         violations += 1;
     }
     violations
@@ -389,40 +288,39 @@ fn verify_container<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EngineKind, Phase, Scenario};
     use tm_stm::StmBuilder;
 
     const HEAP: usize = 1 << 16;
 
-    fn check(kind: StructsKind) -> StructsRun {
+    fn check(kind: StructsKind) -> DriveOutcome {
         let stm = StmBuilder::new()
             .heap_words(HEAP)
             .table_entries(4096)
             .build_tagged();
-        run_structs(
-            &stm,
-            kind,
-            HEAP,
-            4,
-            Phase::Txns(30),
-            Phase::Txns(120),
-            0xC0FFEE,
-            || {},
-            || {},
-        )
+        let spec = RunSpec {
+            threads: 4,
+            heap_words: HEAP,
+            seed: 0xC0FFEE,
+            warmup: Phase::Txns(30),
+            measure: Phase::Txns(120),
+            ..RunSpec::new(EngineKind::EagerTagged, Scenario::counter())
+        };
+        run_structs(&stm, kind, &spec, &Recorder::new())
     }
 
     #[test]
     fn counter_conserves_deltas() {
         let r = check(StructsKind::Counter);
         assert_eq!(r.violations, 0);
-        assert_eq!(r.measure.counters.commits, 4 * 120);
+        assert_eq!(r.measure.commits, 4 * 120);
     }
 
     #[test]
     fn map_matches_per_thread_expectations() {
         let r = check(StructsKind::Map);
         assert_eq!(r.violations, 0);
-        assert!(r.measure.counters.commits >= 4 * 120);
+        assert!(r.measure.commits >= 4 * 120);
     }
 
     #[test]
@@ -442,7 +340,7 @@ mod tests {
         for mix in [ListKeyMix::Uniform, ListKeyMix::Hotspot] {
             let r = check(StructsKind::List(mix));
             assert_eq!(r.violations, 0, "{mix:?}");
-            assert_eq!(r.measure.counters.commits, 4 * 120, "{mix:?} fixed budget");
+            assert_eq!(r.measure.commits, 4 * 120, "{mix:?} fixed budget");
         }
     }
 }

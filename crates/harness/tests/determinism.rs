@@ -72,3 +72,56 @@ fn different_seeds_change_the_workload() {
         "fixed budget fixes total committed writes"
     );
 }
+
+#[test]
+fn eager_tagless_counts_and_means_match_their_goldens() {
+    // One thread, fixed budgets: every standard scenario's counts and its
+    // observed W and α are a pure function of the seed and of the order in
+    // which the workload draws from its RNG streams. The structs means
+    // depend on every draw, so a reordered or dropped draw moves them. The
+    // adaptive engines are left out: their controller may resize on
+    // wall-clock time, which moves the prediction.
+    #[rustfmt::skip]
+    let goldens: [(&str, u64, u64, u64, f64, f64); 18] = [
+        ("uniform-mixed", 100, 0, 0, 4.0, 1.9825),
+        ("read-heavy", 100, 0, 0, 1.0, 14.91),
+        ("read-heavy-ro", 10, 0, 90, 1.0, 15.0),
+        ("write-heavy", 100, 0, 0, 7.98, 0.24561403508771928),
+        ("zipf", 100, 0, 0, 3.95, 1.9215189873417722),
+        ("hotspot", 100, 0, 0, 3.98, 1.9472361809045227),
+        ("disjoint", 100, 0, 0, 8.0, 0.98875),
+        ("abort-storm", 100, 153, 0, 3.99, 1.9899749373433584),
+        ("shard-hot", 100, 0, 0, 3.84, 1.640625),
+        ("shard-uniform", 100, 0, 0, 4.0, 0.995),
+        ("cross-shard-mix", 100, 0, 0, 2.0, 2.99),
+        ("counter", 100, 0, 0, 1.0, 0.0),
+        ("map", 100, 0, 0, 0.99, 0.6767676767676768),
+        ("queue", 100, 0, 0, 1.55, 0.2903225806451613),
+        ("stack", 100, 0, 0, 1.54, 0.2922077922077922),
+        ("list-chase-uniform", 100, 0, 0, 1.23, 3.5853658536585367),
+        ("list-chase-hot", 100, 0, 0, 1.41, 3.0425531914893615),
+        ("replay-jbb", 100, 0, 0, 2.56, 2.078125),
+    ];
+    let scenarios = Scenario::standard_matrix();
+    assert_eq!(
+        scenarios
+            .iter()
+            .map(|s| s.name.as_str())
+            .collect::<Vec<_>>(),
+        goldens.iter().map(|g| g.0).collect::<Vec<_>>(),
+        "one golden per standard scenario, in matrix order"
+    );
+    for (scenario, golden) in scenarios.into_iter().zip(goldens) {
+        let r = execute(&spec(EngineKind::EagerTagless, scenario, 0xDEAD));
+        let got = (
+            r.scenario.as_str(),
+            r.commits,
+            r.aborts,
+            r.read_only_commits,
+            r.mean_write_footprint,
+            r.mean_alpha,
+        );
+        assert_eq!(got, golden);
+        assert_eq!(r.invariant_violations, 0, "{} invariant", golden.0);
+    }
+}

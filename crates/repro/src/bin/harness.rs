@@ -151,30 +151,25 @@ fn main() -> ExitCode {
         None => None,
     };
     let mut traced_events = 0u64;
-    let report = tm_harness::run_matrix_traced(
-        &config,
-        |i, total, r| {
-            eprintln!(
-                "[{}/{}] {}/{}: {} commits, {} aborts, {} txn/s",
-                i + 1,
-                total,
-                r.engine,
-                r.scenario,
-                r.commits,
-                r.aborts,
-                f3(r.throughput_txn_s),
-            );
-        },
-        |r, telemetry| {
-            if let Some(w) = trace.as_mut() {
-                use std::io::Write as _;
-                for event in &telemetry.events {
-                    let _ = writeln!(w, "{{\"run\":\"{}\",{}}}", r.key(), event.fields_json());
-                }
-                traced_events += telemetry.events.len() as u64;
+    let report = tm_harness::run_matrix(&config, |i, total, r, telemetry| {
+        eprintln!(
+            "[{}/{}] {}/{}: {} commits, {} aborts, {} txn/s",
+            i + 1,
+            total,
+            r.engine,
+            r.scenario,
+            r.commits,
+            r.aborts,
+            f3(r.throughput_txn_s),
+        );
+        if let Some(w) = trace.as_mut() {
+            use std::io::Write as _;
+            for event in &telemetry.events {
+                let _ = writeln!(w, "{{\"run\":\"{}\",{}}}", r.key(), event.fields_json());
             }
-        },
-    );
+            traced_events += telemetry.events.len() as u64;
+        }
+    });
     if let Some(mut w) = trace {
         use std::io::Write as _;
         if let Err(e) = w.flush() {

@@ -177,9 +177,11 @@ impl<V: TxLayout> TMap<V> {
         };
         let removed = self.val_slot(hole).get(txn)?;
         // Backward-shift: walk the cluster, pulling back entries whose home
-        // slot is at or before the hole.
+        // slot is at or before the hole. A full map's cluster is the whole
+        // ring with no `EMPTY` key to end it; there the walk ends when it
+        // comes back around to the hole, the one empty slot.
         let mut probe = (hole + 1) % self.capacity;
-        loop {
+        while probe != hole {
             let k = self.key_slot(probe).get(txn)?;
             if k == EMPTY {
                 break;
@@ -315,6 +317,24 @@ mod tests {
         });
         // The full-map probe committed without storing anything.
         assert_eq!(m.get_now(&stm, 0, 99), None);
+    }
+
+    #[test]
+    fn remove_from_a_full_map_returns() {
+        for cap in [1u64, 4] {
+            let (stm, m) = setup(cap);
+            for k in 1..=cap {
+                assert_eq!(m.insert_now(&stm, 0, k, k * 10), Ok(None), "cap {cap}");
+            }
+            assert_eq!(m.insert_now(&stm, 0, 99, 1), Err(CapacityError));
+            assert_eq!(m.remove_now(&stm, 0, 1), Some(10), "cap {cap}");
+            assert_eq!(m.get_now(&stm, 0, 1), None, "cap {cap}");
+            for k in 2..=cap {
+                assert_eq!(m.get_now(&stm, 0, k), Some(k * 10), "cap {cap} key {k}");
+            }
+            assert_eq!(m.insert_now(&stm, 0, 99, 990), Ok(None), "cap {cap}");
+            assert_eq!(m.get_now(&stm, 0, 99), Some(990), "cap {cap}");
+        }
     }
 
     #[test]

@@ -608,9 +608,9 @@ impl Stripe {
 /// run drove a sharded engine.
 ///
 /// Telemetry sits *below* the engine crates, so it cannot name their stats
-/// types; the driver (harness, server) converts each shard's engine
-/// snapshot into this plain-data row via
-/// [`Recorder::set_shard_stats`] before taking the telemetry snapshot.
+/// types; the driver converts each shard's engine snapshot into this
+/// plain-data row and stores the rows in the
+/// [`TelemetrySnapshot::shard_stats`] of the snapshot it took.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard index (0-based).
@@ -656,8 +656,8 @@ pub struct TelemetrySnapshot {
     /// Cross-shard commit attempts that aborted (ordering budget or
     /// validation failure).
     pub cross_shard_aborts: u64,
-    /// Per-shard engine counters (empty unless the driver attached them
-    /// via [`Recorder::set_shard_stats`]).
+    /// Per-shard engine counters ([`Recorder::snapshot`] leaves this empty;
+    /// a driver of a sharded engine fills it in).
     pub shard_stats: Vec<ShardStats>,
 }
 
@@ -692,9 +692,6 @@ impl TelemetrySnapshot {
 pub struct Recorder {
     epoch: Instant,
     stripes: Vec<Stripe>,
-    /// Per-shard rows the driver attaches at snapshot time (see
-    /// [`ShardStats`]); not touched by the hot-path hooks.
-    shard_stats: Mutex<Vec<ShardStats>>,
 }
 
 impl Default for Recorder {
@@ -716,16 +713,7 @@ impl Recorder {
         Recorder {
             epoch: Instant::now(),
             stripes,
-            shard_stats: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Attach (replace) the per-shard counter rows subsequent
-    /// [`snapshot`](Recorder::snapshot)s report. Drivers of sharded engines
-    /// call this with converted per-shard engine stats; runs on unsharded
-    /// engines leave it empty.
-    pub fn set_shard_stats(&self, stats: Vec<ShardStats>) {
-        *self.shard_stats.lock().unwrap_or_else(|e| e.into_inner()) = stats;
     }
 
     #[inline]
@@ -783,10 +771,6 @@ impl Recorder {
             ring.buf.clear();
             ring.dropped = 0;
         }
-        self.shard_stats
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
     }
 
     /// Merge every stripe into one plain-data snapshot.
@@ -828,11 +812,7 @@ impl Recorder {
             dropped_events,
             cross_shard_commits,
             cross_shard_aborts,
-            shard_stats: self
-                .shard_stats
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
+            shard_stats: Vec::new(),
         }
     }
 }
@@ -1094,24 +1074,9 @@ mod tests {
         r.on_cross_shard_commit(1, 3);
         r.on_cross_shard_commit(2, 2);
         r.on_cross_shard_abort(1);
-        r.set_shard_stats(vec![
-            ShardStats {
-                shard: 0,
-                commits: 10,
-                ..Default::default()
-            },
-            ShardStats {
-                shard: 1,
-                commits: 4,
-                aborts: 1,
-                ..Default::default()
-            },
-        ]);
         let snap = r.snapshot();
         assert_eq!(snap.cross_shard_commits, 2);
         assert_eq!(snap.cross_shard_aborts, 1);
-        assert_eq!(snap.shard_stats.len(), 2);
-        assert_eq!(snap.shard_stats[1].commits, 4);
         let commit = snap
             .events
             .iter()

@@ -7,7 +7,9 @@
 #
 # Counted: every `src/**/*.rs` of the root package and of each `crates/*`
 # member (binaries under `src/bin` included), up to but not including the
-# file's first `#[cfg(test)]`. Not counted: `tests/`, `examples/`,
+# file's first `#[cfg(test)]` whose next line opens a `mod` (the unit-test
+# module). A `#[cfg(test)]` on any other item skips only itself and the
+# item's first line (a test-only `use`). Not counted: `tests/`, `examples/`,
 # `benchmark/`, `shims/`, and — because a refactor must not score by
 # reflowing or deleting prose — blank lines and comment-only lines.
 set -euo pipefail
@@ -23,7 +25,10 @@ count_tree() {
         [ "$crate" = src ] && crate=.
         find "$src" -name '*.rs' -print0 | while IFS= read -r -d '' file; do
             awk '
-                /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+                /^[[:space:]]*#\[cfg\(test\)\]/ {
+                    if ((getline item) > 0 && item ~ /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]/) exit
+                    next
+                }
                 /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
                 { n++ }
                 END { print n + 0 }' "$file"
