@@ -262,8 +262,8 @@ impl<T: ConcurrentTable> ConcurrentTable for ResizableTable<T> {
         self.current.read().release_uncounted(txn, key, held)
     }
 
-    fn fold(&self, tally: &AccessTally) {
-        self.current.read().fold(tally)
+    fn fold(&self, me: ThreadId, tally: &AccessTally) {
+        self.current.read().fold(me, tally)
     }
 
     /// Cumulative across resizes: counters of retired generations are

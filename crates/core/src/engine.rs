@@ -178,9 +178,22 @@ pub trait TmEngine: Sync {
     /// `policy`. Returns the body's result, or
     /// [`RetryLimitExceeded`] once a bounded policy's budget is spent.
     ///
-    /// `me` must be unique among concurrently executing threads (it is the
+    /// `me` must be unique among concurrently executing threads, and a
+    /// thread that takes an id over from another must be ordered after it
+    /// (by the join, channel or lock that hands the id over). It is the
     /// identity recorded in the ownership table where the organization
-    /// tracks one, and the backoff jitter seed everywhere).
+    /// tracks one, the backoff jitter seed everywhere, and the counter slot
+    /// the transaction writes (`tm_ownership::slots`): ids below
+    /// [`SHARED`](tm_ownership::slots::SHARED) each own a slot of the
+    /// engine's [`StmStats`](crate::StmStats), of its
+    /// [`PublishGate`](crate::PublishGate) and of the table's access counts,
+    /// and bump it with a plain load and store. Two threads on one id lose
+    /// counts; a lost gate bump also leaves the gate unbalanced for good,
+    /// so every later [`run_read`](TmEngine::run_read) retries forever. In
+    /// debug builds the gate panics when two brackets overlap on one owned
+    /// slot. The same contract covers
+    /// [`run_read_with`](TmEngine::run_read_with) and every method built on
+    /// these two.
     fn run_with<'s, R>(
         &'s self,
         me: ThreadId,

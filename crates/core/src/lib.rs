@@ -57,7 +57,7 @@
 //! attempt. There is one retry driver (`contention.rs`: attempt budget,
 //! [`Backoff`], outcome counters, probe bracket — for update and read-only
 //! transactions alike), to which an engine contributes only the closure
-//! that makes a single attempt; one striped counter block ([`StmStats`])
+//! that makes a single attempt; one per-thread-slot counter block ([`StmStats`])
 //! and one snapshot of it ([`EngineStats`]), whether the reader is a
 //! harness, a per-table adaptive controller or a test; and one read-path
 //! spin budget, a constant.

@@ -4,9 +4,10 @@
 //! only inside commit, after every ownership grant is held. A read-only
 //! transaction that never touches the ownership table therefore needs just
 //! one guarantee: it must not observe a *partially published* write set.
-//! The `PublishGate` provides exactly that, as a sharded seqlock:
+//! The `PublishGate` provides exactly that, as a seqlock with one
+//! `ingress`/`egress` pair per thread slot:
 //!
-//! - A committing writer with a non-empty write buffer bumps its shard's
+//! - A committing writer with a non-empty write buffer bumps its slot's
 //!   `ingress` counter, publishes its buffered stores, then bumps `egress`.
 //! - A reader samples the gate at begin: if the summed `ingress` equals the
 //!   summed `egress`, no publication is in flight and the sum is the
@@ -14,13 +15,18 @@
 //!   sum still equals the epoch, no publication even **started** since
 //!   begin, so everything it has read belongs to one quiescent snapshot.
 //!
-//! Writers never wait for readers (they only increment their own shard —
+//! Writers never wait for readers (they only write their own slot —
 //! wait-free), and readers never block writers; a reader that races a
-//! publication simply retries. Ordering argument, given that heap loads
-//! and stores are `Relaxed`:
+//! publication simply retries. A thread id below
+//! [`SHARED`](tm_ownership::slots::SHARED) is its slot's only writer (the
+//! engine's one-thread-per-id contract), so its bracket is the
+//! single-writer seqlock's: plain stores, no locked instruction. Ids from
+//! `SHARED` on share the last slot and bump it with `fetch_add`, in the
+//! same orderings. Ordering argument, given that heap loads and stores are
+//! `Relaxed`:
 //!
-//! - Writer: `ingress.fetch_add(Relaxed)` → `fence(Release)` → heap stores
-//!   → `egress.fetch_add(Release)`. The release fence orders the ingress
+//! - Writer: `ingress` bump (`Relaxed`) → `fence(Release)` → heap stores
+//!   → `egress` bump (`Release`). The release fence orders the ingress
 //!   bump before every heap store as observed through any later acquire.
 //! - Reader validation: heap load → `fence(Acquire)` → `ingress` loads.
 //!   If the reader observed any store from writer W's publication, the
@@ -32,19 +38,17 @@
 //!   any writer whose `egress` bump is included, the `Release`-`Acquire`
 //!   pair makes its earlier `ingress` bump visible to the later ingress
 //!   loads, so the observed ingress multiset always covers the observed
-//!   egress multiset per shard; sum equality therefore means every started
+//!   egress multiset per slot; sum equality therefore means every started
 //!   publication had finished, and `Acquire` on `egress` makes all of its
 //!   stores visible to the reader's subsequent loads.
 //!
-//! Sixteen shards selected by thread id keep the writer-side bumps off a
-//! single shared line (same stripe discipline as the stats stripes); the
-//! reader-side sum walks sixteen padded lines, a fine trade because the
-//! eager reader validates with one fence plus sixteen relaxed loads and
+//! The reader-side sum walks sixteen padded slots, a fine trade because
+//! the eager reader validates with one fence plus sixteen relaxed loads and
 //! still performs no CAS, takes no lock, and allocates nothing.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-use crate::stats::Padded;
+use tm_ownership::slots::Slots;
 
 /// Spins a read-only attempt spends waiting before it gives up and
 /// retries through backoff. Eager engines spin at `run_read` begin while a
@@ -56,17 +60,14 @@ use crate::stats::Padded;
 /// caller's retry policy.
 pub(crate) const READ_SPINS: u32 = 64;
 
-/// Shards in the gate. Power of two (index by mask), matching the stats
-/// stripe count so one thread id picks the same slot in both.
-const GATE_SHARDS: usize = 16;
-
+/// One slot of the gate: its writers' publications begun and ended.
 #[derive(Debug, Default)]
-struct GateShard {
+struct GateSlot {
     ingress: AtomicU64,
     egress: AtomicU64,
 }
 
-/// The sharded seqlock described in the module docs.
+/// The slotted seqlock described in the module docs.
 ///
 /// Public because engine crates outside `tm-stm` (the sharded engine in
 /// `tm-shard`) implement the same publication protocol: writers bracket
@@ -76,39 +77,39 @@ struct GateShard {
 /// [`still_at`](PublishGate::still_at). One gate instance covers one heap:
 /// a multi-shard commit publishing under a single bracket is atomic to
 /// every reader of that heap.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PublishGate {
-    shards: Box<[Padded<GateShard>]>,
-}
-
-impl Default for PublishGate {
-    fn default() -> Self {
-        PublishGate {
-            shards: (0..GATE_SHARDS).map(|_| Padded::default()).collect(),
-        }
-    }
+    slots: Slots<GateSlot>,
 }
 
 impl PublishGate {
-    #[inline]
-    fn shard(&self, me: u32) -> &GateShard {
-        &self.shards[me as usize & (GATE_SHARDS - 1)].0
-    }
-
     /// Writer prologue: announce an in-flight publication. Must be paired
     /// with [`publish_end`](Self::publish_end) on the same thread id, with
-    /// the heap stores in between. Wait-free: one uncontended-by-readers
-    /// RMW plus a fence.
+    /// the heap stores in between. Wait-free: a plain store (a `fetch_add`
+    /// on the shared slot) plus a fence.
+    ///
+    /// In debug builds an id that owns its slot is checked to have no
+    /// bracket open: a second `publish_begin` before the `publish_end` is
+    /// the trace of one id used by two threads at once.
     #[inline]
     pub fn publish_begin(&self, me: u32) {
-        self.shard(me).ingress.fetch_add(1, Ordering::Relaxed);
+        let slot = self.slots.get(me);
+        let GateSlot { ingress, egress } = slot.cells();
+        debug_assert!(
+            !slot.is_exclusive()
+                || ingress.load(Ordering::Relaxed) == egress.load(Ordering::Relaxed),
+            "publish_begin({me}) with a bracket already open on its slot: \
+             thread id {me} is in use by two threads at once"
+        );
+        slot.add(ingress, 1, Ordering::Relaxed);
         fence(Ordering::Release);
     }
 
     /// Writer epilogue: the publication is complete.
     #[inline]
     pub fn publish_end(&self, me: u32) {
-        self.shard(me).egress.fetch_add(1, Ordering::Release);
+        let slot = self.slots.get(me);
+        slot.add(&slot.cells().egress, 1, Ordering::Release);
     }
 
     /// Reader begin: `Some(epoch)` when no publication is in flight, `None`
@@ -117,12 +118,12 @@ impl PublishGate {
     #[inline]
     pub fn reader_epoch(&self) -> Option<u64> {
         let mut egress = 0u64;
-        for shard in self.shards.iter() {
-            egress += shard.0.egress.load(Ordering::Acquire);
+        for slot in self.slots.iter() {
+            egress += slot.egress.load(Ordering::Acquire);
         }
         let mut ingress = 0u64;
-        for shard in self.shards.iter() {
-            ingress += shard.0.ingress.load(Ordering::Acquire);
+        for slot in self.slots.iter() {
+            ingress += slot.ingress.load(Ordering::Acquire);
         }
         (ingress == egress).then_some(ingress)
     }
@@ -134,8 +135,8 @@ impl PublishGate {
     pub fn still_at(&self, epoch: u64) -> bool {
         fence(Ordering::Acquire);
         let mut ingress = 0u64;
-        for shard in self.shards.iter() {
-            ingress += shard.0.ingress.load(Ordering::Relaxed);
+        for slot in self.slots.iter() {
+            ingress += slot.ingress.load(Ordering::Relaxed);
         }
         ingress == epoch
     }
@@ -163,14 +164,36 @@ mod tests {
     }
 
     #[test]
-    fn shards_sum_across_thread_ids() {
+    fn slots_sum_across_thread_ids() {
         let gate = PublishGate::default();
-        // Thread ids 0 and 16 share a shard; 1 does not. The sums must be
-        // shard-layout-independent.
-        for me in [0u32, 16, 1] {
+        // Ids 15 and 16 share the last slot; 0 and 1 own theirs. The sums
+        // must be slot-layout-independent.
+        for me in [0u32, 15, 16, 1] {
             gate.publish_begin(me);
             gate.publish_end(me);
         }
-        assert_eq!(gate.reader_epoch(), Some(3));
+        assert_eq!(gate.reader_epoch(), Some(4));
+    }
+
+    #[test]
+    fn shared_slot_brackets_may_overlap() {
+        // Ids from `SHARED` on may publish at once: their brackets nest on
+        // one slot without tripping the single-writer check.
+        let gate = PublishGate::default();
+        gate.publish_begin(15);
+        gate.publish_begin(40);
+        assert_eq!(gate.reader_epoch(), None);
+        gate.publish_end(40);
+        gate.publish_end(15);
+        assert_eq!(gate.reader_epoch(), Some(2));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "thread id 3 is in use by two threads at once")]
+    fn a_second_open_bracket_on_an_owned_slot_panics_in_debug() {
+        let gate = PublishGate::default();
+        gate.publish_begin(3);
+        gate.publish_begin(3);
     }
 }

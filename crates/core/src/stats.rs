@@ -2,6 +2,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tm_ownership::slots::Slots;
+
 /// Engine-independent counter snapshot: a point-in-time copy of one
 /// [`StmStats`] block (or the sum of several) and the one statistics
 /// surface every [`TmEngine`](crate::TmEngine), every routed table and the
@@ -127,7 +129,7 @@ impl EngineStats {
     }
 }
 
-/// The one field-wise sum: stripes fold into a table's snapshot and tables
+/// The one field-wise sum: slots fold into a table's snapshot and tables
 /// fold into an engine's through it. The right-hand side is destructured
 /// without `..`, so a counter added to the struct fails to compile here
 /// instead of being silently dropped from an aggregate.
@@ -164,21 +166,10 @@ impl std::ops::AddAssign for EngineStats {
     }
 }
 
-/// Stripes per counter block. Thread `t` writes stripe `t % STAT_STRIPES`,
-/// so with ≤ 16 measurement threads no two threads share a counter cache
-/// line. Power of two (index by mask).
-const STAT_STRIPES: usize = 16;
-
-/// One stripe cell, padded to two cache lines so neighbouring stripes
-/// never false-share.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub(crate) struct Padded<T>(pub(crate) T);
-
-/// One stripe of the counters: the atomic twin of [`EngineStats`]. Laid
-/// out (`repr(C)`) so that what a committing transaction bumps on either
-/// path sits in the stripe's first cache line; the abort breakdown and the
-/// strong-isolation counters take the second.
+/// One thread's slot of the counters: the atomic twin of [`EngineStats`].
+/// Laid out (`repr(C)`) so that what a committing transaction bumps on
+/// either path sits in the slot's first cache line; the abort breakdown and
+/// the strong-isolation counters take the second.
 #[derive(Debug, Default)]
 #[repr(C)]
 struct StatCells {
@@ -212,129 +203,126 @@ pub(crate) enum LazyAbort {
 /// The atomic counters behind every engine's [`EngineStats`]: one block per
 /// routed table of a [`crate::Stm`], one for a whole [`crate::LazyStm`].
 ///
-/// Internally **striped**: each thread increments its own cache-line-padded
-/// stripe (chosen by thread id), so the hot path never contends on a shared
-/// counter line — the pre-optimization design put every thread's
-/// `fetch_add` on one adjacent block of `AtomicU64`s, a contention
-/// amplifier precisely where the paper measures contention.
-/// [`StmStats::snapshot`] sums the stripes; each event lands in exactly one
-/// stripe, so quiesced totals are exact (bit-identical to an unsharded
-/// implementation) and in-flight totals are monotone per stripe.
-#[derive(Debug)]
+/// Kept in per-thread [`Slots`]: thread `me` below
+/// [`SHARED`](tm_ownership::slots::SHARED) is the only writer of its own
+/// cache-line-padded slot, so a bump is a `Relaxed` load and a store — no
+/// locked instruction and no shared counter line on the hot path. Ids from
+/// `SHARED` on share the last slot and bump it with `fetch_add`. That rests
+/// on the engine contract that one id runs on one thread at a time
+/// ([`TmEngine::run_with`](crate::TmEngine::run_with)).
+/// [`StmStats::snapshot`] sums the slots; each event lands in exactly one
+/// slot, so quiesced totals are exact and in-flight totals are monotone
+/// per slot.
+#[derive(Debug, Default)]
 pub struct StmStats {
-    stripes: Box<[Padded<StatCells>]>,
-}
-
-impl Default for StmStats {
-    fn default() -> Self {
-        Self {
-            stripes: (0..STAT_STRIPES).map(|_| Padded::default()).collect(),
-        }
-    }
+    slots: Slots<StatCells>,
 }
 
 impl StmStats {
-    /// The cell thread `me` writes.
+    /// Add `n` to the cell `pick` selects in thread `me`'s slot.
     #[inline]
-    fn stripe(&self, me: u32) -> &StatCells {
-        &self.stripes[me as usize & (STAT_STRIPES - 1)].0
+    fn add(&self, me: u32, n: u64, pick: impl FnOnce(&StatCells) -> &AtomicU64) {
+        let slot = self.slots.get(me);
+        slot.add(pick(slot.cells()), n, Ordering::Relaxed);
     }
 
     /// Count one committed transaction for thread `me`.
+    #[inline]
     pub fn on_commit(&self, me: u32) {
-        self.stripe(me).commits.fetch_add(1, Ordering::Relaxed);
+        self.add(me, 1, |c| &c.commits);
     }
 
     /// Count one aborted attempt (of any kind) for thread `me`.
+    #[inline]
     pub fn on_abort(&self, me: u32) {
-        self.stripe(me).aborts.fetch_add(1, Ordering::Relaxed);
+        self.add(me, 1, |c| &c.aborts);
     }
 
     /// Record which lazy-protocol site an aborted attempt ended at — the
     /// breakdown of, not an addition to, [`on_abort`](Self::on_abort).
+    #[inline]
     pub(crate) fn on_lazy_abort(&self, me: u32, site: LazyAbort) {
-        let stripe = self.stripe(me);
-        let cell = match site {
-            LazyAbort::Read => &stripe.read_aborts,
-            LazyAbort::Lock => &stripe.lock_aborts,
-            LazyAbort::Validation => &stripe.validation_aborts,
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
+        self.add(me, 1, |c| match site {
+            LazyAbort::Read => &c.read_aborts,
+            LazyAbort::Lock => &c.lock_aborts,
+            LazyAbort::Validation => &c.validation_aborts,
+        });
     }
 
     /// Fold a whole attempt's stall-retry count in at once. The per-spin
     /// counter lives in the attempt's scratch and is flushed here exactly
     /// once per attempt, so the spin loop itself touches no shared line.
+    #[inline]
     pub fn add_stall_retries(&self, me: u32, n: u64) {
         if n > 0 {
-            self.stripe(me)
-                .stall_retries
-                .fetch_add(n, Ordering::Relaxed);
+            self.add(me, n, |c| &c.stall_retries);
         }
     }
 
+    #[inline]
     pub(crate) fn on_strong(&self, me: u32, write: bool) {
-        let stripe = self.stripe(me);
-        if write {
-            stripe.strong_writes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stripe.strong_reads.fetch_add(1, Ordering::Relaxed);
-        }
+        self.add(me, 1, |c| {
+            if write {
+                &c.strong_writes
+            } else {
+                &c.strong_reads
+            }
+        });
     }
 
+    #[inline]
     pub(crate) fn on_strong_stall(&self, me: u32) {
-        self.stripe(me)
-            .strong_stalls
-            .fetch_add(1, Ordering::Relaxed);
+        self.add(me, 1, |c| &c.strong_stalls);
     }
 
     /// Count one read-only commit (snapshot read path) for thread `me`.
+    #[inline]
     pub fn on_read_commit(&self, me: u32) {
-        self.stripe(me)
-            .read_only_commits
-            .fetch_add(1, Ordering::Relaxed);
+        self.add(me, 1, |c| &c.read_only_commits);
     }
 
     /// Count one failed read-path validation (and retry) for thread `me`.
+    #[inline]
     pub fn on_read_validation_retry(&self, me: u32) {
-        self.stripe(me)
-            .read_validation_retries
-            .fetch_add(1, Ordering::Relaxed);
+        self.add(me, 1, |c| &c.read_validation_retries);
     }
 
     /// Fold one committed transaction's footprint in: distinct written
     /// blocks (the model's `W`) and total footprint units held
     /// (`(1+α)·W`).
+    #[inline]
     pub fn on_commit_footprint(&self, me: u32, write_blocks: u64, grant_blocks: u64) {
-        let stripe = self.stripe(me);
-        stripe
-            .committed_write_blocks
-            .fetch_add(write_blocks, Ordering::Relaxed);
-        stripe
-            .committed_grant_blocks
-            .fetch_add(grant_blocks, Ordering::Relaxed);
+        let slot = self.slots.get(me);
+        let c = slot.cells();
+        slot.add_all(
+            [
+                (&c.committed_write_blocks, write_blocks),
+                (&c.committed_grant_blocks, grant_blocks),
+            ],
+            Ordering::Relaxed,
+        );
     }
 
-    /// Sum the stripes into a point-in-time copy (exact once threads
+    /// Sum the slots into a point-in-time copy (exact once threads
     /// quiesce; see the type docs for the aggregation contract).
     pub fn snapshot(&self) -> EngineStats {
         let mut total = EngineStats::default();
-        for Padded(stripe) in self.stripes.iter() {
+        for cells in self.slots.iter() {
             let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
             total += EngineStats {
-                commits: load(&stripe.commits),
-                aborts: load(&stripe.aborts),
-                read_aborts: load(&stripe.read_aborts),
-                lock_aborts: load(&stripe.lock_aborts),
-                validation_aborts: load(&stripe.validation_aborts),
-                stall_retries: load(&stripe.stall_retries),
-                strong_reads: load(&stripe.strong_reads),
-                strong_writes: load(&stripe.strong_writes),
-                strong_stalls: load(&stripe.strong_stalls),
-                committed_write_blocks: load(&stripe.committed_write_blocks),
-                committed_grant_blocks: load(&stripe.committed_grant_blocks),
-                read_only_commits: load(&stripe.read_only_commits),
-                read_validation_retries: load(&stripe.read_validation_retries),
+                commits: load(&cells.commits),
+                aborts: load(&cells.aborts),
+                read_aborts: load(&cells.read_aborts),
+                lock_aborts: load(&cells.lock_aborts),
+                validation_aborts: load(&cells.validation_aborts),
+                stall_retries: load(&cells.stall_retries),
+                strong_reads: load(&cells.strong_reads),
+                strong_writes: load(&cells.strong_writes),
+                strong_stalls: load(&cells.strong_stalls),
+                committed_write_blocks: load(&cells.committed_write_blocks),
+                committed_grant_blocks: load(&cells.committed_grant_blocks),
+                read_only_commits: load(&cells.read_only_commits),
+                read_validation_retries: load(&cells.read_validation_retries),
             };
         }
         total
@@ -424,10 +412,10 @@ mod tests {
     }
 
     #[test]
-    fn striped_totals_are_exact_across_thread_ids() {
-        // Every thread id maps to exactly one stripe, ids sharing a stripe
-        // accumulate, and the snapshot equals the event count regardless of
-        // how ids distribute over stripes.
+    fn slotted_totals_are_exact_across_thread_ids() {
+        // Every thread id maps to exactly one slot, ids sharing the last
+        // slot accumulate, and the snapshot equals the event count
+        // regardless of how ids distribute over slots.
         let s = StmStats::default();
         for me in 0..100u32 {
             for _ in 0..=me {

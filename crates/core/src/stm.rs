@@ -122,8 +122,8 @@ impl Route for OneTable {
 }
 
 /// One routed table's conflict-detection state: the ownership table and
-/// the commit-stream statistics of the traffic that touched it (each
-/// internally striped and padded).
+/// the commit-stream statistics of the traffic that touched it (each kept
+/// in padded per-thread slots).
 #[derive(Debug)]
 struct TableState<T> {
     table: T,
@@ -293,6 +293,14 @@ impl<T: ConcurrentTable, P: Probe, R: Route> Stm<T, P, R> {
     /// The attached telemetry probe.
     pub fn probe(&self) -> &P {
         &self.probe
+    }
+
+    /// The publication gate between commits and the table-free read path
+    /// (inspection: at quiescence its
+    /// [`reader_epoch`](PublishGate::reader_epoch) counts the commits that
+    /// published a write).
+    pub fn publish_gate(&self) -> &PublishGate {
+        &self.publish_gate
     }
 
     /// Number of ownership tables (1 on the one-table route).
@@ -493,8 +501,8 @@ pub struct Txn<'s, T: ConcurrentTable, P: Probe = NoopProbe, R: Route = OneTable
     /// Cached `config.contention.max_spins()`.
     max_spins: u32,
     scratch: ScratchGuard,
-    /// Stall-policy re-attempts this attempt; flushed to the shared
-    /// (striped) stats once per attempt instead of once per spin.
+    /// Stall-policy re-attempts this attempt; flushed to the thread's
+    /// stats slot once per attempt instead of once per spin.
     stall_retries: u64,
     /// The home table's per-access counts this attempt (acquires, grants,
     /// already-held hits, upgrades, releases), folded into the table once,
@@ -753,7 +761,7 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
             table.release_uncounted(self.id, key, held);
             self.tally.on_release(held);
         }
-        table.fold(&self.tally);
+        table.fold(self.id, &self.tally);
         if !R::MULTI || (self.home.is_some() && !self.cross) {
             table.exit(self.id);
         }

@@ -27,10 +27,17 @@ use crate::driver::{mix_seed, phase_loop, run_phase_threads};
 use crate::run::{DriveOutcome, Phases, RunSpec};
 use crate::scenario::{ListKeyMix, StructsKind};
 
-/// Keys each thread owns in the map workload.
+/// Keys each thread owns in the map workload, at up to 16 threads.
 const MAP_KEYS_PER_THREAD: u64 = 128;
 /// Slot capacity of the shared map (must exceed threads × keys).
 const MAP_CAPACITY: u64 = 4096;
+
+/// Keys each of `threads` threads owns in the map workload: 128, or an
+/// equal share of half the map once more than 16 threads split it, so the
+/// map keeps half its slots free at any thread count up to 2048.
+fn map_keys_per_thread(threads: u32) -> u64 {
+    (MAP_CAPACITY / 2 / u64::from(threads.max(1))).clamp(1, MAP_KEYS_PER_THREAD)
+}
 /// Capacity of the shared queue/stack.
 const CONTAINER_CAPACITY: u64 = 1024;
 /// Value range for queue/stack payloads (small, so sums stay far from wrap).
@@ -115,14 +122,14 @@ pub(crate) fn run_structs<E: TmEngine>(
         }
         StructsKind::Map => {
             let map = TMap::create(&mut region, MAP_CAPACITY);
+            let keys = map_keys_per_thread(spec.threads);
             assert!(
-                spec.threads as u64 * MAP_KEYS_PER_THREAD <= MAP_CAPACITY / 2,
+                u64::from(spec.threads) * keys <= MAP_CAPACITY / 2,
                 "map workload needs headroom: {} threads",
                 spec.threads
             );
             let phases = structs_phases(stm, spec, recorder, |id, rng, tally| {
-                let key =
-                    1 + id as u64 * MAP_KEYS_PER_THREAD + rng.gen_range(0..MAP_KEYS_PER_THREAD);
+                let key = 1 + u64::from(id) * keys + rng.gen_range(0..keys);
                 match rng.gen_range(0..100u32) {
                     0..=59 => {
                         let value = rng.gen_range(0..VALUE_RANGE);
@@ -321,6 +328,36 @@ mod tests {
         let r = check(StructsKind::Map);
         assert_eq!(r.violations, 0);
         assert!(r.measure.commits >= 4 * 120);
+    }
+
+    #[test]
+    fn map_keys_shrink_only_past_sixteen_threads() {
+        for threads in 1..=16 {
+            assert_eq!(map_keys_per_thread(threads), MAP_KEYS_PER_THREAD);
+        }
+        assert_eq!(map_keys_per_thread(17), 120);
+        assert_eq!(map_keys_per_thread(2048), 1);
+    }
+
+    /// `harness --threads 17 --scenario map`: more threads than the map
+    /// had 128-key ranges for, and more than the engine's 15 exclusive
+    /// counter slots, so two ids share the last one.
+    #[test]
+    fn map_cell_runs_clean_at_seventeen_threads() {
+        let config = crate::MatrixConfig {
+            engines: vec![EngineKind::EagerTagless],
+            scenarios: vec![Scenario::map()],
+            threads: 17,
+            warmup: Phase::Txns(10),
+            measure: Phase::Txns(40),
+            ..crate::MatrixConfig::fast()
+        };
+        let report = crate::run_matrix(&config, |_, _, _, _| {});
+        let [cell] = &report.runs[..] else {
+            panic!("one cell expected, got {}", report.runs.len())
+        };
+        assert_eq!(cell.invariant_violations, 0);
+        assert!(cell.commits >= 17 * 40);
     }
 
     #[test]

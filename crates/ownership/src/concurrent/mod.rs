@@ -28,7 +28,8 @@
 //! levels a caller releases, so the table does not bump a shared counter
 //! for them on every access: the caller keeps an [`AccessTally`] and
 //! [`fold`](ConcurrentTable::fold)s it in — the STM once per transaction
-//! attempt. A table counts only what only it sees: conflicts by kind and
+//! attempt — into the caller's own counter slot, with a plain load and
+//! store per moved count. A table counts only what only it sees: conflicts by kind and
 //! classification, and chain insertions. Each organization has one acquire
 //! and one release body,
 //! [`acquire_uncounted`](ConcurrentTable::acquire_uncounted) and
@@ -148,8 +149,12 @@ pub trait ConcurrentTable: Send + Sync {
     /// nothing; the caller tallies it with [`AccessTally::on_release`].
     fn release_uncounted(&self, txn: ThreadId, key: GrantKey, held: Held);
 
-    /// Add a caller's tally to the table's counters.
-    fn fold(&self, tally: &AccessTally);
+    /// Add thread `me`'s tally to the table's counters. The access counts
+    /// live in per-thread [`Slots`](crate::slots::Slots): `me` below
+    /// [`SHARED`](crate::slots::SHARED) bumps its own slot with a plain load
+    /// and store, so `me` must not fold from two threads at once — the
+    /// engine's "one thread per id" contract.
+    fn fold(&self, me: ThreadId, tally: &AccessTally);
 
     /// [`acquire_uncounted`](Self::acquire_uncounted), counted at once.
     #[inline]
@@ -163,7 +168,7 @@ pub trait ConcurrentTable: Send + Sync {
         let outcome = self.acquire_uncounted(txn, block, access, held);
         let mut tally = AccessTally::default();
         tally.on_acquire(access, held, &outcome);
-        self.fold(&tally);
+        self.fold(txn, &tally);
         outcome
     }
 
@@ -173,7 +178,7 @@ pub trait ConcurrentTable: Send + Sync {
         self.release_uncounted(txn, key, held);
         let mut tally = AccessTally::default();
         tally.on_release(held);
-        self.fold(&tally);
+        self.fold(txn, &tally);
     }
 
     /// A point-in-time copy of the table's statistics counters: exact once

@@ -146,8 +146,8 @@ impl ConcurrentTable for ConcurrentTaggedTable {
     }
 
     #[inline]
-    fn fold(&self, tally: &AccessTally) {
-        self.counters.fold(tally);
+    fn fold(&self, me: ThreadId, tally: &AccessTally) {
+        self.counters.fold(me, tally);
     }
 
     fn stats_snapshot(&self) -> TableStats {

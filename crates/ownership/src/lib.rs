@@ -29,7 +29,9 @@
 //! Memory addresses are mapped to cache blocks by [`BlockMapper`] and blocks
 //! to table entries by a pluggable [`HashKind`]; [`stats::TableStats`]
 //! aggregates the acquire and conflict counters the paper's experiments
-//! measure.
+//! measure. [`slots::Slots`] keeps per-thread counters a thread bumps with a
+//! plain load and store: the tables' access counts here, and `tm-stm`'s
+//! commit statistics and publication gate.
 //!
 //! # Example
 //!
@@ -72,6 +74,7 @@ pub mod concurrent;
 mod entry;
 mod fingerprint;
 mod hashing;
+pub mod slots;
 pub mod smallmap;
 pub mod stats;
 pub mod versioned;

@@ -10,12 +10,14 @@
 //! [`ConcurrentTable::fold`](crate::concurrent::ConcurrentTable::fold): the
 //! engine once per transaction attempt, the counting
 //! [`acquire`](crate::concurrent::ConcurrentTable::acquire)/[`release`](crate::concurrent::ConcurrentTable::release)
-//! once per call.
+//! once per call. A fold lands in the caller's own
+//! [`Slots`] slot, so it takes no locked instruction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::concurrent::Held;
-use crate::entry::{Access, AcquireOutcome, ConflictClass, ConflictKind};
+use crate::entry::{Access, AcquireOutcome, ConflictClass, ConflictKind, ThreadId};
+use crate::slots::Slots;
 
 /// Counters accumulated by an ownership table.
 ///
@@ -168,20 +170,29 @@ impl AccessTally {
     }
 }
 
-/// Both concurrent organizations' counters: relaxed atomics, so a
-/// snapshot is advisory under traffic and exact at quiescence.
-///
-/// The table bumps the conflict cells itself, once per conflict; the
-/// access cells move only through [`fold`](Counters::fold), once per
-/// caller's tally.
+/// The access cells of one [`Counters`] slot: what a caller's tally moves.
 #[derive(Debug, Default)]
-pub(crate) struct Counters {
+struct AccessCells {
     read_acquires: AtomicU64,
     write_acquires: AtomicU64,
     grants: AtomicU64,
     already_held: AtomicU64,
     upgrades: AtomicU64,
     releases: AtomicU64,
+}
+
+/// Both concurrent organizations' counters: relaxed atomics, so a
+/// snapshot is advisory under traffic and exact at quiescence.
+///
+/// The access cells move only through [`fold`](Counters::fold), once per
+/// caller's tally, into the caller's own [`Slots`] slot: a plain load and
+/// store for ids below [`SHARED`](crate::slots::SHARED), `fetch_add` on the
+/// one slot the rest share. The table bumps the conflict cells itself,
+/// once per refusal; refusals are rare, so those stay one shared
+/// `fetch_add` block.
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
+    access: Slots<AccessCells>,
     read_after_write: AtomicU64,
     write_after_read: AtomicU64,
     write_after_write: AtomicU64,
@@ -191,9 +202,11 @@ pub(crate) struct Counters {
 }
 
 impl Counters {
-    /// Add a caller's tally, touching only the cells it moved.
+    /// Add thread `me`'s tally to its slot: six plain stores into the
+    /// thread's own cache line, or a `fetch_add` per moved cell on the
+    /// shared slot.
     #[inline]
-    pub(crate) fn fold(&self, tally: &AccessTally) {
+    pub(crate) fn fold(&self, me: ThreadId, tally: &AccessTally) {
         let AccessTally {
             read_acquires,
             write_acquires,
@@ -202,18 +215,19 @@ impl Counters {
             upgrades,
             releases,
         } = *tally;
-        for (cell, n) in [
-            (&self.read_acquires, read_acquires),
-            (&self.write_acquires, write_acquires),
-            (&self.grants, grants),
-            (&self.already_held, already_held),
-            (&self.upgrades, upgrades),
-            (&self.releases, releases),
-        ] {
-            if n != 0 {
-                cell.fetch_add(n, Ordering::Relaxed);
-            }
-        }
+        let slot = self.access.get(me);
+        let c = slot.cells();
+        slot.add_all(
+            [
+                (&c.read_acquires, read_acquires),
+                (&c.write_acquires, write_acquires),
+                (&c.grants, grants),
+                (&c.already_held, already_held),
+                (&c.upgrades, upgrades),
+                (&c.releases, releases),
+            ],
+            Ordering::Relaxed,
+        );
     }
 
     /// Count one conflict of `kind`, classified as `class`.
@@ -239,6 +253,8 @@ impl Counters {
 
     pub(crate) fn snapshot(&self) -> TableStats {
         let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        let sum =
+            |pick: fn(&AccessCells) -> &AtomicU64| self.access.iter().map(|c| load(pick(c))).sum();
         let (raw, war, waw) = (
             load(&self.read_after_write),
             load(&self.write_after_read),
@@ -247,11 +263,11 @@ impl Counters {
         let (false_conflicts, true_conflicts) =
             (load(&self.false_conflicts), load(&self.true_conflicts));
         TableStats {
-            read_acquires: load(&self.read_acquires),
-            write_acquires: load(&self.write_acquires),
-            grants: load(&self.grants),
-            already_held: load(&self.already_held),
-            upgrades: load(&self.upgrades),
+            read_acquires: sum(|c| &c.read_acquires),
+            write_acquires: sum(|c| &c.write_acquires),
+            grants: sum(|c| &c.grants),
+            already_held: sum(|c| &c.already_held),
+            upgrades: sum(|c| &c.upgrades),
             read_after_write: raw,
             write_after_read: war,
             write_after_write: waw,
@@ -260,7 +276,7 @@ impl Counters {
             // Whatever the refusing word could not settle.
             unclassified_conflicts: (raw + war + waw)
                 .saturating_sub(false_conflicts + true_conflicts),
-            releases: load(&self.releases),
+            releases: sum(|c| &c.releases),
             chain_inserts: load(&self.chain_inserts),
         }
     }
@@ -373,15 +389,27 @@ mod tests {
     #[test]
     fn counters_fold_tallies_and_count_conflicts() {
         let c = Counters::default();
-        c.fold(&AccessTally {
-            read_acquires: 1,
-            write_acquires: 2,
-            grants: 3,
-            already_held: 4,
-            upgrades: 5,
-            releases: 6,
-        });
-        c.fold(&AccessTally::default());
+        // One tally split over an exclusive slot (id 3) and the shared
+        // one (id 20): the snapshot sums them.
+        c.fold(
+            3,
+            &AccessTally {
+                read_acquires: 1,
+                write_acquires: 2,
+                grants: 3,
+                ..AccessTally::default()
+            },
+        );
+        c.fold(
+            20,
+            &AccessTally {
+                already_held: 4,
+                upgrades: 5,
+                releases: 6,
+                ..AccessTally::default()
+            },
+        );
+        c.fold(0, &AccessTally::default());
         c.on_conflict(ConflictKind::ReadAfterWrite, ConflictClass::KnownFalse);
         c.on_conflict(ConflictKind::WriteAfterRead, ConflictClass::KnownTrue);
         c.on_conflict(ConflictKind::WriteAfterWrite, ConflictClass::Unknown);

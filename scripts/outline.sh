@@ -10,10 +10,19 @@
 # demangled name ends with it. From the root the script follows every
 # `call` and tail `jmp` into another function, direct or through a GOT
 # slot, but only through the repo's own `tm_*` functions, and prints each
-# one reached with its instruction count and the caller it was first
-# reached from, sorted by name. `[GOT]` marks a function some reached
-# caller calls through a GOT slot: its body sits in another object file
-# (another crate, or another codegen unit), out of the caller's sight.
+# one reached with its instruction count, its count of locked instructions
+# and the caller it was first reached from, sorted by name; a last line
+# totals both counts over the functions listed. `[GOT]` marks a function
+# some reached caller calls through a GOT slot: its body sits in another
+# object file (another crate, or another codegen unit), out of the caller's
+# sight.
+#
+# "Locked" counts instructions, not executions: every `lock`-prefixed
+# instruction (the atomic read-modify-writes: `lock cmpxchg`, `lock xadd`,
+# `lock inc`, ...) plus `xchg` with a memory operand, which the CPU locks
+# without a prefix (a `SeqCst` store compiles to one). Each is a full
+# barrier on x86-64 and takes its cache line exclusive, so the count is the
+# static shape of what a hot path pays for shared-memory atomics.
 #
 # A position-independent binary calls another object file's function
 # through `call *slot(%rip)`; `objdump` cannot name the slot's target, so the
@@ -64,6 +73,7 @@ root=${2:-'Lockstep<E>::pair'}
         insns[cur]++
         split($0, f, "\t")
         op = f[2]
+        if (op ~ /^lock / || op ~ /^xchg[bwlq]? +[^,]*\(.*|^xchg[bwlq]? +[^,]+,.*\(/) locks[cur]++
         # Older binutils print `callq`/`jmpq`.
         if (op !~ /^(call|jmp)q? /) next
         calls++
@@ -106,10 +116,16 @@ root=${2:-'Lockstep<E>::pair'}
                 }
             }
         }
+        sorter = "sort -k3"
         for (a in seen) {
-            line = sprintf("%6d  %s", insns[a], name[a])
+            line = sprintf("%6d %4d  %s", insns[a], locks[a], name[a])
             if (a in from) line = line "  <- " name[from[a]]
             if (a in got) line = line "  [GOT]"
-            print line | "sort -k2"
+            print line | sorter
+            total_insns += insns[a]
+            total_locks += locks[a]
+            functions++
         }
+        close(sorter)
+        printf("%6d %4d  total over %d functions (instructions, locked)\n", total_insns, total_locks, functions)
     }'
