@@ -24,6 +24,8 @@
 //!   per worker wake-up;
 //! * [`transport`] — TCP and a hermetic in-process channel transport
 //!   (same frames, no sockets) that CI and tests run on;
+//! * [`queue`] — the hand-off queue between those threads: the workers'
+//!   inbound queues and the channel sessions' sinks;
 //! * [`loadgen`] — a client fleet simulating thousands of sessions with
 //!   Poisson or bursty arrivals, latency capture via `tm-telemetry`, and
 //!   a built-in conservation invariant;
@@ -75,6 +77,7 @@ pub mod client;
 pub mod fault;
 pub mod loadgen;
 pub mod protocol;
+pub mod queue;
 pub mod server;
 pub mod session;
 pub mod transport;

@@ -48,7 +48,6 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, SendError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -61,6 +60,7 @@ use crate::fault::{CrashPoint, FaultState};
 use crate::protocol::{
     count_frames, frame_len, peek_id, ErrorCode, Request, RequestFrame, Response,
 };
+use crate::queue::{channel, Receiver, SendError, Sender, TryRecvError};
 use crate::session::{DedupVerdict, ServerMsg, SessionId, SessionRegistry, DEFAULT_DEDUP_WINDOW};
 
 /// Frames (and connects and disconnects) a worker handles in one drain
@@ -1054,8 +1054,6 @@ fn admitted_cost(group: &Group) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use std::sync::mpsc::Receiver;
 
     use tm_stm::{ConcurrentTaglessTable, Stm, StmBuilder};
 

@@ -36,9 +36,9 @@
 //! outbox is written and cleared in place.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::Sender;
 
 use crate::protocol::{Response, ResponseFrame};
+use crate::queue::Sender;
 use crate::transport::{SocketSink, COALESCE_BYTES};
 
 /// Stable identifier of one client connection.
@@ -392,7 +392,7 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::channel;
+    use crate::queue::channel;
 
     /// Split one sink message into the frames it holds.
     fn frames(message: &[u8]) -> Vec<ResponseFrame> {

@@ -4,7 +4,8 @@
 //! [`ServerMsg::Frames`] — messages of whole frames, as many as were ready
 //! — and take the session's responses, whole frames too, back:
 //!
-//! * **channel** — an in-process transport over `mpsc` channels. Frames
+//! * **channel** — an in-process transport over [`crate::queue`]: the
+//!   worker's inbound queue one way, the session's sink the other. Frames
 //!   are *fully encoded and decoded* on both directions, so the wire
 //!   format is exercised end to end, but no sockets are involved: CI,
 //!   tests, and the load generator run hermetically.
@@ -50,12 +51,12 @@
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::protocol::{frame_len, DecodeError, FrameBuf, Request, RequestFrame, ResponseFrame};
+use crate::queue::{channel, Receiver};
 use crate::server::{Ingress, ServerHandle};
 use crate::session::{ServerMsg, SessionId, Sink};
 

@@ -558,8 +558,9 @@ impl TxnEvent {
 // Recorder
 // ---------------------------------------------------------------------------
 
-/// Stripes in the recorder; threads map to stripes by `thread & 15`, the
-/// same striping `tm-stm`'s statistics use.
+/// Stripes in the recorder; threads map to stripes by `thread & 15`.
+/// `tm-stm`'s statistics map differently: by `min(me, 15)`, in
+/// `tm_ownership::slots`, so ids from 15 on share that crate's last slot.
 pub const RECORDER_STRIPES: usize = 16;
 
 /// Default flight-recorder ring capacity *per stripe* (the recorder keeps
