@@ -78,7 +78,10 @@ pub struct TxnScratch {
 }
 
 impl TxnScratch {
-    /// Clear every structure, retaining all backing storage.
+    /// Clear every structure, retaining all backing storage. Inline: a
+    /// store per structure, and a branch per map to its out-of-line
+    /// spilled clear.
+    #[inline]
     pub fn reset(&mut self) {
         self.log.clear();
         self.wbuf.clear();
@@ -128,14 +131,22 @@ impl ScratchGuard {
     /// Check a cleared scratch bundle out of the current thread's pool
     /// (allocating only when the pool is empty — i.e. the first use on a
     /// thread, or one level deeper than ever nested before).
+    #[inline]
     pub fn checkout() -> Self {
         let mut scratch = POOL
             .with(|p| p.borrow_mut().pop())
-            .unwrap_or_else(|| Box::new(TxnScratch::default()));
+            .unwrap_or_else(Self::fresh);
         scratch.reset();
         Self {
             scratch: Some(scratch),
         }
+    }
+
+    /// A new bundle, for a thread's first checkout at this nesting depth.
+    #[cold]
+    #[inline(never)]
+    fn fresh() -> Box<TxnScratch> {
+        Box::default()
     }
 }
 

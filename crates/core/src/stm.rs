@@ -622,9 +622,18 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
     }
 
     /// Obtain `access` on `block`, whose key and held level came from
-    /// [`lookup`](Self::lookup). A fresh grant is appended to the log; only
-    /// an upgrade searches it again.
-    #[inline]
+    /// [`lookup`](Self::lookup). The fast half: one table call, its tally,
+    /// and for a fresh grant an append to the log. A refusal goes to
+    /// [`stall`](Self::stall), and an upgrade, the only grant whose key is
+    /// already logged, to [`log_upgrade`](Self::log_upgrade).
+    ///
+    /// `always`: with plain `#[inline]` this fast half stayed out of line
+    /// in `update_with`, and plain `#[inline]` on this path has been seen
+    /// to move with unrelated code — with no engine change, the table's
+    /// acquire once fell out of `Txn::read` and `txn-solo` `p50_us` moved
+    /// +8 % (the `Txn::read` FOUND line in `CHANGES.md`). It has no loop,
+    /// and every slow path it reaches is out of line.
+    #[inline(always)]
     fn acquire(
         &mut self,
         block: u64,
@@ -632,44 +641,67 @@ impl<'s, T: ConcurrentTable, P: Probe, R: Route> Txn<'s, T, P, R> {
         held: Held,
         access: Access,
     ) -> Result<(), Aborted> {
-        // Everything invariant across the stall-retry spins is resolved
-        // before the loop; each re-attempt is just the table CAS/probe plus
-        // a pause.
         let table = &self.home_state().table;
-        let mut spins = 0u32;
-        loop {
+        let mut outcome = table.acquire_uncounted(self.id, block, access, held);
+        self.tally.on_acquire(access, held, &outcome);
+        if let AcquireOutcome::Conflict(c) = outcome {
+            outcome = self.stall(block, held, access, c.class)?;
+        }
+        if matches!(outcome, AcquireOutcome::Granted) {
+            let after = held.after(access);
+            if held == Held::None {
+                self.scratch.log.insert_new(key, after);
+            } else {
+                self.log_upgrade(key, after);
+            }
+            if P::ENABLED {
+                self.stm.probe.on_grant(self.id);
+            }
+        }
+        Ok(())
+    }
+
+    /// Raise `key`'s logged level to `after` (an upgrade: `Read` to
+    /// `Write`): a search of the log, kept out of every access's inlined
+    /// code.
+    #[inline(never)]
+    fn log_upgrade(&mut self, key: GrantKey, after: Held) {
+        self.scratch.log.insert(key, after);
+    }
+
+    /// [`acquire`](Self::acquire)'s slow half, after its first attempt was
+    /// refused with a conflict of class `class`: under the stall policy,
+    /// re-attempt (each one tallied) up to `max_spins` times, pausing
+    /// between, and return the first outcome that is not a conflict; then
+    /// abort, attributed to the last refusal's class. Under the abort
+    /// policy (`max_spins == 0`) it aborts at once.
+    #[cold]
+    #[inline(never)]
+    fn stall(
+        &mut self,
+        block: u64,
+        held: Held,
+        access: Access,
+        mut class: ConflictClass,
+    ) -> Result<AcquireOutcome, Aborted> {
+        let table = &self.home_state().table;
+        for _ in 0..self.max_spins {
+            self.stall_retries += 1;
+            if P::ENABLED {
+                self.stm.probe.on_stall(self.id);
+            }
+            std::hint::spin_loop();
             let outcome = table.acquire_uncounted(self.id, block, access, held);
             self.tally.on_acquire(access, held, &outcome);
             match outcome {
-                AcquireOutcome::Granted => {
-                    let after = held.after(access);
-                    if held == Held::None {
-                        self.scratch.log.insert_new(key, after);
-                    } else {
-                        self.scratch.log.insert(key, after);
-                    }
-                    if P::ENABLED {
-                        self.stm.probe.on_grant(self.id);
-                    }
-                    return Ok(());
-                }
-                AcquireOutcome::AlreadyHeld => return Ok(()),
-                AcquireOutcome::Conflict(c) => {
-                    if spins >= self.max_spins {
-                        if P::ENABLED {
-                            self.abort_cause = Some(cause_of_class(c.class));
-                        }
-                        return Err(Aborted);
-                    }
-                    spins += 1;
-                    self.stall_retries += 1;
-                    if P::ENABLED {
-                        self.stm.probe.on_stall(self.id);
-                    }
-                    std::hint::spin_loop();
-                }
+                AcquireOutcome::Conflict(c) => class = c.class,
+                outcome => return Ok(outcome),
             }
         }
+        if P::ENABLED {
+            self.abort_cause = Some(cause_of_class(class));
+        }
+        Err(Aborted)
     }
 
     /// Buffer a home-table write of `block`, now held at `Write`, whose key
@@ -841,18 +873,24 @@ impl<T: ConcurrentTable, P: Probe, R: Route> TxnOps for Txn<'_, T, P, R> {
         }
         self.reads += 1;
         let (key, held) = self.lookup(block);
-        let old = if held == Held::Write {
-            match self.scratch.wbuf.get(addr) {
+        if held == Held::Write {
+            let old = match self.scratch.wbuf.get(addr) {
                 Some(v) => v,
                 None => self.load_unbuffered(block, addr),
-            }
-        } else {
-            self.acquire(block, key, held, Access::Write)?;
-            self.stm.heap.load(addr)
-        };
+            };
+            self.writes += 1;
+            let v = f(old);
+            self.buffer(block, addr, v, held);
+            return Ok(v);
+        }
+        self.acquire(block, key, held, Access::Write)?;
         self.writes += 1;
-        let v = f(old);
-        self.buffer(block, addr, v, held);
+        let v = f(self.stm.heap.load(addr));
+        // Below `Write` before the access: by `lookup`'s invariant neither
+        // map has the block or the word.
+        let s = &mut *self.scratch;
+        s.write_blocks.insert_new(block, ());
+        s.wbuf.insert_new(addr, v);
         Ok(v)
     }
 }

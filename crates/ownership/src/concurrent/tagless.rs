@@ -95,8 +95,36 @@ impl ConcurrentTaglessTable {
         }
     }
 
+    /// [`acquire_uncounted`](ConcurrentTable::acquire_uncounted)'s slow
+    /// half, for entry `e` and the block fingerprinted `fp`: an access the
+    /// caller already holds ([`cover`](Self::cover)), an upgrade, a grant
+    /// whose CAS lost a race, and a refusal. Called alone it decides every
+    /// case the fast half does, through the same [`granted`] and
+    /// [`refusal`], so the fast half is a shortcut and not a second rule.
+    #[inline(never)]
+    fn acquire_slow(
+        &self,
+        txn: ThreadId,
+        e: EntryIndex,
+        access: Access,
+        held: Held,
+        fp: u32,
+    ) -> AcquireOutcome {
+        match (access, held) {
+            (Access::Read, Held::Read | Held::Write) | (Access::Write, Held::Write) => {
+                self.cover(e, fp);
+                AcquireOutcome::AlreadyHeld
+            }
+            _ => match self.grant(txn, e, access, held, fp) {
+                Ok(()) => AcquireOutcome::Granted,
+                Err(word) => self.refused(access, word, fp),
+            },
+        }
+    }
+
     /// Count and report the conflict `word` raised against a request for
     /// `access` on the block fingerprinted `fp`, classified from `word`.
+    #[cold]
     fn refused(&self, access: Access, word: u64, fp: u32) -> AcquireOutcome {
         let (kind, with) = refusal(access, word);
         let class = classify(fp_of(word), fp);
@@ -158,16 +186,21 @@ impl ConcurrentTable for ConcurrentTaglessTable {
     ) -> AcquireOutcome {
         let e = self.cfg.entry_of(block);
         let fp = fingerprint_of(block);
-        match (access, held) {
-            (Access::Read, Held::Read | Held::Write) | (Access::Write, Held::Write) => {
-                self.cover(e, fp);
-                AcquireOutcome::AlreadyHeld
+        // The fast half: a fresh grant one load and one CAS install — the
+        // paper's no-alias case. Everything else is the slow half's.
+        if held == Held::None {
+            let cell = &self.entries[e];
+            let cur = cell.load(Ordering::Acquire);
+            if let Some(next) = granted(cur, txn, access, held, fp) {
+                if cell
+                    .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+                {
+                    return AcquireOutcome::Granted;
+                }
             }
-            _ => match self.grant(txn, e, access, held, fp) {
-                Ok(()) => AcquireOutcome::Granted,
-                Err(word) => self.refused(access, word, fp),
-            },
         }
+        self.acquire_slow(txn, e, access, held, fp)
     }
 
     #[inline]
@@ -451,6 +484,139 @@ mod tests {
         assert_eq!(fp_at(&t, 4), FP_SATURATED);
         let w = t.acquire(3, 20, Access::Write, Held::None);
         assert_eq!(class_of(w), ConflictClass::Unknown);
+    }
+
+    /// Every single step the split acquire can take, decided both ways
+    /// from the same word on two fresh tables: `acquire_uncounted` (fast
+    /// half first) and `acquire_slow` called alone must return the same
+    /// outcome, leave the same word and count the same conflicts. The
+    /// fast half is a shortcut through the same `granted`, not a second
+    /// rule.
+    #[test]
+    fn the_fast_half_decides_as_the_slow_half_alone() {
+        const CALLER: ThreadId = 0;
+        // Entry 3 of a 16-entry mask table. Blocks 3 and 19 alias there,
+        // and so does `far`, whose fingerprint saturates.
+        let far = 3 + (16u64 << 30);
+        assert_eq!(fingerprint_of(far), FP_SATURATED);
+        let word_after = |steps: &dyn Fn(&ConcurrentTaglessTable)| {
+            let t = table(16);
+            steps(&t);
+            t.entries[3].load(Ordering::Relaxed)
+        };
+        let (r, w) = (Access::Read, Access::Write);
+        // (name, word, sharers, exact fingerprint?)
+        let words = [
+            ("free", FREE, 0, false),
+            (
+                "read by 1, exact",
+                word_after(&|t| {
+                    t.acquire(1, 3, r, Held::None);
+                }),
+                1,
+                true,
+            ),
+            (
+                "read by 1, saturated",
+                word_after(&|t| {
+                    t.acquire(1, 3, r, Held::None);
+                    t.acquire(2, 19, r, Held::None);
+                    t.release(2, 3, Held::Read);
+                }),
+                1,
+                false,
+            ),
+            (
+                "read by 2, exact",
+                word_after(&|t| {
+                    t.acquire(1, 3, r, Held::None);
+                    t.acquire(2, 3, r, Held::None);
+                }),
+                2,
+                true,
+            ),
+            (
+                "read by 2, saturated",
+                word_after(&|t| {
+                    t.acquire(1, 3, r, Held::None);
+                    t.acquire(2, 19, r, Held::None);
+                }),
+                2,
+                false,
+            ),
+            (
+                "written by the caller",
+                word_after(&|t| {
+                    t.acquire(CALLER, 3, w, Held::None);
+                }),
+                0,
+                true,
+            ),
+            (
+                "written by the caller, saturated",
+                word_after(&|t| {
+                    t.acquire(CALLER, 3, w, Held::None);
+                    t.acquire(CALLER, 19, r, Held::Write);
+                }),
+                0,
+                false,
+            ),
+            (
+                "written by another",
+                word_after(&|t| {
+                    t.acquire(1, 3, w, Held::None);
+                }),
+                0,
+                true,
+            ),
+            (
+                "written by another, saturated",
+                word_after(&|t| {
+                    t.acquire(1, 3, w, Held::None);
+                    t.acquire(1, 19, r, Held::Write);
+                }),
+                0,
+                false,
+            ),
+        ];
+        let (mut cases, mut fast_grants) = (0, 0);
+        for (name, word, sharers, exact) in words {
+            // The states are what they are named.
+            let snap = snapshot(3, word);
+            assert_eq!(snap.map_or(0, |g| g.sharers), sharers, "{name}");
+            if word != FREE {
+                assert_eq!(fp_of(word) != FP_SATURATED, exact, "{name}");
+            }
+            for access in [r, w] {
+                for held in [Held::None, Held::Read, Held::Write] {
+                    // The block the word names, an alias, a saturated alias.
+                    for block in [3, 19, far] {
+                        let case = format!("{name}: {access:?} on block {block}, held {held:?}");
+                        let (split, slow) = (table(16), table(16));
+                        split.entries[3].store(word, Ordering::Relaxed);
+                        slow.entries[3].store(word, Ordering::Relaxed);
+                        let outcome = split.acquire_uncounted(CALLER, block, access, held);
+                        let e = slow.cfg.entry_of(block);
+                        assert_eq!(e, 3, "{case}");
+                        let alone =
+                            slow.acquire_slow(CALLER, e, access, held, fingerprint_of(block));
+                        assert_eq!(outcome, alone, "{case}");
+                        assert_eq!(
+                            split.entries[3].load(Ordering::Relaxed),
+                            slow.entries[3].load(Ordering::Relaxed),
+                            "{case}"
+                        );
+                        assert_eq!(split.stats_snapshot(), slow.stats_snapshot(), "{case}");
+                        cases += 1;
+                        fast_grants +=
+                            u32::from(held == Held::None && outcome == AcquireOutcome::Granted);
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 9 * 2 * 3 * 3);
+        // Free × 2 accesses and the four read words × a read, × 3 blocks.
+        assert_eq!(fast_grants, (2 + 4) * 3);
     }
 
     #[test]

@@ -113,6 +113,12 @@ pub struct TableConfig {
     num_entries: usize,
     mapper: BlockMapper,
     hash: HashKind,
+    /// `hash` at `num_entries` as one formula, derived when either is set:
+    /// [`entry_of`](Self::entry_of) is `(block * mul) >> shift`, masked to
+    /// the table. Mask hashing is `mul = 1, shift = 0`; multiplicative is
+    /// `mul = FIB, shift = 64 - log2 N` (a one-entry table masks to 0).
+    mul: u64,
+    shift: u32,
 }
 
 impl TableConfig {
@@ -130,7 +136,10 @@ impl TableConfig {
             num_entries,
             mapper: BlockMapper::default(),
             hash: HashKind::default(),
+            mul: 0,
+            shift: 0,
         }
+        .with_hash(HashKind::default())
     }
 
     /// Use blocks of `block_bytes` (power of two). The paper's experiments
@@ -142,6 +151,11 @@ impl TableConfig {
 
     /// Select the block-to-entry hash function.
     pub fn with_hash(mut self, hash: HashKind) -> Self {
+        let log2 = self.num_entries.trailing_zeros();
+        (self.mul, self.shift) = match hash {
+            HashKind::Multiplicative if log2 > 0 => (FIB, 64 - log2),
+            _ => (1, 0),
+        };
         self.hash = hash;
         self
     }
@@ -164,10 +178,11 @@ impl TableConfig {
         self.hash
     }
 
-    /// Entry index for a cache block.
+    /// Entry index for a cache block: [`HashKind::index`] at this size,
+    /// as a multiply, a shift and a mask, with no match on the kind.
     #[inline]
     pub fn entry_of(&self, block: BlockAddr) -> EntryIndex {
-        self.hash.index(block, self.num_entries)
+        (block.wrapping_mul(self.mul) >> self.shift) as usize & (self.num_entries - 1)
     }
 
     /// Entry index for a raw byte address.
@@ -259,6 +274,22 @@ mod tests {
             .with_block_bytes(64)
             .with_hash(HashKind::Mask);
         assert_eq!(cfg.entry_of_addr(0x100), (0x100u64 >> 6) as usize & 255);
+    }
+
+    #[test]
+    fn config_entry_of_is_the_hash_kinds_index() {
+        for n in [1, 2, 16, 1024, 1 << 20] {
+            for hash in [HashKind::Mask, HashKind::Multiplicative] {
+                let cfg = TableConfig::new(n).with_hash(hash);
+                for b in (0u64..512).chain([u64::MAX - 1, u64::MAX, 1 << 40, FIB]) {
+                    assert_eq!(
+                        cfg.entry_of(b),
+                        hash.index(b, n),
+                        "{hash:?} N={n} block {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

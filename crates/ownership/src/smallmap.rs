@@ -144,15 +144,23 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
     /// Remove every entry, keeping all backing storage for reuse. O(1)
     /// while inline; O(entries) after a spill (the dirty list, not the
     /// whole capacity).
+    #[inline]
     pub fn clear(&mut self) {
         if self.spilled {
-            for &i in &self.dirty {
-                self.slots[i as usize].full = false;
-            }
-            self.dirty.clear();
-            self.spilled = false;
+            self.clear_spilled();
         }
         self.len = 0;
+    }
+
+    /// [`clear`](Self::clear)'s spilled half: empty the dirty slots and
+    /// return to inline mode.
+    #[inline(never)]
+    fn clear_spilled(&mut self) {
+        for &i in &self.dirty {
+            self.slots[i as usize].full = false;
+        }
+        self.dirty.clear();
+        self.spilled = false;
     }
 
     /// The slot holding `raw` in `slots`, or the empty slot that ends its
@@ -167,16 +175,31 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
         i
     }
 
-    /// The value stored under `key`, if present.
+    /// Where `raw` sits in the inline array: a scan of the `len` keys in
+    /// use. A loop, not the array's sixteen unrolled compares, so it stays
+    /// small enough to inline; `min` keeps a bounds panic off it.
+    #[inline]
+    fn inline_position(&self, raw: u64) -> Option<usize> {
+        self.inline_keys[..self.len.min(INLINE_CAP)]
+            .iter()
+            .position(|&k| k == raw)
+    }
+
+    /// The value stored under `key`, if present. Inline: the scan of
+    /// [`inline_position`](Self::inline_position); spilled: the
+    /// out-of-line probe.
     #[inline]
     pub fn get(&self, key: K) -> Option<V> {
         let raw = key.encode();
-        if !self.spilled {
-            return self.inline_keys[..self.len]
-                .iter()
-                .position(|&k| k == raw)
-                .map(|i| self.inline_vals[i]);
+        if self.spilled {
+            return self.get_spilled(raw);
         }
+        self.inline_position(raw).map(|i| self.inline_vals[i])
+    }
+
+    /// [`get`](Self::get) on the spill table.
+    #[inline(never)]
+    fn get_spilled(&self, raw: u64) -> Option<V> {
         let slot = &self.slots[Self::probe(&self.slots, raw)];
         slot.full.then_some(slot.val)
     }
@@ -188,29 +211,21 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
     }
 
     /// Insert or overwrite; returns the previous value when `key` was
-    /// already present.
+    /// already present. Inline: a scan, then an overwrite or an append;
+    /// spilling, and every insert after, takes the out-of-line half.
+    #[inline]
     pub fn insert(&mut self, key: K, val: V) -> Option<V> {
         let raw = key.encode();
         if !self.spilled {
-            if let Some(i) = self.inline_keys[..self.len].iter().position(|&k| k == raw) {
+            if let Some(i) = self.inline_position(raw) {
                 return Some(std::mem::replace(&mut self.inline_vals[i], val));
             }
             if self.len < INLINE_CAP {
-                self.inline_keys[self.len] = raw;
-                self.inline_vals[self.len] = val;
-                self.len += 1;
+                self.append(self.len, raw, val);
                 return None;
             }
-            self.spill();
         }
-        self.maybe_grow();
-        let i = Self::probe(&self.slots, raw);
-        if self.slots[i].full {
-            return Some(std::mem::replace(&mut self.slots[i].val, val));
-        }
-        self.fill(i, raw, val);
-        self.len += 1;
-        None
+        self.insert_spilled(raw, val)
     }
 
     /// Insert `key`, which the caller knows is absent: while the map is
@@ -218,13 +233,40 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
     #[inline]
     pub fn insert_new(&mut self, key: K, val: V) {
         debug_assert!(!self.contains(key), "insert_new of a present key");
-        if !self.spilled && self.len < INLINE_CAP {
-            self.inline_keys[self.len] = key.encode();
-            self.inline_vals[self.len] = val;
-            self.len += 1;
+        let n = self.len;
+        if !self.spilled && n < INLINE_CAP {
+            self.append(n, key.encode(), val);
         } else {
-            self.insert(key, val);
+            self.insert_spilled(key.encode(), val);
         }
+    }
+
+    /// Append at `n`, the length the caller read and checked below
+    /// [`INLINE_CAP`] (passed in, so the check still bounds the stores).
+    #[inline]
+    fn append(&mut self, n: usize, raw: u64, val: V) {
+        self.inline_keys[n] = raw;
+        self.inline_vals[n] = val;
+        self.len = n + 1;
+    }
+
+    /// [`insert`](Self::insert) of a key not in the inline array: spill a
+    /// full inline array first, then probe and fill the spill table.
+    #[inline(never)]
+    fn insert_spilled(&mut self, raw: u64, val: V) -> Option<V> {
+        if !self.spilled {
+            self.spill();
+        }
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let i = Self::probe(&self.slots, raw);
+        if self.slots[i].full {
+            return Some(std::mem::replace(&mut self.slots[i].val, val));
+        }
+        self.fill(i, raw, val);
+        self.len += 1;
+        None
     }
 
     /// Visit every `(key, value)` pair (insertion order while inline,
@@ -256,7 +298,9 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
     }
 
     /// Move the inline entries into the spill table (allocating it on
-    /// first use; reusing the retained storage afterwards).
+    /// first use; reusing the retained storage afterwards). Once per
+    /// attempt that outgrows the inline array.
+    #[cold]
     fn spill(&mut self) {
         if self.slots.is_empty() {
             self.slots = vec![Slot::default(); SPILL_MIN_CAP];
@@ -269,13 +313,12 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
         self.spilled = true;
     }
 
-    /// Keep the spill table at most half full: doubles it before the
-    /// insert that would cross the threshold.
-    fn maybe_grow(&mut self) {
+    /// Double the spill table and re-place its entries, before the insert
+    /// that would fill it past half. Rare: capacity is retained across
+    /// clears, so a warmed map never grows again.
+    #[cold]
+    fn grow(&mut self) {
         let cap = self.slots.len();
-        if (self.len + 1) * 2 <= cap {
-            return;
-        }
         let old = std::mem::replace(&mut self.slots, vec![Slot::default(); cap * 2]);
         self.dirty.clear();
         for slot in old.into_iter().filter(|s| s.full) {
@@ -323,6 +366,54 @@ mod tests {
         for k in 0..n {
             assert_eq!(m.get(k * 64), Some(k), "key {k}");
         }
+    }
+
+    #[test]
+    fn the_inline_boundary_splits_where_it_should() {
+        let cap = INLINE_CAP as u64;
+        let key = |k: u64| k * 64;
+        // `insert` fills the array; `insert_new` fills a second map the
+        // same way, so both halves of each are crossed.
+        let (mut m, mut n): (SmallMap<u64, u64>, SmallMap<u64, u64>) = Default::default();
+        for k in 0..cap {
+            assert_eq!(m.insert(key(k), k), None);
+            n.insert_new(key(k), k);
+        }
+        // The 16th key stays inline.
+        assert_eq!((m.len(), m.is_spilled()), (INLINE_CAP, false));
+        assert_eq!((n.len(), n.is_spilled()), (INLINE_CAP, false));
+        assert_eq!(m.spill_capacity(), 0, "nothing allocated yet");
+        // Hits and misses while inline and full.
+        assert_eq!(m.get(key(0)), Some(0));
+        assert_eq!(m.get(key(cap - 1)), Some(cap - 1));
+        assert_eq!(m.get(key(cap)), None);
+        // An overwrite at `len == INLINE_CAP` does not spill.
+        assert_eq!(m.insert(key(cap - 1), 100), Some(cap - 1));
+        assert_eq!((m.len(), m.is_spilled()), (INLINE_CAP, false));
+        assert_eq!(m.get(key(cap - 1)), Some(100));
+        // The 17th key spills and keeps every entry.
+        assert_eq!(m.insert(key(cap), cap), None);
+        n.insert_new(key(cap), cap);
+        for map in [&m, &n] {
+            assert!(map.is_spilled());
+            assert_eq!(map.len(), INLINE_CAP + 1);
+            for k in 0..cap - 1 {
+                assert_eq!(map.get(key(k)), Some(k), "key {k}");
+            }
+            assert_eq!(map.get(key(cap)), Some(cap));
+            assert_eq!(map.get(key(cap + 1)), None, "a miss once spilled");
+            assert_eq!(map.iter().count(), INLINE_CAP + 1);
+        }
+        assert_eq!(m.get(key(cap - 1)), Some(100), "the overwrite moved too");
+        assert_eq!(n.get(key(cap - 1)), Some(cap - 1));
+        // Overwrites once spilled, and a clear back to the inline half.
+        assert_eq!(m.insert(key(0), 7), Some(0));
+        assert_eq!(m.get(key(0)), Some(7));
+        m.clear();
+        assert_eq!((m.len(), m.is_spilled()), (0, false));
+        assert_eq!(m.get(key(0)), None);
+        assert_eq!(m.insert(key(0), 1), None);
+        assert_eq!((m.get(key(0)), m.is_spilled()), (Some(1), false));
     }
 
     #[test]

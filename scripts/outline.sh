@@ -12,7 +12,9 @@
 # slot, but only through the repo's own `tm_*` functions, and prints each
 # one reached with its instruction count, its count of locked instructions
 # and the caller it was first reached from, sorted by name; a last line
-# totals both counts over the functions listed. `[GOT]` marks a function
+# totals both counts over the functions listed and gives the binary's
+# `.text` size in bytes (from `readelf -S`): what an inlining change costs
+# in code, to report beside the calls it removes. `[GOT]` marks a function
 # some reached caller calls through a GOT slot: its body sits in another
 # object file (another crate, or another codegen unit), out of the caller's
 # sight.
@@ -38,11 +40,14 @@ cd "$(dirname "$0")/.."
 bin=${1:-target/release/tm-benchmark}
 root=${2:-'Lockstep<E>::pair'}
 [ -f "$bin" ] || { echo "outline.sh: no binary at $bin" >&2; exit 2; }
+# The .text section's size: readelf prints it in hex, four fields after the name.
+text_hex=$(readelf -SW "$bin" | awk '{ for (i = 1; i < NF; i++) if ($i == ".text") { print $(i + 4); exit } }')
+text_bytes=$(printf '%d' "0x${text_hex:-0}")
 
 {
     readelf -rW "$bin" | awk '$3 == "R_X86_64_RELATIVE" { print "R", $1, $4 }'
     objdump -d -C --no-show-raw-insn "$bin"
-} | awk -v root="$root" '
+} | awk -v root="$root" -v text_bytes="$text_bytes" '
     function hex(s,    n, i, c) {
         n = 0
         s = tolower(s)
@@ -127,5 +132,5 @@ root=${2:-'Lockstep<E>::pair'}
             functions++
         }
         close(sorter)
-        printf("%6d %4d  total over %d functions (instructions, locked)\n", total_insns, total_locks, functions)
+        printf("%6d %4d  total over %d functions (instructions, locked); .text %d bytes\n", total_insns, total_locks, functions, text_bytes)
     }'
