@@ -186,7 +186,7 @@ impl<K: SmallKey, V: Copy + Default> SmallMap<K, V> {
     }
 
     /// The value stored under `key`, if present. Inline: the scan of
-    /// [`inline_position`](Self::inline_position); spilled: the
+    /// `inline_position`; spilled: the
     /// out-of-line probe.
     #[inline]
     pub fn get(&self, key: K) -> Option<V> {

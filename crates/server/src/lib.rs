@@ -19,9 +19,11 @@
 //!   budget as the engine's observed abort ratio rises, shedding load with
 //!   explicit `Busy` responses instead of collapsing;
 //! * [`server`] — the worker threads, fed directly by the transports;
-//!   reads run inline on the engine's wait-free read path, writes flow
-//!   through the batcher, and each session is handed its responses once
-//!   per worker wake-up;
+//!   writes flow through the batcher, and each session is handed its
+//!   responses once per worker wake-up. Reads run on the engine's
+//!   wait-free read path: a message of reads from a session with nothing
+//!   outstanding at its worker is answered by the transport thread it
+//!   arrived on, without crossing to the worker;
 //! * [`transport`] — TCP and a hermetic in-process channel transport
 //!   (same frames, no sockets) that CI and tests run on;
 //! * [`queue`] — the hand-off queue between those threads: the workers'

@@ -6,7 +6,8 @@
 //! ```text
 //! transport threads ──ingress──┬──▶ worker 0 ──▶ engine (ThreadId 0)
 //!  (session % workers)         ├──▶ worker 1 ──▶ engine (ThreadId 1)
-//!                              └──▶ ...
+//!        │                     └──▶ ...
+//!        └── all-read messages of settled sessions ──▶ engine (TRANSPORT_READER)
 //!
 //! worker i ──outbox, one message per session per wake-up──┬──▶ channel sinks
 //!                                                         └──▶ TCP sockets
@@ -36,13 +37,31 @@
 //!   identity per worker (`ThreadId` = worker index), so the paper's `C` is
 //!   a deployment knob rather than an emergent property of client count.
 //!
-//! Reads bypass the batcher: `Get`/`MultiGet` run inline on the engine's
+//! Reads bypass the batcher: `Get`/`MultiGet` run on the engine's
 //! wait-free read path ([`TmEngine::run_read`]), acquiring no ownership and
 //! stalling no writer; a `MultiGet` is one read-only transaction, so its
 //! values are a consistent snapshot. The one coupling point is ordering: a
 //! read from a session with writes still pending in the batcher flushes
 //! them first, so pipelined responses stay FIFO per session and every read
 //! observes the session's own earlier writes.
+//!
+//! # Reads answered where they arrive
+//!
+//! A read needs neither of the things a worker is for — being one of the
+//! `C` writers, and group commit — so a message whose frames are all
+//! `Get`/`MultiGet`, from a session with nothing outstanding at its worker,
+//! never crosses to it: the thread that received the message answers it
+//! (`Reads`; the channel client's own thread, or the TCP connection's
+//! reader). With nothing outstanding there is nothing for the answers to
+//! overtake, so per-session FIFO and read-your-writes hold as before. Every
+//! other message goes to the worker: writes, `Ping` (the worker's liveness
+//! probe), `Close`, mixed messages, and anything behind an unanswered
+//! frame. On a fault-armed server ([`ServerConfig::faults`]) every frame
+//! goes to the worker, because the crash points are stages of its
+//! pipeline. Transport threads read under one engine id from the engine's
+//! shared range, `TRANSPORT_READER`, and count what they serve in one
+//! extra [`ServerStats`] block that [`ServerHandle::stats`] sums with the
+//! workers'.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -58,7 +77,8 @@ use crate::backpressure::{Admission, AdmissionPolicy};
 use crate::batch::{BatchPolicy, Batcher, Group, PendingWrite, WriteOp};
 use crate::fault::{CrashPoint, FaultState};
 use crate::protocol::{
-    count_frames, frame_len, peek_id, ErrorCode, Request, RequestFrame, Response,
+    count_frames, frame_len, peek_id, ErrorCode, Request, RequestFrame, Response, ResponseFrame,
+    PROTOCOL_VERSION,
 };
 use crate::queue::{channel, Receiver, SendError, Sender, TryRecvError};
 use crate::session::{DedupVerdict, ServerMsg, SessionId, SessionRegistry, DEFAULT_DEDUP_WINDOW};
@@ -127,8 +147,9 @@ impl ServerConfig {
 /// One worker's monotone service counters. Each worker has its own block,
 /// aligned so no two share a cache line, and only that worker's thread
 /// writes it (recovery included), so a bump is a plain load and store
-/// rather than a locked read-modify-write. [`ServerHandle::stats`] sums
-/// the blocks.
+/// rather than a locked read-modify-write. One more block counts the reads
+/// the transport threads answer themselves; any number of them write it,
+/// with `fetch_add`. [`ServerHandle::stats`] sums the blocks.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct ServerStats {
@@ -149,7 +170,8 @@ pub struct ServerStats {
     audit_failures: AtomicU64,
 }
 
-/// Point-in-time sum of every worker's [`ServerStats`].
+/// Point-in-time sum of every [`ServerStats`] block: the workers' and the
+/// transport threads'.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStatsSnapshot {
     /// Frames decoded into requests.
@@ -213,7 +235,7 @@ fn bump(counter: &AtomicU64, n: u64) {
     counter.store(now.wrapping_add(n), Ordering::Relaxed);
 }
 
-/// The sum of every worker's block (wrapping, as `applied_delta` is).
+/// The sum of every block (wrapping, as `applied_delta` is).
 fn snapshot(blocks: &[ServerStats]) -> ServerStatsSnapshot {
     let add = |sum: &mut u64, counter: &AtomicU64| {
         *sum = sum.wrapping_add(counter.load(Ordering::Relaxed));
@@ -245,8 +267,12 @@ fn snapshot(blocks: &[ServerStats]) -> ServerStatsSnapshot {
 pub struct ServerHandle {
     ingress: Ingress,
     next_session: Arc<AtomicU64>,
-    /// One counter block per worker, indexed by worker id.
+    /// One counter block per worker, indexed by worker id, then the
+    /// transport threads' block.
     stats: Arc<[ServerStats]>,
+    /// The read path the transports answer reads on; `None` on a
+    /// fault-armed server.
+    reads: Option<Reads>,
     admission: Arc<Admission>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -266,6 +292,7 @@ impl Ingress {
         let session = match &msg {
             ServerMsg::Connect { session, .. }
             | ServerMsg::Frames { session, .. }
+            | ServerMsg::Answers { session, .. }
             | ServerMsg::Disconnect { session } => *session,
             ServerMsg::Shutdown => {
                 for worker in &self.workers {
@@ -277,6 +304,116 @@ impl Ingress {
         };
         self.workers[(session % self.workers.len() as u64) as usize].send(msg)
     }
+}
+
+/// The engine id the transport threads answer reads under. It lies in the
+/// engine's shared range (from `tm_ownership::slots::SHARED` on), whose
+/// counter slot is bumped with `fetch_add`, so any number of transport
+/// threads may use it at once; a worker's id stays its own.
+const TRANSPORT_READER: u32 = u32::MAX;
+
+/// A server's read path as a transport thread reaches it: answer a message
+/// of request frames on the calling thread, appending the response frames
+/// to the buffer, and return how many were appended — or `None`, with
+/// nothing run and nothing appended, when the message must go to the
+/// worker (see [`answer_reads`]). The caller decides whether the session
+/// has anything outstanding; this decides whether the message is all
+/// reads.
+pub(crate) type Reads = Arc<dyn Fn(&[u8], &mut Vec<u8>) -> Option<u64> + Send + Sync>;
+
+/// The answer to a decoded `Get` or `MultiGet`: one read-only transaction
+/// under engine id `me`. A `MultiGet`'s values are one consistent
+/// snapshot. The one read implementation, for the workers and the
+/// transport threads alike.
+fn serve_read<E: TmEngine>(engine: &E, me: u32, key_universe: u64, request: &Request) -> Response {
+    let addr = |key: u64| (key % key_universe) * WORD_BYTES;
+    match request {
+        Request::Get { key } => Response::Value(engine.run_read(me, |txn| txn.read(addr(*key)))),
+        Request::MultiGet { keys } => Response::Values(engine.run_read(me, |txn| {
+            keys.iter()
+                .map(|&k| txn.read(addr(k)))
+                .collect::<Result<Vec<_>, _>>()
+        })),
+        other => unreachable!("{other:?} is not a read"),
+    }
+}
+
+/// The tag of the whole frame at the front of `bytes`, if its envelope is
+/// readable: the frame is all there, long enough to hold a tag, and of
+/// [`PROTOCOL_VERSION`]. What it says about the payload is nothing.
+fn peek_tag(bytes: &[u8]) -> Option<u8> {
+    let len = frame_len(bytes).ok()??;
+    (len > 13 && bytes[4] == PROTOCOL_VERSION).then(|| bytes[13])
+}
+
+/// Whether a tag peek finds a `Close` (6) among the whole frames `message`
+/// starts with.
+pub(crate) fn says_close(mut message: &[u8]) -> bool {
+    while let Ok(Some(len)) = frame_len(message) {
+        if peek_tag(message) == Some(6) {
+            return true;
+        }
+        message = &message[len..];
+    }
+    false
+}
+
+/// How many frames `message` holds if it is a run of whole frames that a
+/// tag peek finds all `Get` (1) or `MultiGet` (4); `None` otherwise.
+fn all_reads(message: &[u8]) -> Option<u64> {
+    let mut rest = message;
+    let mut frames = 0;
+    while !rest.is_empty() {
+        if !matches!(peek_tag(rest), Some(1 | 4)) {
+            return None;
+        }
+        rest = &rest[frame_len(rest).ok()??..];
+        frames += 1;
+    }
+    (frames > 0).then_some(frames)
+}
+
+/// Answer `message` on the calling thread if it is all reads (see
+/// [`Reads`]), each frame as its worker would: a decoded read through
+/// [`serve_read`] under [`TRANSPORT_READER`], a payload that does not
+/// decode with `Error(Malformed)` under the frame's own id (the tag peek
+/// found the envelope readable, so there is one). The counts go to the
+/// transport threads' block, one `fetch_add` per counter per message.
+fn answer_reads<E: TmEngine>(
+    engine: &E,
+    key_universe: u64,
+    stats: &ServerStats,
+    message: &[u8],
+    out: &mut Vec<u8>,
+) -> Option<u64> {
+    let frames = all_reads(message)?;
+    let mut malformed = 0;
+    let mut rest = message;
+    while let Ok(Some(len)) = frame_len(rest) {
+        let (frame, tail) = rest.split_at(len);
+        rest = tail;
+        let (id, response) = match RequestFrame::decode(frame) {
+            Ok(RequestFrame { id, request }) => (
+                id,
+                serve_read(engine, TRANSPORT_READER, key_universe, &request),
+            ),
+            Err(_) => {
+                malformed += 1;
+                let id = peek_id(frame).expect("a tag peek read the envelope");
+                (id, Response::Error(ErrorCode::Malformed))
+            }
+        };
+        ResponseFrame { id, response }.encode_into(out);
+    }
+    let served = frames - malformed;
+    if served > 0 {
+        stats.requests.fetch_add(served, Ordering::Relaxed);
+        stats.reads.fetch_add(served, Ordering::Relaxed);
+    }
+    if malformed > 0 {
+        stats.malformed.fetch_add(malformed, Ordering::Relaxed);
+    }
+    Some(frames)
 }
 
 /// Start a server over `engine` with `config`. The engine is shared — the
@@ -292,8 +429,20 @@ where
         "engine heap smaller than the key universe"
     );
 
-    let stats: Arc<[ServerStats]> = (0..config.shards).map(|_| ServerStats::default()).collect();
+    // One block per worker, then the transport threads'.
+    let stats: Arc<[ServerStats]> = (0..=config.shards)
+        .map(|_| ServerStats::default())
+        .collect();
     let admission = Arc::new(Admission::new(config.admission));
+    let reads = config.faults.is_none().then(|| {
+        let engine = Arc::clone(&engine);
+        let stats = Arc::clone(&stats);
+        let key_universe = config.key_universe;
+        let transport = config.shards as usize;
+        Arc::new(move |message: &[u8], out: &mut Vec<u8>| {
+            answer_reads(&*engine, key_universe, &stats[transport], message, out)
+        }) as Reads
+    });
 
     let mut worker_txs = Vec::with_capacity(config.shards as usize);
     let mut worker_handles = Vec::with_capacity(config.shards as usize);
@@ -318,6 +467,7 @@ where
         },
         next_session: Arc::new(AtomicU64::new(1)),
         stats,
+        reads,
         admission,
         workers: worker_handles,
     }
@@ -332,6 +482,12 @@ impl ServerHandle {
     /// Allocate a fresh session id.
     pub(crate) fn alloc_session(&self) -> SessionId {
         self.next_session.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The read path transports answer all-read messages on, or `None`
+    /// when every frame must go to a worker (a fault-armed server).
+    pub(crate) fn reads(&self) -> Option<Reads> {
+        self.reads.clone()
     }
 
     /// The shared session-id allocator (transports running on their own
@@ -590,6 +746,11 @@ impl<'a, E: TmEngine> Worker<'a, E> {
         self.pace.now = None;
         match msg {
             ServerMsg::Connect { session, sink } => self.registry.connect(session, sink),
+            ServerMsg::Answers {
+                session,
+                bytes,
+                answers,
+            } => self.registry.append(session, &bytes, answers),
             ServerMsg::Disconnect { session } => self.disconnect(session),
             ServerMsg::Frames { session, bytes } => {
                 self.inbound = Inbound::new(session, bytes);
@@ -731,7 +892,6 @@ impl<'a, E: TmEngine> Worker<'a, E> {
 
         let key_universe = self.config.key_universe;
         let canon = |key: u64| key % key_universe;
-        let addr = |key: u64| canon(key) * WORD_BYTES;
 
         // Inline-answered requests must not overtake the same session's
         // batched writes: flush first so per-session responses stay FIFO and
@@ -747,21 +907,10 @@ impl<'a, E: TmEngine> Worker<'a, E> {
                 bump(&self.stats.reads, 1);
                 self.registry.respond(session, id, Response::Pong);
             }
-            Request::Get { key } => {
+            read @ (Request::Get { .. } | Request::MultiGet { .. }) => {
                 bump(&self.stats.reads, 1);
-                let v = self.engine.run_read(self.id, |txn| txn.read(addr(key)));
-                self.registry.respond(session, id, Response::Value(v));
-            }
-            Request::MultiGet { keys } => {
-                bump(&self.stats.reads, 1);
-                // One read-only transaction: the vector is one consistent
-                // snapshot of all requested keys.
-                let values = self.engine.run_read(self.id, |txn| {
-                    keys.iter()
-                        .map(|&k| txn.read(addr(k)))
-                        .collect::<Result<Vec<_>, _>>()
-                });
-                self.registry.respond(session, id, Response::Values(values));
+                let response = serve_read(self.engine, self.id, key_universe, &read);
+                self.registry.respond(session, id, response);
             }
             Request::Close => {
                 // Complete the session's earlier writes before saying
@@ -1212,5 +1361,83 @@ mod tests {
         let stats = frame.stats();
         assert_eq!((stats.sessions_closed, stats.ops_committed), (1, 1));
         assert_eq!(frame.engine.heap_sum(64), 1);
+    }
+
+    #[test]
+    fn the_transport_answers_reads_exactly_as_the_worker_does() {
+        let frame = Frame::new(None);
+        let (mut worker, rx) = frame.worker();
+        let ServerMsg::Frames { mut bytes, .. } = frames_of(&[
+            Request::Get { key: KEY },
+            Request::Get { key: KEY },
+            Request::MultiGet {
+                keys: vec![KEY, KEY + 64],
+            },
+        ]) else {
+            unreachable!()
+        };
+        // The second `Get` one byte short: envelope readable, payload not.
+        let second = RequestFrame {
+            id: 1,
+            request: Request::Get { key: KEY },
+        }
+        .encode()
+        .len();
+        bytes.remove(2 * second - 1);
+        bytes[second..second + 4].copy_from_slice(&(second as u32 - 5).to_le_bytes());
+
+        let mut here = Vec::new();
+        let transport = ServerStats::default();
+        let answered = answer_reads(&frame.engine, 64, &transport, &bytes, &mut here);
+        assert_eq!(answered, Some(3));
+        let session = SESSION;
+        assert!(worker.on_message(ServerMsg::Frames { session, bytes }));
+        worker.on_idle();
+        let there = rx.try_recv().expect("the worker's answers");
+        assert_eq!(answers(&here), answers(&there));
+        assert_eq!(answers(&here)[1].1, Response::Error(ErrorCode::Malformed));
+        assert_eq!(
+            snapshot(std::slice::from_ref(&transport)),
+            frame.stats(),
+            "the same counts"
+        );
+
+        // Anything but reads is the worker's, and nothing of it runs here.
+        for other in [Request::Ping, Request::Close, add()] {
+            let ServerMsg::Frames { bytes, .. } = frames_of(&[Request::Get { key: 0 }, other])
+            else {
+                unreachable!()
+            };
+            let mut out = Vec::new();
+            assert_eq!(
+                answer_reads(&frame.engine, 64, &transport, &bytes, &mut out),
+                None
+            );
+            assert!(out.is_empty());
+        }
+        let cut = &RequestFrame {
+            id: 1,
+            request: Request::Get { key: 0 },
+        }
+        .encode()[..10];
+        assert_eq!(all_reads(cut), None, "not a whole frame");
+        assert_eq!(all_reads(&[]), None);
+    }
+
+    #[test]
+    fn a_fault_armed_server_answers_nothing_outside_its_workers() {
+        let engine = || {
+            Arc::new(
+                StmBuilder::new()
+                    .heap_words(64)
+                    .table_entries(64)
+                    .build_tagless(),
+            )
+        };
+        let mut config = ServerConfig::new(64);
+        config.shards = 1;
+        assert!(start(engine(), config.clone()).reads().is_some());
+        config.faults = Some(FaultPlan::none(7).arm());
+        assert!(start(engine(), config).reads().is_none());
     }
 }

@@ -17,6 +17,9 @@
 //! ready (a window a client queued, everything one socket read brought),
 //! [`ServerMsg::Disconnect`] abandons the session (the writes it still has
 //! batched commit first, and their acks are the last thing its sink gets).
+//! A fourth, [`ServerMsg::Answers`], carries answers a TCP connection's
+//! reader made itself but could not write without blocking: the worker
+//! writes them for it.
 //! [`ServerMsg::Shutdown`] drains everything: the server handle queues it
 //! on every worker *behind* whatever that worker had already been sent, so
 //! a worker that sees it has already answered everything ahead of it.
@@ -34,8 +37,14 @@
 //! [`SessionRegistry::recycle`] and becomes a channel session's next outbox
 //! the moment the current one leaves for the sink. A socket session's
 //! outbox is written and cleared in place.
+//!
+//! Each socket write also publishes how many answers it carried
+//! ([`SocketSink`]): a connection's reader answers a message of reads
+//! itself only when every frame it handed to the worker has been answered
+//! on the wire.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::protocol::{Response, ResponseFrame};
 use crate::queue::Sender;
@@ -192,6 +201,18 @@ pub enum ServerMsg {
         /// The frames, length prefixes included, back to back.
         bytes: Vec<u8>,
     },
+    /// Answers a TCP connection's reader made for a message of reads but
+    /// could not write without blocking, with nothing before them owed:
+    /// the session's worker writes them, on its own schedule.
+    Answers {
+        /// The session they answer.
+        session: SessionId,
+        /// What of the encoded answers is still to be written; it may
+        /// start inside a frame.
+        bytes: Vec<u8>,
+        /// How many answers the message held.
+        answers: u64,
+    },
     /// The session's connection is gone; forget it.
     Disconnect {
         /// The departed session.
@@ -208,16 +229,43 @@ struct SessionState {
     dedup: DedupWindow,
     /// Encoded responses not yet handed to `sink`: whole frames, in order.
     outbox: Vec<u8>,
+    /// How many responses `outbox` holds.
+    answers: u64,
     /// An emptied inbound message: the outbox after this one (channel
     /// sessions only; a socket session keeps its outbox).
     spare: Vec<u8>,
+}
+
+/// Hashes a [`SessionId`] with one multiplication by 2^64 / φ. The server
+/// issues the ids in sequence, so no client chooses them and SipHash's
+/// defence against chosen keys buys nothing; the product still spreads
+/// consecutive ids over the low bits and the high ones, which the map
+/// uses for bucket and tag. (A dedup window's tokens are the client's
+/// choice, and keep SipHash.)
+#[derive(Default)]
+struct SessionHasher(u64);
+
+impl Hasher for SessionHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A worker's view of its live sessions. Single-threaded (each worker owns
 /// one), so plain `HashMap` and no locking.
 #[derive(Debug)]
 pub struct SessionRegistry {
-    sessions: HashMap<SessionId, SessionState>,
+    sessions: HashMap<SessionId, SessionState, BuildHasherDefault<SessionHasher>>,
     dedup_window: usize,
     /// Sessions whose outbox went from empty to non-empty since the last
     /// [`SessionRegistry::flush_out`], in that order.
@@ -235,7 +283,7 @@ impl SessionRegistry {
     /// `dedup_window` tokens (0 disables dedup — test-only).
     pub fn new(dedup_window: usize) -> Self {
         Self {
-            sessions: HashMap::new(),
+            sessions: HashMap::default(),
             dedup_window,
             dirty: Vec::new(),
         }
@@ -249,6 +297,7 @@ impl SessionRegistry {
                 sink,
                 dedup: DedupWindow::new(self.dedup_window),
                 outbox: Vec::new(),
+                answers: 0,
                 spare: Vec::new(),
             },
         );
@@ -328,6 +377,27 @@ impl SessionRegistry {
             self.dirty.push(session);
         }
         ResponseFrame { id, response }.encode_into(&mut state.outbox);
+        state.answers += 1;
+        if state.outbox.len() >= COALESCE_BYTES {
+            self.deliver(session);
+        }
+    }
+
+    /// Queue `answers` responses already encoded elsewhere — `bytes`, which
+    /// may start inside a frame whose head the socket already took — behind
+    /// whatever the session's outbox holds, exactly as [`respond`] queues
+    /// one. Dropped for a departed session.
+    ///
+    /// [`respond`]: SessionRegistry::respond
+    pub(crate) fn append(&mut self, session: SessionId, bytes: &[u8], answers: u64) {
+        let Some(state) = self.sessions.get_mut(&session) else {
+            return;
+        };
+        if state.outbox.is_empty() {
+            self.dirty.push(session);
+        }
+        state.outbox.extend_from_slice(bytes);
+        state.answers += answers;
         if state.outbox.len() >= COALESCE_BYTES {
             self.deliver(session);
         }
@@ -367,6 +437,7 @@ impl SessionRegistry {
         if state.outbox.is_empty() {
             return;
         }
+        let answers = std::mem::take(&mut state.answers);
         let delivered = match &mut state.sink {
             Sink::Channel(sink) => {
                 let next = std::mem::take(&mut state.spare);
@@ -374,7 +445,7 @@ impl SessionRegistry {
                     .is_ok()
             }
             Sink::Socket(socket) => {
-                let written = socket.write(&state.outbox).is_ok();
+                let written = socket.write(&state.outbox, answers).is_ok();
                 state.outbox.clear();
                 written
             }

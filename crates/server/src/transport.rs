@@ -26,10 +26,10 @@
 //!   each way too. A caller that sends and then waits for the effect
 //!   through some other channel must `flush` first.
 //! * the server's socket **reader** reads straight into [`FrameBuf`]'s
-//!   spare room and forwards everything up to the last whole frame as one
-//!   message; the **worker** writes a session's outbox — the responses it
-//!   made in one wake-up — to the socket in one `write`, so an answer
-//!   crosses no thread on its way out.
+//!   spare room and answers or forwards everything up to the last whole
+//!   frame as one message; the **worker** writes a session's outbox — the
+//!   responses it made in one wake-up — to the socket in one `write`, so
+//!   an answer crosses no thread on its way out.
 //! * both clients decode responses **in place** — [`ChannelConn`] from the
 //!   sink message, [`TcpConn`] from its [`FrameBuf`] — and the TCP client
 //!   re-arms its socket timeout only when it changes.
@@ -40,6 +40,34 @@
 //!   so a steady window of reads over the channel transport allocates
 //!   nothing on either side. A TCP session's outbox is written and reused
 //!   in place.
+//!
+//! # Reads answered where they arrive
+//!
+//! A message of reads from a session with nothing outstanding at its
+//! worker does not cross to the worker at all (the rule is in
+//! [`crate::server`]): the receiving thread answers it on the engine's
+//! read path and no queue is involved.
+//!
+//! * A [`ChannelConn`] does it inside `try_recv`/`recv_timeout`, at the
+//!   point where it would otherwise hand its queued requests over: it
+//!   counts the answers it is owed (requests handed over or answered here,
+//!   minus answers popped) and answers here only at zero, into the buffer
+//!   the next answers would be read from. An explicit `flush()`, a
+//!   [`COALESCE_BYTES`] overflow, `send_raw`, `disconnect` and drop still
+//!   hand over to the worker.
+//! * A TCP connection's reader counts the frames it forwarded, and the
+//!   session's worker counts the answers it wrote ([`SocketSink`]); the
+//!   reader answers here only when the two agree. It writes its answers
+//!   with the socket switched to non-blocking (the worker owes nothing, so
+//!   it writes nothing meanwhile), because the reader must never wait on
+//!   the client: what the socket does not take goes to the worker as
+//!   [`ServerMsg::Answers`], to be written on the worker's schedule and
+//!   under [`WRITE_STALL`], and counts as forwarded.
+//!
+//! A frame that is never answered (an in-flight duplicate, a frame to a
+//! session the worker closed) keeps its session on the worker from then
+//! on. After `Close`, or once the server hung up, a connection answers
+//! nothing itself again.
 //!
 //! Every stage stops gathering at [`COALESCE_BYTES`], which bounds the
 //! buffers; how far a TCP client can pipeline before it must receive is
@@ -55,9 +83,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::protocol::{frame_len, DecodeError, FrameBuf, Request, RequestFrame, ResponseFrame};
-use crate::queue::{channel, Receiver};
-use crate::server::{Ingress, ServerHandle};
+use crate::protocol::{
+    count_frames, frame_len, DecodeError, FrameBuf, Request, RequestFrame, ResponseFrame,
+};
+use crate::queue::{channel, Receiver, TryRecvError};
+use crate::server::{says_close, Ingress, Reads, ServerHandle};
 use crate::session::{ServerMsg, SessionId, Sink};
 
 impl ServerHandle {
@@ -81,6 +111,9 @@ impl ServerHandle {
             message: Vec::new(),
             cursor: 0,
             next_id: 1,
+            reads: self.reads(),
+            queued: 0,
+            owed: 0,
         }
     }
 }
@@ -91,7 +124,8 @@ impl ServerHandle {
 /// drain responses — the server answers a session's requests in order, and
 /// the returned correlation ids let the client match them up regardless.
 /// Requests collect in an outbound buffer and reach the server as one
-/// message when the caller turns to receive.
+/// message when the caller turns to receive — or, when they are all reads
+/// and no answer is owed, are answered right there on the caller's thread.
 pub struct ChannelConn {
     ingress: Ingress,
     session: SessionId,
@@ -103,6 +137,15 @@ pub struct ChannelConn {
     message: Vec<u8>,
     cursor: usize,
     next_id: u64,
+    /// The server's read path while this connection may answer its own
+    /// reads: `None` on a fault-armed server, and for good once it sent
+    /// `Close`, disconnected, or found its sink hung up.
+    reads: Option<Reads>,
+    /// Requests in `out`.
+    queued: u64,
+    /// Answers this connection is owed and has not popped: requests handed
+    /// to the worker or answered here, minus answers popped.
+    owed: u64,
 }
 
 impl ChannelConn {
@@ -116,10 +159,11 @@ impl ChannelConn {
     /// The server may not have the request when this returns. It is handed
     /// over by the next [`ChannelConn::try_recv`] or
     /// [`ChannelConn::recv_timeout`] that finds no response already
-    /// delivered, by [`ChannelConn::flush`], when the connection is
-    /// disconnected or dropped, or at once when [`COALESCE_BYTES`] are
-    /// queued. A caller that sends and then waits for the effect through
-    /// some other channel must `flush` first.
+    /// delivered (which answers it itself instead when everything queued
+    /// is a read and no answer is owed), by [`ChannelConn::flush`], when
+    /// the connection is disconnected or dropped, or at once when
+    /// [`COALESCE_BYTES`] are queued. A caller that sends and then waits
+    /// for the effect through some other channel must `flush` first.
     pub fn send(&mut self, request: Request) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -130,7 +174,11 @@ impl ChannelConn {
             self.out.clear();
             self.cursor = 0;
         }
+        if matches!(request, Request::Close) {
+            self.reads = None;
+        }
         RequestFrame { id, request }.encode_into(&mut self.out);
+        self.queued += 1;
         if self.out.len() >= COALESCE_BYTES {
             self.flush();
         }
@@ -142,6 +190,7 @@ impl ChannelConn {
     pub fn flush(&mut self) {
         if !self.out.is_empty() {
             let bytes = std::mem::take(&mut self.out);
+            self.owed += std::mem::take(&mut self.queued);
             self.send_message(bytes);
         }
     }
@@ -151,6 +200,12 @@ impl ChannelConn {
     /// to deliver malformed frames). Dropped silently if the server is gone.
     pub fn send_raw(&mut self, bytes: Vec<u8>) {
         self.flush();
+        // What the worker counts as frames: a message that is not a run of
+        // whole frames is one.
+        self.owed += count_frames(&bytes).unwrap_or(1) as u64;
+        if says_close(&bytes) {
+            self.reads = None;
+        }
         self.send_message(bytes);
     }
 
@@ -173,15 +228,17 @@ impl ChannelConn {
 
     /// Decode the next frame of the current sink message in place. Once
     /// that message is used up, the server must have the requests whose
-    /// answers this waits for: flush, then take the next message from
-    /// `refill`.
+    /// answers this waits for: answer them here if this connection may,
+    /// else flush, then take the next message from `refill`.
     fn pop_frame(
         &mut self,
         refill: impl FnOnce(&Receiver<Vec<u8>>) -> Option<Vec<u8>>,
     ) -> Option<ResponseFrame> {
         if self.cursor == self.message.len() {
-            self.flush();
-            self.message = refill(&self.rx)?;
+            if !self.answer_here() {
+                self.flush();
+                self.message = refill(&self.rx)?;
+            }
             self.cursor = 0;
         }
         let rest = &self.message[self.cursor..];
@@ -190,7 +247,44 @@ impl ChannelConn {
             .flatten()
             .expect("server emits whole frames");
         self.cursor += len;
+        self.owed = self.owed.saturating_sub(1);
         Some(ResponseFrame::decode(&rest[..len]).expect("server emits valid frames"))
+    }
+
+    /// With the current sink message used up, make the next one here, if
+    /// the queued requests are all reads and nothing is owed: answer them
+    /// into the used-up message's buffer. Returns whether `message` now
+    /// holds the next answers (the caller rewinds `cursor`).
+    fn answer_here(&mut self) -> bool {
+        let Some(reads) = &self.reads else {
+            return false;
+        };
+        if self.owed > 0 || self.out.is_empty() {
+            return false;
+        }
+        match self.rx.try_recv() {
+            Err(TryRecvError::Empty) => {}
+            // The server shut down, or the worker closed the session.
+            Err(TryRecvError::Disconnected) => {
+                self.reads = None;
+                return false;
+            }
+            // Nothing is owed, so nothing should come; whatever did is
+            // older than the queued requests.
+            Ok(message) => {
+                self.message = message;
+                return true;
+            }
+        }
+        self.message.clear();
+        self.cursor = 0;
+        let Some(answers) = reads(&self.out, &mut self.message) else {
+            return false;
+        };
+        self.out.clear();
+        self.queued = 0;
+        self.owed = answers;
+        true
     }
 
     /// Convenience round-trip: send `request`, wait up to `timeout` for
@@ -210,6 +304,7 @@ impl ChannelConn {
     /// receiver.
     pub fn disconnect(&mut self) {
         self.flush();
+        self.reads = None;
         let _ = self.ingress.send(ServerMsg::Disconnect {
             session: self.session,
         });
@@ -252,16 +347,26 @@ pub const WRITE_STALL: Duration = Duration::from_secs(1);
 /// down both ways, so the client reads EOF behind the last answer written
 /// and the connection's reader thread wakes from its `read` and exits.
 #[derive(Debug)]
-pub struct SocketSink(TcpStream);
+pub struct SocketSink {
+    stream: TcpStream,
+    /// Answers written to the socket so far; the connection's reader
+    /// compares it with the frames it forwarded.
+    answered: Arc<AtomicU64>,
+}
 
 impl SocketSink {
-    /// Write all of `bytes` in one call, or fail. A blocking socket's write
-    /// returns short only when its write timeout, [`WRITE_STALL`], ran out
-    /// (or a signal cut it): the client has stalled.
-    pub(crate) fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+    /// Write all of `bytes`, which hold `answers` answers, in one call, or
+    /// fail. A blocking socket's write returns short only when its write
+    /// timeout, [`WRITE_STALL`], ran out (or a signal cut it): the client
+    /// has stalled. A whole write is published to the reader (`Release`:
+    /// the reader's own writes come after it on the wire).
+    pub(crate) fn write(&mut self, bytes: &[u8], answers: u64) -> std::io::Result<()> {
         loop {
-            match self.0.write(bytes) {
-                Ok(n) if n == bytes.len() => return Ok(()),
+            match self.stream.write(bytes) {
+                Ok(n) if n == bytes.len() => {
+                    self.answered.fetch_add(answers, Ordering::Release);
+                    return Ok(());
+                }
                 Ok(_) => return Err(std::io::ErrorKind::TimedOut.into()),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -272,7 +377,7 @@ impl SocketSink {
 
 impl Drop for SocketSink {
     fn drop(&mut self) {
-        let _ = self.0.shutdown(Shutdown::Both);
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -292,6 +397,7 @@ pub fn serve_tcp(handle: &ServerHandle, bind: impl ToSocketAddrs) -> std::io::Re
     let local_addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let ingress = handle.ingress();
+    let reads = handle.reads();
     let sessions = handle.session_counter();
     let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -299,7 +405,7 @@ pub fn serve_tcp(handle: &ServerHandle, bind: impl ToSocketAddrs) -> std::io::Re
     let conns2 = Arc::clone(&conns);
     let accept_thread = std::thread::Builder::new()
         .name("tm-server-tcp-accept".into())
-        .spawn(move || accept_loop(listener, ingress, sessions, stop2, conns2))
+        .spawn(move || accept_loop(listener, ingress, reads, sessions, stop2, conns2))
         .expect("spawn accept thread");
 
     Ok(TcpTransport {
@@ -368,6 +474,7 @@ impl Drop for TcpTransport {
 fn accept_loop(
     listener: TcpListener,
     ingress: Ingress,
+    reads: Option<Reads>,
     sessions: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -377,7 +484,7 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let session = sessions.fetch_add(1, Ordering::Relaxed);
-                if spawn_connection(stream, session, &ingress, &conns).is_err() {
+                if spawn_connection(stream, session, &ingress, &reads, &conns).is_err() {
                     // Setup failed (clone/spawn); drop the connection.
                 }
             }
@@ -394,11 +501,12 @@ fn accept_loop(
 
 /// Wire one accepted socket into the ingress plane: the session's worker
 /// gets the write half as its sink, a reader thread reassembles frames and
-/// forwards them.
+/// answers or forwards them.
 fn spawn_connection(
     stream: TcpStream,
     session: SessionId,
     ingress: &Ingress,
+    reads: &Option<Reads>,
     conns: &Mutex<Vec<JoinHandle<()>>>,
 ) -> std::io::Result<()> {
     // The listener is non-blocking and on some platforms (BSD, macOS) an
@@ -407,15 +515,27 @@ fn spawn_connection(
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(WRITE_STALL))?;
-    let sink = Sink::Socket(SocketSink(stream.try_clone()?));
+    let answered = Arc::new(AtomicU64::new(0));
+    let sink = Sink::Socket(SocketSink {
+        stream: stream.try_clone()?,
+        answered: Arc::clone(&answered),
+    });
     if ingress.send(ServerMsg::Connect { session, sink }).is_err() {
         return Ok(()); // server already gone
     }
 
-    let reader_ingress = ingress.clone();
+    let reader = Reader {
+        stream,
+        session,
+        ingress: ingress.clone(),
+        reads: reads.clone(),
+        answered,
+        forwarded: 0,
+        reply: Vec::new(),
+    };
     let reader = std::thread::Builder::new()
         .name(format!("tm-server-tcp-r-{session}"))
-        .spawn(move || reader_loop(stream, session, reader_ingress))
+        .spawn(move || reader.run())
         .inspect_err(|_| {
             // No thread will ever send this session's `Disconnect`: send it
             // now, so the worker forgets the session and drops the sink,
@@ -431,27 +551,109 @@ fn spawn_connection(
     Ok(())
 }
 
-fn reader_loop(mut stream: TcpStream, session: SessionId, ingress: Ingress) {
-    let mut fb = FrameBuf::new();
-    // EOF or error: hang up.
-    'read: while matches!(fb.read_from(&mut stream), Ok(n) if n > 0) {
-        // One message per read: everything up to the last whole frame.
-        loop {
-            match fb.pop_frames() {
-                Ok([]) => break,
-                Ok(frames) => {
-                    let bytes = frames.to_vec();
-                    if ingress.send(ServerMsg::Frames { session, bytes }).is_err() {
-                        return; // server gone
+/// A TCP connection's reader thread: it reassembles the client's frames,
+/// answers a message of reads itself while the worker owes the session
+/// nothing, and forwards everything else.
+struct Reader {
+    stream: TcpStream,
+    session: SessionId,
+    ingress: Ingress,
+    /// The server's read path, until the client sends `Close` (`None` on a
+    /// fault-armed server).
+    reads: Option<Reads>,
+    /// Answers the session's worker has written (see [`SocketSink`]).
+    answered: Arc<AtomicU64>,
+    /// Frames forwarded to the worker, and answers handed to it to write.
+    forwarded: u64,
+    /// The answers to the message being answered here.
+    reply: Vec<u8>,
+}
+
+impl Reader {
+    fn run(mut self) {
+        let mut fb = FrameBuf::new();
+        // EOF or error: hang up.
+        'read: while matches!(fb.read_from(&mut self.stream), Ok(n) if n > 0) {
+            // One message per read: everything up to the last whole frame.
+            loop {
+                match fb.pop_frames() {
+                    Ok([]) => break,
+                    Ok(frames) => {
+                        if !self.handle(frames) {
+                            break 'read;
+                        }
                     }
+                    // Framing lost (oversized prefix): unrecoverable. The
+                    // frames ahead of it went out in the round before.
+                    Err(_) => break 'read,
                 }
-                // Framing lost (oversized prefix): unrecoverable. The
-                // frames ahead of it went out in the round before.
-                Err(_) => break 'read,
             }
         }
+        // Fails, harmlessly, when the server is gone.
+        let _ = self.ingress.send(ServerMsg::Disconnect {
+            session: self.session,
+        });
     }
-    let _ = ingress.send(ServerMsg::Disconnect { session });
+
+    /// Answer `frames` here if they are all reads and the worker has
+    /// written every answer it owes; forward them otherwise. `false` once
+    /// the client or the server is gone.
+    fn handle(&mut self, frames: &[u8]) -> bool {
+        if let Some(reads) = &self.reads {
+            if self.answered.load(Ordering::Acquire) == self.forwarded {
+                self.reply.clear();
+                if let Some(answers) = reads(frames, &mut self.reply) {
+                    return self.write_reply(answers);
+                }
+            }
+        }
+        self.forwarded += count_frames(frames).unwrap_or(1) as u64;
+        if says_close(frames) {
+            self.reads = None;
+        }
+        let bytes = frames.to_vec();
+        let session = self.session;
+        self.ingress
+            .send(ServerMsg::Frames { session, bytes })
+            .is_ok()
+    }
+
+    /// Write `reply`, the answers to `answers` reads, without waiting: what
+    /// the socket does not take goes to the worker to write, counted as
+    /// forwarded.
+    fn write_reply(&mut self, answers: u64) -> bool {
+        let Ok(written) = write_now(&mut self.stream, &self.reply) else {
+            return false;
+        };
+        if written == self.reply.len() {
+            return true;
+        }
+        self.forwarded += answers;
+        let bytes = self.reply[written..].to_vec();
+        let session = self.session;
+        self.ingress
+            .send(ServerMsg::Answers {
+                session,
+                bytes,
+                answers,
+            })
+            .is_ok()
+    }
+}
+
+/// Write what of `bytes` the socket takes without waiting, with the socket
+/// switched to non-blocking for the call; returns how much that was.
+fn write_now(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
+    stream.set_nonblocking(true)?;
+    let written = loop {
+        match stream.write(bytes) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Ok(0),
+            done => break done,
+        }
+    };
+    stream.set_nonblocking(false)?;
+    written
 }
 
 /// A client connection over TCP (the counterpart of [`ChannelConn`]).
@@ -768,5 +970,57 @@ mod tests {
         assert_eq!(conn.recv_timeout(Duration::from_millis(1)), None);
         drop(sink);
         assert_eq!(conn.recv_timeout(Duration::from_secs(5)), None, "hang-up");
+    }
+
+    #[test]
+    fn an_all_read_window_is_answered_here_and_the_rest_is_handed_over() {
+        let server = tiny_server();
+        let (mut conn, rx) = intercepted(&server);
+        // Nothing owed: the reads never reach the (intercepted) ingress.
+        let ids = [0, 1, 2].map(|key| conn.send(Request::Get { key }));
+        for id in ids {
+            let frame = conn.try_recv().expect("answered here");
+            assert_eq!((frame.id, frame.response), (id, Response::Value(0)));
+        }
+        assert!(rx.try_recv().is_err(), "nothing handed over");
+
+        // A mixed window is handed over, and so is the read behind it
+        // while the window's answers are owed.
+        conn.send(Request::Add { key: 1, delta: 1 });
+        conn.send(Request::Get { key: 1 });
+        assert_eq!(conn.try_recv(), None);
+        assert_eq!(count_frames(&next_frames(&rx)), Some(2));
+        conn.send(Request::Get { key: 1 });
+        assert_eq!(conn.try_recv(), None);
+        assert_eq!(count_frames(&next_frames(&rx)), Some(1));
+        assert_eq!(server.stats().reads, 3);
+    }
+
+    #[test]
+    fn ping_close_and_disconnect_go_to_the_worker() {
+        let server = tiny_server();
+        let (mut conn, rx) = intercepted(&server);
+        let id = conn.send(Request::Ping);
+        assert_eq!(conn.try_recv(), None);
+        let request = Request::Ping;
+        assert_eq!(next_frames(&rx), RequestFrame { id, request }.encode());
+
+        // After `Close` a connection answers nothing itself again.
+        let (mut conn, rx) = intercepted(&server);
+        conn.send(Request::Close);
+        conn.flush();
+        next_frames(&rx);
+        conn.send(Request::Get { key: 0 });
+        assert_eq!(conn.try_recv(), None);
+        assert_eq!(count_frames(&next_frames(&rx)), Some(1));
+
+        // Nor after `disconnect`.
+        let (mut conn, rx) = intercepted(&server);
+        conn.disconnect();
+        assert!(matches!(rx.try_recv(), Ok(ServerMsg::Disconnect { .. })));
+        conn.send(Request::Get { key: 0 });
+        assert_eq!(conn.try_recv(), None);
+        assert_eq!(count_frames(&next_frames(&rx)), Some(1));
+        assert_eq!(server.stats().reads, 0);
     }
 }

@@ -3,13 +3,20 @@
 //!
 //! One worker, the channel transport, two connections each keeping a
 //! window of 32 requests in flight — the shape of the benchmark's
-//! `svc-read`. Once warm, a window is one message each way, every frame is
-//! encoded into and decoded from a buffer that is already there, and the
-//! buffers go round (a connection's used-up sink message is its next
-//! outbound buffer, the worker's used-up inbound message is the session's
-//! next outbox), so a `Get` costs the allocator nothing on either side.
-//! Neither do the two queues the messages cross (`tm_server::queue`): each
-//! is a `VecDeque` that keeps the room it grew to in the warm-up.
+//! `svc-read`. Every window is all reads from a connection that is owed no
+//! answer, so it is answered where it arrives: on the connection's own
+//! thread, inside `recv_timeout`, without crossing to the worker
+//! (`tm_server::server`, "Reads answered where they arrive"). Once warm,
+//! every frame is encoded into and decoded from a buffer that is already
+//! there — the connection's request buffer keeps its room, and the answers
+//! go into the buffer the last answers were read from — so a `Get` costs
+//! the allocator nothing. The path through the worker, which windows took
+//! until reads stopped crossing, is allocation-free as well: a window is
+//! one message each way, the buffers go round (a connection's used-up sink
+//! message is its next outbound buffer, the worker's used-up inbound
+//! message is the session's next outbox), and the two queues the messages
+//! cross (`tm_server::queue`) are `VecDeque`s that keep the room they grew
+//! to.
 //!
 //! Measured on the reference box, 157 passes of 64 requests (10 048):
 //!
@@ -17,14 +24,14 @@
 //!   and release — and the bound is 0;
 //! * every tenth request a `MultiGet` of 4 keys: **4 016** calls, 0.40 a
 //!   request — for each of the 1 004 `MultiGet`s, the four key/value
-//!   vectors it and its `Values` are made of (built here, decoded by the
-//!   worker, read by the worker, decoded here) — against a bound of 0.5 a
-//!   request.
+//!   vectors it and its `Values` are made of (built here, decoded, read,
+//!   and decoded again here; all four on this thread now, where the middle
+//!   two were the worker's) — against a bound of 0.5 a request.
 //!
-//! The worker is another thread, so the counter is process-wide (the
-//! thread-local one in `hot_path_contract.rs` would not see it), and this
-//! file holds a single test so nothing else in the process allocates while
-//! it counts. The timings that go with these counts are ledger rows
+//! A worker thread still runs beside the connections, so the counter is
+//! process-wide (the thread-local one in `hot_path_contract.rs` would not
+//! see it), and this file holds a single test so nothing else in the
+//! process allocates while it counts. The timings that go with these counts are ledger rows
 //! (`server.allocs_per_op`, `server.worker_cpu_ns_per_op`, … in
 //! `benchmark/`).
 
