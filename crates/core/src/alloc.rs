@@ -216,7 +216,7 @@ mod tests {
         stm.run(0, |txn| pool.free(txn, first));
         let second = stm.run(0, |txn| Ok(pool.alloc(txn, 9)?.expect("room")));
         assert_eq!(second, first, "freed cell is reused LIFO");
-        assert_eq!(second.get_now(&stm, 0), 9);
+        assert_eq!(stm.run(0, |txn| second.get(txn)), 9);
     }
 
     #[test]
@@ -272,7 +272,7 @@ mod tests {
         });
         // The free aborted: the cell is still live, its value intact.
         assert_eq!(stm.run(0, |txn| pool.live_cells(txn)), 1);
-        assert_eq!(r.get_now(&stm, 0), 42);
+        assert_eq!(stm.run(0, |txn| r.get(txn)), 42);
     }
 
     #[test]
@@ -304,7 +304,7 @@ mod tests {
             Ok((a, b))
         });
         assert_eq!(b.addr() - a.addr(), 16, "2-word cells");
-        assert_eq!(a.get_now(&stm, 0), (1, true));
-        assert_eq!(b.get_now(&stm, 0), (2, false));
+        assert_eq!(stm.run(0, |txn| a.get(txn)), (1, true));
+        assert_eq!(stm.run(0, |txn| b.get(txn)), (2, false));
     }
 }

@@ -64,9 +64,7 @@
 
 use std::marker::PhantomData;
 
-use tm_ownership::ThreadId;
-
-use crate::engine::{ReadOps, TmEngine, TxnOps};
+use crate::engine::{ReadOps, TxnOps};
 use crate::heap::{Heap, WORD_BYTES};
 use crate::stm::Aborted;
 
@@ -164,7 +162,8 @@ pub trait TxLayout: Sized {
 
     /// Read a value rooted at byte address `base` inside a transaction.
     /// Decoding needs only the read surface, so it composes into read-only
-    /// transactions ([`TmEngine::run_read`]) as well as read-write ones.
+    /// transactions ([`TmEngine::run_read`](crate::TmEngine::run_read)) as
+    /// well as read-write ones.
     fn read_from<O: ReadOps + ?Sized>(txn: &mut O, base: u64) -> Result<Self, Aborted>;
 
     /// Write the value rooted at byte address `base` inside a transaction.
@@ -224,11 +223,11 @@ tuple_layout!(A B C D);
 /// `TRef` is `Copy` regardless of `T` (it is an address, not a value) and
 /// all access goes through a transaction: [`get`](TRef::get)/
 /// [`set`](TRef::set)/[`update`](TRef::update) compose into any
-/// [`TxnOps`] body, and [`get_now`](TRef::get_now)/
-/// [`get_read`](TRef::get_read) are auto-committing reads on any
-/// [`TmEngine`]. Construction happens through the allocators
-/// ([`Region`](crate::Region) for static layout, [`TxAlloc`](crate::TxAlloc)
-/// for transactional alloc/free) — user code never computes addresses.
+/// [`TxnOps`] body on any [`TmEngine`](crate::TmEngine); a read alone is
+/// `stm.run_read(me, |txn| r.get(txn))`. Construction happens through the
+/// allocators ([`Region`](crate::Region) for static layout,
+/// [`TxAlloc`](crate::TxAlloc) for transactional alloc/free) — user code
+/// never computes addresses.
 pub struct TRef<T> {
     addr: u64,
     _marker: PhantomData<fn() -> T>,
@@ -285,7 +284,7 @@ impl<T> TRef<T> {
 impl<T: TxLayout> TRef<T> {
     /// Read the value inside a transaction. Bounded by [`ReadOps`], so it
     /// composes into both read-write bodies and read-only
-    /// ([`TmEngine::run_read`]) bodies.
+    /// ([`TmEngine::run_read`](crate::TmEngine::run_read)) bodies.
     pub fn get<O: ReadOps + ?Sized>(&self, txn: &mut O) -> Result<T, Aborted> {
         T::read_from(txn, self.addr)
     }
@@ -305,19 +304,6 @@ impl<T: TxLayout> TRef<T> {
         let v = f(self.get(txn)?);
         self.set(txn, v.clone())?;
         Ok(v)
-    }
-
-    /// Auto-committing read on any engine.
-    pub fn get_now<E: TmEngine>(&self, stm: &E, me: ThreadId) -> T {
-        stm.run(me, |txn| self.get(txn))
-    }
-
-    /// Auto-committing read through the engine's wait-free read-only path
-    /// ([`TmEngine::run_read`]): no ownership-table traffic, no writer
-    /// aborts induced, and the decoded multi-word value is still guaranteed
-    /// un-torn.
-    pub fn get_read<E: TmEngine>(&self, stm: &E, me: ThreadId) -> T {
-        stm.run_read(me, |txn| self.get(txn))
     }
 
     /// Non-transactional read straight from the heap. Only meaningful while
@@ -395,7 +381,7 @@ pub type TxResult<T> = Result<Result<T, CapacityError>, Aborted>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::StmBuilder;
+    use crate::engine::{StmBuilder, TmEngine};
     use crate::Region;
 
     #[test]
@@ -445,8 +431,8 @@ mod tests {
             b.set(txn, -1)?;
             a.update(txn, |v| v * 2)
         });
-        assert_eq!(a.get_now(&stm, 0), 20);
-        assert_eq!(b.get_now(&stm, 0), -1);
+        assert_eq!(stm.run(0, |txn| a.get(txn)), 20);
+        assert_eq!(stm.run(0, |txn| b.get(txn)), -1);
     }
 
     #[test]
@@ -457,7 +443,7 @@ mod tests {
             .build_tagged();
         let mut region = Region::new(0, 64 * 8);
         let p = region.alloc_ref::<Option<TRef<u64>>>();
-        assert_eq!(p.get_now(&stm, 0), None);
+        assert_eq!(stm.run(0, |txn| p.get(txn)), None);
     }
 
     #[test]

@@ -95,7 +95,11 @@ fn verify<E: TmEngine>(engine: &E, pool: &TxAlloc<u64>, live: &[(TRef<u64>, u64)
     addrs.dedup();
     assert_eq!(addrs.len(), live.len(), "a cell was handed out twice");
     for &(r, v) in live {
-        assert_eq!(r.get_now(engine, 0), v, "live cell value corrupted");
+        assert_eq!(
+            engine.run(0, |txn| r.get(txn)),
+            v,
+            "live cell value corrupted"
+        );
     }
     // Drain the free list: exactly the remaining capacity is allocatable,
     // each drained cell distinct from every live one, then CapacityError.

@@ -111,13 +111,13 @@ pub(crate) fn run_structs<E: TmEngine>(
             let counter = TCounter::create(&mut region);
             let phases = structs_phases(stm, spec, recorder, |id, rng, tally| {
                 let delta = rng.gen_range(1..8u64);
-                counter.add_now(stm, id, delta);
+                stm.run(id, |txn| counter.add(txn, delta));
                 tally.delta_sum = tally.delta_sum.wrapping_add(delta);
             });
             let expected = phases
                 .tallies()
                 .fold(0u64, |acc, t| acc.wrapping_add(t.delta_sum));
-            let violations = u64::from(counter.get(stm, 0) != expected);
+            let violations = u64::from(stm.run(0, |txn| counter.read(txn)) != expected);
             phases.outcome(violations)
         }
         StructsKind::Map => {
@@ -133,15 +133,15 @@ pub(crate) fn run_structs<E: TmEngine>(
                 match rng.gen_range(0..100u32) {
                     0..=59 => {
                         let value = rng.gen_range(0..VALUE_RANGE);
-                        map.insert_now(stm, id, key, value)
+                        stm.run(id, |txn| map.insert(txn, key, value))
                             .expect("map sized with headroom for the workload");
                         tally.expected.insert(key, Some(value));
                     }
                     60..=84 => {
-                        map.get_now(stm, id, key);
+                        stm.run(id, |txn| map.get(txn, key));
                     }
                     _ => {
-                        map.remove_now(stm, id, key);
+                        stm.run(id, |txn| map.remove(txn, key));
                         tally.expected.insert(key, None);
                     }
                 }
@@ -154,7 +154,7 @@ pub(crate) fn run_structs<E: TmEngine>(
             }
             let violations = expected
                 .iter()
-                .filter(|&(&key, &want)| map.get_now(stm, 0, key) != want)
+                .filter(|&(&key, &want)| stm.run(0, |txn| map.get(txn, key)) != want)
                 .count() as u64;
             phases.outcome(violations)
         }
@@ -163,17 +163,17 @@ pub(crate) fn run_structs<E: TmEngine>(
             let phases = structs_phases(stm, spec, recorder, |id, rng, tally| {
                 if rng.gen_range(0..100u32) < 55 {
                     let value = rng.gen_range(0..VALUE_RANGE);
-                    if queue.enqueue_now(stm, id, value).is_ok() {
+                    if stm.run(id, |txn| queue.enqueue(txn, value)).is_ok() {
                         tally.put(value);
                     }
-                } else if let Some(value) = queue.dequeue_now(stm, id) {
+                } else if let Some(value) = stm.run(id, |txn| queue.dequeue(txn)) {
                     tally.took(value);
                 }
             });
             let violations = verify_container(
                 StructsTally::flow(phases.tallies()),
-                queue.len_now(stm, 0),
-                || queue.dequeue_now(stm, 0),
+                stm.run(0, |txn| queue.len(txn)),
+                || stm.run(0, |txn| queue.dequeue(txn)),
             );
             phases.outcome(violations)
         }
@@ -182,17 +182,17 @@ pub(crate) fn run_structs<E: TmEngine>(
             let phases = structs_phases(stm, spec, recorder, |id, rng, tally| {
                 if rng.gen_range(0..100u32) < 55 {
                     let value = rng.gen_range(0..VALUE_RANGE);
-                    if stack.push_now(stm, id, value).is_ok() {
+                    if stm.run(id, |txn| stack.push(txn, value)).is_ok() {
                         tally.put(value);
                     }
-                } else if let Some(value) = stack.pop_now(stm, id) {
+                } else if let Some(value) = stm.run(id, |txn| stack.pop(txn)) {
                     tally.took(value);
                 }
             });
             let violations = verify_container(
                 StructsTally::flow(phases.tallies()),
-                stack.len_now(stm, 0),
-                || stack.pop_now(stm, 0),
+                stm.run(0, |txn| stack.len(txn)),
+                || stm.run(0, |txn| stack.pop(txn)),
             );
             phases.outcome(violations)
         }
@@ -211,20 +211,20 @@ pub(crate) fn run_structs<E: TmEngine>(
                 };
                 match rng.gen_range(0..100u32) {
                     0..=39 => {
-                        let inserted = list
-                            .insert_now(stm, id, key)
+                        let inserted = stm
+                            .run(id, |txn| list.insert(txn, key))
                             .expect("pool covers the key universe");
                         if inserted {
                             tally.put(key);
                         }
                     }
                     40..=79 => {
-                        if list.remove_now(stm, id, key) {
+                        if stm.run(id, |txn| list.remove(txn, key)) {
                             tally.took(key);
                         }
                     }
                     _ => {
-                        list.contains_now(stm, id, key);
+                        stm.run(id, |txn| list.contains(txn, key));
                     }
                 }
             });
@@ -233,12 +233,12 @@ pub(crate) fn run_structs<E: TmEngine>(
             // count, in value sum, and in node-pool accounting (a leaked or
             // double-freed node breaks `len + free == capacity`).
             let (count, sum) = StructsTally::flow(phases.tallies());
-            let snap = list.snapshot_now(stm, 0);
+            let snap = stm.run(0, |txn| list.snapshot(txn));
             let holds = [
                 snap.windows(2).all(|w| w[0] < w[1]),
                 Some(snap.len() as u64) == count,
                 snap.iter().fold(0u64, |acc, &v| acc.wrapping_add(v)) == sum,
-                snap.len() as u64 + list.free_nodes_now(stm, 0) == list.capacity(),
+                snap.len() as u64 + stm.run(0, |txn| list.free_nodes(txn)) == list.capacity(),
             ];
             phases.outcome(holds.iter().filter(|&&ok| !ok).count() as u64)
         }

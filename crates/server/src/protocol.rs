@@ -35,6 +35,15 @@ pub const MAX_KEYS_PER_REQUEST: usize = 4096;
 /// Envelope bytes before the payload: length prefix, version, id, tag.
 const HEADER_BYTES: usize = 4 + 1 + 8 + 1;
 
+// The request tags a transport routes a frame by, through `peek_tag`,
+// without decoding it; `Request`'s encoder and decoder use them too.
+/// Tag of [`Request::Get`].
+pub(crate) const TAG_GET: u8 = 1;
+/// Tag of [`Request::MultiGet`].
+pub(crate) const TAG_MULTI_GET: u8 = 4;
+/// Tag of [`Request::Close`].
+pub(crate) const TAG_CLOSE: u8 = 6;
+
 /// A client-to-server operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
@@ -394,6 +403,15 @@ pub fn peek_id(bytes: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(bytes[5..13].try_into().ok()?))
 }
 
+/// The tag of the whole frame at the front of `bytes`, if its envelope is
+/// readable: the frame is all there, long enough to hold a tag, and of
+/// [`PROTOCOL_VERSION`]. What it says about the payload is nothing.
+#[inline]
+pub(crate) fn peek_tag(bytes: &[u8]) -> Option<u8> {
+    let len = frame_len(bytes).ok()??;
+    (len >= HEADER_BYTES && bytes[4] == PROTOCOL_VERSION).then(|| bytes[HEADER_BYTES - 1])
+}
+
 /// Serialize one request's payload (everything after the tag byte).
 /// `Idempotent` nests its inner op's tag + payload after the token, with no
 /// second envelope.
@@ -453,7 +471,7 @@ fn put_response_payload(out: &mut Vec<u8>, resp: &Response) {
 fn read_request_payload(tag: u8, r: &mut Reader<'_>) -> Result<Request, DecodeError> {
     Ok(match tag {
         0 => Request::Ping,
-        1 => Request::Get { key: r.u64()? },
+        TAG_GET => Request::Get { key: r.u64()? },
         2 => Request::Put {
             key: r.u64()?,
             value: r.u64()?,
@@ -462,14 +480,14 @@ fn read_request_payload(tag: u8, r: &mut Reader<'_>) -> Result<Request, DecodeEr
             key: r.u64()?,
             delta: r.u64()?,
         },
-        4 => Request::MultiGet {
+        TAG_MULTI_GET => Request::MultiGet {
             keys: r.u64_list()?,
         },
         5 => Request::MultiAdd {
             keys: r.u64_list()?,
             delta: r.u64()?,
         },
-        6 => Request::Close,
+        TAG_CLOSE => Request::Close,
         7 => {
             let token = r.u64()?;
             let inner_tag = r.u8()?;
@@ -521,12 +539,12 @@ impl Request {
     fn tag(&self) -> u8 {
         match self {
             Request::Ping => 0,
-            Request::Get { .. } => 1,
+            Request::Get { .. } => TAG_GET,
             Request::Put { .. } => 2,
             Request::Add { .. } => 3,
-            Request::MultiGet { .. } => 4,
+            Request::MultiGet { .. } => TAG_MULTI_GET,
             Request::MultiAdd { .. } => 5,
-            Request::Close => 6,
+            Request::Close => TAG_CLOSE,
             Request::Idempotent { .. } => 7,
             Request::MultiPut { .. } => 8,
         }
@@ -1123,6 +1141,26 @@ mod tests {
         .encode();
         assert_eq!(peek_id(&f), Some(0xDEAD));
         assert_eq!(peek_id(&f[..6]), None);
+    }
+
+    #[test]
+    fn each_peeked_tag_is_the_one_its_variant_encodes() {
+        for (request, tag) in [
+            (Request::Get { key: 3 }, TAG_GET),
+            (Request::MultiGet { keys: vec![1, 2] }, TAG_MULTI_GET),
+            (Request::Close, TAG_CLOSE),
+        ] {
+            let f = RequestFrame { id: 9, request }.encode();
+            assert_eq!(peek_tag(&f), Some(tag));
+            assert_eq!(peek_tag(&f[..f.len() - 1]), None, "not a whole frame");
+        }
+        let mut other_version = RequestFrame {
+            id: 9,
+            request: Request::Close,
+        }
+        .encode();
+        other_version[4] = PROTOCOL_VERSION + 1;
+        assert_eq!(peek_tag(&other_version), None);
     }
 
     #[test]

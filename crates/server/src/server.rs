@@ -77,8 +77,8 @@ use crate::backpressure::{Admission, AdmissionPolicy};
 use crate::batch::{BatchPolicy, Batcher, Group, PendingWrite, WriteOp};
 use crate::fault::{CrashPoint, FaultState};
 use crate::protocol::{
-    count_frames, frame_len, peek_id, ErrorCode, Request, RequestFrame, Response, ResponseFrame,
-    PROTOCOL_VERSION,
+    count_frames, frame_len, peek_id, peek_tag, ErrorCode, Request, RequestFrame, Response,
+    ResponseFrame, TAG_CLOSE, TAG_GET, TAG_MULTI_GET,
 };
 use crate::queue::{channel, Receiver, SendError, Sender, TryRecvError};
 use crate::session::{DedupVerdict, ServerMsg, SessionId, SessionRegistry, DEFAULT_DEDUP_WINDOW};
@@ -338,19 +338,11 @@ fn serve_read<E: TmEngine>(engine: &E, me: u32, key_universe: u64, request: &Req
     }
 }
 
-/// The tag of the whole frame at the front of `bytes`, if its envelope is
-/// readable: the frame is all there, long enough to hold a tag, and of
-/// [`PROTOCOL_VERSION`]. What it says about the payload is nothing.
-fn peek_tag(bytes: &[u8]) -> Option<u8> {
-    let len = frame_len(bytes).ok()??;
-    (len > 13 && bytes[4] == PROTOCOL_VERSION).then(|| bytes[13])
-}
-
-/// Whether a tag peek finds a `Close` (6) among the whole frames `message`
+/// Whether a tag peek finds a `Close` among the whole frames `message`
 /// starts with.
 pub(crate) fn says_close(mut message: &[u8]) -> bool {
     while let Ok(Some(len)) = frame_len(message) {
-        if peek_tag(message) == Some(6) {
+        if peek_tag(message) == Some(TAG_CLOSE) {
             return true;
         }
         message = &message[len..];
@@ -359,12 +351,12 @@ pub(crate) fn says_close(mut message: &[u8]) -> bool {
 }
 
 /// How many frames `message` holds if it is a run of whole frames that a
-/// tag peek finds all `Get` (1) or `MultiGet` (4); `None` otherwise.
+/// tag peek finds all `Get` or `MultiGet`; `None` otherwise.
 fn all_reads(message: &[u8]) -> Option<u64> {
     let mut rest = message;
     let mut frames = 0;
     while !rest.is_empty() {
-        if !matches!(peek_tag(rest), Some(1 | 4)) {
+        if !matches!(peek_tag(rest), Some(TAG_GET | TAG_MULTI_GET)) {
             return None;
         }
         rest = &rest[frame_len(rest).ok()??..];

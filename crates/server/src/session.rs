@@ -370,17 +370,9 @@ impl SessionRegistry {
     ///
     /// [`flush_out`]: SessionRegistry::flush_out
     pub fn respond(&mut self, session: SessionId, id: u64, response: Response) {
-        let Some(state) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        if state.outbox.is_empty() {
-            self.dirty.push(session);
-        }
-        ResponseFrame { id, response }.encode_into(&mut state.outbox);
-        state.answers += 1;
-        if state.outbox.len() >= COALESCE_BYTES {
-            self.deliver(session);
-        }
+        self.queue(session, 1, |outbox| {
+            ResponseFrame { id, response }.encode_into(outbox)
+        });
     }
 
     /// Queue `answers` responses already encoded elsewhere — `bytes`, which
@@ -390,13 +382,24 @@ impl SessionRegistry {
     ///
     /// [`respond`]: SessionRegistry::respond
     pub(crate) fn append(&mut self, session: SessionId, bytes: &[u8], answers: u64) {
+        self.queue(session, answers, |outbox| outbox.extend_from_slice(bytes));
+    }
+
+    /// The step [`respond`] and [`append`] share: `write` adds `answers`
+    /// responses to the session's outbox, which joins the dirty list when
+    /// it stops being empty and goes to the sink at once when it reaches
+    /// [`COALESCE_BYTES`]. Nothing is written for a departed session.
+    ///
+    /// [`respond`]: SessionRegistry::respond
+    /// [`append`]: SessionRegistry::append
+    fn queue(&mut self, session: SessionId, answers: u64, write: impl FnOnce(&mut Vec<u8>)) {
         let Some(state) = self.sessions.get_mut(&session) else {
             return;
         };
         if state.outbox.is_empty() {
             self.dirty.push(session);
         }
-        state.outbox.extend_from_slice(bytes);
+        write(&mut state.outbox);
         state.answers += answers;
         if state.outbox.len() >= COALESCE_BYTES {
             self.deliver(session);

@@ -1,8 +1,7 @@
 //! A transactional counter: one typed cell, block-aligned so it owns its
 //! ownership-table entry under locality-preserving hashes.
 
-use tm_ownership::ThreadId;
-use tm_stm::{Aborted, Region, TRef, TmEngine, TxnOps};
+use tm_stm::{Aborted, Region, TRef, TxnOps};
 
 /// A shared counter living in one typed heap cell.
 #[derive(Clone, Copy, Debug)]
@@ -33,22 +32,12 @@ impl TCounter {
     pub fn read<O: TxnOps + ?Sized>(&self, txn: &mut O) -> Result<u64, Aborted> {
         self.cell.get(txn)
     }
-
-    /// Auto-committing increment.
-    pub fn add_now<E: TmEngine>(&self, stm: &E, me: ThreadId, delta: u64) -> u64 {
-        stm.run(me, |txn| self.add(txn, delta))
-    }
-
-    /// Auto-committing read.
-    pub fn get<E: TmEngine>(&self, stm: &E, me: ThreadId) -> u64 {
-        self.cell.get_now(stm, me)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_stm::StmBuilder;
+    use tm_stm::{StmBuilder, TmEngine};
 
     #[test]
     fn add_and_get() {
@@ -58,10 +47,10 @@ mod tests {
             .build_tagged();
         let mut r = Region::new(0, 8192);
         let c = TCounter::create(&mut r);
-        assert_eq!(c.get(&stm, 0), 0);
-        assert_eq!(c.add_now(&stm, 0, 5), 5);
-        assert_eq!(c.add_now(&stm, 0, 2), 7);
-        assert_eq!(c.get(&stm, 0), 7);
+        assert_eq!(stm.run(0, |txn| c.read(txn)), 0);
+        assert_eq!(stm.run(0, |txn| c.add(txn, 5)), 5);
+        assert_eq!(stm.run(0, |txn| c.add(txn, 2)), 7);
+        assert_eq!(stm.run(0, |txn| c.read(txn)), 7);
     }
 
     #[test]
@@ -73,8 +62,8 @@ mod tests {
             .build_lazy();
         let mut r = Region::new(0, 8192);
         let c = TCounter::create(&mut r);
-        assert_eq!(c.add_now(&stm, 0, 5), 5);
-        assert_eq!(c.get(&stm, 0), 5);
+        assert_eq!(stm.run(0, |txn| c.add(txn, 5)), 5);
+        assert_eq!(stm.run(0, |txn| c.read(txn)), 5);
     }
 
     #[test]
@@ -104,13 +93,13 @@ mod tests {
                 let stm = &stm;
                 s.spawn(move |_| {
                     for _ in 0..500 {
-                        c.add_now(stm, id, 1);
+                        stm.run(id, |txn| c.add(txn, 1));
                     }
                 });
             }
         })
         .unwrap();
-        assert_eq!(c.get(&stm, 0), 2000);
+        assert_eq!(stm.run(0, |txn| c.read(txn)), 2000);
     }
 
     #[test]
@@ -128,12 +117,12 @@ mod tests {
                 let stm = &stm;
                 s.spawn(move |_| {
                     for _ in 0..500 {
-                        c.add_now(stm, id, 1);
+                        stm.run(id, |txn| c.add(txn, 1));
                     }
                 });
             }
         })
         .unwrap();
-        assert_eq!(c.get(&stm, 0), 2000);
+        assert_eq!(stm.run(0, |txn| c.read(txn)), 2000);
     }
 }

@@ -12,10 +12,13 @@
 //! **inside transactions** via [`TxAlloc`], so aborts roll allocation
 //! back.
 //!
-//! Every structure exposes *transaction-composable* methods generic over
-//! [`TxnOps`](tm_stm::TxnOps) next to auto-committing `*_now` wrappers
-//! generic over [`TmEngine`](tm_stm::TmEngine) — one definition runs on
-//! the eager engines (any ownership-table organization, including
+//! Every operation is a *transaction-composable* method generic over
+//! [`TxnOps`](tm_stm::TxnOps) (reads over [`ReadOps`](tm_stm::ReadOps)),
+//! and the transaction is the API: one operation on its own is
+//! `stm.run(me, |txn| queue.enqueue(txn, v))`, or
+//! `stm.run_read(me, |txn| map.get(txn, key))` for a wait-free read, and
+//! several compose into one atomic block the same way. One definition runs
+//! on the eager engines (any ownership-table organization, including
 //! `tm-adaptive`'s resizable one) *and* the lazy TL2-style engine,
 //! unchanged.
 //!
@@ -43,9 +46,10 @@
 //! });
 //! ```
 //!
-//! The auto-committing wrappers flatten the outer layer away and return
-//! plain `Result<T, CapacityError>` (`TQueue::enqueue_now`,
-//! `TStack::push_now`, `TMap::insert_now`, `TList::insert_now`).
+//! [`TmEngine::run`](tm_stm::TmEngine::run) consumes the outer layer (it
+//! retries on `Aborted`), so a lone operation hands back the inner
+//! `Result<T, CapacityError>`:
+//! `stm.run(me, |txn| queue.enqueue(txn, 9))`.
 //!
 //! Because these structures run on the same ownership tables the paper
 //! analyses, they double as workloads: point the constructors at a small
@@ -76,13 +80,13 @@
 //! let builder = StmBuilder::new().heap_words(4096).table_entries(1024);
 //! let eager = builder.build_tagged();
 //! push_and_count(&eager, counter, stack);
-//! assert_eq!(counter.get(&eager, 0), 1);
-//! assert_eq!(stack.pop_now(&eager, 0), Some(42));
+//! assert_eq!(eager.run(0, |txn| counter.read(txn)), 1);
+//! assert_eq!(eager.run(0, |txn| stack.pop(txn)), Some(42));
 //!
 //! let lazy = builder.build_lazy();
 //! push_and_count(&lazy, counter, stack);
-//! assert_eq!(counter.get(&lazy, 0), 1);
-//! assert_eq!(stack.pop_now(&lazy, 0), Some(42));
+//! assert_eq!(lazy.run(0, |txn| counter.read(txn)), 1);
+//! assert_eq!(lazy.run(0, |txn| stack.pop(txn)), Some(42));
 //! ```
 
 #![warn(missing_docs)]

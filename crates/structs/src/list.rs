@@ -188,7 +188,7 @@ impl<T: TxWord + Ord + Copy> TList<T> {
         Ok(out)
     }
 
-    /// Auto-committing insert.
+    /// Auto-committing insert, kept only for `benchmark/src/layers.rs` until ROADMAP 1A's adaptor.
     pub fn insert_now<E: TmEngine>(
         &self,
         stm: &E,
@@ -196,44 +196,6 @@ impl<T: TxWord + Ord + Copy> TList<T> {
         value: T,
     ) -> Result<bool, CapacityError> {
         stm.run(me, |txn| self.insert(txn, value))
-    }
-
-    /// Auto-committing removal.
-    pub fn remove_now<E: TmEngine>(&self, stm: &E, me: ThreadId, value: T) -> bool {
-        stm.run(me, |txn| self.remove(txn, value))
-    }
-
-    /// Auto-committing membership test.
-    pub fn contains_now<E: TmEngine>(&self, stm: &E, me: ThreadId, value: T) -> bool {
-        stm.run(me, |txn| self.contains(txn, value))
-    }
-
-    /// Wait-free membership test on the read-only path
-    /// ([`TmEngine::run_read`]): never acquires ownership, never aborts a
-    /// writer. The traversal sees one consistent committed snapshot.
-    pub fn contains_read<E: TmEngine>(&self, stm: &E, me: ThreadId, value: T) -> bool {
-        stm.run_read(me, |txn| self.contains(txn, value))
-    }
-
-    /// Auto-committing length.
-    pub fn len_now<E: TmEngine>(&self, stm: &E, me: ThreadId) -> u64 {
-        stm.run(me, |txn| self.len(txn))
-    }
-
-    /// Wait-free length on the read-only path (see
-    /// [`contains_read`](TList::contains_read)).
-    pub fn len_read<E: TmEngine>(&self, stm: &E, me: ThreadId) -> u64 {
-        stm.run_read(me, |txn| self.len(txn))
-    }
-
-    /// Auto-committing snapshot.
-    pub fn snapshot_now<E: TmEngine>(&self, stm: &E, me: ThreadId) -> Vec<T> {
-        stm.run(me, |txn| self.snapshot(txn))
-    }
-
-    /// Auto-committing pool audit (see [`free_nodes`](TList::free_nodes)).
-    pub fn free_nodes_now<E: TmEngine>(&self, stm: &E, me: ThreadId) -> u64 {
-        stm.run(me, |txn| self.free_nodes(txn))
     }
 }
 
@@ -256,37 +218,49 @@ mod tests {
     fn sorted_set_semantics() {
         let (stm, l) = setup(16);
         for v in [5u64, 1, 9, 3, 7] {
-            assert_eq!(l.insert_now(&stm, 0, v), Ok(true));
+            assert_eq!(stm.run(0, |txn| l.insert(txn, v)), Ok(true));
         }
-        assert_eq!(l.insert_now(&stm, 0, 5), Ok(false), "duplicate rejected");
-        assert_eq!(l.snapshot_now(&stm, 0), vec![1, 3, 5, 7, 9]);
-        assert!(l.contains_now(&stm, 0, 7));
-        assert!(!l.contains_now(&stm, 0, 4));
-        assert!(l.remove_now(&stm, 0, 5));
-        assert!(!l.remove_now(&stm, 0, 5));
-        assert_eq!(l.snapshot_now(&stm, 0), vec![1, 3, 7, 9]);
-        assert_eq!(l.len_now(&stm, 0), 4);
+        assert_eq!(
+            stm.run(0, |txn| l.insert(txn, 5)),
+            Ok(false),
+            "duplicate rejected"
+        );
+        assert_eq!(stm.run(0, |txn| l.snapshot(txn)), vec![1, 3, 5, 7, 9]);
+        assert!(stm.run(0, |txn| l.contains(txn, 7)));
+        assert!(!stm.run(0, |txn| l.contains(txn, 4)));
+        assert!(stm.run(0, |txn| l.remove(txn, 5)));
+        assert!(!stm.run(0, |txn| l.remove(txn, 5)));
+        assert_eq!(stm.run(0, |txn| l.snapshot(txn)), vec![1, 3, 7, 9]);
+        assert_eq!(stm.run(0, |txn| l.len(txn)), 4);
     }
 
     #[test]
     fn nodes_recycle_through_the_pool() {
         let (stm, l) = setup(4);
         for v in 0..4u64 {
-            assert_eq!(l.insert_now(&stm, 0, v), Ok(true));
+            assert_eq!(stm.run(0, |txn| l.insert(txn, v)), Ok(true));
         }
-        assert_eq!(l.insert_now(&stm, 0, 99), Err(CapacityError), "pool full");
-        assert!(l.remove_now(&stm, 0, 2));
-        assert_eq!(l.free_nodes_now(&stm, 0), 1);
-        assert_eq!(l.insert_now(&stm, 0, 99), Ok(true), "freed node reused");
-        assert_eq!(l.snapshot_now(&stm, 0), vec![0, 1, 3, 99]);
-        assert_eq!(l.free_nodes_now(&stm, 0), 0);
+        assert_eq!(
+            stm.run(0, |txn| l.insert(txn, 99)),
+            Err(CapacityError),
+            "pool full"
+        );
+        assert!(stm.run(0, |txn| l.remove(txn, 2)));
+        assert_eq!(stm.run(0, |txn| l.free_nodes(txn)), 1);
+        assert_eq!(
+            stm.run(0, |txn| l.insert(txn, 99)),
+            Ok(true),
+            "freed node reused"
+        );
+        assert_eq!(stm.run(0, |txn| l.snapshot(txn)), vec![0, 1, 3, 99]);
+        assert_eq!(stm.run(0, |txn| l.free_nodes(txn)), 0);
     }
 
     #[test]
     fn aborted_splices_leak_nothing() {
         let (stm, l) = setup(8);
         for v in [2u64, 4, 6] {
-            assert_eq!(l.insert_now(&stm, 0, v), Ok(true));
+            assert_eq!(stm.run(0, |txn| l.insert(txn, v)), Ok(true));
         }
         // Abort mid-insert and mid-remove on first attempts: the pool and
         // the links must be exactly as if only the second attempts ran.
@@ -301,9 +275,9 @@ mod tests {
             l.insert(txn, 5)?.expect("room");
             Ok(())
         });
-        assert_eq!(l.snapshot_now(&stm, 0), vec![2, 4, 5, 6]);
+        assert_eq!(stm.run(0, |txn| l.snapshot(txn)), vec![2, 4, 5, 6]);
         assert_eq!(
-            l.len_now(&stm, 0) + l.free_nodes_now(&stm, 0),
+            stm.run(0, |txn| l.len(txn)) + stm.run(0, |txn| l.free_nodes(txn)),
             l.capacity(),
             "no node leaked or double-freed"
         );
@@ -317,11 +291,14 @@ mod tests {
             .build_lazy();
         let mut r = Region::new(0, 1 << 16);
         let l: TList = TList::create(&mut r, 8);
-        assert_eq!(l.insert_now(&stm, 0, 2), Ok(true));
-        assert_eq!(l.insert_now(&stm, 0, 1), Ok(true));
-        assert!(l.remove_now(&stm, 0, 2));
-        assert_eq!(l.snapshot_now(&stm, 0), vec![1]);
-        assert_eq!(l.len_now(&stm, 0) + l.free_nodes_now(&stm, 0), 8);
+        assert_eq!(stm.run(0, |txn| l.insert(txn, 2)), Ok(true));
+        assert_eq!(stm.run(0, |txn| l.insert(txn, 1)), Ok(true));
+        assert!(stm.run(0, |txn| l.remove(txn, 2)));
+        assert_eq!(stm.run(0, |txn| l.snapshot(txn)), vec![1]);
+        assert_eq!(
+            stm.run(0, |txn| l.len(txn)) + stm.run(0, |txn| l.free_nodes(txn)),
+            8
+        );
     }
 
     #[test]
@@ -330,9 +307,9 @@ mod tests {
         let mut r = Region::new(1 << 10, 1 << 14);
         let l: TList<i64> = TList::create(&mut r, 8);
         for v in [3i64, -5, 0, -1] {
-            assert_eq!(l.insert_now(&stm, 0, v), Ok(true));
+            assert_eq!(stm.run(0, |txn| l.insert(txn, v)), Ok(true));
         }
-        assert_eq!(l.snapshot_now(&stm, 0), vec![-5, -1, 0, 3]);
+        assert_eq!(stm.run(0, |txn| l.snapshot(txn)), vec![-5, -1, 0, 3]);
     }
 
     #[test]
@@ -354,19 +331,19 @@ mod tests {
                     for round in 0..200u64 {
                         let v = (round % 16) * 4 + id as u64;
                         if round % 3 == 2 {
-                            l.remove_now(stm, id, v);
+                            stm.run(id, |txn| l.remove(txn, v));
                         } else {
-                            let _ = l.insert_now(stm, id, v);
+                            let _ = stm.run(id, |txn| l.insert(txn, v));
                         }
                     }
                 });
             }
         })
         .unwrap();
-        let snap = l.snapshot_now(&stm, 0);
+        let snap = stm.run(0, |txn| l.snapshot(txn));
         assert!(snap.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
         assert_eq!(
-            snap.len() as u64 + l.free_nodes_now(&stm, 0),
+            snap.len() as u64 + stm.run(0, |txn| l.free_nodes(txn)),
             l.capacity(),
             "node conservation under contention"
         );

@@ -206,7 +206,7 @@ impl<V: TxLayout> TMap<V> {
         Ok(Some(removed))
     }
 
-    /// Auto-committing insert; returns the previous value.
+    /// Auto-committing insert, kept only for `benchmark/src/layers.rs` until ROADMAP 1A's adaptor.
     pub fn insert_now<E: TmEngine>(
         &self,
         stm: &E,
@@ -220,33 +220,9 @@ impl<V: TxLayout> TMap<V> {
         stm.run(me, |txn| self.insert(txn, key, value.clone()))
     }
 
-    /// Auto-committing lookup.
-    pub fn get_now<E: TmEngine>(&self, stm: &E, me: ThreadId, key: u64) -> Option<V> {
-        stm.run(me, |txn| self.get(txn, key))
-    }
-
-    /// Wait-free lookup on the read-only path ([`TmEngine::run_read`]):
-    /// never acquires ownership, never aborts a writer. The probe walk sees
-    /// one consistent committed snapshot, so backward-shift deletions can
-    /// never tear a cluster mid-lookup.
+    /// Wait-free lookup, kept only for `benchmark/src/layers.rs` until ROADMAP 1A's adaptor.
     pub fn get_read<E: TmEngine>(&self, stm: &E, me: ThreadId, key: u64) -> Option<V> {
         stm.run_read(me, |txn| self.get(txn, key))
-    }
-
-    /// Auto-committing membership test.
-    pub fn contains_now<E: TmEngine>(&self, stm: &E, me: ThreadId, key: u64) -> bool {
-        stm.run(me, |txn| self.contains(txn, key))
-    }
-
-    /// Wait-free membership test on the read-only path (see
-    /// [`get_read`](TMap::get_read)).
-    pub fn contains_read<E: TmEngine>(&self, stm: &E, me: ThreadId, key: u64) -> bool {
-        stm.run_read(me, |txn| self.contains(txn, key))
-    }
-
-    /// Auto-committing removal.
-    pub fn remove_now<E: TmEngine>(&self, stm: &E, me: ThreadId, key: u64) -> Option<V> {
-        stm.run(me, |txn| self.remove(txn, key))
     }
 }
 
@@ -268,20 +244,20 @@ mod tests {
     #[test]
     fn insert_get_remove_round_trip() {
         let (stm, m) = setup(64);
-        assert_eq!(m.insert_now(&stm, 0, 7, 70), Ok(None));
-        assert_eq!(m.get_now(&stm, 0, 7), Some(70));
-        assert_eq!(m.insert_now(&stm, 0, 7, 71), Ok(Some(70)));
-        assert_eq!(m.get_now(&stm, 0, 7), Some(71));
-        assert_eq!(m.remove_now(&stm, 0, 7), Some(71));
-        assert_eq!(m.get_now(&stm, 0, 7), None);
-        assert_eq!(m.remove_now(&stm, 0, 7), None);
+        assert_eq!(stm.run(0, |txn| m.insert(txn, 7, 70)), Ok(None));
+        assert_eq!(stm.run(0, |txn| m.get(txn, 7)), Some(70));
+        assert_eq!(stm.run(0, |txn| m.insert(txn, 7, 71)), Ok(Some(70)));
+        assert_eq!(stm.run(0, |txn| m.get(txn, 7)), Some(71));
+        assert_eq!(stm.run(0, |txn| m.remove(txn, 7)), Some(71));
+        assert_eq!(stm.run(0, |txn| m.get(txn, 7)), None);
+        assert_eq!(stm.run(0, |txn| m.remove(txn, 7)), None);
     }
 
     #[test]
     fn one_slot_map_round_trips() {
         let (stm, m) = setup(1);
-        assert_eq!(m.insert_now(&stm, 0, 7, 70), Ok(None));
-        assert_eq!(m.get_now(&stm, 0, 7), Some(70));
+        assert_eq!(stm.run(0, |txn| m.insert(txn, 7, 70)), Ok(None));
+        assert_eq!(stm.run(0, |txn| m.get(txn, 7)), Some(70));
     }
 
     #[test]
@@ -289,19 +265,19 @@ mod tests {
         // Insert more keys than any one cluster can avoid overlapping.
         let (stm, m) = setup(64);
         for k in 1..=48u64 {
-            assert_eq!(m.insert_now(&stm, 0, k, k * 10), Ok(None));
+            assert_eq!(stm.run(0, |txn| m.insert(txn, k, k * 10)), Ok(None));
         }
         for k in 1..=48u64 {
-            assert_eq!(m.get_now(&stm, 0, k), Some(k * 10), "key {k}");
+            assert_eq!(stm.run(0, |txn| m.get(txn, k)), Some(k * 10), "key {k}");
         }
         // Remove every third key, then verify the rest still resolve
         // (backward-shift must not break probe chains).
         for k in (3..=48u64).step_by(3) {
-            assert_eq!(m.remove_now(&stm, 0, k), Some(k * 10));
+            assert_eq!(stm.run(0, |txn| m.remove(txn, k)), Some(k * 10));
         }
         for k in 1..=48u64 {
             let expect = if k % 3 == 0 { None } else { Some(k * 10) };
-            assert_eq!(m.get_now(&stm, 0, k), expect, "key {k}");
+            assert_eq!(stm.run(0, |txn| m.get(txn, k)), expect, "key {k}");
         }
     }
 
@@ -316,7 +292,7 @@ mod tests {
             Ok(())
         });
         // The full-map probe committed without storing anything.
-        assert_eq!(m.get_now(&stm, 0, 99), None);
+        assert_eq!(stm.run(0, |txn| m.get(txn, 99)), None);
     }
 
     #[test]
@@ -324,16 +300,28 @@ mod tests {
         for cap in [1u64, 4] {
             let (stm, m) = setup(cap);
             for k in 1..=cap {
-                assert_eq!(m.insert_now(&stm, 0, k, k * 10), Ok(None), "cap {cap}");
+                assert_eq!(
+                    stm.run(0, |txn| m.insert(txn, k, k * 10)),
+                    Ok(None),
+                    "cap {cap}"
+                );
             }
-            assert_eq!(m.insert_now(&stm, 0, 99, 1), Err(CapacityError));
-            assert_eq!(m.remove_now(&stm, 0, 1), Some(10), "cap {cap}");
-            assert_eq!(m.get_now(&stm, 0, 1), None, "cap {cap}");
+            assert_eq!(stm.run(0, |txn| m.insert(txn, 99, 1)), Err(CapacityError));
+            assert_eq!(stm.run(0, |txn| m.remove(txn, 1)), Some(10), "cap {cap}");
+            assert_eq!(stm.run(0, |txn| m.get(txn, 1)), None, "cap {cap}");
             for k in 2..=cap {
-                assert_eq!(m.get_now(&stm, 0, k), Some(k * 10), "cap {cap} key {k}");
+                assert_eq!(
+                    stm.run(0, |txn| m.get(txn, k)),
+                    Some(k * 10),
+                    "cap {cap} key {k}"
+                );
             }
-            assert_eq!(m.insert_now(&stm, 0, 99, 990), Ok(None), "cap {cap}");
-            assert_eq!(m.get_now(&stm, 0, 99), Some(990), "cap {cap}");
+            assert_eq!(
+                stm.run(0, |txn| m.insert(txn, 99, 990)),
+                Ok(None),
+                "cap {cap}"
+            );
+            assert_eq!(stm.run(0, |txn| m.get(txn, 99)), Some(990), "cap {cap}");
         }
     }
 
@@ -345,17 +333,17 @@ mod tests {
             .build_tagged();
         let mut r = Region::new(0, 1 << 17);
         let m: TMap<(u64, bool)> = TMap::create(&mut r, 16);
-        assert_eq!(m.insert_now(&stm, 0, 3, (30, true)), Ok(None));
-        assert_eq!(m.get_now(&stm, 0, 3), Some((30, true)));
-        assert_eq!(m.remove_now(&stm, 0, 3), Some((30, true)));
-        assert_eq!(m.get_now(&stm, 0, 3), None);
+        assert_eq!(stm.run(0, |txn| m.insert(txn, 3, (30, true))), Ok(None));
+        assert_eq!(stm.run(0, |txn| m.get(txn, 3)), Some((30, true)));
+        assert_eq!(stm.run(0, |txn| m.remove(txn, 3)), Some((30, true)));
+        assert_eq!(stm.run(0, |txn| m.get(txn, 3)), None);
     }
 
     #[test]
     #[should_panic(expected = "reserved")]
     fn key_zero_rejected() {
         let (stm, m) = setup(8);
-        let _ = m.insert_now(&stm, 0, 0, 1);
+        let _ = stm.run(0, |txn| m.insert(txn, 0, 1));
     }
 
     #[test]
@@ -374,7 +362,8 @@ mod tests {
                 s.spawn(move |_| {
                     for i in 0..100u64 {
                         let k = 1 + (id as u64) * 1000 + i;
-                        m.insert_now(stm, id, k, k ^ 0xABCD).expect("headroom");
+                        stm.run(id, |txn| m.insert(txn, k, k ^ 0xABCD))
+                            .expect("headroom");
                     }
                 });
             }
@@ -383,7 +372,7 @@ mod tests {
         for id in 0..4u64 {
             for i in 0..100u64 {
                 let k = 1 + id * 1000 + i;
-                assert_eq!(m.get_now(&stm, 0, k), Some(k ^ 0xABCD));
+                assert_eq!(stm.run(0, |txn| m.get(txn, k)), Some(k ^ 0xABCD));
             }
         }
     }
@@ -402,12 +391,15 @@ mod tests {
                 0 => {
                     let v = rng.gen::<u32>() as u64;
                     assert_eq!(
-                        m.insert_now(&stm, 0, key, v).expect("headroom"),
+                        stm.run(0, |txn| m.insert(txn, key, v)).expect("headroom"),
                         reference.insert(key, v)
                     );
                 }
-                1 => assert_eq!(m.get_now(&stm, 0, key), reference.get(&key).copied()),
-                _ => assert_eq!(m.remove_now(&stm, 0, key), reference.remove(&key)),
+                1 => assert_eq!(
+                    stm.run(0, |txn| m.get(txn, key)),
+                    reference.get(&key).copied()
+                ),
+                _ => assert_eq!(stm.run(0, |txn| m.remove(txn, key)), reference.remove(&key)),
             }
         }
     }

@@ -8,10 +8,7 @@
 
 use std::marker::PhantomData;
 
-use tm_ownership::ThreadId;
-use tm_stm::{
-    Aborted, CapacityError, Region, TRef, TmEngine, TxLayout, TxResult, TxnOps, WORD_BYTES,
-};
+use tm_stm::{Aborted, CapacityError, Region, TRef, TxLayout, TxResult, TxnOps, WORD_BYTES};
 
 /// A fixed-capacity FIFO queue of `T` values in the STM heap.
 pub struct TQueue<T = u64> {
@@ -99,35 +96,12 @@ impl<T: TxLayout> TQueue<T> {
         self.head.set(txn, head + 1)?;
         Ok(Some(v))
     }
-
-    /// Auto-committing enqueue.
-    pub fn enqueue_now<E: TmEngine>(
-        &self,
-        stm: &E,
-        me: ThreadId,
-        value: T,
-    ) -> Result<(), CapacityError>
-    where
-        T: Clone,
-    {
-        stm.run(me, |txn| self.enqueue(txn, value.clone()))
-    }
-
-    /// Auto-committing dequeue.
-    pub fn dequeue_now<E: TmEngine>(&self, stm: &E, me: ThreadId) -> Option<T> {
-        stm.run(me, |txn| self.dequeue(txn))
-    }
-
-    /// Auto-committing length (conservation checks in stress harnesses).
-    pub fn len_now<E: TmEngine>(&self, stm: &E, me: ThreadId) -> u64 {
-        stm.run(me, |txn| self.len(txn))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_stm::StmBuilder;
+    use tm_stm::{StmBuilder, TmEngine};
 
     fn setup(cap: u64) -> (tm_stm::Stm<tm_stm::ConcurrentTaggedTable>, TQueue) {
         let stm = StmBuilder::new()
@@ -143,33 +117,33 @@ mod tests {
     fn fifo_order() {
         let (stm, q) = setup(8);
         for i in 1..=5 {
-            assert!(q.enqueue_now(&stm, 0, i).is_ok());
+            assert!(stm.run(0, |txn| q.enqueue(txn, i)).is_ok());
         }
         for i in 1..=5 {
-            assert_eq!(q.dequeue_now(&stm, 0), Some(i));
+            assert_eq!(stm.run(0, |txn| q.dequeue(txn)), Some(i));
         }
-        assert_eq!(q.dequeue_now(&stm, 0), None);
+        assert_eq!(stm.run(0, |txn| q.dequeue(txn)), None);
     }
 
     #[test]
     fn wraps_around_ring() {
         let (stm, q) = setup(4);
         for round in 0..10u64 {
-            assert!(q.enqueue_now(&stm, 0, round * 2).is_ok());
-            assert!(q.enqueue_now(&stm, 0, round * 2 + 1).is_ok());
-            assert_eq!(q.dequeue_now(&stm, 0), Some(round * 2));
-            assert_eq!(q.dequeue_now(&stm, 0), Some(round * 2 + 1));
+            assert!(stm.run(0, |txn| q.enqueue(txn, round * 2)).is_ok());
+            assert!(stm.run(0, |txn| q.enqueue(txn, round * 2 + 1)).is_ok());
+            assert_eq!(stm.run(0, |txn| q.dequeue(txn)), Some(round * 2));
+            assert_eq!(stm.run(0, |txn| q.dequeue(txn)), Some(round * 2 + 1));
         }
     }
 
     #[test]
     fn full_queue_rejects() {
         let (stm, q) = setup(2);
-        assert!(q.enqueue_now(&stm, 0, 1).is_ok());
-        assert!(q.enqueue_now(&stm, 0, 2).is_ok());
-        assert_eq!(q.enqueue_now(&stm, 0, 3), Err(CapacityError));
-        assert_eq!(q.dequeue_now(&stm, 0), Some(1));
-        assert!(q.enqueue_now(&stm, 0, 3).is_ok());
+        assert!(stm.run(0, |txn| q.enqueue(txn, 1)).is_ok());
+        assert!(stm.run(0, |txn| q.enqueue(txn, 2)).is_ok());
+        assert_eq!(stm.run(0, |txn| q.enqueue(txn, 3)), Err(CapacityError));
+        assert_eq!(stm.run(0, |txn| q.dequeue(txn)), Some(1));
+        assert!(stm.run(0, |txn| q.enqueue(txn, 3)).is_ok());
     }
 
     #[test]
@@ -189,10 +163,10 @@ mod tests {
             .build_tagged();
         let mut r = Region::new(0, 1 << 16);
         let q: TQueue<(u64, bool)> = TQueue::create(&mut r, 4);
-        assert!(q.enqueue_now(&stm, 0, (7, true)).is_ok());
-        assert!(q.enqueue_now(&stm, 0, (8, false)).is_ok());
-        assert_eq!(q.dequeue_now(&stm, 0), Some((7, true)));
-        assert_eq!(q.dequeue_now(&stm, 0), Some((8, false)));
+        assert!(stm.run(0, |txn| q.enqueue(txn, (7, true))).is_ok());
+        assert!(stm.run(0, |txn| q.enqueue(txn, (8, false))).is_ok());
+        assert_eq!(stm.run(0, |txn| q.dequeue(txn)), Some((7, true)));
+        assert_eq!(stm.run(0, |txn| q.dequeue(txn)), Some((8, false)));
     }
 
     #[test]
@@ -214,7 +188,7 @@ mod tests {
                 sc.spawn(move |_| {
                     for i in 0..n {
                         let v = ((id as u64) << 32) | i;
-                        while q.enqueue_now(stm, id, v).is_err() {
+                        while stm.run(id, |txn| q.enqueue(txn, v)).is_err() {
                             std::thread::yield_now();
                         }
                     }
@@ -225,7 +199,7 @@ mod tests {
             sc.spawn(move |_| {
                 let mut got = 0;
                 while got < 2 * n {
-                    if let Some(v) = q.dequeue_now(stm, 2) {
+                    if let Some(v) = stm.run(2, |txn| q.dequeue(txn)) {
                         received.lock().unwrap().push(v);
                         got += 1;
                     } else {

@@ -2,10 +2,7 @@
 
 use std::marker::PhantomData;
 
-use tm_ownership::ThreadId;
-use tm_stm::{
-    Aborted, CapacityError, Region, TRef, TmEngine, TxLayout, TxResult, TxnOps, WORD_BYTES,
-};
+use tm_stm::{Aborted, CapacityError, Region, TRef, TxLayout, TxResult, TxnOps, WORD_BYTES};
 
 /// A fixed-capacity LIFO stack of `T` values in the STM heap.
 pub struct TStack<T = u64> {
@@ -87,35 +84,12 @@ impl<T: TxLayout> TStack<T> {
         self.top.set(txn, top - 1)?;
         Ok(Some(v))
     }
-
-    /// Auto-committing push.
-    pub fn push_now<E: TmEngine>(
-        &self,
-        stm: &E,
-        me: ThreadId,
-        value: T,
-    ) -> Result<(), CapacityError>
-    where
-        T: Clone,
-    {
-        stm.run(me, |txn| self.push(txn, value.clone()))
-    }
-
-    /// Auto-committing pop.
-    pub fn pop_now<E: TmEngine>(&self, stm: &E, me: ThreadId) -> Option<T> {
-        stm.run(me, |txn| self.pop(txn))
-    }
-
-    /// Auto-committing depth (conservation checks in stress harnesses).
-    pub fn len_now<E: TmEngine>(&self, stm: &E, me: ThreadId) -> u64 {
-        stm.run(me, |txn| self.len(txn))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_stm::StmBuilder;
+    use tm_stm::{StmBuilder, TmEngine};
 
     fn setup() -> (tm_stm::Stm<tm_stm::ConcurrentTaggedTable>, TStack) {
         let stm = StmBuilder::new()
@@ -130,27 +104,27 @@ mod tests {
     #[test]
     fn lifo_order() {
         let (stm, s) = setup();
-        assert!(s.push_now(&stm, 0, 1).is_ok());
-        assert!(s.push_now(&stm, 0, 2).is_ok());
-        assert!(s.push_now(&stm, 0, 3).is_ok());
-        assert_eq!(s.pop_now(&stm, 0), Some(3));
-        assert_eq!(s.pop_now(&stm, 0), Some(2));
-        assert_eq!(s.pop_now(&stm, 0), Some(1));
-        assert_eq!(s.pop_now(&stm, 0), None);
+        assert!(stm.run(0, |txn| s.push(txn, 1)).is_ok());
+        assert!(stm.run(0, |txn| s.push(txn, 2)).is_ok());
+        assert!(stm.run(0, |txn| s.push(txn, 3)).is_ok());
+        assert_eq!(stm.run(0, |txn| s.pop(txn)), Some(3));
+        assert_eq!(stm.run(0, |txn| s.pop(txn)), Some(2));
+        assert_eq!(stm.run(0, |txn| s.pop(txn)), Some(1));
+        assert_eq!(stm.run(0, |txn| s.pop(txn)), None);
     }
 
     #[test]
     fn capacity_respected() {
         let (stm, s) = setup();
         for i in 0..16 {
-            assert!(s.push_now(&stm, 0, i).is_ok());
+            assert!(stm.run(0, |txn| s.push(txn, i)).is_ok());
         }
         assert_eq!(
-            s.push_now(&stm, 0, 99),
+            stm.run(0, |txn| s.push(txn, 99)),
             Err(CapacityError),
             "17th push must report full"
         );
-        assert_eq!(s.pop_now(&stm, 0), Some(15));
+        assert_eq!(stm.run(0, |txn| s.pop(txn)), Some(15));
     }
 
     #[test]
@@ -168,10 +142,10 @@ mod tests {
             .build_tagged();
         let mut r = Region::new(0, 1 << 15);
         let s: TStack<(u64, i64)> = TStack::create(&mut r, 4);
-        assert!(s.push_now(&stm, 0, (1, -1)).is_ok());
-        assert!(s.push_now(&stm, 0, (2, -2)).is_ok());
-        assert_eq!(s.pop_now(&stm, 0), Some((2, -2)));
-        assert_eq!(s.pop_now(&stm, 0), Some((1, -1)));
+        assert!(stm.run(0, |txn| s.push(txn, (1, -1))).is_ok());
+        assert!(stm.run(0, |txn| s.push(txn, (2, -2))).is_ok());
+        assert_eq!(stm.run(0, |txn| s.pop(txn)), Some((2, -2)));
+        assert_eq!(stm.run(0, |txn| s.pop(txn)), Some((1, -1)));
     }
 
     #[test]
@@ -186,7 +160,7 @@ mod tests {
         let s: TStack = TStack::create(&mut r, 4096);
         // Pre-fill with 1000 tokens of value 1.
         for _ in 0..1000 {
-            assert!(s.push_now(&stm, 0, 1).is_ok());
+            assert!(stm.run(0, |txn| s.push(txn, 1)).is_ok());
         }
         use std::sync::atomic::{AtomicU64, Ordering};
         let popped = AtomicU64::new(0);
@@ -196,11 +170,12 @@ mod tests {
                 sc.spawn(move |_| {
                     for round in 0..500 {
                         if round % 2 == 0 {
-                            if s.pop_now(stm, id).is_some() {
+                            if stm.run(id, |txn| s.pop(txn)).is_some() {
                                 popped.fetch_add(1, Ordering::Relaxed);
                             }
                         } else {
-                            s.push_now(stm, id, 1).expect("stack has headroom");
+                            stm.run(id, |txn| s.push(txn, 1))
+                                .expect("stack has headroom");
                         }
                     }
                 });

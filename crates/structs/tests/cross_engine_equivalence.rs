@@ -116,20 +116,24 @@ fn drive<E: TmEngine>(engine: &E, ops: &[Op]) -> Trace {
     let observations = ops
         .iter()
         .map(|op| match *op {
-            Op::CounterAdd(d) => Some(counter.add_now(engine, 0, d)),
-            Op::CounterRead => Some(counter.get(engine, 0)),
-            Op::MapInsert(k, v) => map.insert_now(engine, 0, k, v).expect("map headroom"),
-            Op::MapGet(k) => map.get_now(engine, 0, k),
-            Op::MapRemove(k) => map.remove_now(engine, 0, k),
-            Op::QueueEnqueue(v) => Some(u64::from(queue.enqueue_now(engine, 0, v).is_ok())),
-            Op::QueueDequeue => queue.dequeue_now(engine, 0),
-            Op::QueueLen => Some(queue.len_now(engine, 0)),
-            Op::StackPush(v) => Some(u64::from(stack.push_now(engine, 0, v).is_ok())),
-            Op::StackPop => stack.pop_now(engine, 0),
-            Op::StackLen => Some(stack.len_now(engine, 0)),
-            Op::ListInsert(v) => Some(list_insert_word(list.insert_now(engine, 0, v))),
-            Op::ListRemove(v) => Some(u64::from(list.remove_now(engine, 0, v))),
-            Op::ListContains(v) => Some(u64::from(list.contains_now(engine, 0, v))),
+            Op::CounterAdd(d) => Some(engine.run(0, |txn| counter.add(txn, d))),
+            Op::CounterRead => Some(engine.run(0, |txn| counter.read(txn))),
+            Op::MapInsert(k, v) => engine
+                .run(0, |txn| map.insert(txn, k, v))
+                .expect("map headroom"),
+            Op::MapGet(k) => engine.run(0, |txn| map.get(txn, k)),
+            Op::MapRemove(k) => engine.run(0, |txn| map.remove(txn, k)),
+            Op::QueueEnqueue(v) => Some(u64::from(
+                engine.run(0, |txn| queue.enqueue(txn, v)).is_ok(),
+            )),
+            Op::QueueDequeue => engine.run(0, |txn| queue.dequeue(txn)),
+            Op::QueueLen => Some(engine.run(0, |txn| queue.len(txn))),
+            Op::StackPush(v) => Some(u64::from(engine.run(0, |txn| stack.push(txn, v)).is_ok())),
+            Op::StackPop => engine.run(0, |txn| stack.pop(txn)),
+            Op::StackLen => Some(engine.run(0, |txn| stack.len(txn))),
+            Op::ListInsert(v) => Some(list_insert_word(engine.run(0, |txn| list.insert(txn, v)))),
+            Op::ListRemove(v) => Some(u64::from(engine.run(0, |txn| list.remove(txn, v)))),
+            Op::ListContains(v) => Some(u64::from(engine.run(0, |txn| list.contains(txn, v)))),
             Op::ListInsertPoisoned(v) => {
                 // Attempt 1 allocates a node into the splice and aborts;
                 // only attempt 2's effect may survive.
@@ -159,19 +163,19 @@ fn drive<E: TmEngine>(engine: &E, ops: &[Op]) -> Trace {
         })
         .collect();
 
-    let final_counter = counter.get(engine, 0);
+    let final_counter = engine.run(0, |txn| counter.read(txn));
     let mut final_map = Vec::new();
     for k in 1..KEY_RANGE {
-        if let Some(v) = map.get_now(engine, 0, k) {
+        if let Some(v) = engine.run(0, |txn| map.get(txn, k)) {
             final_map.push((k, v));
         }
     }
     let mut drained_queue = Vec::new();
-    while let Some(v) = queue.dequeue_now(engine, 0) {
+    while let Some(v) = engine.run(0, |txn| queue.dequeue(txn)) {
         drained_queue.push(v);
     }
     let mut drained_stack = Vec::new();
-    while let Some(v) = stack.pop_now(engine, 0) {
+    while let Some(v) = engine.run(0, |txn| stack.pop(txn)) {
         drained_stack.push(v);
     }
     Trace {
@@ -180,8 +184,8 @@ fn drive<E: TmEngine>(engine: &E, ops: &[Op]) -> Trace {
         final_map,
         drained_queue,
         drained_stack,
-        final_list: list.snapshot_now(engine, 0),
-        list_free_nodes: list.free_nodes_now(engine, 0),
+        final_list: engine.run(0, |txn| list.snapshot(txn)),
+        list_free_nodes: engine.run(0, |txn| list.free_nodes(txn)),
         commits: engine.engine_stats().commits,
     }
 }

@@ -37,12 +37,12 @@ fn main() {
                 // nodes during traversal.
                 for i in 0..per_thread {
                     let v = i * threads as u64 + id as u64;
-                    assert_eq!(list.insert_now(stm, id, v), Ok(true));
-                    assert!(list.contains_now(stm, id, v));
+                    assert_eq!(stm.run(id, |txn| list.insert(txn, v)), Ok(true));
+                    assert!(stm.run(id, |txn| list.contains(txn, v)));
                     // Every 3rd value is removed again — the node is freed
                     // back to the pool inside the removing transaction.
                     if v.is_multiple_of(3) {
-                        assert!(list.remove_now(stm, id, v));
+                        assert!(stm.run(id, |txn| list.remove(txn, v)));
                     }
                 }
             });
@@ -50,11 +50,11 @@ fn main() {
     })
     .unwrap();
 
-    let final_list = list.snapshot_now(&stm, 0);
+    let final_list = stm.run(0, |txn| list.snapshot(txn));
     let expected: Vec<u64> = (0..universe).filter(|v| v % 3 != 0).collect();
     assert_eq!(final_list, expected, "list must be sorted and exact");
     assert_eq!(
-        final_list.len() as u64 + list.free_nodes_now(&stm, 0),
+        final_list.len() as u64 + stm.run(0, |txn| list.free_nodes(txn)),
         list.capacity(),
         "every removed node returned to the pool"
     );
@@ -68,7 +68,7 @@ fn main() {
     );
     println!(
         "node pool: {} / {} cells free after {} transactional frees — no leaks",
-        list.free_nodes_now(&stm, 0),
+        stm.run(0, |txn| list.free_nodes(txn)),
         list.capacity(),
         universe / 3
     );

@@ -25,7 +25,7 @@ fn pipeline<E: TmEngine>(stm: &E) -> (u64, u64) {
             s.spawn(move |_| {
                 for i in 0..JOBS_PER_PRODUCER {
                     let job = 1 + (p as u64) * JOBS_PER_PRODUCER + i;
-                    while queue.enqueue_now(stm, p, job).is_err() {
+                    while stm.run(p, |txn| queue.enqueue(txn, job)).is_err() {
                         std::thread::yield_now();
                     }
                 }
@@ -61,12 +61,12 @@ fn pipeline<E: TmEngine>(stm: &E) -> (u64, u64) {
     let total = (PRODUCERS as u64) * JOBS_PER_PRODUCER;
     for job in 1..=total {
         assert_eq!(
-            results.get_now(stm, 0, job),
+            stm.run(0, |txn| results.get(txn, job)),
             Some(job * job),
             "job {job} lost or corrupted"
         );
     }
-    (done.get(stm, 0), stm.engine_stats().aborts)
+    (stm.run(0, |txn| done.read(txn)), stm.engine_stats().aborts)
 }
 
 fn main() {

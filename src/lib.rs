@@ -58,7 +58,7 @@
 /// let cell: TRef<u64> = region.alloc_ref();
 /// let n = stm.run(0, |txn| cell.update(txn, |v| v + 41));
 /// assert_eq!(n, 41);
-/// assert_eq!(cell.get_read(&stm, 0), 41); // TRef shorthand for run_read
+/// assert_eq!(stm.run_read(0, |txn| cell.get(txn)), 41);
 /// ```
 ///
 /// Lazy TL2-style (read-only transactions validate against the global
@@ -101,12 +101,12 @@
 /// let stm = StmBuilder::new().heap_words(1024).table_entries(256).build_tagged();
 /// let mut region = Region::new(0, 1024 * 8);
 /// let list: TList<u64> = TList::create(&mut region, 32);
-/// assert_eq!(list.insert_now(&stm, 0, 7), Ok(true));
-/// assert_eq!(list.insert_now(&stm, 0, 3), Ok(true));
-/// assert_eq!(list.snapshot_now(&stm, 0), vec![3, 7]);
-/// // Membership tests are read-only: use the wait-free variants.
-/// assert!(list.contains_read(&stm, 0, 7));
-/// assert_eq!(list.len_read(&stm, 0), 2);
+/// assert_eq!(stm.run(0, |txn| list.insert(txn, 7)), Ok(true));
+/// assert_eq!(stm.run(0, |txn| list.insert(txn, 3)), Ok(true));
+/// assert_eq!(stm.run(0, |txn| list.snapshot(txn)), vec![3, 7]);
+/// // Membership tests are read-only: run them on the wait-free read path.
+/// assert!(stm.run_read(0, |txn| list.contains(txn, 7)));
+/// assert_eq!(stm.run_read(0, |txn| list.len(txn)), 2);
 /// ```
 pub mod prelude {
     pub use tm_adaptive::{AdaptiveController, AdaptiveStmBuilder, ResizePolicy};
